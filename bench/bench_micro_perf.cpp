@@ -147,23 +147,6 @@ void BM_SilhouetteSampled(benchmark::State& state) {
 }
 BENCHMARK(BM_SilhouetteSampled)->Arg(500)->Arg(2000);
 
-void BM_CnnEmbed120Users(benchmark::State& state) {
-  core::CompressorConfig cfg;  // 11 channels x 32 steps -> 8-d
-  core::FeatureCompressor comp(cfg, 4);
-  util::Rng rng(5);
-  const auto data = random_window_data(120, comp.input_size(), rng);
-  const twin::WindowBatch windows(data.data(), 120, comp.input_size());
-  benchmark::DoNotOptimize(comp.embed(windows));  // warm the batch buffer
-  const std::uint64_t allocs_before = g_alloc_count.load(std::memory_order_relaxed);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(comp.embed(windows));
-  }
-  const std::uint64_t allocs = g_alloc_count.load(std::memory_order_relaxed) - allocs_before;
-  state.counters["allocs/iter"] = benchmark::Counter(
-      static_cast<double>(allocs) / static_cast<double>(state.iterations()));
-}
-BENCHMARK(BM_CnnEmbed120Users);
-
 void BM_CnnEmbedBatched(benchmark::State& state) {
   const auto users = static_cast<std::size_t>(state.range(0));
   core::CompressorConfig cfg;
@@ -190,9 +173,14 @@ void BM_CnnFitEpoch120Users(benchmark::State& state) {
   util::Rng rng(7);
   const auto data = random_window_data(120, comp.input_size(), rng);
   const twin::WindowBatch windows(data.data(), 120, comp.input_size());
+  benchmark::DoNotOptimize(comp.fit(windows));  // warm the layer scratch
+  const std::uint64_t allocs_before = g_alloc_count.load(std::memory_order_relaxed);
   for (auto _ : state) {
     benchmark::DoNotOptimize(comp.fit(windows));
   }
+  const std::uint64_t allocs = g_alloc_count.load(std::memory_order_relaxed) - allocs_before;
+  state.counters["allocs/iter"] = benchmark::Counter(
+      static_cast<double>(allocs) / static_cast<double>(state.iterations()));
 }
 BENCHMARK(BM_CnnFitEpoch120Users);
 

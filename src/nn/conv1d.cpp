@@ -3,6 +3,8 @@
 #include <algorithm>
 
 #include "nn/init.hpp"
+#include "nn/kernels.hpp"
+#include "util/parallel.hpp"
 #include "util/simd.hpp"
 
 namespace dtmsv::nn {
@@ -11,20 +13,9 @@ namespace {
 
 using Backend = util::simd::default_backend;
 
-/// Valid (non-padding) kernel-tap range [k_lo, k_hi) for an im2col window
-/// starting at `pos0` in padded coordinates. Taps outside the range fall
-/// in the zero padding; taps inside map to input position
-/// pos0 + k - padding. Hoisting the bounds out of the tap loop turns the
-/// per-element padding branch into straight-line copies the SIMD helpers
-/// can run wide.
-inline void tap_bounds(std::size_t pos0, std::size_t padding, std::size_t len,
-                       std::size_t kernel, std::size_t& k_lo,
-                       std::size_t& k_hi) {
-  k_lo = pos0 < padding ? std::min(padding - pos0, kernel) : 0;
-  const std::size_t limit = padding + len;
-  k_hi = pos0 >= limit ? 0 : std::min(kernel, limit - pos0);
-  k_hi = std::max(k_hi, k_lo);
-}
+// Samples per parallel chunk are sized so each chunk carries at least this
+// many forward multiply-adds; smaller batches run on the calling thread.
+constexpr std::size_t kParallelFlops = 1u << 17;
 
 }  // namespace
 
@@ -57,110 +48,143 @@ Tensor Conv1D::forward(const Tensor& input) {
   const std::size_t len = input.dim(2);
   const std::size_t out_len = output_length(len);
   const std::size_t patch = in_channels_ * kernel_;
+  cols_.resize(n * patch * out_len);
 
-  // im2col: patches_[b*out_len + t] holds the zero-padded receptive field
-  // of output position (b, t), channel-major to match the weight layout.
-  patches_ = Tensor({n * out_len, patch});
-  const float* in = input.data().data();
-  float* rows = patches_.data().data();
-  for (std::size_t b = 0; b < n; ++b) {
-    for (std::size_t t = 0; t < out_len; ++t) {
-      float* prow = rows + (b * out_len + t) * patch;
-      const std::size_t pos0 = t * stride_;  // window start in padded coords
-      std::size_t k_lo = 0, k_hi = 0;
-      tap_bounds(pos0, padding_, len, kernel_, k_lo, k_hi);
-      for (std::size_t c = 0; c < in_channels_; ++c) {
-        const float* irow = in + (b * in_channels_ + c) * len;
-        float* pseg = prow + c * kernel_;
-        std::fill(pseg, pseg + k_lo, 0.0f);
-        if (k_hi > k_lo) {
-          util::simd::copy_row<Backend>(pseg + k_lo,
-                                        irow + (pos0 + k_lo - padding_),
-                                        k_hi - k_lo);
-        }
-        std::fill(pseg + k_hi, pseg + kernel_, 0.0f);
-      }
-    }
-  }
+  // The weights transposed to [patch, F]: the forward product then reads
+  // its left operand down columns, where the row-blocked kernel's per-row
+  // broadcasts sit at fixed offsets from one pointer.
+  std::vector<float> w_t(patch * out_channels_);
+  kernels::transpose(w_.data().data(), w_t.data(), out_channels_, patch);
 
-  // [N*L_out, patch] · [F, patch]ᵀ -> [N*L_out, F], then fold the F axis
-  // back inside while adding the bias.
-  const Tensor out2d = Tensor::matmul_bt(patches_, w_.reshaped({out_channels_, patch}));
   Tensor out({n, out_channels_, out_len});
-  const float* o2 = out2d.data().data();
-  float* o3 = out.data().data();
+  const float* in = input.data().data();
+  const float* wt = w_t.data();
   const float* bias = b_.data().data();
-  for (std::size_t b = 0; b < n; ++b) {
-    for (std::size_t f = 0; f < out_channels_; ++f) {
-      float* orow = o3 + (b * out_channels_ + f) * out_len;
-      const float bf = bias[f];
-      for (std::size_t t = 0; t < out_len; ++t) {
-        orow[t] = o2[(b * out_len + t) * out_channels_ + f] + bf;
+  float* cols = cols_.data();
+  float* o = out.data().data();
+  const std::size_t plen = len + 2 * padding_;
+  const std::size_t sample_flops = out_channels_ * patch * out_len;
+  const std::size_t grain = std::max<std::size_t>(1, kParallelFlops / sample_flops);
+  util::parallel_for(0, n, grain, [&](std::size_t b0, std::size_t b1) {
+    // Each input channel staged once with its zero padding, so every tap
+    // row below is one bounds-free read: row (c, k) of the sample's
+    // [patch, L_out] im2col block is padded channel c from offset k.
+    std::vector<float> padded(in_channels_ * plen, 0.0f);
+    for (std::size_t b = b0; b < b1; ++b) {
+      float* cb = cols + b * patch * out_len;
+      for (std::size_t c = 0; c < in_channels_; ++c) {
+        float* prow = padded.data() + c * plen;
+        util::simd::copy_row<Backend>(prow + padding_, in + (b * in_channels_ + c) * len,
+                                      len);
+        for (std::size_t k = 0; k < kernel_; ++k) {
+          float* row = cb + (c * kernel_ + k) * out_len;
+          if (stride_ == 1) {
+            util::simd::copy_row<Backend>(row, prow + k, out_len);
+          } else {
+            for (std::size_t t = 0; t < out_len; ++t) {
+              row[t] = prow[t * stride_ + k];
+            }
+          }
+        }
+      }
+      // [patch, F]ᵀ · [patch, L_out] -> this sample's [F, L_out] output
+      // block; each element is the ascending-tap chain, then the bias.
+      float* ob = o + b * out_channels_ * out_len;
+      kernels::matmul_at_rows<Backend>(wt, cb, ob, 0, out_channels_, patch,
+                                       out_channels_, out_len);
+      for (std::size_t f = 0; f < out_channels_; ++f) {
+        float* orow = ob + f * out_len;
+        const float bf = bias[f];
+        for (std::size_t t = 0; t < out_len; ++t) {
+          orow[t] += bf;
+        }
       }
     }
-  }
+  });
   return out;
 }
 
 Tensor Conv1D::backward(const Tensor& grad_output) {
-  DTMSV_EXPECTS_MSG(!patches_.empty(), "Conv1D: backward before forward");
+  DTMSV_EXPECTS_MSG(!input_shape_.empty(), "Conv1D: backward before forward");
   const std::size_t n = input_shape_[0];
   const std::size_t len = input_shape_[2];
   const std::size_t out_len = output_length(len);
   DTMSV_EXPECTS(grad_output.rank() == 3 && grad_output.dim(0) == n &&
                 grad_output.dim(1) == out_channels_ && grad_output.dim(2) == out_len);
   const std::size_t patch = in_channels_ * kernel_;
+  const std::size_t fch = out_channels_;
+  const std::size_t plen = len + 2 * padding_;
+  // Per-call scratch in one block: the sample's output gradient transposed
+  // [L_out, F] and its bias gradient [F], the weight gradient transposed
+  // and summed over the batch [patch, F], the sample's im2col gradient
+  // [patch, L_out] and its input gradient zero-padded [in_ch, L + 2*padding].
+  std::vector<float> scratch(
+      out_len * fch + fch + patch * fch + patch * out_len + in_channels_ * plen, 0.0f);
+  float* gt = scratch.data();
+  float* gbias = gt + out_len * fch;
+  float* gwt = gbias + fch;
+  float* gcols = gwt + patch * fch;
+  float* gpad = gcols + patch * out_len;
 
-  // Transpose grad to [N*L_out, F] (the im2col row layout) and reduce the
-  // bias gradient on the way through.
-  Tensor g2d({n * out_len, out_channels_});
-  {
-    const float* g3 = grad_output.data().data();
-    float* g2 = g2d.data().data();
-    float* bg = b_grad_.data().data();
-    for (std::size_t b = 0; b < n; ++b) {
-      for (std::size_t f = 0; f < out_channels_; ++f) {
-        const float* grow = g3 + (b * out_channels_ + f) * out_len;
-        float acc = 0.0f;
-        for (std::size_t t = 0; t < out_len; ++t) {
-          g2[(b * out_len + t) * out_channels_ + f] = grow[t];
-          acc += grow[t];
-        }
-        bg[f] += acc;
-      }
-    }
-  }
-
-  // dL/dW = g2dᵀ · patches ; dL/dpatches = g2d · W.
-  const Tensor wg2d = Tensor::matmul_at(g2d, patches_);  // [F, patch]
-  {
-    const float* src = wg2d.data().data();
-    float* dst = w_grad_.data().data();
-    for (std::size_t i = 0; i < w_grad_.size(); ++i) {
-      dst[i] += src[i];
-    }
-  }
-  const Tensor grad_patches = Tensor::matmul(g2d, w_.reshaped({out_channels_, patch}));
-
-  // col2im: scatter-add patch gradients back to input positions.
   Tensor grad_input(input_shape_);
-  const float* gp = grad_patches.data().data();
+  const float* g = grad_output.data().data();
+  const float* w = w_.data().data();
+  const float* cols = cols_.data();
+  float* bg = b_grad_.data().data();
   float* gi = grad_input.data().data();
+  // Samples run in order, so every gradient element accumulates over
+  // (sample, position) ascending — the chain of one [N*L_out]-deep product.
   for (std::size_t b = 0; b < n; ++b) {
+    const float* gb = g + b * fch * out_len;
+    // The output gradient transposed to [L_out, F], then the bias gradient
+    // summed down its rows: lane f adds channel f's gradients in ascending
+    // t, the same chain as a per-channel loop, with the channels side by
+    // side instead of one serial chain after another.
+    kernels::transpose(gb, gt, fch, out_len);
+    std::fill(gbias, gbias + fch, 0.0f);
     for (std::size_t t = 0; t < out_len; ++t) {
-      const float* prow = gp + (b * out_len + t) * patch;
-      const std::size_t pos0 = t * stride_;
-      std::size_t k_lo = 0, k_hi = 0;
-      tap_bounds(pos0, padding_, len, kernel_, k_lo, k_hi);
-      if (k_hi == k_lo) {
-        continue;
-      }
+      util::simd::add_rows<Backend>(gbias, gt + t * fch, fch);
+    }
+    util::simd::add_rows<Backend>(bg, gbias, fch);
+
+    // dL/dWᵀ += cols[b] · gradᵀ  ([patch, L_out] · [L_out, F]).
+    const float* cb = cols + b * patch * out_len;
+    kernels::matmul_rows<Backend>(cb, gt, gwt, 0, patch, out_len, fch);
+
+    // dL/dcols = Wᵀ · grad  ([F, patch]ᵀ · [F, L_out]).
+    std::fill(gcols, gcols + patch * out_len, 0.0f);
+    kernels::matmul_at_rows<Backend>(w, gb, gcols, 0, patch, fch, patch, out_len);
+
+    // col2im: scatter-add each tap row back onto its zero-padded input
+    // channel, then keep the unpadded middle. Taps run in descending k, so
+    // every input position receives its contributions in ascending output
+    // position t. Channels are the inner loop so that consecutive adds
+    // touch different rows: a shifted add that re-read the row the previous
+    // add had just stored would stall on store forwarding.
+    std::fill(gpad, gpad + in_channels_ * plen, 0.0f);
+    for (std::size_t k = kernel_; k-- > 0;) {
       for (std::size_t c = 0; c < in_channels_; ++c) {
-        float* irow = gi + (b * in_channels_ + c) * len;
-        const float* pseg = prow + c * kernel_;
-        util::simd::add_rows<Backend>(irow + (pos0 + k_lo - padding_),
-                                      pseg + k_lo, k_hi - k_lo);
+        float* prow = gpad + c * plen;
+        const float* row = gcols + (c * kernel_ + k) * out_len;
+        if (stride_ == 1) {
+          util::simd::add_rows<Backend>(prow + k, row, out_len);
+        } else {
+          for (std::size_t t = 0; t < out_len; ++t) {
+            prow[t * stride_ + k] += row[t];
+          }
+        }
       }
+    }
+    for (std::size_t c = 0; c < in_channels_; ++c) {
+      util::simd::copy_row<Backend>(gi + (b * in_channels_ + c) * len,
+                                    gpad + c * plen + padding_, len);
+    }
+  }
+
+  float* wg = w_grad_.data().data();
+  for (std::size_t f = 0; f < fch; ++f) {
+    for (std::size_t p = 0; p < patch; ++p) {
+      wg[f * patch + p] += gwt[p * fch + f];
     }
   }
   return grad_input;

@@ -3,6 +3,8 @@
 // convolution neural network to compress the time-series UDTs' data").
 #pragma once
 
+#include <vector>
+
 #include "nn/layer.hpp"
 #include "util/rng.hpp"
 
@@ -42,10 +44,13 @@ class Conv1D final : public Layer {
   Tensor b_;        // [out_ch]
   Tensor w_grad_;
   Tensor b_grad_;
-  // im2col scratch cached between forward and backward: each output
-  // position becomes one row of [N*L_out, in_ch*kernel], so both passes
-  // reduce to the tiled matmul kernels.
-  Tensor patches_;
+  // im2col of the last forward input, kept for backward and reused across
+  // calls (resized per call; capacity only grows, so it retains what the
+  // largest batch needs, the embed batch in the compressor). Laid out
+  // [N][in_ch*kernel][L_out]: row (c, k) of sample b is input channel c
+  // shifted by tap k across every output position, so the forward product
+  // per sample lands straight in [out_ch, L_out].
+  std::vector<float> cols_;
   Shape input_shape_;
 };
 

@@ -8,8 +8,9 @@
 // lane width or register blocking, so a vector lane computes exactly the
 // chain the scalar backend computes for that column. Multiply-accumulate
 // goes through util::simd's madd (fused iff the target has fast hardware
-// FMA, in scalar and vector code alike), so scalar tails agree with
-// vector bodies and the scalar backend agrees with both.
+// FMA, in scalar and vector code alike), and a ragged column tail runs as
+// one masked vector whose live lanes compute the same chains, so the
+// scalar backend agrees with every vector backend.
 #pragma once
 
 #include <algorithm>
@@ -29,55 +30,118 @@ constexpr std::size_t kTileI = 32;
 constexpr std::size_t kTileJ = 128;
 constexpr std::size_t kTileK = 64;
 
-/// Register-blocked accumulate: orow[jb..je) += Σ_kk a(kk) · b[kk][jb..je)
-/// for kk in [kb, ke), where a(kk) = abase[kk * astride]. Output columns
-/// live in vector registers across the whole kk loop (4-vector blocks, then
-/// single vectors, then a scalar tail), so the serial dependency per column
-/// is the FMA chain itself rather than a store-to-load round trip. Every
-/// column still accumulates in ascending kk order via util::simd's madd —
-/// the same chain whatever the lane width, so blocking preserves
-/// bit-identity with the scalar backend.
-template <typename Backend>
-inline void accum_cols(const float* abase, std::size_t astride, const float* b,
-                       float* orow, std::size_t kb, std::size_t ke,
-                       std::size_t jb, std::size_t je, std::size_t n) {
+/// Register micro-kernel: for the R output rows starting at `out` (row
+/// stride n) and the V column vectors starting at j,
+/// out(r, j..) += Σ_kk a(r, kk) · b[kk][j..] for kk in [kb, ke), where
+/// a(r, kk) = a[r * ars + kk * acs]. The R·V <= 8 accumulators stay in
+/// registers across the whole kk loop and each b vector is loaded once per
+/// kk for all R rows, so a k step issues R·V independent madds instead of
+/// one serial chain. With Tail (V == 1), the vector covers only `tail` < W
+/// columns through masked loads/stores. Every lane still carries exactly
+/// one output's chain in ascending kk via util::simd's madd, so the block
+/// shape cannot change a bit of the result.
+///
+/// Accumulator slot s holds row s / V, vector s % V. The slots are named
+/// variables, not an array: GCC keeps an array of vector structs in stack
+/// memory, which puts a store-to-load round trip into every chain.
+template <typename Backend, std::size_t R, std::size_t V, bool Tail>
+inline void micro_tile(const float* a, std::size_t ars, std::size_t acs,
+                       const float* b, std::size_t n, float* out,
+                       std::size_t kb, std::size_t ke, std::size_t j,
+                       std::size_t tail) {
+  static_assert(R >= 1 && (V == 1 || V == 2) && R * V <= 8 && (!Tail || V == 1));
   using P = util::simd::pack<float, Backend>;
-  std::size_t j = jb;
-  if constexpr (P::width > 1) {
-    constexpr std::size_t W = P::width;
-    for (; j + 4 * W <= je; j += 4 * W) {
-      P acc0 = P::load(orow + j);
-      P acc1 = P::load(orow + j + W);
-      P acc2 = P::load(orow + j + 2 * W);
-      P acc3 = P::load(orow + j + 3 * W);
-      for (std::size_t kk = kb; kk < ke; ++kk) {
-        const P avv = P::broadcast(abase[kk * astride]);
-        const float* brow = b + kk * n;
-        acc0 = P::madd(avv, P::load(brow + j), acc0);
-        acc1 = P::madd(avv, P::load(brow + j + W), acc1);
-        acc2 = P::madd(avv, P::load(brow + j + 2 * W), acc2);
-        acc3 = P::madd(avv, P::load(brow + j + 3 * W), acc3);
-      }
-      acc0.store(orow + j);
-      acc1.store(orow + j + W);
-      acc2.store(orow + j + 2 * W);
-      acc3.store(orow + j + 3 * W);
+  constexpr std::size_t W = P::width;
+  constexpr std::size_t S = R * V;
+  const auto load = [tail](const float* p) {
+    return Tail ? P::load_first(p, tail) : P::load(p);
+  };
+  const auto cell = [out, n, j](std::size_t s) {
+    return out + (s / V) * n + j + (s % V) * W;
+  };
+  const auto store = [&](const P& x, std::size_t s) {
+    if constexpr (Tail) {
+      x.store_first(cell(s), tail);
+    } else {
+      x.store(cell(s));
     }
-    for (; j + W <= je; j += W) {
-      P acc = P::load(orow + j);
-      for (std::size_t kk = kb; kk < ke; ++kk) {
-        acc = P::madd(P::broadcast(abase[kk * astride]), P::load(b + kk * n + j),
-                      acc);
-      }
-      acc.store(orow + j);
-    }
+  };
+  P x0 = load(cell(0)), x1 = P::zero(), x2 = P::zero(), x3 = P::zero();
+  P x4 = P::zero(), x5 = P::zero(), x6 = P::zero(), x7 = P::zero();
+  if constexpr (S > 1) x1 = load(cell(1));
+  if constexpr (S > 2) x2 = load(cell(2));
+  if constexpr (S > 3) x3 = load(cell(3));
+  if constexpr (S > 4) x4 = load(cell(4));
+  if constexpr (S > 5) x5 = load(cell(5));
+  if constexpr (S > 6) x6 = load(cell(6));
+  if constexpr (S > 7) x7 = load(cell(7));
+  for (std::size_t kk = kb; kk < ke; ++kk) {
+    const float* brow = b + kk * n + j;
+    const P b0 = load(brow);
+    const P b1 = V == 1 ? b0 : P::load(brow + W);
+    const float* acol = a + kk * acs;
+    const auto step = [&](P& x, std::size_t s) {
+      x = P::madd(P::broadcast(acol[(s / V) * ars]), s % V == 0 ? b0 : b1, x);
+    };
+    step(x0, 0);
+    if constexpr (S > 1) step(x1, 1);
+    if constexpr (S > 2) step(x2, 2);
+    if constexpr (S > 3) step(x3, 3);
+    if constexpr (S > 4) step(x4, 4);
+    if constexpr (S > 5) step(x5, 5);
+    if constexpr (S > 6) step(x6, 6);
+    if constexpr (S > 7) step(x7, 7);
   }
-  for (; j < je; ++j) {
-    float acc = orow[j];
-    for (std::size_t kk = kb; kk < ke; ++kk) {
-      acc = util::simd::madd(abase[kk * astride], b[kk * n + j], acc);
-    }
-    orow[j] = acc;
+  store(x0, 0);
+  if constexpr (S > 1) store(x1, 1);
+  if constexpr (S > 2) store(x2, 2);
+  if constexpr (S > 3) store(x3, 3);
+  if constexpr (S > 4) store(x4, 4);
+  if constexpr (S > 5) store(x5, 5);
+  if constexpr (S > 6) store(x6, 6);
+  if constexpr (S > 7) store(x7, 7);
+}
+
+/// Runs R-row micro-kernel blocks down rows [i, i1) for one column chunk,
+/// then hands the < R leftover rows to the next narrower block (R/2, ...,
+/// 1), so any row count takes at most log2(R) partial blocks.
+template <typename Backend, std::size_t R, std::size_t V, bool Tail>
+inline void rows_tile(const float* a, std::size_t ars, std::size_t acs,
+                      const float* b, std::size_t n, float* out, std::size_t i,
+                      std::size_t i1, std::size_t kb, std::size_t ke,
+                      std::size_t j, std::size_t tail) {
+  for (; i + R <= i1; i += R) {
+    micro_tile<Backend, R, V, Tail>(a + i * ars, ars, acs, b, n, out + i * n,
+                                    kb, ke, j, tail);
+  }
+  if constexpr (R > 1) {
+    rows_tile<Backend, R / 2, V, Tail>(a, ars, acs, b, n, out, i, i1, kb, ke,
+                                       j, tail);
+  }
+}
+
+/// Row-blocked accumulate over output rows [i0, i1) of an n-column `out`:
+/// out(i, jb..je) += Σ_kk a(i, kk) · b[kk][jb..je) for kk in [kb, ke),
+/// a(i, kk) = a[i * ars + kk * acs]. Columns go in two-vector chunks on
+/// 4-row blocks, then one full vector and one masked partial vector on
+/// 8-row blocks — eight independent accumulators either way.
+template <typename Backend>
+inline void accum_rows(const float* a, std::size_t ars, std::size_t acs,
+                       const float* b, std::size_t n, float* out,
+                       std::size_t i0, std::size_t i1, std::size_t kb,
+                       std::size_t ke, std::size_t jb, std::size_t je) {
+  constexpr std::size_t W = util::simd::pack<float, Backend>::width;
+  std::size_t j = jb;
+  for (; j + 2 * W <= je; j += 2 * W) {
+    rows_tile<Backend, 4, 2, false>(a, ars, acs, b, n, out, i0, i1, kb, ke, j, W);
+  }
+  if (j + W <= je) {
+    rows_tile<Backend, 8, 1, false>(a, ars, acs, b, n, out, i0, i1, kb, ke, j, W);
+    j += W;
+  }
+  if (j < je) {
+    rows_tile<Backend, 8, 1, true>(a, ars, acs, b, n, out, i0, i1, kb, ke, j,
+                                   je - j);
   }
 }
 
@@ -91,9 +155,7 @@ void matmul_rows(const float* a, const float* b, float* out, std::size_t i0,
       const std::size_t ke = std::min(kb + kTileK, k);
       for (std::size_t jb = 0; jb < n; jb += kTileJ) {
         const std::size_t je = std::min(jb + kTileJ, n);
-        for (std::size_t i = ib; i < ie; ++i) {
-          accum_cols<Backend>(a + i * k, 1, b, out + i * n, kb, ke, jb, je, n);
-        }
+        accum_rows<Backend>(a, k, 1, b, n, out, ib, ie, kb, ke, jb, je);
       }
     }
   }
@@ -151,9 +213,7 @@ void matmul_at_rows(const float* a, const float* b, float* out, std::size_t i0,
     const std::size_t ie = std::min(ib + kTileI, i1);
     for (std::size_t kb = 0; kb < k; kb += kTileK) {
       const std::size_t ke = std::min(kb + kTileK, k);
-      for (std::size_t i = ib; i < ie; ++i) {
-        accum_cols<Backend>(a + i, m, b, out + i * n, kb, ke, 0, n, n);
-      }
+      accum_rows<Backend>(a, 1, m, b, n, out, ib, ie, kb, ke, 0, n);
     }
   }
 }

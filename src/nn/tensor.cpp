@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <numeric>
 #include <sstream>
 
@@ -162,11 +163,6 @@ std::size_t row_grain(std::size_t per_row_flops) {
 // than the product.
 constexpr std::size_t kBtTransposeMinRows = 8;
 
-// Below this many output columns the direct batch path runs mostly in its
-// scalar tail (an AVX-512 pack is 16 lanes); a wide-m narrow-n product is
-// served better by the transposed-output form.
-constexpr std::size_t kBtMinDirectCols = 16;
-
 }  // namespace
 
 Tensor Tensor::matmul(const Tensor& a, const Tensor& b) {
@@ -196,24 +192,12 @@ Tensor Tensor::matmul_bt(const Tensor& a, const Tensor& b) {
   const float* bp = b.data_.data();
   float* op = out.data_.data();
   if (m >= kBtTransposeMinRows) {
-    if (n < kBtMinDirectCols && m > n) {
-      // Narrow output (e.g. a wide batch against a head with few units):
-      // too few columns to fill vector lanes directly, so compute outᵀ =
-      // b · aᵀ instead — lanes become output *rows*, of which there are
-      // many. fma(x, y, acc) == fma(y, x, acc) exactly, so each (i, j)
-      // still accumulates the scalar reference chain in ascending kk.
-      std::vector<float> at(k * m);
-      kernels::transpose(ap, at.data(), m, k);
-      std::vector<float> ot(n * m, 0.0f);
-      kernels::matmul_rows<Backend>(bp, at.data(), ot.data(), 0, n, k, m);
-      kernels::transpose(ot.data(), op, n, m);
-      return out;
-    }
     // Batch path: transpose b once, then the product is a plain a · bᵗ
-    // matmul on contiguous columns the vector kernel can eat.
-    std::vector<float> bt(k * n);
-    kernels::transpose(bp, bt.data(), n, k);
-    const float* btp = bt.data();
+    // matmul on contiguous columns the vector kernel can eat (a narrow
+    // output, such as a head with few units, runs as one masked vector).
+    const auto bt = std::make_unique_for_overwrite<float[]>(k * n);
+    kernels::transpose(bp, bt.get(), n, k);
+    const float* btp = bt.get();
     util::parallel_for(0, m, row_grain(k * n), [&](std::size_t i0, std::size_t i1) {
       kernels::matmul_rows<Backend>(ap, btp, op, i0, i1, k, n);
     });

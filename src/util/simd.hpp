@@ -124,6 +124,17 @@ struct pack<T, scalar_backend> {
   static pack broadcast(T x) { return {x}; }
   static pack zero() { return {T{0}}; }
   void store(T* p) const { *p = v; }
+  // Partial (ragged-tail) forms, on this pack and every float pack:
+  // load_first reads the first n <= width elements and zeroes the other
+  // lanes; store_first writes only the first n lanes. Memory past p + n is
+  // never touched, so a kernel can run its last, partial vector of columns
+  // as one masked op instead of n scalar chains.
+  static pack load_first(const T* p, std::size_t n) { return {n > 0 ? *p : T{0}}; }
+  void store_first(T* p, std::size_t n) const {
+    if (n > 0) {
+      *p = v;
+    }
+  }
 
   friend pack operator+(pack a, pack b) { return {a.v + b.v}; }
   friend pack operator-(pack a, pack b) { return {a.v - b.v}; }
@@ -155,6 +166,17 @@ struct pack<float, avx2_backend> {
   static pack broadcast(float x) { return {_mm256_set1_ps(x)}; }
   static pack zero() { return {_mm256_setzero_ps()}; }
   void store(float* p) const { _mm256_storeu_ps(p, v); }
+  static pack load_first(const float* p, std::size_t n) {
+    return {_mm256_maskload_ps(p, first_lanes(n))};
+  }
+  void store_first(float* p, std::size_t n) const {
+    _mm256_maskstore_ps(p, first_lanes(n), v);
+  }
+  /// Lane mask with the top bit set in lanes [0, n).
+  static __m256i first_lanes(std::size_t n) {
+    return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(n)),
+                              _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+  }
 
   friend pack operator+(pack a, pack b) { return {_mm256_add_ps(a.v, b.v)}; }
   friend pack operator-(pack a, pack b) { return {_mm256_sub_ps(a.v, b.v)}; }
@@ -221,6 +243,15 @@ struct pack<float, avx512_backend> {
   static pack broadcast(float x) { return {_mm512_set1_ps(x)}; }
   static pack zero() { return {_mm512_setzero_ps()}; }
   void store(float* p) const { _mm512_storeu_ps(p, v); }
+  static pack load_first(const float* p, std::size_t n) {
+    return {_mm512_maskz_loadu_ps(first_lanes(n), p)};
+  }
+  void store_first(float* p, std::size_t n) const {
+    _mm512_mask_storeu_ps(p, first_lanes(n), v);
+  }
+  static __mmask16 first_lanes(std::size_t n) {
+    return static_cast<__mmask16>((1u << n) - 1u);
+  }
 
   friend pack operator+(pack a, pack b) { return {_mm512_add_ps(a.v, b.v)}; }
   friend pack operator-(pack a, pack b) { return {_mm512_sub_ps(a.v, b.v)}; }

@@ -194,10 +194,22 @@ struct RaggedShape {
 };
 
 // Lane widths in play are 4/8 (AVX2) and 8/16 (AVX-512); every extent
-// below is chosen to leave a ragged vector tail or to be degenerate.
+// below is chosen to leave a ragged vector tail or to be degenerate. Row
+// counts straddle the 4- and 8-row micro-kernel blocks (3/4/5/7/8/9/33),
+// and inner extents past kTileK (65/130/1024) carry accumulators across k
+// tiles. The last seven are conv products of the compressor (11→16 k5 and
+// 16→32 k3 on 32 steps, batch 32): three from the batch-major im2col
+// layout ({1024,55,16}, {512,48,32} forwards, {16,1024,55} the batch-deep
+// weight gradient) and four per-sample products of the Conv1D layout
+// (forwards {16,55,32}, {32,48,16}; weight gradients {55,32,16},
+// {48,16,32}).
 const RaggedShape kRaggedShapes[] = {
-    {1, 1, 1}, {1, 7, 13}, {2, 3, 17}, {5, 9, 33},  {8, 16, 31},
-    {3, 5, 1}, {0, 4, 5},  {4, 0, 5},  {3, 4, 0},   {9, 21, 19},
+    {1, 1, 1},      {1, 7, 13},     {2, 3, 17},      {5, 9, 33},
+    {8, 16, 31},    {3, 5, 1},      {0, 4, 5},       {4, 0, 5},
+    {3, 4, 0},      {9, 21, 19},    {3, 11, 16},     {4, 6, 32},
+    {7, 13, 47},    {33, 9, 15},    {5, 65, 7},      {8, 130, 23},
+    {9, 1024, 3},   {1024, 55, 16}, {512, 48, 32},   {16, 1024, 55},
+    {16, 55, 32},   {32, 48, 16},   {55, 32, 16},    {48, 16, 32},
 };
 
 template <typename Backend>
@@ -228,6 +240,19 @@ void expect_bits_equal(const std::vector<float>& got,
   }
 }
 
+// Both matmul_bt paths of Tensor::matmul_bt on raw kernels, so each
+// backend's instantiation is checked: transpose b then the axpy kernel
+// (the batch path) must equal the dot-product rows (the few-rows path).
+template <typename Backend>
+std::vector<float> matmul_bt_transposed_b(const std::vector<float>& a,
+                                          const std::vector<float>& b,
+                                          std::size_t m, std::size_t k,
+                                          std::size_t n) {
+  std::vector<float> bt(k * n);
+  dtmsv::nn::kernels::transpose(b.data(), bt.data(), n, k);
+  return matmul_via<Backend>(a, bt, m, k, n);
+}
+
 template <typename Backend>
 void check_matmul_backend_matches_scalar(const char* name) {
   Rng rng(11);
@@ -241,6 +266,13 @@ void check_matmul_backend_matches_scalar(const char* name) {
     expect_bits_equal(
         matmul_at_via<Backend>(at, b, s.m, s.k, s.n),
         matmul_at_via<simd::scalar_backend>(at, b, s.m, s.k, s.n), name);
+
+    const auto bn = random_values(s.n * s.k, rng);  // b as (n×k)
+    std::vector<float> dot(s.m * s.n);
+    dtmsv::nn::kernels::matmul_bt_rows(a.data(), bn.data(), dot.data(), 0, s.m,
+                                       s.k, s.n);
+    expect_bits_equal(matmul_bt_transposed_b<Backend>(a, bn, s.m, s.k, s.n), dot,
+                      name);
   }
 }
 
@@ -266,6 +298,28 @@ void check_span_helpers_match_scalar(const char* name) {
   }
 }
 
+template <typename Backend>
+void check_partial_load_store(const char* name) {
+  // load_first/store_first for every lane count 0..W: the first n lanes
+  // round-trip, the rest load as zero, and nothing past p + n is written.
+  using P = simd::pack<float, Backend>;
+  constexpr std::size_t W = P::width;
+  Rng rng(14);
+  const auto src = random_values(W, rng);
+  for (std::size_t n = 0; n <= W; ++n) {
+    std::vector<float> lanes(W, -1.0f);
+    P::load_first(src.data(), n).store(lanes.data());
+    for (std::size_t i = 0; i < W; ++i) {
+      ASSERT_EQ(lanes[i], i < n ? src[i] : 0.0f) << name << ": n=" << n << " lane " << i;
+    }
+    std::vector<float> dst(W + 1, 7.0f);
+    P::load(src.data()).store_first(dst.data(), n);
+    for (std::size_t i = 0; i <= W; ++i) {
+      ASSERT_EQ(dst[i], i < n ? src[i] : 7.0f) << name << ": n=" << n << " slot " << i;
+    }
+  }
+}
+
 TEST(SimdBackends, ScalarBackendReportsAndComputes) {
   // The scalar backend is the always-available reference; sanity-check its
   // primitive ops and that the build records a known backend name.
@@ -286,6 +340,16 @@ TEST(SimdBackends, MatmulKernelsBitIdenticalAcrossBackends) {
 #endif
 #if defined(__AVX512F__)
   check_matmul_backend_matches_scalar<simd::avx512_backend>("avx512");
+#endif
+}
+
+TEST(SimdBackends, PartialLoadStoreTouchOnlyLeadingLanes) {
+  check_partial_load_store<simd::scalar_backend>("scalar");
+#if defined(__AVX2__)
+  check_partial_load_store<simd::avx2_backend>("avx2");
+#endif
+#if defined(__AVX512F__)
+  check_partial_load_store<simd::avx512_backend>("avx512");
 #endif
 }
 

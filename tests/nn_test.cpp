@@ -300,6 +300,150 @@ TEST(Conv1D, GradientCheckStridedPadded) {
                                << result.max_input_error;
 }
 
+// Forward output and all three gradients of one Conv1D pass.
+struct ConvPass {
+  Tensor out, grad_input, grad_w, grad_b;
+};
+
+ConvPass run_conv(Conv1D& conv, const Tensor& x, const Tensor& g) {
+  conv.zero_grad();
+  ConvPass pass;
+  pass.out = conv.forward(x);
+  pass.grad_input = conv.backward(g);
+  const auto params = conv.parameters();
+  pass.grad_w = *params[0].grad;
+  pass.grad_b = *params[1].grad;
+  return pass;
+}
+
+/// Direct convolution and its gradients, accumulated in the order the
+/// layer promises: each output is the madd chain over (channel, tap)
+/// ascending, padding taps included as zeros, plus the bias; each weight
+/// gradient is one chain over (sample, position) ascending; each
+/// input-gradient element adds, in ascending output position t, the madd
+/// chain over f of every tap that reads it.
+ConvPass naive_conv(const Conv1D& conv, const Tensor& w, const Tensor& bias,
+                    const Tensor& x, const Tensor& g) {
+  const std::size_t n = x.dim(0), cin = conv.in_channels(), len = x.dim(2);
+  const std::size_t fch = conv.out_channels(), kern = conv.kernel();
+  const std::size_t stride = conv.stride(), pad = conv.padding();
+  const std::size_t out_len = conv.output_length(len);
+  // Input value under tap k at output position t (zero in the padding).
+  const auto tap = [&](std::size_t t, std::size_t k, std::size_t& pos) {
+    const std::size_t p = t * stride + k;
+    if (p < pad || p - pad >= len) {
+      return false;
+    }
+    pos = p - pad;
+    return true;
+  };
+  ConvPass ref{Tensor({n, fch, out_len}), Tensor(x.shape()), Tensor(w.shape()),
+               Tensor(bias.shape())};
+  for (std::size_t b = 0; b < n; ++b) {
+    for (std::size_t f = 0; f < fch; ++f) {
+      for (std::size_t t = 0; t < out_len; ++t) {
+        float acc = 0.0f;
+        for (std::size_t c = 0; c < cin; ++c) {
+          for (std::size_t k = 0; k < kern; ++k) {
+            std::size_t pos = 0;
+            const float xv = tap(t, k, pos) ? x.at3(b, c, pos) : 0.0f;
+            acc = fused_madd(w.at3(f, c, k), xv, acc);
+          }
+        }
+        ref.out.at3(b, f, t) = acc + bias[f];
+      }
+    }
+  }
+  for (std::size_t f = 0; f < fch; ++f) {
+    for (std::size_t c = 0; c < cin; ++c) {
+      for (std::size_t k = 0; k < kern; ++k) {
+        float acc = 0.0f;
+        for (std::size_t b = 0; b < n; ++b) {
+          for (std::size_t t = 0; t < out_len; ++t) {
+            std::size_t pos = 0;
+            const float xv = tap(t, k, pos) ? x.at3(b, c, pos) : 0.0f;
+            acc = fused_madd(g.at3(b, f, t), xv, acc);
+          }
+        }
+        ref.grad_w.at3(f, c, k) += acc;
+      }
+    }
+    for (std::size_t b = 0; b < n; ++b) {
+      float acc = 0.0f;
+      for (std::size_t t = 0; t < out_len; ++t) {
+        acc += g.at3(b, f, t);
+      }
+      ref.grad_b[f] += acc;
+    }
+  }
+  for (std::size_t b = 0; b < n; ++b) {
+    for (std::size_t t = 0; t < out_len; ++t) {
+      for (std::size_t c = 0; c < cin; ++c) {
+        for (std::size_t k = 0; k < kern; ++k) {
+          std::size_t pos = 0;
+          if (!tap(t, k, pos)) {
+            continue;
+          }
+          float acc = 0.0f;
+          for (std::size_t f = 0; f < fch; ++f) {
+            acc = fused_madd(g.at3(b, f, t), w.at3(f, c, k), acc);
+          }
+          ref.grad_input.at3(b, c, pos) += acc;
+        }
+      }
+    }
+  }
+  return ref;
+}
+
+void expect_same_bits(const Tensor& got, const Tensor& want, const char* what,
+                      std::size_t batch) {
+  ASSERT_EQ(got.shape(), want.shape()) << what << " at batch " << batch;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i], want[i]) << what << " element " << i << " at batch " << batch;
+  }
+}
+
+TEST(Conv1D, ReusedScratchMatchesFreshLayerAndDirectReference) {
+  // One layer instance runs the compressor's batch sequence: a 32-user
+  // training batch, the 16-user tail batch of 240 users, then the
+  // 240-user embed. Scratch left over from a larger or smaller call must
+  // never leak into the next one: every pass must be bit-equal to a fresh
+  // layer with the same weights and to the direct convolution. The
+  // compressor's two layer shapes plus a strided one are covered.
+  struct Geometry {
+    std::size_t cin, fch, kern, stride, pad, len;
+  };
+  for (const Geometry geo : {Geometry{11, 16, 5, 1, 2, 32}, Geometry{16, 32, 3, 1, 1, 16},
+                             Geometry{3, 5, 4, 2, 3, 13}}) {
+    Rng init(21);
+    Conv1D reused(geo.cin, geo.fch, geo.kern, init, geo.stride, geo.pad);
+    Rng bias_rng(22);
+    for (float& v : reused.bias().data()) {
+      v = static_cast<float>(bias_rng.normal(0.0, 0.5));
+    }
+    Rng data_rng(23);
+    for (const std::size_t batch : {32u, 16u, 240u}) {
+      const Tensor x = random_tensor({batch, geo.cin, geo.len}, data_rng);
+      const Tensor g = random_tensor({batch, geo.fch, reused.output_length(geo.len)},
+                                     data_rng);
+      const ConvPass got = run_conv(reused, x, g);
+
+      Rng fresh_init(21);
+      Conv1D fresh(geo.cin, geo.fch, geo.kern, fresh_init, geo.stride, geo.pad);
+      fresh.bias() = reused.bias();
+      const ConvPass want = run_conv(fresh, x, g);
+      const ConvPass ref = naive_conv(reused, reused.weights(), reused.bias(), x, g);
+      for (const ConvPass* other : {&want, &ref}) {
+        expect_same_bits(got.out, other->out, "output", batch);
+        expect_same_bits(got.grad_input, other->grad_input, "input grad", batch);
+        expect_same_bits(got.grad_w, other->grad_w, "weight grad", batch);
+        expect_same_bits(got.grad_b, other->grad_b, "bias grad", batch);
+      }
+    }
+  }
+}
+
 // ------------------------------------------------------------- Activations
 
 TEST(ReLU, ForwardClampsNegatives) {
