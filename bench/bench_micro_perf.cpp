@@ -17,6 +17,8 @@
 #include "core/group_constructor.hpp"
 #include "mobility/random_waypoint.hpp"
 #include "nn/conv1d.hpp"
+#include "nn/optimizer.hpp"
+#include "nn/pooling.hpp"
 #include "nn/tensor.hpp"
 #include "predict/channel_predictor.hpp"
 #include "predict/demand.hpp"
@@ -467,6 +469,34 @@ void BM_Conv1DBackward(benchmark::State& state) {
   util::set_thread_count(0);
 }
 BENCHMARK(BM_Conv1DBackward)->Arg(1)->Arg(2)->Arg(4);
+
+// One Adam step over range(0) parameters in one tensor: 14744 is the
+// compressor at T=16 (the serve benchmark's window), 26184 at T=32.
+void BM_AdamStep(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  util::Rng rng(26);
+  nn::Tensor value = random_tensor({n}, rng);
+  nn::Tensor grad = random_tensor({n}, rng);
+  nn::Adam adam({{&value, &grad, "p"}}, 1e-3);
+  for (auto _ : state) {
+    adam.step();
+    benchmark::DoNotOptimize(value.data().data());
+  }
+  state.counters["params"] = static_cast<double>(n);
+}
+BENCHMARK(BM_AdamStep)->Arg(14744)->Arg(26184);
+
+// The compressor's pooling stage on one training batch: 32 users, 16
+// conv1 filters, 32 steps, window 2.
+void BM_MaxPool1DForward(benchmark::State& state) {
+  util::Rng rng(27);
+  nn::MaxPool1D pool(2);
+  const auto input = random_tensor({32, 16, 32}, rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(pool.forward(input));
+  }
+}
+BENCHMARK(BM_MaxPool1DForward);
 
 }  // namespace
 

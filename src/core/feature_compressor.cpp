@@ -1,6 +1,7 @@
 #include "core/feature_compressor.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "nn/activations.hpp"
 #include "nn/conv1d.hpp"
@@ -119,9 +120,13 @@ float FeatureCompressor::fit(const twin::WindowBatch& windows) {
       encoder_->zero_grad();
       decoder_->zero_grad();
       const nn::Tensor grad_embedding = decoder_->backward(loss.grad);
-      encoder_->backward(grad_embedding);
-      optimizer_->clip_grad_norm(10.0);
-      optimizer_->step();
+      encoder_->backward_params(grad_embedding);
+      // A non-finite norm means a NaN/inf window reached the gradients;
+      // stepping would write it into every weight and both Adam moments,
+      // so the batch is dropped and the model stays as it was.
+      if (std::isfinite(optimizer_->clip_grad_norm(10.0))) {
+        optimizer_->step();
+      }
 
       epoch_loss += loss.value;
       ++batches;

@@ -5,28 +5,24 @@
 namespace dtmsv::nn {
 
 Tensor ReLU::forward(const Tensor& input) {
-  mask_ = Tensor(input.shape());
   Tensor out = input;
-  auto out_data = out.data();
-  auto mask_data = mask_.data();
-  for (std::size_t i = 0; i < out_data.size(); ++i) {
-    if (out_data[i] > 0.0f) {
-      mask_data[i] = 1.0f;
-    } else {
-      out_data[i] = 0.0f;
-    }
+  for (float& v : out.data()) {
+    v = v > 0.0f ? v : 0.0f;
   }
+  output_ = out;
   return out;
 }
 
 Tensor ReLU::backward(const Tensor& grad_output) {
-  DTMSV_EXPECTS_MSG(!mask_.empty(), "ReLU: backward before forward");
-  DTMSV_EXPECTS(same_shape(grad_output, mask_));
+  DTMSV_EXPECTS_MSG(!output_.empty(), "ReLU: backward before forward");
+  DTMSV_EXPECTS(same_shape(grad_output, output_));
   Tensor grad = grad_output;
   auto g = grad.data();
-  auto m = mask_.data();
+  auto y = output_.data();
+  // The 0/1 mask is a product, not a select, so a NaN or infinite
+  // gradient under a clamped unit still yields NaN and a negative one -0.
   for (std::size_t i = 0; i < g.size(); ++i) {
-    g[i] *= m[i];
+    g[i] *= y[i] > 0.0f ? 1.0f : 0.0f;
   }
   return grad;
 }

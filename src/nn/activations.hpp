@@ -5,7 +5,7 @@
 
 namespace dtmsv::nn {
 
-/// Rectified linear unit: max(0, x).
+/// Rectified linear unit: x where x > 0, else +0 (NaN and -0 included).
 class ReLU final : public Layer {
  public:
   Tensor forward(const Tensor& input) override;
@@ -13,7 +13,7 @@ class ReLU final : public Layer {
   std::string name() const override { return "ReLU"; }
 
  private:
-  Tensor mask_;  // 1 where input > 0
+  Tensor output_;  // last forward output; > 0 exactly where the input was
 };
 
 /// Hyperbolic tangent.

@@ -105,6 +105,14 @@ Tensor Conv1D::forward(const Tensor& input) {
 }
 
 Tensor Conv1D::backward(const Tensor& grad_output) {
+  return backward_pass(grad_output, true);
+}
+
+void Conv1D::backward_params(const Tensor& grad_output) {
+  backward_pass(grad_output, false);
+}
+
+Tensor Conv1D::backward_pass(const Tensor& grad_output, bool input_grad) {
   DTMSV_EXPECTS_MSG(!input_shape_.empty(), "Conv1D: backward before forward");
   const std::size_t n = input_shape_[0];
   const std::size_t len = input_shape_[2];
@@ -126,7 +134,7 @@ Tensor Conv1D::backward(const Tensor& grad_output) {
   float* gcols = gwt + patch * fch;
   float* gpad = gcols + patch * out_len;
 
-  Tensor grad_input(input_shape_);
+  Tensor grad_input = input_grad ? Tensor(input_shape_) : Tensor();
   const float* g = grad_output.data().data();
   const float* w = w_.data().data();
   const float* cols = cols_.data();
@@ -150,6 +158,9 @@ Tensor Conv1D::backward(const Tensor& grad_output) {
     // dL/dWᵀ += cols[b] · gradᵀ  ([patch, L_out] · [L_out, F]).
     const float* cb = cols + b * patch * out_len;
     kernels::matmul_rows<Backend>(cb, gt, gwt, 0, patch, out_len, fch);
+    if (!input_grad) {
+      continue;
+    }
 
     // dL/dcols = Wᵀ · grad  ([F, patch]ᵀ · [F, L_out]).
     std::fill(gcols, gcols + patch * out_len, 0.0f);

@@ -1,7 +1,8 @@
-// Backend-templated matmul row kernels, shared by the Tensor entry points
-// in tensor.cpp (instantiated on the build's default SIMD backend) and by
-// the backend-equivalence tests (which instantiate every backend compiled
-// into the binary and assert bit-identical outputs).
+// Backend-templated matmul row kernels and the Adam step kernel, shared by
+// the entry points in tensor.cpp and optimizer.cpp (instantiated on the
+// build's default SIMD backend) and by the backend-equivalence tests
+// (which instantiate every backend compiled into the binary and assert
+// bit-identical outputs).
 //
 // Vectorisation layout: lanes are *output columns* (j). All kernels
 // accumulate each output element (i, j) in ascending kk order whatever the
@@ -215,6 +216,67 @@ void matmul_at_rows(const float* a, const float* b, float* out, std::size_t i0,
       const std::size_t ke = std::min(kb + kTileK, k);
       accum_rows<Backend>(a, 1, m, b, n, out, ib, ie, kb, ke, 0, n);
     }
+  }
+}
+
+/// Per-step Adam constants: the betas, their complements, the bias
+/// corrections 1 - beta^t, the learning rate and epsilon.
+struct AdamCoefficients {
+  double beta1, beta2, one_minus_beta1, one_minus_beta2;
+  double bias1, bias2, lr, epsilon;
+};
+
+/// Adam update of the `len` parameters at [j, j + len), one lane each,
+/// len == W unless Tail. Op for op the scalar chain
+///   m = float(fma(m, b1, (1 - b1) * g))
+///   v = float(fma(v, b2, ((1 - b2) * g) * g))
+///   value = value - float(lr * (m / bias1) / (sqrt(v / bias2) + eps))
+/// in double lanes, with madd fusing exactly when the scalar build's FP
+/// contraction does. The last subtraction runs in double on two floats and
+/// rounds once to float: for +, -, *, / and sqrt that double rounding is
+/// innocuous (53 >= 2*24 + 2 bits), so it equals the float subtraction.
+template <typename Backend, bool Tail>
+inline void adam_lanes(float* value, const float* grad, float* m, float* v,
+                       std::size_t j, std::size_t len,
+                       const AdamCoefficients& c) {
+  using P = util::simd::pack<double, Backend>;
+  const auto load = [len](const float* p) {
+    return Tail ? P::load_widen_first(p, len) : P::load_widen(p);
+  };
+  const auto store = [len](const P& x, float* p) {
+    if constexpr (Tail) {
+      x.store_narrow_first(p, len);
+    } else {
+      x.store_narrow(p);
+    }
+  };
+  const P g = load(grad + j);
+  const P mj = round_to_float(P::madd(load(m + j), P::broadcast(c.beta1),
+                                      P::broadcast(c.one_minus_beta1) * g));
+  const P vj = round_to_float(P::madd(load(v + j), P::broadcast(c.beta2),
+                                      (P::broadcast(c.one_minus_beta2) * g) * g));
+  const P m_hat = mj / P::broadcast(c.bias1);
+  const P v_hat = vj / P::broadcast(c.bias2);
+  const P update = round_to_float(P::broadcast(c.lr) * m_hat /
+                                  (sqrt(v_hat) + P::broadcast(c.epsilon)));
+  store(mj, m + j);
+  store(vj, v + j);
+  store(load(value + j) - update, value + j);
+}
+
+/// One Adam step over n parameters: full vectors, then one masked vector
+/// for the ragged tail. Every parameter is its own lane, so the result is
+/// the same on every backend.
+template <typename Backend>
+void adam_step(float* value, const float* grad, float* m, float* v,
+               std::size_t n, const AdamCoefficients& c) {
+  constexpr std::size_t W = util::simd::pack<double, Backend>::width;
+  std::size_t j = 0;
+  for (; j + W <= n; j += W) {
+    adam_lanes<Backend, false>(value, grad, m, v, j, W, c);
+  }
+  if (j < n) {
+    adam_lanes<Backend, true>(value, grad, m, v, j, n - j, c);
   }
 }
 

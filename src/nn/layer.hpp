@@ -36,6 +36,12 @@ class Layer {
   /// parameter gradients. Must be preceded by a matching forward().
   virtual Tensor backward(const Tensor& grad_output) = 0;
 
+  /// backward() without dL/dinput: accumulates the parameter gradients
+  /// only. For the first layer of a network, whose input gradient nobody
+  /// reads. Default: backward() with its result dropped; layers whose input
+  /// gradient costs real work override it.
+  virtual void backward_params(const Tensor& grad_output) { backward(grad_output); }
+
   /// Parameter views for the optimiser. Default: no parameters.
   virtual std::vector<ParamRef> parameters() { return {}; }
 

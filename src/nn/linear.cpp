@@ -33,6 +33,14 @@ Tensor Linear::forward(const Tensor& input) {
 }
 
 Tensor Linear::backward(const Tensor& grad_output) {
+  return backward_pass(grad_output, true);
+}
+
+void Linear::backward_params(const Tensor& grad_output) {
+  backward_pass(grad_output, false);
+}
+
+Tensor Linear::backward_pass(const Tensor& grad_output, bool input_grad) {
   DTMSV_EXPECTS_MSG(grad_output.rank() == 2 && grad_output.dim(1) == out_features_,
                     "Linear: grad_output must be [N, out_features]");
   DTMSV_EXPECTS_MSG(!input_.empty(), "Linear: backward before forward");
@@ -49,7 +57,7 @@ Tensor Linear::backward(const Tensor& grad_output) {
       bg[j] += grow[j];
     }
   }
-  return Tensor::matmul(grad_output, w_);
+  return input_grad ? Tensor::matmul(grad_output, w_) : Tensor();
 }
 
 std::vector<ParamRef> Linear::parameters() {

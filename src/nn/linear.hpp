@@ -14,6 +14,7 @@ class Linear final : public Layer {
 
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
+  void backward_params(const Tensor& grad_output) override;
   std::vector<ParamRef> parameters() override;
   std::string name() const override { return "Linear"; }
 
@@ -25,6 +26,11 @@ class Linear final : public Layer {
   Tensor& bias() { return b_; }
 
  private:
+  /// The body of backward() and backward_params(): accumulates the
+  /// parameter gradients and, when `input_grad`, returns dL/dinput (an
+  /// empty tensor otherwise).
+  Tensor backward_pass(const Tensor& grad_output, bool input_grad);
+
   std::size_t in_features_;
   std::size_t out_features_;
   Tensor w_;       // [out, in]

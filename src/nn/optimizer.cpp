@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "nn/kernels.hpp"
+
 namespace dtmsv::nn {
 
 double Optimizer::clip_grad_norm(double max_norm) {
@@ -75,21 +77,19 @@ void Adam::set_learning_rate(double lr) {
 
 void Adam::step() {
   ++t_;
-  const double bias1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
-  const double bias2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
+  const kernels::AdamCoefficients c{
+      beta1_,
+      beta2_,
+      1.0 - beta1_,
+      1.0 - beta2_,
+      1.0 - std::pow(beta1_, static_cast<double>(t_)),
+      1.0 - std::pow(beta2_, static_cast<double>(t_)),
+      lr_,
+      epsilon_};
   for (std::size_t i = 0; i < params_.size(); ++i) {
-    auto value = params_[i].value->data();
-    const auto grad = params_[i].grad->data();
-    auto m = m_[i].data();
-    auto v = v_[i].data();
-    for (std::size_t j = 0; j < value.size(); ++j) {
-      const double g = grad[j];
-      m[j] = static_cast<float>(beta1_ * m[j] + (1.0 - beta1_) * g);
-      v[j] = static_cast<float>(beta2_ * v[j] + (1.0 - beta2_) * g * g);
-      const double m_hat = m[j] / bias1;
-      const double v_hat = v[j] / bias2;
-      value[j] -= static_cast<float>(lr_ * m_hat / (std::sqrt(v_hat) + epsilon_));
-    }
+    kernels::adam_step<util::simd::default_backend>(
+        params_[i].value->data().data(), params_[i].grad->data().data(),
+        m_[i].data().data(), v_[i].data().data(), params_[i].value->size(), c);
   }
 }
 

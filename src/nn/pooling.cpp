@@ -5,6 +5,33 @@
 
 namespace dtmsv::nn {
 
+namespace {
+
+/// Max and first argmax of `count` back-to-back windows of `width` inputs
+/// from x (input index `first` onward), as selects: the strict `>` keeps
+/// the first of equal maxima and never takes a NaN, and a window of NaN or
+/// -inf only yields -inf at its first position. A nonzero Width fixes the
+/// width at compile time, which lets the loop vectorise across windows.
+template <std::size_t Width>
+void max_windows(const float* x, float* out, std::uint32_t* arg, std::size_t first,
+                 std::size_t width, std::size_t count) {
+  const std::size_t w = Width > 0 ? Width : width;
+  for (std::size_t t = 0; t < count; ++t) {
+    float best = -std::numeric_limits<float>::infinity();
+    auto idx = static_cast<std::uint32_t>(first + t * w);
+    for (std::size_t k = 0; k < w; ++k) {
+      const float v = x[t * w + k];
+      const std::uint32_t take = v > best ? ~0u : 0u;
+      best = std::max(best, v);
+      idx += (static_cast<std::uint32_t>(first + t * w + k) - idx) & take;
+    }
+    out[t] = best;
+    arg[t] = idx;
+  }
+}
+
+}  // namespace
+
 MaxPool1D::MaxPool1D(std::size_t window) : window_(window) {
   DTMSV_EXPECTS(window > 0);
 }
@@ -22,27 +49,34 @@ Tensor MaxPool1D::forward(const Tensor& input) {
   const std::size_t len = input.dim(2);
   const std::size_t out_len = output_length(len);
 
+  DTMSV_EXPECTS_MSG(input.size() <= std::numeric_limits<std::uint32_t>::max(),
+                    "MaxPool1D: input too large for 32-bit argmax");
+
   Tensor out({n, c, out_len});
-  argmax_.assign(n * c * out_len, 0);
+  argmax_.resize(n * c * out_len);
   const float* in = input.data().data();
   float* op = out.data().data();
-  for (std::size_t row = 0; row < n * c; ++row) {
-    const float* irow = in + row * len;
-    float* orow = op + row * out_len;
-    for (std::size_t t = 0; t < out_len; ++t) {
-      const std::size_t start = t * window_;
-      const std::size_t stop = std::min(start + window_, len);
-      float best = -std::numeric_limits<float>::infinity();
-      std::size_t best_idx = start;
-      for (std::size_t l = start; l < stop; ++l) {
-        if (irow[l] > best) {
-          best = irow[l];
-          best_idx = l;
-        }
-      }
-      orow[t] = best;
-      argmax_[row * out_len + t] = row * len + best_idx;
+  std::uint32_t* ap = argmax_.data();
+  const auto pool = [](const float* x, float* o, std::uint32_t* a, std::size_t first,
+                           std::size_t width, std::size_t count) {
+    if (width == 2) {
+      max_windows<2>(x, o, a, first, width, count);
+    } else {
+      max_windows<0>(x, o, a, first, width, count);
     }
+  };
+  const std::size_t full = len / window_;
+  if (full == out_len) {
+    // No partial window: the rows are one run of back-to-back windows.
+    pool(in, op, ap, 0, window_, n * c * out_len);
+    return out;
+  }
+  for (std::size_t row = 0; row < n * c; ++row) {
+    const std::size_t o = row * out_len;
+    const std::size_t i = row * len;
+    pool(in + i, op + o, ap + o, i, window_, full);
+    pool(in + i + full * window_, op + o + full, ap + o + full, i + full * window_,
+         len - full * window_, 1);
   }
   return out;
 }

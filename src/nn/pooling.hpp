@@ -1,6 +1,8 @@
 // Pooling and reshaping layers for the 1D-CNN stack.
 #pragma once
 
+#include <cstdint>
+
 #include "nn/layer.hpp"
 
 namespace dtmsv::nn {
@@ -21,7 +23,7 @@ class MaxPool1D final : public Layer {
  private:
   std::size_t window_;
   Shape input_shape_;
-  std::vector<std::size_t> argmax_;  // flat input index per output element
+  std::vector<std::uint32_t> argmax_;  // flat input index per output element
 };
 
 /// Global average pooling over the time axis: [N, C, L] -> [N, C].

@@ -18,12 +18,24 @@ Tensor Sequential::forward(const Tensor& input) {
 }
 
 Tensor Sequential::backward(const Tensor& grad_output) {
+  return backward_pass(grad_output, true);
+}
+
+void Sequential::backward_params(const Tensor& grad_output) {
+  backward_pass(grad_output, false);
+}
+
+Tensor Sequential::backward_pass(const Tensor& grad_output, bool input_grad) {
   DTMSV_EXPECTS_MSG(!layers_.empty(), "Sequential: no layers");
   Tensor g = grad_output;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    g = (*it)->backward(g);
+  for (std::size_t i = layers_.size(); i-- > 1;) {
+    g = layers_[i]->backward(g);
   }
-  return g;
+  if (input_grad) {
+    return layers_.front()->backward(g);
+  }
+  layers_.front()->backward_params(g);
+  return {};
 }
 
 std::vector<ParamRef> Sequential::parameters() {

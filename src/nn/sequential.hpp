@@ -25,6 +25,9 @@ class Sequential final : public Layer {
 
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
+  /// Backward through every layer, with the first layer's input gradient
+  /// skipped (Layer::backward_params) — the training step's form.
+  void backward_params(const Tensor& grad_output) override;
   std::vector<ParamRef> parameters() override;
   std::string name() const override { return "Sequential"; }
 
@@ -35,6 +38,10 @@ class Sequential final : public Layer {
   std::size_t parameter_count();
 
  private:
+  /// Shared body: layers last to second run backward(); the first runs
+  /// backward() when `input_grad`, else backward_params().
+  Tensor backward_pass(const Tensor& grad_output, bool input_grad);
+
   std::vector<std::unique_ptr<Layer>> layers_;
 };
 

@@ -1,6 +1,7 @@
 #include "rl/ddqn.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <optional>
 
 #include "nn/activations.hpp"
@@ -189,9 +190,12 @@ std::optional<float> DdqnAgent::train_step() {
 
   const auto loss = nn::masked_huber_loss(q, target_tensor, mask);
   online_->zero_grad();
-  online_->backward(loss.grad);
-  optimizer_->clip_grad_norm(config_.grad_clip_norm);
-  optimizer_->step();
+  online_->backward_params(loss.grad);
+  // Non-finite gradients (a NaN/inf state or reward) would poison every
+  // weight and both Adam moments: skip the update, keep the model.
+  if (std::isfinite(optimizer_->clip_grad_norm(config_.grad_clip_norm))) {
+    optimizer_->step();
+  }
 
   ++train_steps_;
   if (train_steps_ % config_.target_sync_every == 0) {

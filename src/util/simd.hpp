@@ -6,9 +6,10 @@
 //
 // Bit-identity contract. Kernels built on this layer vectorise across
 // *independent outputs* (centroids of a k-means search, output columns of
-// a matmul, dimensions of a sum), never across a reduction — every lane
-// carries one output's full accumulation chain in its original order. All
-// pack ops are lane-wise IEEE operations (add/sub/mul/div/fma), so a lane
+// a matmul, dimensions of a sum, parameters of an optimiser step), never
+// across a reduction — every lane carries one output's full chain in its
+// original order. All pack ops are lane-wise IEEE operations
+// (add/sub/mul/div/fma/sqrt, float<->double conversion), so a lane
 // computes bit-for-bit what the scalar backend computes for that output,
 // and results cannot depend on which backend was compiled in. The one
 // regime knob is FMA fusion: `madd` fuses if and only if the libm fast-fma
@@ -144,6 +145,27 @@ struct pack<T, scalar_backend> {
   static pack madd(pack a, pack b, pack acc) {
     return {simd::madd(a.v, b.v, acc.v)};
   }
+  /// Lane-wise IEEE square root (correctly rounded on every backend).
+  friend pack sqrt(pack a) { return {std::sqrt(a.v)}; }
+
+  // Float storage, double arithmetic (double packs only): load_widen reads
+  // floats into double lanes (exact), store_narrow rounds each lane to the
+  // nearest float and stores it, round_to_float is the two back to back
+  // without the memory trip. The _first forms follow load_first /
+  // store_first.
+  static pack load_widen(const float* p) { return {static_cast<T>(*p)}; }
+  static pack load_widen_first(const float* p, std::size_t n) {
+    return {n > 0 ? static_cast<T>(*p) : T{0}};
+  }
+  void store_narrow(float* p) const { *p = static_cast<float>(v); }
+  void store_narrow_first(float* p, std::size_t n) const {
+    if (n > 0) {
+      store_narrow(p);
+    }
+  }
+  friend pack round_to_float(pack a) {
+    return {static_cast<T>(static_cast<float>(a.v))};
+  }
 
   // In-register argmin support (see the double vector packs): minimum
   // over lanes (exact — min returns one of its inputs), lanes ordered-
@@ -211,6 +233,24 @@ struct pack<double, avx2_backend> {
 #else
     return {_mm256_add_pd(acc.v, _mm256_mul_pd(a.v, b.v))};
 #endif
+  }
+  friend pack sqrt(pack a) { return {_mm256_sqrt_pd(a.v)}; }
+
+  static pack load_widen(const float* p) { return {_mm256_cvtps_pd(_mm_loadu_ps(p))}; }
+  static pack load_widen_first(const float* p, std::size_t n) {
+    return {_mm256_cvtps_pd(_mm_maskload_ps(p, first_lanes(n)))};
+  }
+  void store_narrow(float* p) const { _mm_storeu_ps(p, _mm256_cvtpd_ps(v)); }
+  void store_narrow_first(float* p, std::size_t n) const {
+    _mm_maskstore_ps(p, first_lanes(n), _mm256_cvtpd_ps(v));
+  }
+  friend pack round_to_float(pack a) {
+    return {_mm256_cvtps_pd(_mm256_cvtpd_ps(a.v))};
+  }
+  /// 4-lane float mask with the top bit set in lanes [0, n).
+  static __m128i first_lanes(std::size_t n) {
+    return _mm_cmpgt_epi32(_mm_set1_epi32(static_cast<int>(n)),
+                           _mm_setr_epi32(0, 1, 2, 3));
   }
 
   double reduce_min() const {
@@ -286,6 +326,26 @@ struct pack<double, avx512_backend> {
 #else
     return {_mm512_add_pd(acc.v, _mm512_mul_pd(a.v, b.v))};
 #endif
+  }
+  friend pack sqrt(pack a) { return {_mm512_sqrt_pd(a.v)}; }
+
+  // The 8 floats travel in the low half of a 512-bit float register, so
+  // the masked forms need only AVX-512F.
+  static pack load_widen(const float* p) { return {_mm512_cvtps_pd(_mm256_loadu_ps(p))}; }
+  static pack load_widen_first(const float* p, std::size_t n) {
+    return {_mm512_cvtps_pd(
+        _mm512_castps512_ps256(_mm512_maskz_loadu_ps(first_lanes(n), p)))};
+  }
+  void store_narrow(float* p) const { _mm256_storeu_ps(p, _mm512_cvtpd_ps(v)); }
+  void store_narrow_first(float* p, std::size_t n) const {
+    _mm512_mask_storeu_ps(p, first_lanes(n),
+                          _mm512_castps256_ps512(_mm512_cvtpd_ps(v)));
+  }
+  friend pack round_to_float(pack a) {
+    return {_mm512_cvtps_pd(_mm512_cvtpd_ps(a.v))};
+  }
+  static __mmask16 first_lanes(std::size_t n) {
+    return static_cast<__mmask16>((1u << n) - 1u);
   }
 
   double reduce_min() const { return _mm512_reduce_min_pd(v); }

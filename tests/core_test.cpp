@@ -122,6 +122,38 @@ TEST(FeatureCompressor, DeterministicGivenSeed) {
   }
 }
 
+TEST(FeatureCompressor, NonFiniteBatchLeavesModelUntouched) {
+  // One NaN in one window makes that batch's gradient norm NaN. The fit
+  // must drop the batch instead of writing NaN into every weight and both
+  // Adam moments, so the model embeds exactly as before and keeps training.
+  FeatureCompressor comp(small_compressor(), 8);
+  Rng rng(8);
+  const auto windows = two_mode_windows(16, rng);  // one batch of 32
+  for (int i = 0; i < 3; ++i) {
+    comp.fit(windows);
+  }
+  const Points before = comp.embed(windows);
+
+  auto poisoned = windows;
+  poisoned[5][7] = std::nanf("");
+  EXPECT_TRUE(std::isnan(comp.fit(poisoned)));
+  const Points after = comp.embed(windows);
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    for (std::size_t d = 0; d < before[i].size(); ++d) {
+      ASSERT_EQ(after[i][d], before[i][d]) << "user " << i << " dim " << d;
+    }
+  }
+
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_TRUE(std::isfinite(comp.fit(windows)));
+  }
+  for (const auto& p : comp.embed(windows)) {
+    for (const double v : p) {
+      ASSERT_TRUE(std::isfinite(v));
+    }
+  }
+}
+
 TEST(FeatureCompressor, WindowSizeMismatchRejected) {
   FeatureCompressor comp(small_compressor(), 5);
   std::vector<std::vector<float>> bad = {{1.0f, 2.0f}};

@@ -10,10 +10,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
+#include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "nn/kernels.hpp"
+#include "nn/optimizer.hpp"
 #include "nn/tensor.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
@@ -236,7 +241,8 @@ void expect_bits_equal(const std::vector<float>& got,
                        const std::vector<float>& want, const char* label) {
   ASSERT_EQ(got.size(), want.size()) << label;
   for (std::size_t i = 0; i < got.size(); ++i) {
-    ASSERT_EQ(got[i], want[i]) << label << ": element " << i << " diverges";
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(got[i]), std::bit_cast<std::uint32_t>(want[i]))
+        << label << ": element " << i << " diverges (" << got[i] << " vs " << want[i] << ")";
   }
 }
 
@@ -384,6 +390,261 @@ TEST(SimdBackends, BtTransposePathMatchesDotPath) {
           << "row " << i << " col " << j;
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Adam step kernel. The oracle is the scalar loop Adam::step ran before the
+// pack kernel, copied verbatim (one parameter tensor, members as
+// arguments): every backend's kernel must reproduce it bit for bit.
+//
+// The oracle's fusion is the compiler's: it contracts
+// `beta1_ * m[j] + (1.0 - beta1_) * g` into fma(beta1_, m[j], ...) or not.
+// The kernel's is madd's. The two agree in an optimised GCC build (both
+// fuse on an FMA target, neither on a generic one); an unoptimised GCC
+// build never contracts, so there the backends are held to the scalar
+// kernel instead of the oracle.
+
+/// True when this translation unit contracts the oracle's expression shape
+/// exactly as madd fuses. The operands make the fused and the unfused
+/// results differ: b * m rounds to 1, fma(b, m, -1) is -2^-60. They are
+/// read through volatile so the compiler cannot fold the probe away.
+bool oracle_contracts_like_madd() {
+  volatile double vb = 1.0 + 0x1p-30, vm = 1.0 - 0x1p-30, vg = 0x1p30;
+  const double b = vb, m = vm, g = vg;
+  const double contracted = b * m + (1.0 - b) * g;
+  return contracted == simd::madd(b, m, (1.0 - b) * g);
+}
+
+struct AdamState {
+  std::vector<float> value, m, v;
+};
+
+void adam_reference(AdamState& s, const std::vector<float>& grad_in, double beta1_,
+                    double beta2_, double lr_, double epsilon_, std::size_t t_) {
+  const double bias1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
+  const double bias2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
+  {
+    auto& value = s.value;
+    const auto& grad = grad_in;
+    auto& m = s.m;
+    auto& v = s.v;
+    for (std::size_t j = 0; j < value.size(); ++j) {
+      const double g = grad[j];
+      m[j] = static_cast<float>(beta1_ * m[j] + (1.0 - beta1_) * g);
+      v[j] = static_cast<float>(beta2_ * v[j] + (1.0 - beta2_) * g * g);
+      const double m_hat = m[j] / bias1;
+      const double v_hat = v[j] / bias2;
+      value[j] -= static_cast<float>(lr_ * m_hat / (std::sqrt(v_hat) + epsilon_));
+    }
+  }
+}
+
+dtmsv::nn::kernels::AdamCoefficients adam_coefficients(double beta1, double beta2,
+                                                       double lr, double eps,
+                                                       std::size_t t) {
+  return {beta1, beta2, 1.0 - beta1, 1.0 - beta2,
+          1.0 - std::pow(beta1, static_cast<double>(t)),
+          1.0 - std::pow(beta2, static_cast<double>(t)), lr, eps};
+}
+
+/// Step t of the reference: the oracle where this build contracts as madd
+/// fuses, else the scalar-backend kernel.
+void reference_step(AdamState& s, const std::vector<float>& grad, double beta1,
+                    double beta2, double lr, double eps, std::size_t t) {
+  if (oracle_contracts_like_madd()) {
+    adam_reference(s, grad, beta1, beta2, lr, eps, t);
+  } else {
+    dtmsv::nn::kernels::adam_step<simd::scalar_backend>(
+        s.value.data(), grad.data(), s.m.data(), s.v.data(), s.value.size(),
+        adam_coefficients(beta1, beta2, lr, eps, t));
+  }
+}
+
+/// Step `step`'s gradient: cycles through ordinary, zero, tiny (1e-30),
+/// large (±1e3) and clip-scaled gradients, with some zero and tiny
+/// elements mixed into the ordinary ones.
+std::vector<float> adam_gradient(std::size_t n, std::size_t step, Rng& rng) {
+  std::vector<float> g(n);
+  switch (step % 5) {
+    case 0:
+      for (float& x : g) {
+        const double u = rng.uniform();
+        x = u < 0.05 ? 0.0f : u < 0.1 ? 1e-30f : static_cast<float>(rng.normal(0.0, 0.5));
+      }
+      break;
+    case 1:
+      break;  // all zero
+    case 2:
+      for (float& x : g) {
+        x = static_cast<float>(rng.uniform(-1.0, 1.0) * 1e-30);
+      }
+      break;
+    case 3:
+      for (float& x : g) {
+        x = rng.uniform() < 0.5 ? -1e3f : 1e3f;
+      }
+      break;
+    default: {
+      // As clip_grad_norm leaves them: scaled by float(max_norm / norm).
+      double sq = 0.0;
+      for (float& x : g) {
+        x = static_cast<float>(rng.normal(0.0, 4.0));
+        sq += static_cast<double>(x) * static_cast<double>(x);
+      }
+      const auto scale = static_cast<float>(1.0 / std::sqrt(sq));
+      for (float& x : g) {
+        x *= scale;
+      }
+    }
+  }
+  return g;
+}
+
+template <typename Backend>
+void check_adam_matches_reference(const char* name) {
+  constexpr double kBeta1 = 0.9, kBeta2 = 0.999, kLr = 1e-3, kEps = 1e-8;
+  for (const std::size_t n : {1u, 7u, 8u, 9u, 15u, 16u, 17u, 65u, 14744u}) {
+    Rng rng(40 + n);
+    AdamState want{random_values(n, rng), std::vector<float>(n, 0.0f),
+                   std::vector<float>(n, 0.0f)};
+    AdamState got = want;
+    for (std::size_t t = 1; t <= 200; ++t) {
+      const auto grad = adam_gradient(n, t, rng);
+      reference_step(want, grad, kBeta1, kBeta2, kLr, kEps, t);
+      dtmsv::nn::kernels::adam_step<Backend>(
+          got.value.data(), grad.data(), got.m.data(), got.v.data(), n,
+          adam_coefficients(kBeta1, kBeta2, kLr, kEps, t));
+      SCOPED_TRACE(testing::Message() << "n " << n << " step " << t);
+      expect_bits_equal(got.m, want.m, name);
+      expect_bits_equal(got.v, want.v, name);
+      expect_bits_equal(got.value, want.value, name);
+      if (testing::Test::HasFatalFailure()) {
+        return;
+      }
+    }
+  }
+}
+
+TEST(AdamKernel, BitIdenticalToScalarLoopOnEveryBackend) {
+#if defined(__OPTIMIZE__) && defined(__GNUC__) && !defined(__clang__)
+  // Guards the oracle comparison against silently turning itself off.
+  EXPECT_TRUE(oracle_contracts_like_madd());
+#endif
+  check_adam_matches_reference<simd::scalar_backend>("scalar");
+#if defined(__AVX2__)
+  check_adam_matches_reference<simd::avx2_backend>("avx2");
+#endif
+#if defined(__AVX512F__)
+  check_adam_matches_reference<simd::avx512_backend>("avx512");
+#endif
+}
+
+TEST(AdamKernel, OptimizerStepMatchesScalarLoop) {
+  // Through nn::Adam: two parameter tensors (a ragged 14735 and a 9-wide
+  // tail), learning rate and betas off their defaults, 200 steps.
+  constexpr double kBeta1 = 0.8, kBeta2 = 0.99, kLr = 3e-3, kEps = 1e-7;
+  Rng rng(48);
+  std::vector<Tensor> values, grads;
+  std::vector<AdamState> want;
+  for (const std::size_t n : {14735u, 9u}) {
+    values.push_back(random_matrix(1, n, rng));
+    grads.emplace_back(dtmsv::nn::Shape{1, n});
+    const auto d = values.back().data();
+    want.push_back({{d.begin(), d.end()}, std::vector<float>(n, 0.0f),
+                    std::vector<float>(n, 0.0f)});
+  }
+  std::vector<dtmsv::nn::ParamRef> params;
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    params.push_back({&values[i], &grads[i], "p"});
+  }
+  dtmsv::nn::Adam adam(params, kLr, kBeta1, kBeta2, kEps);
+  for (std::size_t t = 1; t <= 200; ++t) {
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      const auto g = adam_gradient(values[i].size(), t, rng);
+      std::copy(g.begin(), g.end(), grads[i].data().begin());
+      reference_step(want[i], g, kBeta1, kBeta2, kLr, kEps, t);
+    }
+    adam.step();
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      const auto d = values[i].data();
+      SCOPED_TRACE(testing::Message() << "step " << t);
+      expect_bits_equal({d.begin(), d.end()}, want[i].value, "Adam::step");
+    }
+  }
+  EXPECT_EQ(adam.step_count(), 200u);
+}
+
+template <typename Backend>
+void check_double_pack_lanes(const char* name) {
+  // sqrt, widen/narrow and round_to_float lane by lane against their
+  // scalar definitions, on values that stress each: zeros of both signs,
+  // ±inf, NaN, a negative (sqrt -> NaN), float-subnormal and
+  // float-overflowing doubles, and values with bits below float precision.
+  using P = simd::pack<double, Backend>;
+  constexpr std::size_t W = P::width;
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> specials = {
+      0.0, -0.0, 1.0, 2.0, inf, -inf, nan, -4.0, 1e-40, 1e-310, 3e38, 1e39,
+      1.0 + 1e-12, 0.1, 123456.789, -7.25};
+  const auto same = [](double a, double b) {
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+  };
+  for (std::size_t base = 0; base + W <= specials.size(); base += W) {
+    const double* x = specials.data() + base;
+    double out[W];
+    sqrt(P::load(x)).store(out);
+    for (std::size_t i = 0; i < W; ++i) {
+      ASSERT_TRUE(same(out[i], std::sqrt(x[i])) ||
+                  (std::isnan(out[i]) && std::isnan(std::sqrt(x[i]))))
+          << name << ": sqrt lane " << i << " of " << x[i];
+    }
+    round_to_float(P::load(x)).store(out);
+    for (std::size_t i = 0; i < W; ++i) {
+      const double want = static_cast<double>(static_cast<float>(x[i]));
+      ASSERT_TRUE(same(out[i], want) || (std::isnan(out[i]) && std::isnan(want)))
+          << name << ": round_to_float lane " << i << " of " << x[i];
+    }
+    // Narrowing stores, whole and partial: the first n floats are the
+    // rounded lanes, nothing past them is written.
+    for (std::size_t n = 0; n <= W; ++n) {
+      std::vector<float> dst(W + 1, 7.0f);
+      if (n == W) {
+        P::load(x).store_narrow(dst.data());
+      } else {
+        P::load(x).store_narrow_first(dst.data(), n);
+      }
+      for (std::size_t i = 0; i <= W; ++i) {
+        const float want = i < n ? static_cast<float>(x[i]) : 7.0f;
+        ASSERT_TRUE(std::bit_cast<std::uint32_t>(dst[i]) == std::bit_cast<std::uint32_t>(want) ||
+                    (std::isnan(dst[i]) && std::isnan(want)))
+            << name << ": store_narrow n=" << n << " slot " << i;
+      }
+    }
+  }
+  // Widening loads, whole and partial: exact, zero past n.
+  std::vector<float> src = {1.5f, -0.0f, 1e-40f, 3.4e38f, -2.25f, 0.1f,
+                            std::numeric_limits<float>::infinity(), 7.0f,
+                            -1e-3f, 65504.0f, 1.0f / 3.0f, -5.0f,
+                            2.0f, 3.0f, 4.0f, 5.0f};
+  for (std::size_t n = 0; n <= W; ++n) {
+    double lanes[W];
+    (n == W ? P::load_widen(src.data()) : P::load_widen_first(src.data(), n)).store(lanes);
+    for (std::size_t i = 0; i < W; ++i) {
+      const double want = i < n ? static_cast<double>(src[i]) : 0.0;
+      ASSERT_TRUE(same(lanes[i], want)) << name << ": load_widen n=" << n << " lane " << i;
+    }
+  }
+}
+
+TEST(SimdBackends, DoublePackSqrtAndWidenNarrowLanes) {
+  check_double_pack_lanes<simd::scalar_backend>("scalar");
+#if defined(__AVX2__)
+  check_double_pack_lanes<simd::avx2_backend>("avx2");
+#endif
+#if defined(__AVX512F__)
+  check_double_pack_lanes<simd::avx512_backend>("avx512");
+#endif
 }
 
 TEST(ParallelFor, EmptyAndTinyRanges) {

@@ -3,7 +3,10 @@
 // training convergence test), and parameter serialisation.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <sstream>
 
 #include "nn/activations.hpp"
@@ -400,7 +403,9 @@ void expect_same_bits(const Tensor& got, const Tensor& want, const char* what,
                       std::size_t batch) {
   ASSERT_EQ(got.shape(), want.shape()) << what << " at batch " << batch;
   for (std::size_t i = 0; i < got.size(); ++i) {
-    ASSERT_EQ(got[i], want[i]) << what << " element " << i << " at batch " << batch;
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(got[i]), std::bit_cast<std::uint32_t>(want[i]))
+        << what << " element " << i << " at batch " << batch << ": " << got[i]
+        << " vs " << want[i];
   }
 }
 
@@ -442,6 +447,84 @@ TEST(Conv1D, ReusedScratchMatchesFreshLayerAndDirectReference) {
       }
     }
   }
+}
+
+// --------------------------------------------------------- backward_params
+
+/// Parameter gradients after one forward and one backward() — or, with
+/// `params_only`, backward_params() — of `g` at `x`, from zeroed gradients.
+std::vector<Tensor> param_grads(Layer& layer, const Tensor& x, const Tensor& g,
+                                bool params_only) {
+  layer.zero_grad();
+  layer.forward(x);
+  if (params_only) {
+    layer.backward_params(g);
+  } else {
+    layer.backward(g);
+  }
+  std::vector<Tensor> grads;
+  for (const auto& p : layer.parameters()) {
+    grads.push_back(*p.grad);
+  }
+  return grads;
+}
+
+void expect_params_only_matches_backward(Layer& layer, const Tensor& x, const Tensor& g) {
+  const auto full = param_grads(layer, x, g, false);
+  const auto params_only = param_grads(layer, x, g, true);
+  ASSERT_EQ(full.size(), params_only.size());
+  ASSERT_FALSE(full.empty());
+  for (std::size_t i = 0; i < full.size(); ++i) {
+    expect_same_bits(params_only[i], full[i], layer.parameters()[i].name.c_str(), i);
+  }
+}
+
+TEST(BackwardParams, Conv1DMatchesBackward) {
+  for (const std::size_t stride : {1u, 2u}) {
+    for (const std::size_t pad : {0u, 2u}) {
+      Rng rng(30 + stride * 3 + pad);
+      Conv1D conv(3, 5, 3, rng, stride, pad);
+      for (float& v : conv.bias().data()) {
+        v = static_cast<float>(rng.normal(0.0, 0.5));
+      }
+      const Tensor x = random_tensor({4, 3, 11}, rng);
+      const Tensor g = random_tensor({4, 5, conv.output_length(11)}, rng);
+      SCOPED_TRACE(testing::Message() << "stride " << stride << " padding " << pad);
+      expect_params_only_matches_backward(conv, x, g);
+    }
+  }
+}
+
+TEST(BackwardParams, LinearMatchesBackward) {
+  Rng rng(35);
+  Linear lin(7, 5, rng);
+  const Tensor x = random_tensor({6, 7}, rng);
+  const Tensor g = random_tensor({6, 5}, rng);
+  expect_params_only_matches_backward(lin, x, g);
+}
+
+TEST(BackwardParams, SequentialMatchesBackward) {
+  // The compressor's encoder shape, plus an MLP whose first layer has no
+  // parameters (Layer's default backward_params).
+  Rng rng(36);
+  Sequential encoder;
+  encoder.emplace<Conv1D>(11, 16, 5, rng, 1, 2);
+  encoder.emplace<ReLU>();
+  encoder.emplace<MaxPool1D>(2);
+  encoder.emplace<Conv1D>(16, 32, 3, rng, 1, 1);
+  encoder.emplace<ReLU>();
+  encoder.emplace<GlobalAvgPool1D>();
+  encoder.emplace<Linear>(32, 8, rng);
+  expect_params_only_matches_backward(encoder, random_tensor({8, 11, 16}, rng),
+                                      random_tensor({8, 8}, rng));
+
+  Sequential mlp;
+  mlp.emplace<Tanh>();
+  mlp.emplace<Linear>(4, 6, rng);
+  mlp.emplace<ReLU>();
+  mlp.emplace<Linear>(6, 3, rng);
+  expect_params_only_matches_backward(mlp, random_tensor({5, 4}, rng),
+                                      random_tensor({5, 3}, rng));
 }
 
 // ------------------------------------------------------------- Activations
@@ -522,6 +605,100 @@ TEST(MaxPool1D, BackwardRoutesToArgmax) {
   EXPECT_FLOAT_EQ(gi.at3(0, 0, 1), 10.0f);
   EXPECT_FLOAT_EQ(gi.at3(0, 0, 2), 20.0f);
   EXPECT_FLOAT_EQ(gi.at3(0, 0, 3), 0.0f);
+}
+
+// Reference copies of the mask-tensor ReLU and the branching MaxPool1D
+// loops the layers replaced; the layers must match them bit for bit on
+// NaN, ±inf, ties, -0.0 and odd lengths.
+
+/// Random tensor whose elements are drawn from the special values as often
+/// as from a normal, so windows hold ties, NaNs and infinities.
+Tensor special_tensor(Shape shape, Rng& rng) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float specials[] = {std::numeric_limits<float>::quiet_NaN(), inf, -inf, -0.0f,
+                            0.0f, 1.0f, -1.0f, 1e-40f};
+  Tensor t(std::move(shape));
+  for (float& v : t.data()) {
+    v = rng.uniform() < 0.5
+            ? specials[rng.uniform_int(0, 7)]
+            : static_cast<float>(rng.normal(0.0, 1.0));
+  }
+  return t;
+}
+
+TEST(ReLU, MatchesMaskReferenceOnSpecialValues) {
+  Rng rng(40);
+  for (const std::size_t len : {1u, 7u, 33u, 64u}) {
+    const Tensor x = special_tensor({3, len}, rng);
+    const Tensor g = special_tensor({3, len}, rng);
+    // Reference forward: mask 1 where x > 0, output zeroed elsewhere.
+    Tensor mask(x.shape());
+    Tensor want_out = x;
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      if (want_out[i] > 0.0f) {
+        mask[i] = 1.0f;
+      } else {
+        want_out[i] = 0.0f;
+      }
+    }
+    Tensor want_grad = g;
+    for (std::size_t i = 0; i < g.size(); ++i) {
+      want_grad[i] *= mask[i];
+    }
+    ReLU relu;
+    expect_same_bits(relu.forward(x), want_out, "ReLU forward", len);
+    expect_same_bits(relu.backward(g), want_grad, "ReLU backward", len);
+  }
+}
+
+TEST(MaxPool1D, MatchesBranchingReferenceOnSpecialValues) {
+  Rng rng(41);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  for (const std::size_t window : {1u, 2u, 3u}) {
+    for (const std::size_t len : {1u, 2u, 5u, 7u, 8u, 9u, 16u}) {
+      const std::size_t n = 3, c = 2;
+      Tensor x = special_tensor({n, c, len}, rng);
+      // Whole rows of NaN and of -inf: every window yields -inf at its
+      // first position.
+      for (std::size_t l = 0; l < len; ++l) {
+        x.at3(0, 0, l) = nan;
+        x.at3(0, 1, l) = -inf;
+      }
+      MaxPool1D pool(window);
+      const std::size_t out_len = pool.output_length(len);
+      // Reference forward.
+      Tensor want_out({n, c, out_len});
+      std::vector<std::size_t> argmax(n * c * out_len, 0);
+      for (std::size_t row = 0; row < n * c; ++row) {
+        const float* irow = x.data().data() + row * len;
+        float* orow = want_out.data().data() + row * out_len;
+        for (std::size_t t = 0; t < out_len; ++t) {
+          const std::size_t start = t * window;
+          const std::size_t stop = std::min(start + window, len);
+          float best = -inf;
+          std::size_t best_idx = start;
+          for (std::size_t l = start; l < stop; ++l) {
+            if (irow[l] > best) {
+              best = irow[l];
+              best_idx = l;
+            }
+          }
+          orow[t] = best;
+          argmax[row * out_len + t] = row * len + best_idx;
+        }
+      }
+      // Reference backward: scatter-add through the argmax.
+      const Tensor g = special_tensor({n, c, out_len}, rng);
+      Tensor want_grad(x.shape());
+      for (std::size_t i = 0; i < g.size(); ++i) {
+        want_grad[argmax[i]] += g[i];
+      }
+      SCOPED_TRACE(testing::Message() << "window " << window << " length " << len);
+      expect_same_bits(pool.forward(x), want_out, "MaxPool1D forward", len);
+      expect_same_bits(pool.backward(g), want_grad, "MaxPool1D backward", len);
+    }
+  }
 }
 
 TEST(GlobalAvgPool1D, ForwardAndGradientCheck) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 
 #include "rl/ddqn.hpp"
 #include "rl/replay_buffer.hpp"
@@ -214,6 +215,30 @@ TEST(DdqnAgent, DeterministicAcrossSeeds) {
   }
   for (int i = 0; i < 20; ++i) {
     EXPECT_EQ(a.act(state), b.act(state));
+  }
+}
+
+TEST(DdqnAgent, NonFiniteTransitionDoesNotPoisonNetwork) {
+  // One NaN transition (state, next state and reward) in the replay makes
+  // the batches that sample it produce a NaN gradient norm; those updates
+  // are skipped, the rest train on.
+  DdqnAgent agent(small_config(), 17);
+  Rng rng(17);
+  for (int i = 0; i < 64; ++i) {
+    const float r = i == 10 ? std::nanf("") : static_cast<float>(rng.uniform());
+    agent.observe(make_transition(r, static_cast<std::size_t>(i) % 3));
+  }
+  for (int i = 0; i < 30; ++i) {
+    agent.train_step();
+  }
+  EXPECT_EQ(agent.train_steps(), 30u);
+  for (const auto& p : agent.online_network().parameters()) {
+    for (const float v : p.value->data()) {
+      ASSERT_TRUE(std::isfinite(v)) << p.name;
+    }
+  }
+  for (const float q : agent.q_values(std::vector<float>{0.4f, -0.2f})) {
+    EXPECT_TRUE(std::isfinite(q));
   }
 }
 
