@@ -128,14 +128,17 @@ void BM_KMeansFull(benchmark::State& state) {
 BENCHMARK(BM_KMeansFull)->Arg(120)->Arg(500);
 
 void BM_Silhouette(benchmark::State& state) {
+  // 120 and 500 users at the 8-d CNN embedding shape; 1000 users at the
+  // 12-d summary-feature shape of the serve loop's bottom rung.
+  const auto n = static_cast<std::size_t>(state.range(0));
   util::Rng rng(3);
-  const auto points = random_points(static_cast<std::size_t>(state.range(0)), 8, rng);
+  const auto points = random_points(n, n >= 1000 ? 12 : 8, rng);
   const auto result = clustering::k_means(points, 8, rng);
   for (auto _ : state) {
     benchmark::DoNotOptimize(clustering::silhouette(points, result.assignment));
   }
 }
-BENCHMARK(BM_Silhouette)->Arg(120)->Arg(500);
+BENCHMARK(BM_Silhouette)->Arg(120)->Arg(500)->Arg(1000);
 
 void BM_SilhouetteSampled(benchmark::State& state) {
   util::Rng rng(3);
@@ -148,6 +151,16 @@ void BM_SilhouetteSampled(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SilhouetteSampled)->Arg(500)->Arg(2000);
+
+void BM_GroupConstructorEncodeState(benchmark::State& state) {
+  util::Rng rng(4);
+  const auto points = random_points(static_cast<std::size_t>(state.range(0)), 12, rng);
+  const core::GroupConstructor constructor(core::GroupConstructorConfig{}, 4);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(constructor.encode_state(points, 4));
+  }
+}
+BENCHMARK(BM_GroupConstructorEncodeState)->Arg(1000);
 
 void BM_CnnEmbedBatched(benchmark::State& state) {
   const auto users = static_cast<std::size_t>(state.range(0));

@@ -23,14 +23,25 @@ double distance(std::span<const double> a, std::span<const double> b) {
   return std::sqrt(squared_distance(a, b));
 }
 
-std::vector<std::size_t> KMeansResult::members_of(std::size_t cluster) const {
-  std::vector<std::size_t> members;
-  for (std::size_t i = 0; i < assignment.size(); ++i) {
-    if (assignment[i] == cluster) {
-      members.push_back(i);
-    }
+ClusterMembers members_by_cluster(const std::vector<std::size_t>& assignment,
+                                  std::size_t k) {
+  ClusterMembers out;
+  out.offsets.assign(k + 1, 0);
+  for (const std::size_t a : assignment) {
+    DTMSV_EXPECTS_MSG(a < k, "members_by_cluster: assignment out of range");
+    ++out.offsets[a + 1];
   }
-  return members;
+  for (std::size_t c = 0; c < k; ++c) {
+    out.offsets[c + 1] += out.offsets[c];
+  }
+  // Scattering points in ascending index through per-cluster cursors keeps
+  // each cluster's run ascending (the pass is stable).
+  std::vector<std::size_t> cursor(out.offsets.begin(), out.offsets.end() - 1);
+  out.ids.resize(assignment.size());
+  for (std::size_t i = 0; i < assignment.size(); ++i) {
+    out.ids[cursor[assignment[i]]++] = i;
+  }
+  return out;
 }
 
 std::vector<std::size_t> KMeansResult::cluster_sizes() const {

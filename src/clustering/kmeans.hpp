@@ -30,11 +30,29 @@ struct KMeansResult {
   bool converged = false;              // true when assignments stabilised
 
   std::size_t cluster_count() const { return centroids.size(); }
-  /// Point indices of one cluster.
-  std::vector<std::size_t> members_of(std::size_t cluster) const;
   /// Sizes of all clusters.
   std::vector<std::size_t> cluster_sizes() const;
 };
+
+/// Point indices grouped cluster by cluster: cluster c's points are
+/// ids[offsets[c] .. offsets[c + 1]), in ascending index order.
+struct ClusterMembers {
+  std::vector<std::size_t> offsets;  // cluster count + 1 entries
+  std::vector<std::size_t> ids;      // every point index exactly once
+
+  std::size_t cluster_count() const { return offsets.size() - 1; }
+  std::size_t size_of(std::size_t cluster) const {
+    return offsets[cluster + 1] - offsets[cluster];
+  }
+  std::span<const std::size_t> of(std::size_t cluster) const {
+    return {ids.data() + offsets[cluster], size_of(cluster)};
+  }
+};
+
+/// Membership of every cluster in one stable counting pass, O(n + k).
+/// Requires every assignment entry to be < k.
+ClusterMembers members_by_cluster(const std::vector<std::size_t>& assignment,
+                                  std::size_t k);
 
 /// Options for k_means().
 struct KMeansOptions {

@@ -1,19 +1,23 @@
-// Backend-templated k-means kernels, shared by the Lloyd loop in
-// kmeans.cpp (instantiated on the build's default SIMD backend) and by the
-// backend-equivalence tests (which instantiate every backend the binary
-// was compiled for and assert bit-identical results).
+// Backend-templated clustering kernels, shared by the Lloyd loop in
+// kmeans.cpp and the silhouette metric in metrics.cpp (both instantiated on
+// the build's default SIMD backend) and by the backend-equivalence tests
+// (which instantiate every backend the binary was compiled for and assert
+// bit-identical results).
 //
-// Vectorisation layout: lanes are *centroids*. Centroids are transposed
-// into dim-major lane rows (padded with +inf so dead lanes never win),
-// and lane c accumulates point-to-centroid-c squared distance as the
-// exact madd chain over dimensions the scalar backend would run — same
-// order, same fusion regime. The argmin is a scalar strict-< scan over
-// the stored per-centroid distances (lowest index wins, NaN distances
-// never compare less so they are skipped), identical on every backend.
+// Vectorisation layout of the assign pass: lanes are *centroids*.
+// Centroids are transposed into dim-major lane rows (padded with +inf so
+// dead lanes never win), and lane c accumulates point-to-centroid-c
+// squared distance as the exact madd chain over dimensions the scalar
+// backend would run — same order, same fusion regime. The argmin is a
+// scalar strict-< scan over the stored per-centroid distances (lowest
+// index wins, NaN distances never compare less so they are skipped),
+// identical on every backend. The silhouette pass (silhouette_sums) uses
+// the same chain with lanes = query points.
 #pragma once
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstddef>
 #include <limits>
 #include <vector>
@@ -218,6 +222,114 @@ bool assign_accumulate(const double* pts, std::size_t n, std::size_t dim,
     util::simd::add_rows<Backend>(sums + best_idx * dim, p, dim);
   }
   return nchanged != 0;
+}
+
+/// Scalar per-query form of silhouette_sums: the reference chain every
+/// lane of the vector pass reproduces, and the path for query rows with a
+/// non-finite coordinate (whose self-distance is NaN, not +0, so the
+/// `j == query` skip must be explicit).
+inline void silhouette_sums_row(const double* pts, std::size_t dim,
+                                const double* members,
+                                const std::size_t* offsets,
+                                const std::size_t* ids, std::size_t k,
+                                std::size_t query, double* sums) {
+  const double* q = pts + query * dim;
+  for (std::size_t c = 0; c < k; ++c) {
+    double acc = 0.0;
+    for (std::size_t m = offsets[c]; m < offsets[c + 1]; ++m) {
+      if (ids[m] != query) {
+        acc += std::sqrt(row_sq_dist(q, members + m * dim, dim));
+      }
+    }
+    sums[c] = acc;
+  }
+}
+
+/// Per-cluster distance sums behind the silhouette coefficient:
+///   sums[q * k + c] = sum over members j of cluster c, in ascending j,
+///                     j != queries[q], of sqrt(row_sq_dist(p_query, p_j)).
+/// `offsets` (k + 1 entries) and `ids` are the stable counting-sort order
+/// of clustering::members_by_cluster: cluster c's points are
+/// ids[offsets[c] .. offsets[c + 1]), ascending. Each sum therefore runs
+/// the same order as a scan over all points, and each distance is the
+/// k-means madd chain.
+///
+/// Lanes are query points: blocks of two packs of queries are transposed
+/// into dim-major rows, member rows are gathered in cluster order, and each
+/// lane accumulates `acc += sqrt(chain)` for its query — exactly
+/// silhouette_sums_row. A
+/// finite query row is at distance +0 from itself, and adding +0 to a
+/// non-negative sum changes nothing, so the vector pass needs no self
+/// skip. A block holding a non-finite query row runs silhouette_sums_row
+/// per query instead.
+template <typename Backend>
+void silhouette_sums(const double* pts, std::size_t dim,
+                     const std::size_t* offsets, const std::size_t* ids,
+                     std::size_t k, const std::size_t* queries,
+                     std::size_t nq, double* sums) {
+  using P = util::simd::pack<double, Backend>;
+  constexpr std::size_t W = P::width;
+  const std::size_t n = offsets[k];
+
+  std::vector<double> members(n * dim);
+  for (std::size_t m = 0; m < n; ++m) {
+    util::simd::copy_row<Backend>(members.data() + m * dim, pts + ids[m] * dim,
+                                  dim);
+  }
+
+  // Two packs of queries per block give two independent madd chains per
+  // member row (the chain over dimensions is latency-bound) and share each
+  // broadcast coordinate between them.
+  constexpr std::size_t L = 2 * W;
+  std::vector<double> qt(dim * L);
+  double lane_sums[L];
+  for (std::size_t q0 = 0; q0 < nq; q0 += L) {
+    const std::size_t lanes = std::min(L, nq - q0);
+    bool finite = true;
+    for (std::size_t l = 0; l < lanes; ++l) {
+      const double* q = pts + queries[q0 + l] * dim;
+      for (std::size_t d = 0; d < dim; ++d) {
+        finite = finite && std::isfinite(q[d]);
+      }
+    }
+    if (!finite) {
+      for (std::size_t l = 0; l < lanes; ++l) {
+        silhouette_sums_row(pts, dim, members.data(), offsets, ids, k,
+                            queries[q0 + l], sums + (q0 + l) * k);
+      }
+      continue;
+    }
+
+    // Transpose the block; padding lanes repeat +0 and are never stored.
+    for (std::size_t d = 0; d < dim; ++d) {
+      for (std::size_t l = 0; l < L; ++l) {
+        qt[d * L + l] = l < lanes ? pts[queries[q0 + l] * dim + d] : 0.0;
+      }
+    }
+    for (std::size_t c = 0; c < k; ++c) {
+      P acc0 = P::zero();
+      P acc1 = P::zero();
+      for (std::size_t m = offsets[c]; m < offsets[c + 1]; ++m) {
+        const double* row = members.data() + m * dim;
+        P dist0 = P::zero();
+        P dist1 = P::zero();
+        for (std::size_t d = 0; d < dim; ++d) {
+          const P r = P::broadcast(row[d]);
+          const P x0 = P::load(qt.data() + d * L) - r;
+          const P x1 = P::load(qt.data() + d * L + W) - r;
+          dist0 = P::madd(x0, x0, dist0);
+          dist1 = P::madd(x1, x1, dist1);
+        }
+        acc0 = acc0 + sqrt(dist0);
+        acc1 = acc1 + sqrt(dist1);
+      }
+      acc0.store(lane_sums);
+      acc1.store(lane_sums + W);
+      for (std::size_t l = 0; l < lanes; ++l) {
+        sums[(q0 + l) * k + c] = lane_sums[l];
+      }
+    }
+  }
 }
 
 }  // namespace dtmsv::clustering::kernels

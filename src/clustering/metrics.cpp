@@ -3,8 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
+#include <optional>
 
+#include "clustering/kmeans_kernels.hpp"
 #include "util/error.hpp"
+#include "util/simd.hpp"
 
 namespace dtmsv::clustering {
 
@@ -46,59 +50,60 @@ Points centroids_of(const Points& points, const std::vector<std::size_t>& assign
 }
 
 inline double row_dist(const double* a, const double* b, std::size_t dim) {
-  double total = 0.0;
-  for (std::size_t d = 0; d < dim; ++d) {
-    const double diff = a[d] - b[d];
-    total += diff * diff;
-  }
-  return std::sqrt(total);
+  return std::sqrt(kernels::row_sq_dist(a, b, dim));
 }
 
-/// Silhouette contribution of point `i`, or 0 for singleton clusters.
-/// dist_sum is a reusable k-sized scratch buffer.
-double silhouette_of_point(const Points& points,
-                           const std::vector<std::size_t>& assignment,
-                           const std::vector<std::size_t>& sizes, std::size_t i,
-                           std::vector<double>& dist_sum) {
-  const std::size_t own = assignment[i];
-  if (sizes[own] <= 1) {
+/// Silhouette contribution of one point from its per-cluster distance
+/// sums (see kernels::silhouette_sums), or 0 for singleton clusters.
+double silhouette_of_point(const ClusterMembers& members, std::size_t own,
+                           const double* dist_sum) {
+  const std::size_t own_size = members.size_of(own);
+  if (own_size <= 1) {
     return 0.0;
   }
-  const std::size_t dim = points.dim();
-  const double* pts = points.data();
-  const double* pi = pts + i * dim;
-  std::fill(dist_sum.begin(), dist_sum.end(), 0.0);
-  for (std::size_t j = 0; j < points.size(); ++j) {
-    if (j == i) {
-      continue;
-    }
-    dist_sum[assignment[j]] += row_dist(pi, pts + j * dim, dim);
-  }
-  const double a = dist_sum[own] / static_cast<double>(sizes[own] - 1);
+  const double a = dist_sum[own] / static_cast<double>(own_size - 1);
   double b = std::numeric_limits<double>::infinity();
-  for (std::size_t c = 0; c < dist_sum.size(); ++c) {
-    if (c == own || sizes[c] == 0) {
+  for (std::size_t c = 0; c < members.cluster_count(); ++c) {
+    const std::size_t size = members.size_of(c);
+    if (c == own || size == 0) {
       continue;
     }
-    b = std::min(b, dist_sum[c] / static_cast<double>(sizes[c]));
+    b = std::min(b, dist_sum[c] / static_cast<double>(size));
   }
   const double denom = std::max(a, b);
   return denom > 0.0 ? (b - a) / denom : 0.0;
 }
 
-std::vector<std::size_t> cluster_sizes_of(const std::vector<std::size_t>& assignment,
-                                          std::size_t k) {
-  std::vector<std::size_t> sizes(k, 0);
-  for (const std::size_t a : assignment) {
-    ++sizes[a];
+/// Membership of `assignment`, or nullopt when fewer than two clusters
+/// have members (the silhouette is then 0).
+std::optional<ClusterMembers> live_members(const std::vector<std::size_t>& assignment) {
+  ClusterMembers members =
+      members_by_cluster(assignment, cluster_count_of(assignment));
+  std::size_t non_empty = 0;
+  for (std::size_t c = 0; c < members.cluster_count(); ++c) {
+    non_empty += members.size_of(c) > 0 ? 1 : 0;
   }
-  return sizes;
+  if (non_empty < 2) {
+    return std::nullopt;
+  }
+  return members;
 }
 
-bool fewer_than_two_live(const std::vector<std::size_t>& sizes) {
-  const auto non_empty = static_cast<std::size_t>(
-      std::count_if(sizes.begin(), sizes.end(), [](std::size_t s) { return s > 0; }));
-  return non_empty < 2;
+/// Mean silhouette contribution of the `queries` points, summed in query
+/// order.
+double mean_silhouette(const Points& points, const std::vector<std::size_t>& assignment,
+                       const ClusterMembers& members,
+                       const std::vector<std::size_t>& queries) {
+  const std::size_t k = members.cluster_count();
+  std::vector<double> sums(queries.size() * k);
+  kernels::silhouette_sums<util::simd::default_backend>(
+      points.data(), points.dim(), members.offsets.data(), members.ids.data(), k,
+      queries.data(), queries.size(), sums.data());
+  double total = 0.0;
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    total += silhouette_of_point(members, assignment[queries[q]], sums.data() + q * k);
+  }
+  return total / static_cast<double>(queries.size());
 }
 
 }  // namespace
@@ -108,18 +113,13 @@ double silhouette(const Points& points, const std::vector<std::size_t>& assignme
   if (points.empty()) {
     return 0.0;
   }
-  const std::size_t k = cluster_count_of(assignment);
-  const std::vector<std::size_t> sizes = cluster_sizes_of(assignment, k);
-  if (fewer_than_two_live(sizes)) {
+  const std::optional<ClusterMembers> members = live_members(assignment);
+  if (!members) {
     return 0.0;
   }
-
-  double total = 0.0;
-  std::vector<double> dist_sum(k);
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    total += silhouette_of_point(points, assignment, sizes, i, dist_sum);
-  }
-  return total / static_cast<double>(points.size());
+  std::vector<std::size_t> all(points.size());
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  return mean_silhouette(points, assignment, *members, all);
 }
 
 double silhouette_sampled(const Points& points,
@@ -130,20 +130,13 @@ double silhouette_sampled(const Points& points,
   if (max_samples >= points.size()) {
     return silhouette(points, assignment);
   }
-  const std::size_t k = cluster_count_of(assignment);
-  const std::vector<std::size_t> sizes = cluster_sizes_of(assignment, k);
-  if (fewer_than_two_live(sizes)) {
+  const std::optional<ClusterMembers> members = live_members(assignment);
+  if (!members) {
     return 0.0;
   }
-
   const std::vector<std::size_t> samples =
       rng.sample_without_replacement(points.size(), max_samples);
-  double total = 0.0;
-  std::vector<double> dist_sum(k);
-  for (const std::size_t i : samples) {
-    total += silhouette_of_point(points, assignment, sizes, i, dist_sum);
-  }
-  return total / static_cast<double>(samples.size());
+  return mean_silhouette(points, assignment, *members, samples);
 }
 
 double davies_bouldin(const Points& points, const std::vector<std::size_t>& assignment) {

@@ -18,6 +18,13 @@ inline constexpr std::size_t kDefaultSilhouetteSampleCap = 2048;
 /// Mean silhouette coefficient in [-1, 1]; higher is better. Points in
 /// singleton clusters contribute 0 (scikit-learn convention). Requires at
 /// least 2 clusters with members; returns 0 otherwise.
+///
+/// Every distance is sqrt(kernels::row_sq_dist), the ascending-dimension
+/// madd chain k-means assigns with, summed per cluster in ascending point
+/// order by the backend-templated kernels::silhouette_sums (lanes = query
+/// points); the result is the same on every SIMD backend. The exact and
+/// sampled forms share the kernel. The Davies–Bouldin index uses the same
+/// distance.
 double silhouette(const Points& points, const std::vector<std::size_t>& assignment);
 
 /// Silhouette estimated from at most `max_samples` points drawn without

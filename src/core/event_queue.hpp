@@ -16,6 +16,7 @@
 // drain order (and therefore the whole pipeline) stays bit-deterministic.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -88,11 +89,13 @@ class EventQueue {
   bool empty() const { return size_ == 0; }
   const EventQueueStats& stats() const { return stats_; }
 
-  /// Admits `event`. Producers must push in nondecreasing `time` order
-  /// (checked). When the queue is full the oldest queued event is shed to
-  /// make room and counted in stats().dropped — the newcomer is always
-  /// admitted.
+  /// Admits `event`. Producers must push finite times in nondecreasing
+  /// order (checked: a NaN time would never drain and would fail every
+  /// later order check). When the queue is full the oldest queued event is
+  /// shed to make room and counted in stats().dropped — the newcomer is
+  /// always admitted.
   void push(const TwinEvent& event) {
+    DTMSV_EXPECTS_MSG(std::isfinite(event.time), "EventQueue: event time must be finite");
     DTMSV_EXPECTS_MSG(size_ == 0 || ring_[wrap(head_ + size_ - 1)].time <= event.time,
                       "EventQueue: events must arrive in nondecreasing time order");
     ++stats_.offered;

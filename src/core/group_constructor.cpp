@@ -33,21 +33,25 @@ std::vector<float> GroupConstructor::encode_state(const clustering::Points& embe
   DTMSV_EXPECTS(!embeddings.empty());
   const std::size_t n = embeddings.size();
 
-  // Pairwise-distance sample (cap the O(n²) work at ~2000 pairs by striding).
+  // Pairwise-distance sample: every stride-th pair (i < j) in row-major
+  // order, ~2000 pairs at most. Each sampled linear pair index p maps to
+  // its (i, j) by walking rows forward, so the cost is O(samples + n).
   util::RunningStats dist_stats;
   std::vector<double> distances;
   const std::size_t total_pairs = n * (n - 1) / 2;
   const std::size_t stride = std::max<std::size_t>(1, total_pairs / 2000);
-  std::size_t pair_index = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      if (pair_index++ % stride != 0) {
-        continue;
-      }
-      const double d = clustering::distance(embeddings[i], embeddings[j]);
-      distances.push_back(d);
-      dist_stats.add(d);
+  distances.reserve(total_pairs / stride + 1);
+  std::size_t i = 0;
+  std::size_t row_start = 0;  // linear index of pair (i, i + 1)
+  for (std::size_t p = 0; p < total_pairs; p += stride) {
+    while (p >= row_start + (n - 1 - i)) {
+      row_start += n - 1 - i;
+      ++i;
     }
+    const std::size_t j = i + 1 + (p - row_start);
+    const double d = clustering::distance(embeddings[i], embeddings[j]);
+    distances.push_back(d);
+    dist_stats.add(d);
   }
 
   const double max_d = dist_stats.empty() ? 1.0 : std::max(dist_stats.max(), 1e-9);

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <utility>
 
 #include "analysis/recommend.hpp"
 #include "analysis/swiping.hpp"
+#include "clustering/kmeans.hpp"
 #include "util/error.hpp"
 
 namespace dtmsv::core {
@@ -130,6 +132,26 @@ ServeLoop::ServeLoop(const ServeConfig& config, ServeClock& clock,
 void ServeLoop::offer(const TwinEvent& event) {
   DTMSV_EXPECTS_MSG(event.user < config_.scheme.user_count,
                     "ServeLoop: event user id out of range");
+  // A NaN or infinite report would poison the twin columns and every
+  // feature row built from them; reject it at the door.
+  switch (event.kind) {
+    case TwinEvent::Kind::kChannel:
+      DTMSV_EXPECTS_MSG(std::isfinite(event.channel.snr_db) &&
+                            std::isfinite(event.channel.efficiency_bps_hz),
+                        "ServeLoop: channel report must be finite");
+      break;
+    case TwinEvent::Kind::kLocation:
+      DTMSV_EXPECTS_MSG(
+          std::isfinite(event.position.x) && std::isfinite(event.position.y),
+          "ServeLoop: location report must be finite");
+      break;
+    case TwinEvent::Kind::kWatch:
+      DTMSV_EXPECTS_MSG(std::isfinite(event.watch.duration_s) &&
+                            std::isfinite(event.watch.watch_seconds) &&
+                            std::isfinite(event.watch.watch_fraction),
+                        "ServeLoop: watch report must be finite");
+      break;
+  }
   queue_.push(event);
 }
 
@@ -238,19 +260,17 @@ void ServeLoop::fire_prediction(util::SimTime at) {
   // Group abstraction + demand prediction, mirroring the batch
   // Simulation::rebuild_groups wiring. Serve mode has no simulated ground
   // truth, so the actual_* fields stay zero and no bias feedback runs.
-  std::vector<std::size_t> members;
+  const clustering::ClusterMembers by_group =
+      clustering::members_by_cluster(grouping.assignment, grouping.k);
   std::vector<const twin::UserDigitalTwin*> member_twins;
   for (std::size_t g = 0; g < grouping.k; ++g) {
-    members.clear();
-    member_twins.clear();
-    for (std::size_t u = 0; u < grouping.assignment.size(); ++u) {
-      if (grouping.assignment[u] == g) {
-        members.push_back(u);
-        member_twins.push_back(&twins_->twin(u));
-      }
-    }
+    const std::span<const std::size_t> members = by_group.of(g);
     if (members.empty()) {
       continue;
+    }
+    member_twins.clear();
+    for (const std::size_t u : members) {
+      member_twins.push_back(&twins_->twin(u));
     }
 
     const analysis::SwipingDistribution swiping = analysis::build_group_swiping(

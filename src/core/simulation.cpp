@@ -5,7 +5,9 @@
 #include <cmath>
 #include <istream>
 #include <ostream>
+#include <span>
 
+#include "clustering/kmeans.hpp"
 #include "util/error.hpp"
 
 namespace dtmsv::core {
@@ -359,16 +361,15 @@ void Simulation::rebuild_groups(const clustering::Points& points,
   timings_.grouping_s += t_group1 - t_group0;
 
   groups_.clear();
+  const clustering::ClusterMembers by_group =
+      clustering::members_by_cluster(grouping.assignment, grouping.k);
   for (std::size_t g = 0; g < grouping.k; ++g) {
-    Group group(config_.swiping_bins, config_.swiping_forgetting);
-    for (std::size_t u = 0; u < grouping.assignment.size(); ++u) {
-      if (grouping.assignment[u] == g) {
-        group.members.push_back(u);
-      }
-    }
-    if (group.members.empty()) {
+    const std::span<const std::size_t> ids = by_group.of(g);
+    if (ids.empty()) {
       continue;  // K-means re-seeding should prevent this, but stay safe
     }
+    Group group(config_.swiping_bins, config_.swiping_forgetting);
+    group.members.assign(ids.begin(), ids.end());
 
     std::vector<const twin::UserDigitalTwin*> member_twins;
     member_twins.reserve(group.members.size());

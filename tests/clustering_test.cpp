@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <numeric>
 #include <set>
 #include <span>
 #include <vector>
@@ -163,15 +166,33 @@ TEST(KMeans, KEqualsNPerfectFit) {
   EXPECT_EQ(clusters.size(), 3u);
 }
 
-TEST(KMeans, MembersOfPartitionsAllPoints) {
+TEST(KMeans, MembersByClusterPartitionsAllPoints) {
   Rng rng(10);
   const Points points = gaussian_blobs(kFarCenters, 10, 0.5, rng);
   const KMeansResult result = k_means(points, 4, rng);
+  const ClusterMembers members =
+      members_by_cluster(result.assignment, result.cluster_count());
+  ASSERT_EQ(members.cluster_count(), result.cluster_count());
   std::size_t total = 0;
-  for (std::size_t c = 0; c < result.cluster_count(); ++c) {
-    total += result.members_of(c).size();
+  for (std::size_t c = 0; c < members.cluster_count(); ++c) {
+    const std::span<const std::size_t> ids = members.of(c);
+    EXPECT_TRUE(std::is_sorted(ids.begin(), ids.end()));
+    for (const std::size_t i : ids) {
+      EXPECT_EQ(result.assignment[i], c);
+    }
+    total += ids.size();
   }
   EXPECT_EQ(total, points.size());
+  EXPECT_EQ(members.offsets.back(), points.size());
+}
+
+TEST(KMeans, MembersByClusterKeepsEmptyClustersAndRejectsOutOfRange) {
+  const ClusterMembers members = members_by_cluster({2, 0, 2, 2, 0}, 4);
+  EXPECT_EQ(members.offsets, (std::vector<std::size_t>{0, 2, 2, 5, 5}));
+  EXPECT_EQ(members.ids, (std::vector<std::size_t>{1, 4, 0, 2, 3}));
+  EXPECT_EQ(members.size_of(1), 0u);
+  EXPECT_TRUE(members_by_cluster({}, 3).ids.empty());
+  EXPECT_THROW(members_by_cluster({0, 3}, 3), PreconditionError);
 }
 
 TEST(KMeans, DeterministicGivenSeed) {
@@ -529,6 +550,237 @@ TEST(KMeansSimdBackends, KernelAgreesWithPublicSquaredDistance) {
     }
     EXPECT_EQ(out.assignment[i], best) << "point " << i;
   }
+}
+
+// ------------------------------------------- silhouette kernel equivalence
+// kernels::silhouette_sums must reproduce, on every backend, the scalar
+// scan over all points with the k-means madd-chain distance: per query,
+// per cluster, sum sqrt(chain) over members in ascending index, skipping
+// the query itself. Geometries straddle one and two pack widths of
+// queries, cover dims on both sides of the paper's 8 and 12, empty and
+// singleton clusters, and inf/NaN rows on the query and member sides.
+
+double chain_sq_dist(const double* a, const double* b, std::size_t dim) {
+  double total = 0.0;
+  for (std::size_t d = 0; d < dim; ++d) {
+    const double diff = a[d] - b[d];
+    total = simd::madd(diff, diff, total);
+  }
+  return total;
+}
+
+std::vector<double> reference_silhouette_sums(const std::vector<double>& pts,
+                                              std::size_t dim,
+                                              const std::vector<std::size_t>& assignment,
+                                              std::size_t k,
+                                              const std::vector<std::size_t>& queries) {
+  std::vector<double> sums(queries.size() * k, 0.0);
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    const std::size_t i = queries[q];
+    for (std::size_t j = 0; j < assignment.size(); ++j) {
+      if (j != i) {
+        sums[q * k + assignment[j]] +=
+            std::sqrt(chain_sq_dist(pts.data() + i * dim, pts.data() + j * dim, dim));
+      }
+    }
+  }
+  return sums;
+}
+
+/// Bit-equal, except that any two NaNs match (which NaN payload an x86
+/// instruction propagates depends on its operand order, not on the value).
+bool same_double(double a, double b) {
+  return (std::isnan(a) && std::isnan(b)) ||
+         std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+template <typename Backend>
+std::vector<double> silhouette_sums_via(const std::vector<double>& pts, std::size_t dim,
+                                        const std::vector<std::size_t>& assignment,
+                                        std::size_t k,
+                                        const std::vector<std::size_t>& queries) {
+  const ClusterMembers members = members_by_cluster(assignment, k);
+  std::vector<double> sums(queries.size() * k, -1.0);
+  kernels::silhouette_sums<Backend>(pts.data(), dim, members.offsets.data(),
+                                    members.ids.data(), k, queries.data(),
+                                    queries.size(), sums.data());
+  return sums;
+}
+
+enum class Poison { kNone, kInfQuery, kNanQuery, kInfMember, kNanMember };
+
+template <typename Backend>
+void check_silhouette_sums_backend(const char* name) {
+  constexpr std::size_t W = simd::pack<double, Backend>::width;
+  Rng rng(91);
+  for (const std::size_t n : {std::size_t{1}, std::size_t{2}, W - 1, W, W + 1,
+                              2 * W - 1, 2 * W, 2 * W + 1, std::size_t{37},
+                              std::size_t{1000}}) {
+    if (n == 0) {
+      continue;
+    }
+    for (const std::size_t dim : {1u, 8u, 12u, 13u}) {
+      for (const std::size_t k : {1u, 2u, 5u, 9u, 12u}) {
+        for (const Poison poison : {Poison::kNone, Poison::kInfQuery, Poison::kNanQuery,
+                                    Poison::kInfMember, Poison::kNanMember}) {
+          if (n == 1000 && (dim != 12 || k != 12 ||
+                            (poison != Poison::kNone && poison != Poison::kNanQuery))) {
+            continue;  // the large size runs the serve shape only
+          }
+          std::vector<double> pts(n * dim);
+          for (double& v : pts) {
+            v = rng.uniform(-4.0, 4.0);
+          }
+          // Cluster 0 is a singleton when there is room; the last cluster
+          // stays empty whenever k > 1; the rest are random.
+          std::vector<std::size_t> assignment(n);
+          for (std::size_t i = 0; i < n; ++i) {
+            const std::size_t live = k > 2 ? k - 2 : 1;
+            assignment[i] = i == 0 ? 0 : (k > 2 ? 1 + static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(live) - 1)) : 0);
+          }
+          const std::size_t victim = n / 2;
+          const double inf = std::numeric_limits<double>::infinity();
+          const double nan = std::numeric_limits<double>::quiet_NaN();
+          switch (poison) {
+            case Poison::kNone:
+              break;
+            case Poison::kInfQuery:
+            case Poison::kInfMember:
+              pts[victim * dim + dim / 2] = inf;
+              break;
+            case Poison::kNanQuery:
+            case Poison::kNanMember:
+              pts[victim * dim] = nan;
+              break;
+          }
+          std::vector<std::size_t> queries(n);
+          std::iota(queries.begin(), queries.end(), std::size_t{0});
+          if (poison == Poison::kInfMember || poison == Poison::kNanMember) {
+            // The poisoned row is never a query: every block is finite.
+            queries.erase(queries.begin() + static_cast<std::ptrdiff_t>(victim));
+          }
+          const std::vector<double> want =
+              reference_silhouette_sums(pts, dim, assignment, k, queries);
+          const std::vector<double> got =
+              silhouette_sums_via<Backend>(pts, dim, assignment, k, queries);
+          ASSERT_EQ(got.size(), want.size());
+          for (std::size_t i = 0; i < got.size(); ++i) {
+            ASSERT_TRUE(same_double(got[i], want[i]))
+                << name << ": n=" << n << " dim=" << dim << " k=" << k
+                << " poison=" << static_cast<int>(poison) << " sum " << i << " got "
+                << got[i] << " want " << want[i];
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SilhouetteSimdBackends, SumsMatchScalarChainOnEveryBackend) {
+  check_silhouette_sums_backend<simd::scalar_backend>("scalar");
+#if defined(__AVX2__)
+  check_silhouette_sums_backend<simd::avx2_backend>("avx2");
+#endif
+#if defined(__AVX512F__)
+  check_silhouette_sums_backend<simd::avx512_backend>("avx512");
+#endif
+}
+
+template <typename Backend>
+void check_sampled_queries(const char* name) {
+  // The sampled path's queries: a drawn subset in draw order, at block-
+  // sized and ragged counts.
+  Rng rng(92);
+  const std::size_t n = 300, dim = 12, k = 7;
+  std::vector<double> pts(n * dim);
+  for (double& v : pts) {
+    v = rng.uniform(-1.0, 1.0);
+  }
+  std::vector<std::size_t> assignment(n);
+  for (std::size_t& a : assignment) {
+    a = static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(k) - 1));
+  }
+  for (const std::size_t count : {1u, 9u, 16u, 17u, 64u, 299u}) {
+    const std::vector<std::size_t> queries = rng.sample_without_replacement(n, count);
+    const std::vector<double> want =
+        reference_silhouette_sums(pts, dim, assignment, k, queries);
+    const std::vector<double> got =
+        silhouette_sums_via<Backend>(pts, dim, assignment, k, queries);
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      ASSERT_TRUE(same_double(got[i], want[i]))
+          << name << ": count=" << count << " sum " << i;
+    }
+  }
+}
+
+TEST(SilhouetteSimdBackends, SampledQueriesMatchScalarChainOnEveryBackend) {
+  check_sampled_queries<simd::scalar_backend>("scalar");
+#if defined(__AVX2__)
+  check_sampled_queries<simd::avx2_backend>("avx2");
+#endif
+#if defined(__AVX512F__)
+  check_sampled_queries<simd::avx512_backend>("avx512");
+#endif
+}
+
+/// The pre-kernel silhouette loop with the madd-chain distance: the oracle
+/// for the public metric (per point, scan every other point in ascending
+/// index, then a/b from the per-cluster means).
+double reference_silhouette_of(const Points& points,
+                               const std::vector<std::size_t>& assignment,
+                               std::size_t k, std::size_t i) {
+  std::vector<std::size_t> sizes(k, 0);
+  for (const std::size_t a : assignment) {
+    ++sizes[a];
+  }
+  const std::size_t own = assignment[i];
+  if (sizes[own] <= 1) {
+    return 0.0;
+  }
+  std::vector<double> dist_sum(k, 0.0);
+  for (std::size_t j = 0; j < points.size(); ++j) {
+    if (j != i) {
+      dist_sum[assignment[j]] += std::sqrt(chain_sq_dist(
+          points[i].data(), points[j].data(), points.dim()));
+    }
+  }
+  const double a = dist_sum[own] / static_cast<double>(sizes[own] - 1);
+  double b = std::numeric_limits<double>::infinity();
+  for (std::size_t c = 0; c < k; ++c) {
+    if (c != own && sizes[c] > 0) {
+      b = std::min(b, dist_sum[c] / static_cast<double>(sizes[c]));
+    }
+  }
+  const double denom = std::max(a, b);
+  return denom > 0.0 ? (b - a) / denom : 0.0;
+}
+
+TEST(Silhouette, ExactAndSampledMatchScanOracle) {
+  Rng rng(93);
+  const Points points = gaussian_blobs(kFarCenters, 60, 2.5, rng);
+  const KMeansResult result = k_means(points, 5, rng);
+  const std::size_t k = result.cluster_count();
+
+  double exact = 0.0;
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    exact += reference_silhouette_of(points, result.assignment, k, i);
+  }
+  exact /= static_cast<double>(points.size());
+  EXPECT_EQ(silhouette(points, result.assignment), exact);
+
+  // Same seed, same draws: the sampled estimate averages the oracle over
+  // the drawn points in draw order.
+  Rng draw(94);
+  Rng replay(94);
+  const double sampled = silhouette_sampled(points, result.assignment, 50, draw);
+  const std::vector<std::size_t> drawn =
+      replay.sample_without_replacement(points.size(), 50);
+  double want = 0.0;
+  for (const std::size_t i : drawn) {
+    want += reference_silhouette_of(points, result.assignment, k, i);
+  }
+  EXPECT_EQ(sampled, want / 50.0);
+  EXPECT_EQ(draw.next(), replay.next());
 }
 
 }  // namespace

@@ -3,12 +3,18 @@
 // encoding, learning loop, decision validity), and scheme configuration.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <vector>
 
+#include "clustering/kmeans.hpp"
 #include "core/feature_compressor.hpp"
 #include "core/group_constructor.hpp"
 #include "util/error.hpp"
+#include "util/stats.hpp"
 
 namespace {
 
@@ -219,6 +225,73 @@ TEST(GroupConstructor, StateHistogramIsDistribution) {
     hist_sum += state[i];
   }
   EXPECT_NEAR(hist_sum, 1.0, 1e-5);
+}
+
+/// The DDQN state encoder as it walked all n(n-1)/2 pairs before it
+/// sampled them directly: the oracle the direct sampler must match bit
+/// for bit.
+std::vector<float> encode_state_all_pairs(const GroupConstructorConfig& config,
+                                          const Points& embeddings,
+                                          std::size_t previous_k) {
+  const std::size_t n = embeddings.size();
+  dtmsv::util::RunningStats dist_stats;
+  std::vector<double> distances;
+  const std::size_t total_pairs = n * (n - 1) / 2;
+  const std::size_t stride = std::max<std::size_t>(1, total_pairs / 2000);
+  std::size_t pair_index = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
+      if (pair_index++ % stride != 0) {
+        continue;
+      }
+      const double d = dtmsv::clustering::distance(embeddings[i], embeddings[j]);
+      distances.push_back(d);
+      dist_stats.add(d);
+    }
+  }
+
+  const double max_d = dist_stats.empty() ? 1.0 : std::max(dist_stats.max(), 1e-9);
+  dtmsv::util::Histogram hist(0.0, max_d, config.distance_histogram_bins);
+  for (const double d : distances) {
+    hist.add(d);
+  }
+
+  std::vector<float> state;
+  for (const double density : hist.densities()) {
+    state.push_back(static_cast<float>(density));
+  }
+  state.push_back(
+      static_cast<float>(dist_stats.empty() ? 0.0 : dist_stats.mean() / max_d));
+  state.push_back(
+      static_cast<float>(dist_stats.empty() ? 0.0 : dist_stats.stddev() / max_d));
+  state.push_back(static_cast<float>(std::log1p(static_cast<double>(n)) / 8.0));
+  const double k_span = std::max<double>(1.0, static_cast<double>(config.k_max - config.k_min));
+  state.push_back(static_cast<float>(
+      static_cast<double>(previous_k - std::min(previous_k, config.k_min)) / k_span));
+  return state;
+}
+
+TEST(GroupConstructor, StateBitIdenticalToAllPairsWalk) {
+  // Sizes cover no pairs (1 user), every pair kept (stride 1 up to 89
+  // users), the first strided sizes (stride 2 from 90) and long strides
+  // whose last sampled pair falls mid-row (1000 and 2001 users).
+  const GroupConstructorConfig cfg;
+  const GroupConstructor ctor(cfg, 11);
+  Rng rng(11);
+  for (const std::size_t n : {1u, 2u, 3u, 63u, 64u, 65u, 90u, 91u, 1000u, 2001u}) {
+    Points points(n, 12);
+    for (std::size_t i = 0; i < n * 12; ++i) {
+      points.data()[i] = rng.uniform(-2.0, 2.0);
+    }
+    const std::vector<float> got = ctor.encode_state(points, 5);
+    const std::vector<float> want = encode_state_all_pairs(cfg, points, 5);
+    ASSERT_EQ(got.size(), want.size()) << "n=" << n;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(got[i]),
+                std::bit_cast<std::uint32_t>(want[i]))
+          << "n=" << n << " state[" << i << "]";
+    }
+  }
 }
 
 TEST(GroupConstructor, DecisionWithinConfiguredRange) {

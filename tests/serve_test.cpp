@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -71,6 +72,21 @@ TEST(EventQueue, RejectsOutOfOrderPushAndZeroCapacity) {
   queue.push(channel_at(0, 5.0));
   EXPECT_THROW(queue.push(channel_at(1, 4.0)), util::PreconditionError);
   queue.push(channel_at(1, 5.0));  // ties are fine
+}
+
+TEST(EventQueue, RejectsNonFiniteTimeAndStaysUsable) {
+  // A NaN time would pass the order check on an empty queue, never drain
+  // (NaN <= horizon is false) and fail every later order check.
+  core::EventQueue queue(4);
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(queue.push(channel_at(0, bad)), util::PreconditionError);
+  }
+  EXPECT_TRUE(queue.empty());
+  EXPECT_EQ(queue.stats().offered, 0u);
+  queue.push(channel_at(0, 1.0));
+  EXPECT_EQ(queue.drain_until(1.0, [](const core::TwinEvent&) {}), 1u);
 }
 
 // ------------------------------------------------------ DegradationPolicy
@@ -295,6 +311,61 @@ TEST(ServeLoop, RejectsBadConfigAndBadEvents) {
   EXPECT_THROW(loop.offer(channel_at(99, 1.0)), util::PreconditionError);
   loop.advance_to(5.0);
   EXPECT_THROW(loop.advance_to(4.0), util::PreconditionError);
+}
+
+TEST(ServeLoop, RejectsEveryNonFiniteReportField) {
+  core::ManualServeClock clock;
+  core::ServeLoop loop(small_serve(), clock);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {nan, inf, -inf}) {
+    twin::ChannelObservation channel;
+    channel.snr_db = bad;
+    channel.efficiency_bps_hz = 3.0;
+    EXPECT_THROW(loop.offer(core::TwinEvent::channel_report(0, 1.0, channel)),
+                 util::PreconditionError);
+    channel.snr_db = 15.0;
+    channel.efficiency_bps_hz = bad;
+    EXPECT_THROW(loop.offer(core::TwinEvent::channel_report(0, 1.0, channel)),
+                 util::PreconditionError);
+
+    EXPECT_THROW(loop.offer(core::TwinEvent::location_report(0, 1.0, {bad, 5.0})),
+                 util::PreconditionError);
+    EXPECT_THROW(loop.offer(core::TwinEvent::location_report(0, 1.0, {5.0, bad})),
+                 util::PreconditionError);
+
+    for (double twin::WatchObservation::*field :
+         {&twin::WatchObservation::duration_s, &twin::WatchObservation::watch_seconds,
+          &twin::WatchObservation::watch_fraction}) {
+      twin::WatchObservation watch;
+      watch.duration_s = 15.0;
+      watch.watch_seconds = 7.5;
+      watch.watch_fraction = 0.5;
+      watch.*field = bad;
+      EXPECT_THROW(loop.offer(core::TwinEvent::watch_report(0, 1.0, watch)),
+                   util::PreconditionError);
+    }
+  }
+  EXPECT_EQ(loop.queue_size(), 0u);
+}
+
+TEST(ServeLoop, NanTimeOnEmptyQueueIsRejectedAndTheLoopKeepsServing) {
+  core::ManualServeClock clock;
+  core::CollectingSink sink;
+  core::ServeLoop loop(small_serve(), clock, &sink);
+  ASSERT_EQ(loop.queue_size(), 0u);
+  EXPECT_THROW(loop.offer(channel_at(0, std::numeric_limits<double>::quiet_NaN())),
+               util::PreconditionError);
+
+  // Later reports are admitted, drained and predicted on as usual.
+  offer_reports(loop, 1.0, 6);
+  loop.advance_to(10.0);
+  offer_reports(loop, 11.0, 6);
+  loop.advance_to(20.0);
+  EXPECT_EQ(loop.stats().events_ingested, 12u);
+  EXPECT_EQ(loop.stats().intervals, 2u);
+  EXPECT_EQ(sink.reports.size(), 2u);
+  EXPECT_EQ(loop.queue_size(), 0u);
 }
 
 /// Runs the scripted overload scenario end to end and returns the sink.
