@@ -9,6 +9,8 @@
 #include <cstdlib>
 #include <new>
 
+#include "analysis/popularity.hpp"
+#include "analysis/recommend.hpp"
 #include "analysis/swiping.hpp"
 #include "bench_to_json.hpp"
 #include "clustering/kmeans.hpp"
@@ -27,6 +29,7 @@
 #include "twin/store.hpp"
 #include "twin/udt.hpp"
 #include "util/parallel.hpp"
+#include "video/catalog.hpp"
 #include "wireless/channel.hpp"
 
 // ------------------------------------------------------------ alloc probe
@@ -199,6 +202,36 @@ void BM_CnnFitEpoch120Users(benchmark::State& state) {
 }
 BENCHMARK(BM_CnnFitEpoch120Users);
 
+/// Fills every ring of `columns` to capacity at the serve workload's report
+/// rates (channel 1 Hz, location every 5 s, a watch event every 18 s, a
+/// preference snapshot per 10 s interval) and returns the last report time.
+/// Reads then use a short window, so the retained history dwarfs it.
+double populate_full_rings(twin::TwinColumnStore& columns, util::Rng& rng) {
+  const int seconds = 18 * 256 + 60;  // the sparsest lane (watch) wraps too
+  for (std::size_t u = 0; u < columns.user_count(); ++u) {
+    for (int t = 0; t < seconds; ++t) {
+      columns.record_channel(u, t, {rng.uniform(0.0, 25.0), rng.uniform(0.1, 5.0), 0});
+      if (t % 5 == 0) {
+        columns.record_location(u, t,
+                                {rng.uniform(0.0, 1200.0), rng.uniform(0.0, 1000.0)});
+      }
+      if (t % 18 == 0) {
+        twin::WatchObservation w;
+        w.category = video::all_categories()[static_cast<std::size_t>(t / 18) %
+                                             video::kCategoryCount];
+        w.watch_seconds = rng.uniform(1.0, 15.0);
+        w.watch_fraction = rng.uniform();
+        w.duration_s = 15.0;
+        columns.record_watch(u, t, w);
+      }
+      if (t % 10 == 0) {
+        columns.record_preference(u, t, columns.estimator(u).estimate());
+      }
+    }
+  }
+  return static_cast<double>(seconds - 1);
+}
+
 // --------------------------------------------------- twin snapshot plane
 // Columnar feature extraction at paper scale (120 users) and fleet scale
 // (10k users). Full = every row re-extracted from the SoA rings;
@@ -243,6 +276,23 @@ void BM_TwinSnapshotIncremental(benchmark::State& state) {
   state.counters["rows/iter"] = static_cast<double>(churned);
 }
 BENCHMARK(BM_TwinSnapshotIncremental)->Arg(120)->Arg(10000);
+
+// The summary rung's snapshot as serve takes it: default-capacity rings
+// (2048 channel slots) at capacity, read through a 60 s window.
+void BM_TwinSummaryFullRing(benchmark::State& state) {
+  const auto users = static_cast<std::size_t>(state.range(0));
+  twin::TwinStore store(users);
+  util::Rng rng(33);
+  const double now = populate_full_rings(store.columns(), rng) + 1.0;
+  twin::FeatureArena arena;
+  const twin::SummarySpec spec{now, 60.0, {1200.0, 1000.0, 10.0, 40.0}};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        store.columns().summary_features(spec, arena, /*force_full=*/true));
+  }
+  state.counters["rows/iter"] = static_cast<double>(users);
+}
+BENCHMARK(BM_TwinSummaryFullRing)->Arg(1000);
 
 void BM_DdqnAct(benchmark::State& state) {
   rl::DdqnConfig cfg;
@@ -367,6 +417,44 @@ void BM_GroupChannelForecast(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GroupChannelForecast)->Arg(15)->Arg(60);
+
+// One serve group's channel forecast over full default-capacity rings and a
+// 60 s window (160 members: 1000 users in ~6 groups).
+void BM_GroupChannelForecastFullRing(benchmark::State& state) {
+  const auto members = static_cast<std::size_t>(state.range(0));
+  twin::TwinStore store(members);
+  util::Rng rng(34);
+  const double now = populate_full_rings(store.columns(), rng) + 1.0;
+  std::vector<const twin::UserDigitalTwin*> ptrs;
+  for (std::size_t u = 0; u < members; ++u) {
+    ptrs.push_back(&store.twin(u));
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(predict::forecast_group_channel(ptrs, now, 60.0));
+  }
+}
+BENCHMARK(BM_GroupChannelForecastFullRing)->Arg(160);
+
+// One group's playlist against a popularity map that tracks the whole
+// default catalog (6 x 200 videos).
+void BM_RecommendGroup(benchmark::State& state) {
+  util::Rng rng(35);
+  const video::Catalog catalog = video::Catalog::generate(video::CatalogConfig{}, rng);
+  analysis::PopularityAnalyzer popularity;
+  for (std::uint64_t id = 0; id < catalog.size(); ++id) {
+    popularity.observe(id, rng.uniform(1.0, 100.0));
+  }
+  behavior::PreferenceVector preference{};
+  for (double& p : preference) {
+    p = rng.uniform(0.1, 1.0);
+  }
+  const analysis::RecommenderConfig config;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(analysis::recommend(catalog, popularity, preference, config));
+  }
+  state.counters["tracked"] = static_cast<double>(popularity.tracked_count());
+}
+BENCHMARK(BM_RecommendGroup);
 
 void BM_SwipingExpectedMax(benchmark::State& state) {
   analysis::SwipingDistribution dist;

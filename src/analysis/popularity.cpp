@@ -32,42 +32,44 @@ double PopularityAnalyzer::score(std::uint64_t video_id) const {
 }
 
 namespace {
-std::vector<std::pair<std::uint64_t, double>> sorted_entries(
-    const std::unordered_map<std::uint64_t, double>& scores) {
-  std::vector<std::pair<std::uint64_t, double>> entries(scores.begin(), scores.end());
-  std::sort(entries.begin(), entries.end(), [](const auto& a, const auto& b) {
-    if (a.second != b.second) {
-      return a.second > b.second;
-    }
-    return a.first < b.first;
-  });
-  return entries;
+using Entry = std::pair<std::uint64_t, double>;
+
+/// The first n of `entries` by score descending, ties by id ascending. The
+/// order is total, so ranking any subset equals filtering the full ranking.
+std::vector<std::uint64_t> top_n(std::vector<Entry>& entries, std::size_t n) {
+  n = std::min(n, entries.size());
+  std::partial_sort(entries.begin(), entries.begin() + static_cast<std::ptrdiff_t>(n),
+                    entries.end(), [](const Entry& a, const Entry& b) {
+                      if (a.second != b.second) {
+                        return a.second > b.second;
+                      }
+                      return a.first < b.first;
+                    });
+  std::vector<std::uint64_t> out(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = entries[i].first;
+  }
+  return out;
 }
 }  // namespace
 
 std::vector<std::uint64_t> PopularityAnalyzer::top_videos(std::size_t n) const {
-  std::vector<std::uint64_t> out;
-  for (const auto& [id, score] : sorted_entries(scores_)) {
-    if (out.size() >= n) {
-      break;
-    }
-    out.push_back(id);
-  }
-  return out;
+  std::vector<Entry> entries(scores_.begin(), scores_.end());
+  return top_n(entries, n);
 }
 
 std::vector<std::uint64_t> PopularityAnalyzer::top_videos_in_category(
     std::size_t n, video::Category category, const video::Catalog& catalog) const {
-  std::vector<std::uint64_t> out;
-  for (const auto& [id, score] : sorted_entries(scores_)) {
-    if (out.size() >= n) {
-      break;
-    }
+  if (n == 0) {
+    return {};
+  }
+  std::vector<Entry> entries;
+  for (const auto& [id, score] : scores_) {
     if (catalog.video(id).category == category) {
-      out.push_back(id);
+      entries.emplace_back(id, score);
     }
   }
-  return out;
+  return top_n(entries, n);
 }
 
 }  // namespace dtmsv::analysis

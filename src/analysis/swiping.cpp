@@ -119,13 +119,16 @@ double SwipingDistribution::expected_max_watch_fraction(video::Category category
 SwipingDistribution build_group_swiping(
     const std::vector<const twin::UserDigitalTwin*>& members, util::SimTime now,
     double window_s, std::size_t bins, double forgetting) {
+  DTMSV_EXPECTS(std::isfinite(now));
   DTMSV_EXPECTS(window_s > 0.0);
   SwipingDistribution dist(bins, forgetting);
   for (const auto* member : members) {
     DTMSV_EXPECTS(member != nullptr);
-    for (const auto& s : member->watch().window(now - window_s, now)) {
-      dist.observe(s.value.category, s.value.watch_fraction);
-    }
+    const twin::WatchColumn& column = member->columns().watch_column();
+    column.for_each_slot_in(member->slot(), now - window_s, now, [&](std::size_t at) {
+      const twin::WatchObservation obs = column.at_slot(at);
+      dist.observe(obs.category, obs.watch_fraction);
+    });
   }
   return dist;
 }

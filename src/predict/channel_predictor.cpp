@@ -103,6 +103,7 @@ GroupChannelForecast forecast_group_channel(
     const std::vector<const twin::UserDigitalTwin*>& members, util::SimTime now,
     double window_s, double floor, double bin_s) {
   DTMSV_EXPECTS_MSG(!members.empty(), "forecast_group_channel: empty group");
+  DTMSV_EXPECTS(std::isfinite(now));
   DTMSV_EXPECTS(floor > 0.0);
   DTMSV_EXPECTS(window_s > 0.0 && bin_s > 0.0);
 
@@ -129,12 +130,8 @@ GroupChannelForecast forecast_group_channel(
     const twin::ChannelColumn& column = member->columns().channel_column();
     const std::vector<double>& times = column.times();
     const std::vector<double>& efficiency = column.efficiency();
-    column.for_each_slot(member->slot(), [&](std::size_t at) {
-      const double t = times[at];
-      if (t < from || t >= now) {
-        return;
-      }
-      auto b = static_cast<std::size_t>((t - from) / bin_s);
+    column.for_each_slot_in(member->slot(), from, now, [&](std::size_t at) {
+      auto b = static_cast<std::size_t>((times[at] - from) / bin_s);
       b = std::min(b, bins - 1);
       // Keep the last sample per bin (samples arrive time-ordered).
       member_series[b] = efficiency[at];

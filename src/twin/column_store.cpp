@@ -18,6 +18,7 @@ namespace {
 constexpr std::size_t kExtractGrain = 8;
 
 void validate_window_spec(const WindowSpec& spec) {
+  DTMSV_EXPECTS(std::isfinite(spec.now));
   DTMSV_EXPECTS(spec.window_s > 0.0);
   DTMSV_EXPECTS(spec.timesteps > 0);
   DTMSV_EXPECTS(spec.scaling.pos_x_scale > 0.0 && spec.scaling.pos_y_scale > 0.0);
@@ -156,12 +157,8 @@ void TwinColumnStore::extract_window_row(std::size_t u, const WindowSpec& spec,
     const std::vector<double>& times = channel_.times();
     const std::vector<double>& snr = channel_.snr();
     const std::vector<double>& eff = channel_.efficiency();
-    channel_.for_each_slot(u, [&](std::size_t at) {
-      const double t = times[at];
-      if (t < from || t >= spec.now) {
-        return;
-      }
-      const std::size_t b = bin_of(t);
+    channel_.for_each_slot_in(u, from, spec.now, [&](std::size_t at) {
+      const std::size_t b = bin_of(times[at]);
       sums_snr[b] +=
           std::clamp((snr[at] + scaling.snr_offset_db) / scaling.snr_scale_db, 0.0, 1.5);
       sums_eff[b] += std::clamp(eff[at] / 6.0, 0.0, 1.0);
@@ -179,12 +176,8 @@ void TwinColumnStore::extract_window_row(std::size_t u, const WindowSpec& spec,
     const std::vector<double>& times = location_.times();
     const std::vector<double>& xs = location_.x();
     const std::vector<double>& ys = location_.y();
-    location_.for_each_slot(u, [&](std::size_t at) {
-      const double t = times[at];
-      if (t < from || t >= spec.now) {
-        return;
-      }
-      const std::size_t b = bin_of(t);
+    location_.for_each_slot_in(u, from, spec.now, [&](std::size_t at) {
+      const std::size_t b = bin_of(times[at]);
       sums_x[b] += std::clamp(xs[at] / scaling.pos_x_scale, 0.0, 1.0);
       sums_y[b] += std::clamp(ys[at] / scaling.pos_y_scale, 0.0, 1.0);
       ++scratch.counts[b];
@@ -198,12 +191,8 @@ void TwinColumnStore::extract_window_row(std::size_t u, const WindowSpec& spec,
   {
     const std::vector<double>& times = watch_.times();
     const std::vector<double>& frac = watch_.watch_fraction();
-    watch_.for_each_slot(u, [&](std::size_t at) {
-      const double t = times[at];
-      if (t < from || t >= spec.now) {
-        return;
-      }
-      const std::size_t b = bin_of(t);
+    watch_.for_each_slot_in(u, from, spec.now, [&](std::size_t at) {
+      const std::size_t b = bin_of(times[at]);
       scratch.sums[b] += std::clamp(frac[at], 0.0, 1.0);
       ++scratch.counts[b];
     });
@@ -215,12 +204,8 @@ void TwinColumnStore::extract_window_row(std::size_t u, const WindowSpec& spec,
   scratch.reset(video::kCategoryCount, bins);
   {
     const std::vector<double>& times = preference_.times();
-    preference_.for_each_slot(u, [&](std::size_t at) {
-      const double t = times[at];
-      if (t < from || t >= spec.now) {
-        return;
-      }
-      const std::size_t b = bin_of(t);
+    preference_.for_each_slot_in(u, from, spec.now, [&](std::size_t at) {
+      const std::size_t b = bin_of(times[at]);
       for (std::size_t c = 0; c < video::kCategoryCount; ++c) {
         scratch.sums[c * bins + b] += preference_.lane(c)[at];
       }
@@ -244,41 +229,31 @@ void TwinColumnStore::extract_window_row(std::size_t u, const WindowSpec& spec,
 void TwinColumnStore::extract_summary_row(std::size_t u, const SummarySpec& spec,
                                           double* out) const {
   DTMSV_EXPECTS(u < user_count());
+  DTMSV_EXPECTS(std::isfinite(spec.now));
   DTMSV_EXPECTS(spec.window_s > 0.0);
   const util::SimTime from = spec.now - spec.window_s;
 
   util::RunningStats snr;
   {
-    const std::vector<double>& times = channel_.times();
     const std::vector<double>& vals = channel_.snr();
-    channel_.for_each_slot(u, [&](std::size_t at) {
-      if (times[at] >= from && times[at] < spec.now) {
-        snr.add(vals[at]);
-      }
-    });
+    channel_.for_each_slot_in(u, from, spec.now,
+                              [&](std::size_t at) { snr.add(vals[at]); });
   }
   util::RunningStats x;
   util::RunningStats y;
   {
-    const std::vector<double>& times = location_.times();
     const std::vector<double>& xs = location_.x();
     const std::vector<double>& ys = location_.y();
-    location_.for_each_slot(u, [&](std::size_t at) {
-      if (times[at] >= from && times[at] < spec.now) {
-        x.add(xs[at]);
-        y.add(ys[at]);
-      }
+    location_.for_each_slot_in(u, from, spec.now, [&](std::size_t at) {
+      x.add(xs[at]);
+      y.add(ys[at]);
     });
   }
   util::RunningStats frac;
   {
-    const std::vector<double>& times = watch_.times();
     const std::vector<double>& vals = watch_.watch_fraction();
-    watch_.for_each_slot(u, [&](std::size_t at) {
-      if (times[at] >= from && times[at] < spec.now) {
-        frac.add(vals[at]);
-      }
-    });
+    watch_.for_each_slot_in(u, from, spec.now,
+                            [&](std::size_t at) { frac.add(vals[at]); });
   }
 
   const FeatureScaling& scaling = spec.scaling;

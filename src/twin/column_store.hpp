@@ -91,8 +91,8 @@ class TwinColumnStore {
   }
 
   // --- raw column access for scan-heavy consumers (channel forecasting,
-  // out-of-tree kernels): for_each_slot + the flat value lanes avoid
-  // materialising a Stamped<T> per sample ---
+  // swiping aggregation, out-of-tree kernels): for_each_slot_in + the flat
+  // value lanes avoid materialising a Stamped<T> per sample ---
   const ChannelColumn& channel_column() const { return channel_; }
   const LocationColumn& location_column() const { return location_; }
   const WatchColumn& watch_column() const { return watch_; }

@@ -5,9 +5,13 @@
 // UserDigitalTwin. Here each attribute holds ONE contiguous time column and
 // one contiguous column per value field, spanning all users with a fixed
 // `capacity` stride: user u's slots live at [u*capacity, (u+1)*capacity),
-// managed as a ring (head + size, oldest evicted first). Extraction kernels
-// scan plain double arrays; reset_user is slot recycling (ring emptied, no
-// allocation, nothing freed) instead of object replacement.
+// managed as a ring (head + size, oldest evicted first). Per-user times are
+// non-decreasing and finite (push_slot enforces both), so a windowed read
+// (for_each_slot_in) binary-searches the ring for its first sample and walks
+// only the window: O(log capacity + samples in window), whatever the
+// retention. Extraction kernels scan plain double arrays; reset_user is slot
+// recycling (ring emptied, no allocation, nothing freed) instead of object
+// replacement.
 //
 // SeriesView<Column> adapts one user's ring back to the AttributeSeries
 // surface (size/latest/window/staleness/iteration, values materialised as
@@ -19,6 +23,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -67,18 +72,39 @@ class RingColumnBase {
     return evicted_[u] != 0 && last_evicted_[u] >= from;
   }
 
-  /// Calls fn(physical_slot) over user `u`'s retained samples, oldest
-  /// first, as two contiguous segments (no per-sample modulo).
+  /// Calls fn(physical_slot) over user `u`'s retained samples with time in
+  /// [from, to), oldest first. A binary search over the ring finds the first
+  /// sample with t >= from; the walk stops at the first t >= to. NaN bounds
+  /// compare false: a NaN `from` starts at the oldest sample and a NaN `to`
+  /// never stops the walk.
   template <typename Fn>
-  void for_each_slot(std::size_t u, Fn&& fn) const {
+  void for_each_slot_in(std::size_t u, util::SimTime from, util::SimTime to,
+                        Fn&& fn) const {
     const Ring& r = rings_[u];
-    const std::size_t base = u * capacity_;
-    const std::size_t first = std::min<std::size_t>(r.size, capacity_ - r.head);
-    for (std::size_t i = 0; i < first; ++i) {
-      fn(base + r.head + i);
+    const double* times = times_.data() + u * capacity_;
+    const auto physical = [&](std::size_t i) {
+      const std::size_t p = r.head + i;
+      return p < capacity_ ? p : p - capacity_;
+    };
+    std::size_t lo = 0;
+    std::size_t hi = r.size;
+    while (lo < hi) {
+      const std::size_t mid = lo + (hi - lo) / 2;
+      if (times[physical(mid)] < from) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
     }
-    for (std::size_t i = 0; i < r.size - first; ++i) {
-      fn(base + i);
+    std::size_t p = physical(lo);
+    for (std::size_t i = lo; i < r.size; ++i) {
+      if (times[p] >= to) {
+        return;
+      }
+      fn(u * capacity_ + p);
+      if (++p == capacity_) {
+        p = 0;
+      }
     }
   }
 
@@ -93,9 +119,11 @@ class RingColumnBase {
   const std::vector<double>& times() const { return times_; }
 
  protected:
-  /// Claims the write slot for a new sample of `u` at `t` (non-decreasing
-  /// within the user), evicting the oldest sample when the ring is full.
+  /// Claims the write slot for a new sample of `u` at `t` (finite and
+  /// non-decreasing within the user), evicting the oldest sample when the
+  /// ring is full.
   std::size_t push_slot(std::size_t u, util::SimTime t) {
+    DTMSV_EXPECTS_MSG(std::isfinite(t), "twin column: timestamps must be finite");
     Ring& r = rings_[u];
     DTMSV_EXPECTS_MSG(
         r.size == 0 || t >= times_[u * capacity_ + (r.head + r.size - 1) % capacity_],
@@ -145,8 +173,10 @@ class ChannelColumn : public RingColumnBase {
     serving_bs_[at] = static_cast<std::uint32_t>(obs.serving_bs);
   }
 
-  value_type get(std::size_t u, std::size_t i) const {
-    const std::size_t at = slot(u, i);
+  value_type get(std::size_t u, std::size_t i) const { return at_slot(slot(u, i)); }
+
+  /// The sample stored at physical slot `at`.
+  value_type at_slot(std::size_t at) const {
     return {snr_[at], efficiency_[at], serving_bs_[at]};
   }
 
@@ -175,10 +205,9 @@ class LocationColumn : public RingColumnBase {
     y_[at] = pos.y;
   }
 
-  value_type get(std::size_t u, std::size_t i) const {
-    const std::size_t at = slot(u, i);
-    return {x_[at], y_[at]};
-  }
+  value_type get(std::size_t u, std::size_t i) const { return at_slot(slot(u, i)); }
+
+  value_type at_slot(std::size_t at) const { return {x_[at], y_[at]}; }
 
   const std::vector<double>& x() const { return x_; }
   const std::vector<double>& y() const { return y_; }
@@ -212,8 +241,9 @@ class WatchColumn : public RingColumnBase {
     completed_[at] = obs.completed ? 1 : 0;
   }
 
-  value_type get(std::size_t u, std::size_t i) const {
-    const std::size_t at = slot(u, i);
+  value_type get(std::size_t u, std::size_t i) const { return at_slot(slot(u, i)); }
+
+  value_type at_slot(std::size_t at) const {
     WatchObservation obs;
     obs.video_id = video_id_[at];
     obs.category = static_cast<video::Category>(category_[at]);
@@ -255,8 +285,9 @@ class PreferenceColumn : public RingColumnBase {
     }
   }
 
-  value_type get(std::size_t u, std::size_t i) const {
-    const std::size_t at = slot(u, i);
+  value_type get(std::size_t u, std::size_t i) const { return at_slot(slot(u, i)); }
+
+  value_type at_slot(std::size_t at) const {
     behavior::PreferenceVector v{};
     for (std::size_t c = 0; c < v.size(); ++c) {
       v[c] = weights_[c][at];
@@ -310,13 +341,10 @@ class SeriesView {
   std::vector<value_type> window(util::SimTime from, util::SimTime to) const {
     DTMSV_EXPECTS(from <= to);
     std::vector<value_type> out;
-    const std::size_t n = size();
-    for (std::size_t i = 0; i < n; ++i) {
-      const util::SimTime t = column_->time(user_, i);
-      if (t >= from && t < to) {
-        out.push_back((*this)[i]);
-      }
-    }
+    const std::vector<double>& times = column_->times();
+    column_->for_each_slot_in(user_, from, to, [&](std::size_t at) {
+      out.push_back({times[at], column_->at_slot(at)});
+    });
     return out;
   }
 

@@ -3,9 +3,14 @@
 // forgetting, and the group recommender.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "analysis/popularity.hpp"
 #include "analysis/recommend.hpp"
@@ -199,6 +204,92 @@ TEST(Popularity, TopVideosInCategoryFilters) {
   const auto top_news = pop.top_videos_in_category(5, Category::kNews, catalog);
   ASSERT_EQ(top_news.size(), 1u);
   EXPECT_EQ(top_news[0], news[0]);
+}
+
+// The full copy-and-sort ranking that preceded the per-category partial
+// sort, kept verbatim as the oracle both ranking paths must reproduce.
+std::vector<std::pair<std::uint64_t, double>> oracle_sorted_entries(
+    const std::unordered_map<std::uint64_t, double>& scores) {
+  std::vector<std::pair<std::uint64_t, double>> entries(scores.begin(), scores.end());
+  std::sort(entries.begin(), entries.end(), [](const auto& a, const auto& b) {
+    if (a.second != b.second) {
+      return a.second > b.second;
+    }
+    return a.first < b.first;
+  });
+  return entries;
+}
+
+std::vector<std::uint64_t> oracle_top_videos(
+    const std::unordered_map<std::uint64_t, double>& scores, std::size_t n) {
+  std::vector<std::uint64_t> out;
+  for (const auto& [id, score] : oracle_sorted_entries(scores)) {
+    if (out.size() >= n) {
+      break;
+    }
+    out.push_back(id);
+  }
+  return out;
+}
+
+std::vector<std::uint64_t> oracle_top_videos_in_category(
+    const std::unordered_map<std::uint64_t, double>& scores, std::size_t n,
+    Category category, const dtmsv::video::Catalog& catalog) {
+  std::vector<std::uint64_t> out;
+  for (const auto& [id, score] : oracle_sorted_entries(scores)) {
+    if (out.size() >= n) {
+      break;
+    }
+    if (catalog.video(id).category == category) {
+      out.push_back(id);
+    }
+  }
+  return out;
+}
+
+TEST(Popularity, RankingMatchesFullSortThenFilter) {
+  Rng rng(21);
+  dtmsv::video::CatalogConfig cfg;
+  cfg.videos_per_category = 40;
+  const auto catalog = dtmsv::video::Catalog::generate(cfg, rng);
+  const std::size_t videos = cfg.videos_per_category * kCategoryCount;
+  for (int trial = 0; trial < 20; ++trial) {
+    // Scores drawn from a handful of values force ties, which only the id
+    // tie-break can order.
+    PopularityAnalyzer pop;
+    std::unordered_map<std::uint64_t, double> scores;
+    const auto tracked = static_cast<std::size_t>(rng.uniform_int(0, 120));
+    for (std::size_t i = 0; i < tracked; ++i) {
+      const auto id = static_cast<std::uint64_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(videos) - 1));
+      if (scores.count(id) != 0) {
+        continue;
+      }
+      const double score = trial % 2 == 0 ? static_cast<double>(rng.uniform_int(1, 4))
+                                          : rng.uniform(0.5, 2.0);
+      pop.observe(id, score);
+      scores[id] = score;
+    }
+    ASSERT_EQ(pop.tracked_count(), scores.size());
+    for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{7},
+                                scores.size(), scores.size() + 5}) {
+      EXPECT_EQ(pop.top_videos(n), oracle_top_videos(scores, n))
+          << "trial " << trial << " n " << n;
+    }
+    for (const Category category : dtmsv::video::all_categories()) {
+      std::size_t in_category = 0;
+      for (const auto& [id, score] : scores) {
+        in_category += catalog.video(id).category == category ? 1 : 0;
+      }
+      for (const std::size_t n : {std::size_t{0}, std::size_t{1}, in_category,
+                                  in_category + 3}) {
+        EXPECT_EQ(pop.top_videos_in_category(n, category, catalog),
+                  oracle_top_videos_in_category(scores, n, category, catalog))
+            << "trial " << trial << " category " << static_cast<int>(category) << " n "
+            << n;
+      }
+    }
+  }
 }
 
 // -------------------------------------------------------------- Recommender

@@ -8,9 +8,13 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "behavior/session.hpp"
 #include "mobility/random_waypoint.hpp"
+#include "predict/channel_predictor.hpp"
 #include "twin/collector.hpp"
 #include "twin/column_store.hpp"
 #include "twin/series.hpp"
@@ -18,6 +22,7 @@
 #include "twin/udt.hpp"
 #include "util/error.hpp"
 #include "util/parallel.hpp"
+#include "util/stats.hpp"
 #include "wireless/channel.hpp"
 
 namespace {
@@ -149,6 +154,507 @@ TEST(TwinColumnStore, RingRejectsTimeTravelPerUser) {
   EXPECT_THROW(store.record_channel(0, 4.0, {1.0, 1.0, 0}), PreconditionError);
   store.record_channel(0, 5.0, {2.0, 1.0, 0});  // equal timestamps allowed
   store.record_channel(1, 1.0, {3.0, 1.0, 0});  // other users independent
+}
+
+TEST(TwinColumnStore, NonFiniteTimestampsRejectedOnEveryRecordPath) {
+  constexpr double kBad[] = {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity()};
+  UserDigitalTwin twin(0);
+  WatchObservation w;
+  w.watch_seconds = 4.0;
+  w.watch_fraction = 0.5;
+  const auto pref = twin.preference_estimator().estimate();
+  const auto record_all = [&](double t) {
+    twin.record_channel(t, {12.0, 2.0, 0});
+    twin.record_location(t, {10.0, 20.0});
+    twin.record_watch(t, w);
+    twin.record_preference(t, pref);
+  };
+  // Empty rings used to accept any time, and a NaN there made every later
+  // record fail the non-decreasing check (t >= NaN is false).
+  for (int round = 0; round < 2; ++round) {
+    for (const double bad : kBad) {
+      EXPECT_THROW(twin.record_channel(bad, {12.0, 2.0, 0}), PreconditionError);
+      EXPECT_THROW(twin.record_location(bad, {10.0, 20.0}), PreconditionError);
+      EXPECT_THROW(twin.record_watch(bad, w), PreconditionError);
+      EXPECT_THROW(twin.record_preference(bad, pref), PreconditionError);
+    }
+    record_all(1.0 + round);
+  }
+  EXPECT_EQ(twin.channel().size(), 2u);
+  EXPECT_EQ(twin.location().size(), 2u);
+  EXPECT_EQ(twin.watch().size(), 2u);
+  EXPECT_EQ(twin.preference().size(), 2u);
+  EXPECT_DOUBLE_EQ(twin.channel().latest().time, 2.0);
+}
+
+// --------------------------------------------- windowed ring walk oracles
+
+/// Samples of user `u` oldest first, filtered the way every windowed read
+/// did before the binary search: a walk over the whole ring that skips
+/// `t < from || t >= to`.
+template <typename Column>
+std::vector<std::size_t> full_ring_filter(const Column& column, std::size_t u,
+                                          double from, double to) {
+  std::vector<std::size_t> out;
+  for (std::size_t i = 0; i < column.size(u); ++i) {
+    const std::size_t at = column.slot(u, i);
+    const double t = column.times()[at];
+    if (t < from || t >= to) {
+      continue;
+    }
+    out.push_back(at);
+  }
+  return out;
+}
+
+template <typename Column>
+std::vector<std::size_t> windowed_walk(const Column& column, std::size_t u, double from,
+                                       double to) {
+  std::vector<std::size_t> out;
+  column.for_each_slot_in(u, from, to, [&](std::size_t at) { out.push_back(at); });
+  return out;
+}
+
+void record_sample(ChannelColumn& c, std::size_t u, double t) {
+  c.record(u, t, {t, 2.0 * t, 1});
+}
+void record_sample(LocationColumn& c, std::size_t u, double t) {
+  c.record(u, t, {t, -t});
+}
+void record_sample(WatchColumn& c, std::size_t u, double t) {
+  WatchObservation w;
+  w.watch_fraction = t;
+  c.record(u, t, w);
+}
+void record_sample(PreferenceColumn& c, std::size_t u, double t) {
+  dtmsv::behavior::PreferenceVector v{};
+  v.fill(t);
+  c.record(u, t, v);
+}
+
+/// Every bound the walk can meet: each sample time, points between and
+/// beyond them, the infinities and NaN.
+std::vector<double> probe_bounds(const std::vector<double>& times) {
+  std::vector<double> bounds = {-1e9, 1e9, -std::numeric_limits<double>::infinity(),
+                                std::numeric_limits<double>::infinity(),
+                                std::numeric_limits<double>::quiet_NaN()};
+  for (const double t : times) {
+    bounds.push_back(t);
+    bounds.push_back(t - 0.25);
+    bounds.push_back(t + 0.25);
+  }
+  return bounds;
+}
+
+template <typename Column>
+void expect_walk_matches_filter(std::size_t capacity, const std::vector<double>& times) {
+  SCOPED_TRACE("capacity " + std::to_string(capacity) + ", " +
+               std::to_string(times.size()) + " samples");
+  // User 1 holds the data; users 0 and 2 hold other samples so a walk that
+  // leaves its stride shows up.
+  Column column(3, capacity);
+  for (const double t : times) {
+    record_sample(column, 1, t);
+  }
+  record_sample(column, 0, 0.5);
+  record_sample(column, 2, 0.5);
+  // The retained times, i.e. what the bounds should probe.
+  std::vector<double> retained;
+  for (std::size_t i = 0; i < column.size(1); ++i) {
+    retained.push_back(column.time(1, i));
+  }
+  for (const double from : probe_bounds(retained)) {
+    for (const double to : probe_bounds(retained)) {
+      EXPECT_EQ(windowed_walk(column, 1, from, to), full_ring_filter(column, 1, from, to))
+          << "window [" << from << ", " << to << ")";
+    }
+  }
+}
+
+template <typename Column>
+void expect_walk_matches_filter_on_all_shapes() {
+  // Empty ring.
+  expect_walk_matches_filter<Column>(4, {});
+  // Capacity 1: one sample, then one that evicted its predecessor.
+  expect_walk_matches_filter<Column>(1, {3.0});
+  expect_walk_matches_filter<Column>(1, {3.0, 5.0});
+  // Partly filled, not wrapped.
+  expect_walk_matches_filter<Column>(8, {1.0, 2.0, 4.0});
+  // Exactly full (head 0).
+  expect_walk_matches_filter<Column>(5, {1.0, 2.0, 3.0, 4.0, 5.0});
+  // Wrapped (head > 0) with duplicate timestamps straddling the wrap point
+  // and sitting on window bounds.
+  expect_walk_matches_filter<Column>(5, {0.0, 1.0, 2.0, 2.0, 3.0, 3.0, 3.0, 4.0});
+  expect_walk_matches_filter<Column>(6, {1.0, 1.0, 1.0, 2.0, 2.0, 5.0, 5.0, 7.0, 7.0,
+                                         7.0, 9.0});
+  // Wrapped many times, all timestamps equal.
+  expect_walk_matches_filter<Column>(4, std::vector<double>(11, 6.0));
+}
+
+TEST(RingWalk, ChannelColumnMatchesFullRingFilter) {
+  expect_walk_matches_filter_on_all_shapes<ChannelColumn>();
+}
+
+TEST(RingWalk, LocationColumnMatchesFullRingFilter) {
+  expect_walk_matches_filter_on_all_shapes<LocationColumn>();
+}
+
+TEST(RingWalk, WatchColumnMatchesFullRingFilter) {
+  expect_walk_matches_filter_on_all_shapes<WatchColumn>();
+}
+
+TEST(RingWalk, PreferenceColumnMatchesFullRingFilter) {
+  expect_walk_matches_filter_on_all_shapes<PreferenceColumn>();
+}
+
+TEST(RingWalk, SeriesWindowReadsTheWalkedSlots) {
+  TwinColumnStore store(1, 8);
+  for (int i = 0; i < 13; ++i) {
+    store.record_channel(0, static_cast<double>(i / 2),
+                         {static_cast<double>(i), 1.0, static_cast<std::size_t>(i)});
+  }
+  // Retained: samples 5..12 at times 2, 3, 3, 4, 4, 5, 5, 6 (the ring has
+  // wrapped, and sample 4 at t=2 was evicted).
+  const auto window = store.channel(0).window(2.0, 5.0);
+  ASSERT_EQ(window.size(), 5u);
+  for (std::size_t k = 0; k < window.size(); ++k) {
+    EXPECT_DOUBLE_EQ(window[k].time, static_cast<double>((k + 5) / 2));
+    EXPECT_DOUBLE_EQ(window[k].value.snr_db, static_cast<double>(k + 5));
+    EXPECT_EQ(window[k].value.serving_bs, k + 5);
+  }
+  EXPECT_THROW(store.channel(0).window(5.0, 2.0), PreconditionError);
+}
+
+// Verbatim copies of the full-ring extraction loops that preceded the
+// windowed walk (the hand-written time filter included), as bit-identity
+// oracles for the current kernels.
+
+template <typename Column, typename Fn>
+void for_each_retained_slot(const Column& column, std::size_t u, Fn&& fn) {
+  for (std::size_t i = 0; i < column.size(u); ++i) {
+    fn(column.slot(u, i));
+  }
+}
+
+void oracle_hold_write(float* out, std::size_t channel, std::size_t bins,
+                       const double* sums, const std::size_t* counts) {
+  float hold = 0.0f;
+  for (std::size_t b = 0; b < bins; ++b) {
+    if (counts[b] > 0) {
+      hold = static_cast<float>(sums[b] / static_cast<double>(counts[b]));
+    }
+    out[channel * bins + b] = hold;
+  }
+}
+
+std::vector<float> oracle_window_row(const TwinColumnStore& store, std::size_t u,
+                                     const WindowSpec& spec) {
+  constexpr std::size_t kCategories = dtmsv::video::kCategoryCount;
+  std::vector<float> row(TwinColumnStore::kFeatureChannels * spec.timesteps);
+  float* out = row.data();
+  const std::size_t bins = spec.timesteps;
+  const double from = spec.now - spec.window_s;
+  const double bin_width = (spec.now - from) / static_cast<double>(bins);
+  const FeatureScaling& scaling = spec.scaling;
+  const auto bin_of = [&](double t) {
+    auto b = static_cast<std::size_t>((t - from) / bin_width);
+    return std::min(b, bins - 1);
+  };
+  std::vector<double> sums;
+  std::vector<std::size_t> counts;
+  const auto reset = [&](std::size_t lanes) {
+    sums.assign(lanes * bins, 0.0);
+    counts.assign(bins, 0);
+  };
+
+  reset(2);
+  {
+    const ChannelColumn& channel = store.channel_column();
+    const auto& times = channel.times();
+    for_each_retained_slot(channel, u, [&](std::size_t at) {
+      const double t = times[at];
+      if (t < from || t >= spec.now) {
+        return;
+      }
+      const std::size_t b = bin_of(t);
+      sums[b] += std::clamp(
+          (channel.snr()[at] + scaling.snr_offset_db) / scaling.snr_scale_db, 0.0, 1.5);
+      sums[bins + b] += std::clamp(channel.efficiency()[at] / 6.0, 0.0, 1.0);
+      ++counts[b];
+    });
+    oracle_hold_write(out, 0, bins, sums.data(), counts.data());
+    oracle_hold_write(out, 1, bins, sums.data() + bins, counts.data());
+  }
+  reset(2);
+  {
+    const LocationColumn& location = store.location_column();
+    const auto& times = location.times();
+    for_each_retained_slot(location, u, [&](std::size_t at) {
+      const double t = times[at];
+      if (t < from || t >= spec.now) {
+        return;
+      }
+      const std::size_t b = bin_of(t);
+      sums[b] += std::clamp(location.x()[at] / scaling.pos_x_scale, 0.0, 1.0);
+      sums[bins + b] += std::clamp(location.y()[at] / scaling.pos_y_scale, 0.0, 1.0);
+      ++counts[b];
+    });
+    oracle_hold_write(out, 2, bins, sums.data(), counts.data());
+    oracle_hold_write(out, 3, bins, sums.data() + bins, counts.data());
+  }
+  reset(1);
+  {
+    const WatchColumn& watch = store.watch_column();
+    const auto& times = watch.times();
+    for_each_retained_slot(watch, u, [&](std::size_t at) {
+      const double t = times[at];
+      if (t < from || t >= spec.now) {
+        return;
+      }
+      const std::size_t b = bin_of(t);
+      sums[b] += std::clamp(watch.watch_fraction()[at], 0.0, 1.0);
+      ++counts[b];
+    });
+    oracle_hold_write(out, 4, bins, sums.data(), counts.data());
+  }
+  reset(kCategories);
+  {
+    const PreferenceColumn& preference = store.preference_column();
+    const auto& times = preference.times();
+    for_each_retained_slot(preference, u, [&](std::size_t at) {
+      const double t = times[at];
+      if (t < from || t >= spec.now) {
+        return;
+      }
+      const std::size_t b = bin_of(t);
+      for (std::size_t c = 0; c < kCategories; ++c) {
+        sums[c * bins + b] += preference.lane(c)[at];
+      }
+      ++counts[b];
+    });
+    for (std::size_t c = 0; c < kCategories; ++c) {
+      oracle_hold_write(out, 5 + c, bins, sums.data() + c * bins, counts.data());
+    }
+  }
+  return row;
+}
+
+std::vector<double> oracle_summary_row(const TwinColumnStore& store, std::size_t u,
+                                       const SummarySpec& spec) {
+  std::vector<double> row(TwinColumnStore::kSummaryDim);
+  double* out = row.data();
+  const double from = spec.now - spec.window_s;
+  dtmsv::util::RunningStats snr;
+  {
+    const ChannelColumn& channel = store.channel_column();
+    const auto& times = channel.times();
+    for_each_retained_slot(channel, u, [&](std::size_t at) {
+      if (times[at] >= from && times[at] < spec.now) {
+        snr.add(channel.snr()[at]);
+      }
+    });
+  }
+  dtmsv::util::RunningStats x;
+  dtmsv::util::RunningStats y;
+  {
+    const LocationColumn& location = store.location_column();
+    const auto& times = location.times();
+    for_each_retained_slot(location, u, [&](std::size_t at) {
+      if (times[at] >= from && times[at] < spec.now) {
+        x.add(location.x()[at]);
+        y.add(location.y()[at]);
+      }
+    });
+  }
+  dtmsv::util::RunningStats frac;
+  {
+    const WatchColumn& watch = store.watch_column();
+    const auto& times = watch.times();
+    for_each_retained_slot(watch, u, [&](std::size_t at) {
+      if (times[at] >= from && times[at] < spec.now) {
+        frac.add(watch.watch_fraction()[at]);
+      }
+    });
+  }
+  const FeatureScaling& scaling = spec.scaling;
+  out[0] = snr.empty()
+               ? 0.0
+               : std::clamp((snr.mean() + scaling.snr_offset_db) / scaling.snr_scale_db,
+                            0.0, 1.5);
+  out[1] = snr.empty() ? 0.0 : snr.stddev() / scaling.snr_scale_db;
+  out[2] = x.empty() ? 0.0 : x.mean() / scaling.pos_x_scale;
+  out[3] = y.empty() ? 0.0 : y.mean() / scaling.pos_y_scale;
+  out[4] = frac.empty() ? 0.0 : frac.mean();
+  out[5] = frac.empty() ? 0.0 : frac.stddev();
+  const PreferenceColumn& preference = store.preference_column();
+  const dtmsv::behavior::PreferenceVector pref =
+      preference.empty(u) ? store.estimator(u).estimate()
+                          : preference.get(u, preference.size(u) - 1);
+  for (std::size_t c = 0; c < pref.size(); ++c) {
+    out[6 + c] = pref[c];
+  }
+  return row;
+}
+
+dtmsv::predict::GroupChannelForecast oracle_forecast_group_channel(
+    const std::vector<const UserDigitalTwin*>& members, double now, double window_s,
+    double floor, double bin_s) {
+  dtmsv::predict::GroupChannelForecast forecast;
+  forecast.efficiency = floor;
+  const auto bins = static_cast<std::size_t>(window_s / bin_s);
+  if (bins == 0) {
+    forecast.min_series.push_back(floor);
+    return forecast;
+  }
+  const double from = now - window_s;
+  constexpr double kUnset = std::numeric_limits<double>::infinity();
+  std::vector<double> min_series(bins, kUnset);
+  std::vector<double> member_series(bins);
+  for (const auto* member : members) {
+    std::fill(member_series.begin(), member_series.end(), kUnset);
+    const ChannelColumn& column = member->columns().channel_column();
+    const std::vector<double>& times = column.times();
+    const std::vector<double>& efficiency = column.efficiency();
+    for_each_retained_slot(column, member->slot(), [&](std::size_t at) {
+      const double t = times[at];
+      if (t < from || t >= now) {
+        return;
+      }
+      auto b = static_cast<std::size_t>((t - from) / bin_s);
+      b = std::min(b, bins - 1);
+      member_series[b] = efficiency[at];
+    });
+    double hold = kUnset;
+    for (std::size_t b = 0; b < bins; ++b) {
+      if (member_series[b] != kUnset) {
+        hold = member_series[b];
+      } else if (hold != kUnset) {
+        member_series[b] = hold;
+      }
+    }
+    for (std::size_t b = 0; b < bins; ++b) {
+      if (member_series[b] != kUnset) {
+        min_series[b] = std::min(min_series[b], member_series[b]);
+      }
+    }
+  }
+  double inv_sum = 0.0;
+  for (const double v : min_series) {
+    if (v == kUnset) {
+      continue;
+    }
+    const double floored = std::max(v, floor);
+    forecast.min_series.push_back(floored);
+    inv_sum += 1.0 / floored;
+  }
+  if (forecast.min_series.empty()) {
+    forecast.min_series.push_back(floor);
+    return forecast;
+  }
+  forecast.efficiency = std::max(
+      static_cast<double>(forecast.min_series.size()) / inv_sum, floor);
+  return forecast;
+}
+
+/// Full, wrapped rings at the collector's report rates (channel 1 Hz,
+/// location 0.2 Hz, sparse watch and preference samples) with report loss,
+/// duplicate timestamps and one user whose history ends before the window.
+TwinStore wrapped_store(std::size_t users, std::size_t capacity) {
+  TwinStore store(users, capacity);
+  TwinColumnStore& columns = store.columns();
+  Rng rng(41);
+  for (std::size_t u = 0; u < users; ++u) {
+    const int end = u == 3 ? 700 : 1000;
+    for (int s = 0; s < end; ++s) {
+      const double t = static_cast<double>(s) + (s % 7 == 0 ? 0.0 : 0.5);
+      if (rng.uniform() < 0.9) {
+        columns.record_channel(u, t, {rng.uniform(-15.0, 35.0), rng.uniform(0.0, 6.5), 0});
+      }
+      if (s % 11 == 0) {  // a second report with the same timestamp
+        columns.record_channel(u, t, {rng.uniform(-15.0, 35.0), rng.uniform(0.0, 6.5), 0});
+      }
+      if (s % 5 == 0) {
+        columns.record_location(u, t, {rng.uniform(-50.0, 1300.0), rng.uniform(0.0, 1000.0)});
+      }
+      if (s % 9 == 0 || s % 13 == 0) {
+        WatchObservation w;
+        w.category = dtmsv::video::all_categories()[static_cast<std::size_t>(s) %
+                                                    dtmsv::video::kCategoryCount];
+        w.watch_seconds = rng.uniform(0.0, 30.0);
+        w.watch_fraction = rng.uniform(-0.1, 1.1);
+        columns.record_watch(u, t, w);
+      }
+      if (s % 10 == 0) {
+        columns.record_preference(u, t, columns.estimator(u).estimate());
+      }
+    }
+  }
+  return store;
+}
+
+TEST(RingWalk, ExtractionMatchesFullRingLoopsOnWrappedRings) {
+  const TwinStore store = wrapped_store(5, 128);
+  const TwinColumnStore& columns = store.columns();
+  for (std::size_t u = 0; u < 5; ++u) {
+    ASSERT_TRUE(columns.channel(u).truncated_before(0.0)) << "user " << u;
+    ASSERT_TRUE(columns.location(u).truncated_before(0.0)) << "user " << u;
+    ASSERT_TRUE(columns.watch(u).truncated_before(0.0)) << "user " << u;
+    ASSERT_TRUE(columns.preference(u).truncated_before(0.0)) << "user " << u;
+  }
+  const FeatureScaling scaling{1200.0, 1000.0, 10.0, 40.0};
+  for (const double now : {1000.0, 987.25, 920.5, 500.0}) {
+    for (const double window_s : {60.0, 17.5, 2.0}) {
+      SCOPED_TRACE("now " + std::to_string(now) + " window " + std::to_string(window_s));
+      const WindowSpec wspec{now, window_s, 12, scaling};
+      const SummarySpec sspec{now, window_s, scaling};
+      for (std::size_t u = 0; u < 5; ++u) {
+        std::vector<float> row(TwinColumnStore::kFeatureChannels * wspec.timesteps);
+        columns.extract_window_row(u, wspec, row.data());
+        const std::vector<float> expected_row = oracle_window_row(columns, u, wspec);
+        ASSERT_EQ(std::memcmp(row.data(), expected_row.data(), row.size() * sizeof(float)),
+                  0)
+            << "window row of user " << u;
+        std::vector<double> summary(TwinColumnStore::kSummaryDim);
+        columns.extract_summary_row(u, sspec, summary.data());
+        const std::vector<double> expected_summary = oracle_summary_row(columns, u, sspec);
+        ASSERT_EQ(std::memcmp(summary.data(), expected_summary.data(),
+                              summary.size() * sizeof(double)),
+                  0)
+            << "summary row of user " << u;
+      }
+      std::vector<const UserDigitalTwin*> group;
+      for (std::size_t u = 0; u < 5; ++u) {
+        group.push_back(&store.twin(u));
+      }
+      for (const double bin_s : {1.0, 2.5}) {
+        const auto forecast =
+            dtmsv::predict::forecast_group_channel(group, now, window_s, 0.05, bin_s);
+        const auto expected = oracle_forecast_group_channel(group, now, window_s, 0.05, bin_s);
+        ASSERT_EQ(std::memcmp(&forecast.efficiency, &expected.efficiency, sizeof(double)),
+                  0);
+        ASSERT_EQ(forecast.min_series.size(), expected.min_series.size());
+        ASSERT_EQ(std::memcmp(forecast.min_series.data(), expected.min_series.data(),
+                              forecast.min_series.size() * sizeof(double)),
+                  0);
+      }
+    }
+  }
+}
+
+TEST(RingWalk, NonFiniteNowRejected) {
+  const TwinStore store = wrapped_store(5, 128);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const FeatureScaling scaling{};
+  std::vector<float> row(TwinColumnStore::kFeatureChannels * 4);
+  std::vector<double> summary(TwinColumnStore::kSummaryDim);
+  EXPECT_THROW(store.columns().extract_window_row(0, {nan, 60.0, 4, scaling}, row.data()),
+               PreconditionError);
+  EXPECT_THROW(store.columns().extract_summary_row(0, {nan, 60.0, scaling}, summary.data()),
+               PreconditionError);
+  EXPECT_THROW(dtmsv::predict::forecast_group_channel({&store.twin(0)}, nan, 60.0),
+               PreconditionError);
 }
 
 TEST(TwinColumnStore, BatchRowsMatchPerTwinExtraction) {

@@ -14,6 +14,10 @@ Usage:
   tools/bench_diff.py BASELINE.json CURRENT.json [--threshold 15]
       [--metric cpu_time|real_time] [--filter REGEX] [--strict]
 
+Rows are compared in nanoseconds after scaling each by its own
+`time_unit` (ns, us, ms or s; ns when absent), so a ms-unit file prints in
+ms and a baseline and current row in different units still compare.
+
 Exit status: 0 OK (or warnings without --strict), 1 regression with
 --strict, 2 unreadable/invalid input.
 """
@@ -23,6 +27,10 @@ import json
 import os
 import re
 import sys
+
+
+# google-benchmark's time_unit values, in nanoseconds.
+UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
 
 def die(message):
@@ -49,7 +57,10 @@ def load_benchmarks(path, metric):
         value = entry.get(metric, entry.get("real_time"))
         if name is None or value is None:
             continue
-        out[name] = float(value)  # benchmark emits times in ns
+        unit = entry.get("time_unit", "ns")
+        if unit not in UNIT_NS:
+            die(f"{path}: {name} has unknown time_unit {unit!r}")
+        out[name] = float(value) * UNIT_NS[unit]
     if not out:
         die(f"{path} holds no benchmark entries")
     return out
