@@ -234,10 +234,7 @@ double populate_full_rings(twin::TwinColumnStore& columns, util::Rng& rng) {
 
 // --------------------------------------------------- twin snapshot plane
 // Columnar feature extraction at paper scale (120 users) and fleet scale
-// (10k users). Full = every row re-extracted from the SoA rings;
-// Incremental = the churn workload, where between consecutive snapshots of
-// the same window geometry only ~1% of users report fresh samples and the
-// arena serves everyone else from cached rows.
+// (10k users): every row extracted from the SoA rings into a reused arena.
 
 void BM_TwinSnapshotFull(benchmark::State& state) {
   const auto users = static_cast<std::size_t>(state.range(0));
@@ -247,35 +244,11 @@ void BM_TwinSnapshotFull(benchmark::State& state) {
   twin::FeatureArena arena;
   const twin::WindowSpec spec{600.0, 600.0, 32, {1200.0, 1000.0, 10.0, 40.0}};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        store.columns().feature_windows(spec, arena, /*force_full=*/true));
+    benchmark::DoNotOptimize(store.columns().feature_windows(spec, arena));
   }
   state.counters["rows/iter"] = static_cast<double>(users);
 }
 BENCHMARK(BM_TwinSnapshotFull)->Arg(120)->Arg(10000);
-
-void BM_TwinSnapshotIncremental(benchmark::State& state) {
-  const auto users = static_cast<std::size_t>(state.range(0));
-  twin::TwinStore store(users);
-  util::Rng rng(32);
-  populate_store(store, rng);
-  twin::FeatureArena arena;
-  const twin::WindowSpec spec{600.0, 600.0, 32, {1200.0, 1000.0, 10.0, 40.0}};
-  benchmark::DoNotOptimize(store.columns().feature_windows(spec, arena));  // warm
-  const std::size_t churned = std::max<std::size_t>(1, users / 100);
-  std::size_t next = 0;
-  for (auto _ : state) {
-    // Churn workload: a handful of users report inside the window, the
-    // rest are untouched since the previous snapshot.
-    for (std::size_t i = 0; i < churned; ++i) {
-      store.columns().record_channel((next++) % users, 599.5,
-                                     {rng.uniform(0.0, 25.0), rng.uniform(0.1, 5.0), 0});
-    }
-    benchmark::DoNotOptimize(store.columns().feature_windows(spec, arena));
-  }
-  state.counters["rows/iter"] = static_cast<double>(churned);
-}
-BENCHMARK(BM_TwinSnapshotIncremental)->Arg(120)->Arg(10000);
 
 // The summary rung's snapshot as serve takes it: default-capacity rings
 // (2048 channel slots) at capacity, read through a 60 s window.
@@ -287,8 +260,7 @@ void BM_TwinSummaryFullRing(benchmark::State& state) {
   twin::FeatureArena arena;
   const twin::SummarySpec spec{now, 60.0, {1200.0, 1000.0, 10.0, 40.0}};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        store.columns().summary_features(spec, arena, /*force_full=*/true));
+    benchmark::DoNotOptimize(store.columns().summary_features(spec, arena));
   }
   state.counters["rows/iter"] = static_cast<double>(users);
 }

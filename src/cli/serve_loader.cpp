@@ -25,22 +25,13 @@ std::string join(const std::vector<std::string>& items) {
 core::DegradationLevel parse_ladder_level(const std::string& item) {
   core::DegradationLevel level;
   level.name = item;
-  const std::size_t colon = item.find(':');
-  if (colon == std::string::npos) {
-    level.feature_stage = item;
-    level.full_extraction = false;
-  } else {
-    level.feature_stage = item.substr(0, colon);
-    const std::string mode = item.substr(colon + 1);
-    if (mode == "full") {
-      level.full_extraction = true;
-    } else if (mode == "incremental") {
-      level.full_extraction = false;
-    } else {
-      throw util::RuntimeError("serve.ladder item '" + item +
-                               "': expected 'key', 'key:full' or "
-                               "'key:incremental'");
-    }
+  const std::size_t colon = std::min(item.size(), item.find(':'));
+  level.feature_stage = item.substr(0, colon);
+  // The ':full' / ':incremental' suffixes are accepted and ignored: the
+  // perfbench harness still writes them.
+  const std::string suffix = item.substr(colon);
+  if (!suffix.empty() && suffix != ":full" && suffix != ":incremental") {
+    throw util::RuntimeError("serve.ladder item '" + item + "': expected 'key'");
   }
   if (level.feature_stage.empty()) {
     throw util::RuntimeError("serve.ladder item '" + item +

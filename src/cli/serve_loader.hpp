@@ -30,8 +30,9 @@ struct ServePlan {
   double overload_multiplier = 1.0;
 };
 
-/// Parses the ladder item syntax "key" or "key:full" (e.g. "cnn:full, cnn,
-/// summary"); the rung name is the item text itself.
+/// Parses a ladder item "key" (e.g. "cnn, summary"); the rung name is the
+/// item text itself. A ':full' or ':incremental' suffix is accepted and
+/// ignored, held for the perfbench harness.
 core::DegradationLevel parse_ladder_level(const std::string& item);
 
 /// Builds the plan, validating everything (registry keys, ladder syntax,

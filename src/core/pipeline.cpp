@@ -24,15 +24,14 @@ twin::WindowBatch TwinSnapshot::feature_windows() const {
                     "TwinSnapshot: feature_windows() needs a twin store and the "
                     "Simulation-owned arena");
   return twins->columns().feature_windows({now, window_s, timesteps, scaling},
-                                          *arena, force_full);
+                                          *arena);
 }
 
 twin::SummaryBatch TwinSnapshot::summary_features() const {
   DTMSV_EXPECTS_MSG(twins != nullptr && arena != nullptr,
                     "TwinSnapshot: summary_features() needs a twin store and the "
                     "Simulation-owned arena");
-  return twins->columns().summary_features({now, window_s, scaling}, *arena,
-                                           force_full);
+  return twins->columns().summary_features({now, window_s, scaling}, *arena);
 }
 
 clustering::Points to_points(const twin::SummaryBatch& batch) {

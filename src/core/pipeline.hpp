@@ -190,15 +190,11 @@ struct TwinSnapshot {
   std::size_t timesteps = 0;   // resampled window length (SchemeConfig)
   twin::FeatureScaling scaling{};  // campus extent + channel normalisation
   /// Pooled extraction buffers owned by the Simulation. The batch views
-  /// below materialise into it incrementally (only users whose histories
-  /// changed since the arena's last same-geometry extraction are
-  /// re-extracted) and alias it: they stay valid until the next extraction
-  /// using the same arena — copy rows out if a stage keeps them.
+  /// below extract every user into it and alias it: they stay valid until
+  /// the next extraction using the same arena — copy rows out if a stage
+  /// keeps them.
   twin::FeatureArena* arena = nullptr;
-  /// Disables the arena's incremental cache for this extraction (every row
-  /// re-extracted). The result is bit-identical either way; the serve
-  /// loop's full-fidelity degradation rung sets it to model the cost of
-  /// full re-extraction under load.
+  /// No effect; held for the perfbench harness, which still sets it.
   bool force_full = false;
 
   /// All users' [kFeatureChannels x timesteps] windows, flat row-major.

@@ -15,11 +15,7 @@ namespace dtmsv::core {
 // ------------------------------------------------------------- degradation
 
 std::vector<DegradationLevel> DegradationPolicyConfig::default_ladder() {
-  return {
-      {"cnn_full", "cnn", /*full_extraction=*/true},
-      {"cnn_incremental", "cnn", /*full_extraction=*/false},
-      {"summary", "summary", /*full_extraction=*/false},
-  };
+  return {{"cnn", "cnn"}, {"summary", "summary"}};
 }
 
 DegradationPolicy::DegradationPolicy(DegradationPolicyConfig config)
@@ -110,17 +106,29 @@ ServeLoop::ServeLoop(const ServeConfig& config, ServeClock& clock,
   // the feature stage may draw from rng_.fork(6), the grouping stage from
   // rng_.fork(7), the clustering stream is fork(9) (see StageRegistry
   // docs). Every ladder rung shares one feature-stage fork source so the
-  // ladder *length* does not change the grouping/demand streams.
+  // ladder *length* does not change the grouping/demand streams. One stage
+  // per distinct key, built from the fork of that key's first rung; later
+  // rungs naming the same key share it. Every rung still draws its fork, so
+  // a stage's stream depends on its rung index alone.
   const StageRegistry& registry = StageRegistry::instance();
   util::Rng feature_fork_source = rng_.fork(6);
   SchemeConfig stage_config = config_.scheme;
-  feature_stages_.reserve(config_.degradation.ladder.size());
-  for (std::size_t i = 0; i < config_.degradation.ladder.size(); ++i) {
-    const DegradationLevel& level = config_.degradation.ladder[i];
-    stage_config.feature_stage = level.feature_stage;
+  const std::vector<DegradationLevel>& ladder = config_.degradation.ladder;
+  rung_stages_.reserve(ladder.size());
+  for (std::size_t i = 0; i < ladder.size(); ++i) {
     util::Rng rung_rng = feature_fork_source.fork(i);
+    std::size_t first = 0;
+    while (ladder[first].feature_stage != ladder[i].feature_stage) {
+      ++first;
+    }
+    if (first < i) {
+      rung_stages_.push_back(rung_stages_[first]);
+      continue;
+    }
+    stage_config.feature_stage = ladder[i].feature_stage;
     feature_stages_.push_back(
-        registry.make_feature(level.feature_stage, stage_config, rung_rng));
+        registry.make_feature(ladder[i].feature_stage, stage_config, rung_rng));
+    rung_stages_.push_back(feature_stages_.back().get());
   }
   grouping_stage_ = registry.make_grouping(grouping_stage_key(config_.scheme),
                                            config_.scheme, rng_);
@@ -211,9 +219,9 @@ void ServeLoop::report_drops() {
 void ServeLoop::snapshot_preferences(util::SimTime at) {
   // The collector-side preference rows the batch loop records every
   // visibility period: one estimator snapshot per user that accumulated
-  // watch evidence since the last one. Clean users are skipped so their
-  // revision watermarks hold and incremental extraction can reuse their
-  // cached feature rows.
+  // watch evidence since the last one. Users without fresh evidence get no
+  // row, so a user's preference ring (and the window and summary features
+  // read from it) only moves when that user watched something.
   twin::TwinColumnStore& columns = twins_->columns();
   for (std::size_t u = 0; u < preference_dirty_.size(); ++u) {
     if (preference_dirty_[u] != 0) {
@@ -242,8 +250,7 @@ void ServeLoop::fire_prediction(util::SimTime at) {
   snapshot.timesteps = config_.scheme.feature_timesteps;
   snapshot.scaling = config_.scaling;
   snapshot.arena = &arena_;
-  snapshot.force_full = rung.full_extraction;
-  const FeatureOutput features = feature_stages_[level]->extract(snapshot);
+  const FeatureOutput features = rung_stages_[level]->extract(snapshot);
 
   EpochReport report;
   report.interval = interval_;

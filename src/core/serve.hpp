@@ -16,12 +16,11 @@
 // bit-deterministic for any DTMSV_THREADS — the wall clock only ever
 // decides *fidelity*, never arithmetic). A DegradationPolicy folds the
 // hit/miss stream into a position on a fidelity ladder; each rung names a
-// FeatureStage registry key plus an extraction mode, so degrading under
-// load is a pure key swap through PR 3's StageRegistry (cnn+full ->
-// cnn-incremental -> summary by default) and recovery steps back up after
-// sustained hits. Every transition and every drop batch streams through
-// the ReportSink interface (on_degradation / on_drop) next to the ordinary
-// group/interval reports.
+// FeatureStage registry key, so degrading under load is a pure key swap
+// through the StageRegistry (cnn -> summary by default) and recovery steps
+// back up after sustained hits. Every transition and every drop batch
+// streams through the ReportSink interface (on_degradation / on_drop) next
+// to the ordinary group/interval reports.
 #pragma once
 
 #include <chrono>
@@ -104,17 +103,16 @@ class ManualServeClock final : public ServeClock {
 
 /// One rung of the fidelity ladder. Rung 0 is full fidelity; higher rungs
 /// trade prediction quality for latency by swapping the feature-stage
-/// registry key and/or the extraction mode.
+/// registry key.
 struct DegradationLevel {
   std::string name;                 // reported through DegradationEvent
   std::string feature_stage = "cnn";  // StageRegistry feature key
-  bool full_extraction = false;     // true: bypass the arena's incremental cache
+  bool full_extraction = false;     // no effect; held for the perfbench harness
 };
 
 struct DegradationPolicyConfig {
-  /// Rungs ordered best-first. Default: the paper pipeline at full
-  /// re-extraction cost, then incremental extraction, then the cheap
-  /// summary-statistics features.
+  /// Rungs ordered best-first. Default: the paper's CNN pipeline, then the
+  /// cheap summary-statistics features.
   std::vector<DegradationLevel> ladder = default_ladder();
   /// Consecutive deadline misses before stepping one rung down.
   std::size_t step_down_after = 1;
@@ -236,17 +234,18 @@ class ServeLoop {
   twin::FeatureArena arena_;
   EventQueue queue_;
   analysis::PopularityAnalyzer popularity_;
-  /// One constructed stage per ladder rung (all built up front so a swap
-  /// under load costs nothing and learned stages keep training wherever
-  /// the ladder currently sits).
+  /// One constructed stage per distinct ladder key (all built up front so a
+  /// swap under load costs nothing and learned stages keep training
+  /// wherever the ladder currently sits), and each rung's stage.
   std::vector<std::unique_ptr<FeatureStage>> feature_stages_;
+  std::vector<FeatureStage*> rung_stages_;
   std::unique_ptr<GroupingStage> grouping_stage_;
   std::unique_ptr<DemandStage> demand_stage_;
   DegradationPolicy policy_;
   util::Rng cluster_rng_;
   /// Users with watch evidence since their last preference snapshot; only
-  /// these get a record_preference row per interval, so untouched users
-  /// keep clean revision watermarks and stay cacheable incrementally.
+  /// these get a record_preference row per interval, which decides the
+  /// preference rows (and so the forecasts) the twins carry.
   std::vector<std::uint8_t> preference_dirty_;
   util::SimTime now_ = 0.0;
   util::IntervalId interval_ = 0;

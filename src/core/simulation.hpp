@@ -243,7 +243,7 @@ class Simulation {
   std::unique_ptr<twin::TwinStore> twins_;
   /// Pooled feature-extraction buffers handed to every TwinSnapshot: the
   /// interval path materialises windows/summaries in place (no per-user
-  /// vectors), and unchanged users are served from the cached rows.
+  /// vectors), reusing the buffers from one interval to the next.
   twin::FeatureArena feature_arena_;
   std::unique_ptr<twin::StatusCollector> collector_;
   std::vector<behavior::PreferenceVector> affinities_;

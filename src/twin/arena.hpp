@@ -1,9 +1,8 @@
 // Pooled extraction buffers and zero-copy batch views for the twin data
 // plane. A FeatureArena (one per Simulation) owns the flat feature-window
-// and summary-feature matrices the per-interval pipeline reads; the
-// TwinColumnStore materialises rows into it incrementally — only users
-// whose histories changed since the arena's last extraction with the same
-// window geometry are re-extracted (see column_store.hpp).
+// and summary-feature matrices the per-interval pipeline reads; every
+// TwinColumnStore batch extraction rewrites all of its rows on the thread
+// pool, reusing the buffers' capacity across calls (see column_store.hpp).
 //
 // Aliasing rules for stage authors: WindowBatch / SummaryBatch are
 // non-owning views into the arena, valid until the next extraction call
@@ -12,7 +11,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -23,15 +21,12 @@ namespace dtmsv::twin {
 
 class TwinColumnStore;
 
-/// Geometry of a feature-window extraction: the cache key deciding whether
-/// an arena row can be reused for an unchanged user.
+/// Geometry of a feature-window extraction.
 struct WindowSpec {
   util::SimTime now = 0.0;
   double window_s = 0.0;
   std::size_t timesteps = 0;
   FeatureScaling scaling{};
-
-  friend bool operator==(const WindowSpec&, const WindowSpec&) = default;
 };
 
 /// Geometry of a summary-feature extraction.
@@ -39,15 +34,13 @@ struct SummarySpec {
   util::SimTime now = 0.0;
   double window_s = 0.0;
   FeatureScaling scaling{};
-
-  friend bool operator==(const SummarySpec&, const SummarySpec&) = default;
 };
 
-/// What the last extraction actually did (observability for tests/benches:
-/// the incremental path must only refresh dirty users).
+/// Rows the last extraction wrote. Held for the perfbench harness, which
+/// reads both fields: `refreshed` counts every row, `reused` is always 0.
 struct ExtractStats {
-  std::size_t refreshed = 0;  // rows re-extracted this call
-  std::size_t reused = 0;     // rows served from the arena cache
+  std::size_t refreshed = 0;
+  std::size_t reused = 0;
 };
 
 /// Flat [users x channels*timesteps] float view over the arena.
@@ -93,21 +86,12 @@ class SummaryBatch {
   std::size_t dim_ = 0;
 };
 
-/// Reusable extraction buffers plus the cache metadata (spec + per-user
-/// revision watermarks) that makes extraction incremental. Owned by the
-/// consumer (core::Simulation owns one per cell); an arena is bound to
-/// whichever store extracted into it last and revalidates automatically
-/// when the store, geometry, or population changes.
+/// Reusable extraction buffers, owned by the consumer (core::Simulation
+/// owns one per cell). Any store may extract into any arena; each call
+/// resizes the buffer it writes and overwrites every row.
 class FeatureArena {
  public:
-  FeatureArena() = default;
-
-  /// Drops cache validity; the next extraction re-extracts every user.
-  void invalidate() {
-    windows_valid_ = false;
-    summaries_valid_ = false;
-  }
-
+  /// Held for the perfbench harness (see ExtractStats).
   const ExtractStats& window_stats() const { return window_stats_; }
   const ExtractStats& summary_stats() const { return summary_stats_; }
 
@@ -116,17 +100,6 @@ class FeatureArena {
 
   std::vector<float> windows_;
   std::vector<double> summaries_;
-  std::vector<std::uint64_t> window_revisions_;
-  std::vector<std::uint64_t> summary_revisions_;
-  WindowSpec window_spec_{};
-  SummarySpec summary_spec_{};
-  // Stores are identified by their process-unique id, not their address —
-  // a successor store can reuse a freed store's address (ABA) but never
-  // its id, so a long-lived arena can never serve a dead store's rows.
-  std::uint64_t window_store_id_ = 0;
-  std::uint64_t summary_store_id_ = 0;
-  bool windows_valid_ = false;
-  bool summaries_valid_ = false;
   ExtractStats window_stats_{};
   ExtractStats summary_stats_{};
 };

@@ -1,7 +1,6 @@
 #include "twin/column_store.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 
 #include "util/error.hpp"
@@ -12,17 +11,21 @@ namespace dtmsv::twin {
 
 namespace {
 
-/// Extraction rows shorter than this run inline; longer dirty lists split
-/// across the pool (each row is written by exactly one worker, so the
-/// bytes are identical for any DTMSV_THREADS).
+/// Extractions of fewer rows than this run inline; larger ones split across
+/// the pool (each row is written by exactly one worker, so the bytes are
+/// identical for any DTMSV_THREADS).
 constexpr std::size_t kExtractGrain = 8;
 
-void validate_window_spec(const WindowSpec& spec) {
+void validate_summary_spec(const SummarySpec& spec) {
   DTMSV_EXPECTS(std::isfinite(spec.now));
   DTMSV_EXPECTS(spec.window_s > 0.0);
-  DTMSV_EXPECTS(spec.timesteps > 0);
   DTMSV_EXPECTS(spec.scaling.pos_x_scale > 0.0 && spec.scaling.pos_y_scale > 0.0);
   DTMSV_EXPECTS(spec.scaling.snr_scale_db > 0.0);
+}
+
+void validate_window_spec(const WindowSpec& spec) {
+  validate_summary_spec({spec.now, spec.window_s, spec.scaling});
+  DTMSV_EXPECTS(spec.timesteps > 0);
 }
 
 /// The seed's per-channel resample: bin means over [from, now) with
@@ -52,15 +55,6 @@ struct TwinColumnStore::RowScratch {
   }
 };
 
-namespace {
-
-std::uint64_t next_store_id() {
-  static std::atomic<std::uint64_t> counter{0};
-  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
-}
-
-}  // namespace
-
 ColumnCapacities ColumnCapacities::scaled(std::size_t history_capacity) {
   const auto lane = [history_capacity](std::size_t divisor) {
     return std::min(history_capacity,
@@ -74,13 +68,11 @@ TwinColumnStore::TwinColumnStore(std::size_t user_count, std::size_t history_cap
 
 TwinColumnStore::TwinColumnStore(std::size_t user_count,
                                  const ColumnCapacities& capacities)
-    : store_id_(next_store_id()),
-      channel_(user_count, capacities.channel),
+    : channel_(user_count, capacities.channel),
       location_(user_count, capacities.location),
       watch_(user_count, capacities.watch),
       preference_(user_count, capacities.preference),
-      estimators_(user_count),
-      revisions_(user_count, 0) {
+      estimators_(user_count) {
   DTMSV_EXPECTS(user_count > 0);
 }
 
@@ -88,14 +80,12 @@ void TwinColumnStore::record_channel(std::size_t u, util::SimTime t,
                                      const ChannelObservation& obs) {
   DTMSV_EXPECTS(u < user_count());
   channel_.record(u, t, obs);
-  ++revisions_[u];
 }
 
 void TwinColumnStore::record_location(std::size_t u, util::SimTime t,
                                       const mobility::Position& pos) {
   DTMSV_EXPECTS(u < user_count());
   location_.record(u, t, pos);
-  ++revisions_[u];
 }
 
 void TwinColumnStore::record_watch(std::size_t u, util::SimTime t,
@@ -103,26 +93,22 @@ void TwinColumnStore::record_watch(std::size_t u, util::SimTime t,
   DTMSV_EXPECTS(u < user_count());
   estimators_[u].observe(obs.category, obs.watch_seconds);
   watch_.record(u, t, obs);
-  ++revisions_[u];
 }
 
 void TwinColumnStore::record_preference(std::size_t u, util::SimTime t,
                                         const behavior::PreferenceVector& estimate) {
   DTMSV_EXPECTS(u < user_count());
   preference_.record(u, t, estimate);
-  ++revisions_[u];
 }
 
 void TwinColumnStore::decay_preference(std::size_t u) {
   DTMSV_EXPECTS(u < user_count());
   estimators_[u].decay();
-  ++revisions_[u];
 }
 
 void TwinColumnStore::decay_preferences() {
-  for (std::size_t u = 0; u < user_count(); ++u) {
-    estimators_[u].decay();
-    ++revisions_[u];
+  for (behavior::PreferenceEstimator& estimator : estimators_) {
+    estimator.decay();
   }
 }
 
@@ -133,7 +119,6 @@ void TwinColumnStore::reset_user(std::size_t u) {
   watch_.clear_user(u);
   preference_.clear_user(u);
   estimators_[u] = behavior::PreferenceEstimator{};
-  ++revisions_[u];
 }
 
 void TwinColumnStore::extract_window_row(std::size_t u, const WindowSpec& spec,
@@ -229,8 +214,7 @@ void TwinColumnStore::extract_window_row(std::size_t u, const WindowSpec& spec,
 void TwinColumnStore::extract_summary_row(std::size_t u, const SummarySpec& spec,
                                           double* out) const {
   DTMSV_EXPECTS(u < user_count());
-  DTMSV_EXPECTS(std::isfinite(spec.now));
-  DTMSV_EXPECTS(spec.window_s > 0.0);
+  validate_summary_spec(spec);
   const util::SimTime from = spec.now - spec.window_s;
 
   util::RunningStats snr;
@@ -276,89 +260,46 @@ void TwinColumnStore::extract_summary_row(std::size_t u, const SummarySpec& spec
 
 namespace {
 
-/// The shared incremental-refresh machinery behind both batch extractions:
-/// validate the arena cache (same store generation, same geometry, same
-/// population), build the dirty-user list, re-extract dirty rows on the
-/// pool (disjoint rows — bit-identical for any thread count), and rebind
-/// the cache metadata. `make_row_fn()` is invoked once per worker chunk so
-/// row extractors can carry per-chunk scratch.
+/// Extracts every row of a batch into `buffer` on the pool (disjoint rows —
+/// bit-identical for any thread count). `make_row_fn()` is invoked once
+/// per worker chunk so row extractors can carry per-chunk scratch. Specs
+/// are validated before this runs: pool jobs must not throw.
 template <typename Value, typename MakeRowFn>
-void refresh_rows(const std::vector<std::uint64_t>& store_revisions,
-                  std::uint64_t store_id, std::size_t width, bool force_full,
-                  bool same_geometry, std::vector<Value>& buffer,
-                  std::vector<std::uint64_t>& cached_revisions, bool& valid,
-                  std::uint64_t& bound_store_id, ExtractStats& stats,
-                  const MakeRowFn& make_row_fn) {
-  const std::size_t users = store_revisions.size();
-  const bool cache_usable = !force_full && valid && bound_store_id == store_id &&
-                            same_geometry && buffer.size() == users * width &&
-                            cached_revisions.size() == users;
+void extract_rows(std::size_t users, std::size_t width, std::vector<Value>& buffer,
+                  ExtractStats& stats, const MakeRowFn& make_row_fn) {
   buffer.resize(users * width);
-  cached_revisions.resize(users);
-
-  std::vector<std::size_t> dirty;
-  if (cache_usable) {
-    for (std::size_t u = 0; u < users; ++u) {
-      if (cached_revisions[u] != store_revisions[u]) {
-        dirty.push_back(u);
-      }
-    }
-  } else {
-    dirty.resize(users);
-    for (std::size_t u = 0; u < users; ++u) {
-      dirty[u] = u;
-    }
-  }
-
   Value* data = buffer.data();
-  util::parallel_for(0, dirty.size(), kExtractGrain,
-                     [&](std::size_t begin, std::size_t end) {
-                       auto extract_row = make_row_fn();
-                       for (std::size_t i = begin; i < end; ++i) {
-                         const std::size_t u = dirty[i];
-                         extract_row(u, data + u * width);
-                         cached_revisions[u] = store_revisions[u];
-                       }
-                     });
-
-  bound_store_id = store_id;
-  valid = true;
-  stats = {dirty.size(), users - dirty.size()};
+  util::parallel_for(0, users, kExtractGrain, [&](std::size_t begin, std::size_t end) {
+    auto extract_row = make_row_fn();
+    for (std::size_t u = begin; u < end; ++u) {
+      extract_row(u, data + u * width);
+    }
+  });
+  stats = {users, 0};
 }
 
 }  // namespace
 
 WindowBatch TwinColumnStore::feature_windows(const WindowSpec& spec,
-                                             FeatureArena& arena,
-                                             bool force_full) const {
+                                             FeatureArena& arena) const {
   validate_window_spec(spec);
   const std::size_t width = kFeatureChannels * spec.timesteps;
-  refresh_rows(revisions_, store_id_, width, force_full,
-               arena.window_spec_ == spec, arena.windows_,
-               arena.window_revisions_, arena.windows_valid_,
-               arena.window_store_id_, arena.window_stats_, [&] {
-                 return [this, &spec, scratch = RowScratch{}](
-                            std::size_t u, float* out) mutable {
-                   extract_window_row(u, spec, out, scratch);
-                 };
-               });
-  arena.window_spec_ = spec;
+  extract_rows(user_count(), width, arena.windows_, arena.window_stats_, [&] {
+    return [this, &spec, scratch = RowScratch{}](std::size_t u, float* out) mutable {
+      extract_window_row(u, spec, out, scratch);
+    };
+  });
   return WindowBatch(arena.windows_.data(), user_count(), width);
 }
 
 SummaryBatch TwinColumnStore::summary_features(const SummarySpec& spec,
-                                               FeatureArena& arena,
-                                               bool force_full) const {
-  DTMSV_EXPECTS(spec.window_s > 0.0);
-  refresh_rows(revisions_, store_id_, kSummaryDim, force_full,
-               arena.summary_spec_ == spec, arena.summaries_,
-               arena.summary_revisions_, arena.summaries_valid_,
-               arena.summary_store_id_, arena.summary_stats_, [&] {
-                 return [this, &spec](std::size_t u, double* out) {
-                   extract_summary_row(u, spec, out);
-                 };
-               });
-  arena.summary_spec_ = spec;
+                                               FeatureArena& arena) const {
+  validate_summary_spec(spec);
+  extract_rows(user_count(), kSummaryDim, arena.summaries_, arena.summary_stats_, [&] {
+    return [this, &spec](std::size_t u, double* out) {
+      extract_summary_row(u, spec, out);
+    };
+  });
   return SummaryBatch(arena.summaries_.data(), user_count(), kSummaryDim);
 }
 

@@ -1,19 +1,13 @@
 // TwinColumnStore: the columnar twin engine behind TwinStore.
 //
 // One SoA ring-buffer column per attribute across ALL users (twin/
-// columns.hpp), one PreferenceEstimator and one revision watermark per
-// user. Every ingestion and reset bumps the user's revision; feature
-// extraction into a FeatureArena compares watermarks against the arena's
-// last extraction and re-extracts only users whose histories changed while
-// the window geometry stayed put — the steady-state interval loop (moving
-// `now`) extracts everyone, churn-style consumers re-reading the same
-// snapshot touch only the dirty slots. Rows are extracted independently
-// (deterministic for any DTMSV_THREADS) with arithmetic bit-identical to
-// the seed's per-twin AttributeSeries path.
+// columns.hpp) and one PreferenceEstimator per user. Batch extraction
+// into a FeatureArena extracts every user's row on the thread pool; rows
+// are extracted independently (deterministic for any DTMSV_THREADS) with
+// arithmetic bit-identical to the seed's per-twin AttributeSeries path.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "behavior/preference.hpp"
@@ -40,7 +34,7 @@ struct ColumnCapacities {
   static ColumnCapacities scaled(std::size_t history_capacity);
 };
 
-/// Columnar storage + incremental extraction for a population of twins.
+/// Columnar storage + batch extraction for a population of twins.
 class TwinColumnStore {
  public:
   /// Number of feature channels per extracted window row.
@@ -55,11 +49,8 @@ class TwinColumnStore {
 
   std::size_t user_count() const { return estimators_.size(); }
   std::size_t history_capacity() const { return channel_.capacity(); }
-  /// Process-unique id of this store instance — the FeatureArena cache key
-  /// (a raw pointer could be reused by a successor store; the id cannot).
-  std::uint64_t store_id() const { return store_id_; }
 
-  // --- ingestion (each call bumps the user's revision watermark) ---
+  // --- ingestion ---
   void record_channel(std::size_t u, util::SimTime t, const ChannelObservation& obs);
   void record_location(std::size_t u, util::SimTime t, const mobility::Position& pos);
   /// Feeds the preference estimator (category + engagement seconds), then
@@ -69,17 +60,13 @@ class TwinColumnStore {
                          const behavior::PreferenceVector& estimate);
 
   /// Applies preference forgetting to one user / every user (once per
-  /// interval). Dirties the watermark: summary rows read the estimator.
+  /// interval).
   void decay_preference(std::size_t u);
   void decay_preferences();
 
   /// Slot recycling for handover: the user's rings empty (O(1), nothing
-  /// reallocated), the estimator resets, and the revision bump marks the
-  /// slot dirty so no cached feature row of the departed user survives.
+  /// reallocated) and the estimator resets.
   void reset_user(std::size_t u);
-
-  /// Monotonic per-user change counter (the dirty watermark).
-  std::uint64_t revision(std::size_t u) const { return revisions_[u]; }
 
   // --- per-user reads ---
   ChannelSeries channel(std::size_t u) const { return {&channel_, u}; }
@@ -102,18 +89,12 @@ class TwinColumnStore {
 
   /// Materialises every user's [kFeatureChannels x timesteps] window
   /// (channel-major, zero-order hold — see UserDigitalTwin::feature_window)
-  /// into `arena` and returns a view over it. Incremental: when the arena
-  /// already holds this store's rows for the same spec, only users whose
-  /// revision moved are re-extracted (`force_full` disables the cache; the
-  /// result is bit-identical either way). arena.window_stats() reports the
-  /// refreshed/reused split.
-  WindowBatch feature_windows(const WindowSpec& spec, FeatureArena& arena,
-                              bool force_full = false) const;
+  /// into `arena` and returns a view over it.
+  WindowBatch feature_windows(const WindowSpec& spec, FeatureArena& arena) const;
 
   /// Summary-feature counterpart ([kSummaryDim] per user, see
-  /// UserDigitalTwin::summary_features), same incremental contract.
-  SummaryBatch summary_features(const SummarySpec& spec, FeatureArena& arena,
-                                bool force_full = false) const;
+  /// UserDigitalTwin::summary_features).
+  SummaryBatch summary_features(const SummarySpec& spec, FeatureArena& arena) const;
 
   /// Single-row extraction (standalone twins, spot checks). `out` must
   /// hold kFeatureChannels * spec.timesteps floats / kSummaryDim doubles.
@@ -125,13 +106,11 @@ class TwinColumnStore {
   void extract_window_row(std::size_t u, const WindowSpec& spec, float* out,
                           RowScratch& scratch) const;
 
-  std::uint64_t store_id_;
   ChannelColumn channel_;
   LocationColumn location_;
   WatchColumn watch_;
   PreferenceColumn preference_;
   std::vector<behavior::PreferenceEstimator> estimators_;
-  std::vector<std::uint64_t> revisions_;
 };
 
 }  // namespace dtmsv::twin

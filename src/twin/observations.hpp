@@ -35,8 +35,6 @@ struct FeatureScaling {
   double pos_y_scale = 1000.0;  // campus height
   double snr_offset_db = 10.0;  // maps snr -10 dB -> 0
   double snr_scale_db = 40.0;   // maps snr  30 dB -> 1
-
-  friend bool operator==(const FeatureScaling&, const FeatureScaling&) = default;
 };
 
 }  // namespace dtmsv::twin

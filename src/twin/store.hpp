@@ -5,8 +5,8 @@
 // SoA ring buffers, and the UserDigitalTwin objects handed out by twin()
 // are stable handles into it. reset_user is slot recycling (O(1), no
 // allocation); batch feature extraction goes through the column store's
-// pooled, incremental path (TwinColumnStore::feature_windows /
-// summary_features via core::TwinSnapshot).
+// pooled path (TwinColumnStore::feature_windows / summary_features via
+// core::TwinSnapshot).
 #pragma once
 
 #include <cstdint>
@@ -31,9 +31,8 @@ class TwinStore {
   const UserDigitalTwin& twin(std::uint64_t user_id) const;
 
   /// Recycles one twin slot (the slot's user was handed over; the edge
-  /// server holds no history for the newcomer): rings empty in place, the
-  /// preference estimator resets, and the slot's dirty watermark advances
-  /// so incremental extraction drops any cached row of the departed user.
+  /// server holds no history for the newcomer): rings empty in place and
+  /// the preference estimator resets.
   void reset_user(std::uint64_t user_id);
 
   /// Applies preference forgetting on every twin (once per interval).

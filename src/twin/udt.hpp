@@ -73,8 +73,8 @@ class UserDigitalTwin {
   ///   4: mean watch fraction       5..: preference weight per category
   /// Empty bins carry the previous bin's value (zero-order hold; zeros
   /// before the first sample). Batch consumers should prefer
-  /// TwinColumnStore::feature_windows (pooled, incremental); this per-twin
-  /// call extracts one fresh row.
+  /// TwinColumnStore::feature_windows (pooled, parallel); this per-twin
+  /// call extracts one row.
   std::vector<float> feature_window(util::SimTime now, double window_s,
                                     std::size_t timesteps,
                                     const FeatureScaling& scaling) const;

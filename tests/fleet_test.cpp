@@ -200,10 +200,9 @@ TEST(SimulationFleet, ChurnSwapsAffinitiesAndResetsTwins) {
 
 TEST(SimulationFleet, ChurnRecyclingNeverLeaksHistoryIntoSnapshots) {
   // A mobility_churn handover recycles the twin slot in place (columnar
-  // ring reset + dirty-watermark bump). The next incremental snapshot of
-  // each shard must refresh exactly the recycled slots — to all-zero
-  // windows — and serve every untouched user from the cached rows,
-  // bit-identically.
+  // ring reset). The next snapshot of each shard, through the same arena,
+  // must give the recycled slots all-zero windows and every untouched user
+  // the same bytes as before.
   SimulationFleet fleet(fast_fleet(24, 2, 11));
   fleet.run(2);  // build twin history first
 
@@ -232,8 +231,6 @@ TEST(SimulationFleet, ChurnRecyclingNeverLeaksHistoryIntoSnapshots) {
     const auto& sim = fleet.shard(s);
     const dtmsv::twin::WindowSpec spec{sim.now(), 60.0, 16, scaling};
     const auto batch = sim.twins().columns().feature_windows(spec, arenas[s]);
-    // Exactly the recycled slots were dirty.
-    EXPECT_EQ(arenas[s].window_stats().refreshed, recycled[s].size());
     for (std::size_t u = 0; u < batch.size(); ++u) {
       const auto row = batch.row(u);
       if (recycled[s].count(u) > 0) {

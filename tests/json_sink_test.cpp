@@ -163,8 +163,8 @@ TEST(JsonReportSink, DegradationAndDropRecords) {
   degradation.interval = 4;
   degradation.from_level = 0;
   degradation.to_level = 1;
-  degradation.from_name = "cnn_full";
-  degradation.to_name = "cnn_incremental";
+  degradation.from_name = "cnn";
+  degradation.to_name = "summary";
   degradation.latency_ms = 72.5;
   degradation.deadline_ms = 50.0;
   degradation.recovering = false;
@@ -182,8 +182,8 @@ TEST(JsonReportSink, DegradationAndDropRecords) {
   ASSERT_TRUE(std::getline(in, line));
   EXPECT_EQ(line,
             "{\"type\":\"degradation\",\"interval\":4,\"from_level\":0,"
-            "\"to_level\":1,\"from_name\":\"cnn_full\","
-            "\"to_name\":\"cnn_incremental\",\"latency_ms\":72.5,"
+            "\"to_level\":1,\"from_name\":\"cnn\","
+            "\"to_name\":\"summary\",\"latency_ms\":72.5,"
             "\"deadline_ms\":50,\"recovering\":false}");
   ASSERT_TRUE(std::getline(in, line));
   EXPECT_EQ(line,

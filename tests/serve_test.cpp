@@ -92,21 +92,18 @@ TEST(EventQueue, RejectsNonFiniteTimeAndStaysUsable) {
 // ------------------------------------------------------ DegradationPolicy
 
 TEST(DegradationPolicy, StepsDownOneRungPerMissStreak) {
-  core::DegradationPolicyConfig cfg;  // default 3-rung ladder
+  core::DegradationPolicyConfig cfg;  // default 2-rung ladder
   cfg.step_down_after = 2;
   core::DegradationPolicy policy(cfg);
   EXPECT_EQ(policy.level(), 0u);
+  EXPECT_EQ(policy.current().name, "cnn");
   EXPECT_EQ(policy.record(false), std::nullopt);  // 1 miss: below threshold
   EXPECT_EQ(policy.record(false), std::optional<std::size_t>(1));
-  EXPECT_EQ(policy.current().name, "cnn_incremental");
-  // The counter resets after a transition: two more misses for the next rung.
-  EXPECT_EQ(policy.record(false), std::nullopt);
-  EXPECT_EQ(policy.record(false), std::optional<std::size_t>(2));
   EXPECT_EQ(policy.current().name, "summary");
   // Clamped at the bottom rung.
   EXPECT_EQ(policy.record(false), std::nullopt);
   EXPECT_EQ(policy.record(false), std::nullopt);
-  EXPECT_EQ(policy.level(), 2u);
+  EXPECT_EQ(policy.level(), 1u);
 }
 
 TEST(DegradationPolicy, RecoversAfterSustainedHitsAndClampsAtTop) {
@@ -114,15 +111,19 @@ TEST(DegradationPolicy, RecoversAfterSustainedHitsAndClampsAtTop) {
   cfg.step_down_after = 1;
   cfg.step_up_after = 3;
   core::DegradationPolicy policy(cfg);
-  policy.record(false);
-  policy.record(false);
-  ASSERT_EQ(policy.level(), 2u);
+  EXPECT_EQ(policy.record(false), std::optional<std::size_t>(1));
+  EXPECT_EQ(policy.record(false), std::nullopt);  // clamped at the bottom
+  ASSERT_EQ(policy.level(), 1u);
   EXPECT_EQ(policy.record(true), std::nullopt);
   EXPECT_EQ(policy.record(true), std::nullopt);
-  EXPECT_EQ(policy.record(true), std::optional<std::size_t>(1));
-  // A miss resets the hit streak (and immediately steps back down here).
-  EXPECT_EQ(policy.record(false), std::optional<std::size_t>(2));
-  for (int i = 0; i < 6; ++i) {
+  // A miss resets the hit streak: three fresh hits are needed to recover.
+  EXPECT_EQ(policy.record(false), std::nullopt);
+  EXPECT_EQ(policy.record(true), std::nullopt);
+  EXPECT_EQ(policy.record(true), std::nullopt);
+  EXPECT_EQ(policy.record(true), std::optional<std::size_t>(0));
+  // A miss at the top steps straight back down.
+  EXPECT_EQ(policy.record(false), std::optional<std::size_t>(1));
+  for (int i = 0; i < 3; ++i) {
     policy.record(true);
   }
   ASSERT_EQ(policy.level(), 0u);
@@ -210,26 +211,24 @@ TEST(ServeLoop, DegradesDownTheLadderInOrderUnderOverload) {
     loop.advance_to(10.0 * static_cast<double>(i + 1));
   }
 
-  // step_down_after = 1: each miss steps exactly one rung, in ladder order
-  // cnn_full -> cnn_incremental -> summary.
-  ASSERT_EQ(sink.degradations.size(), 2u);
-  EXPECT_EQ(sink.degradations[0].from_name, "cnn_full");
-  EXPECT_EQ(sink.degradations[0].to_name, "cnn_incremental");
+  // step_down_after = 1: the first miss steps one rung, cnn -> summary;
+  // later misses stay clamped at the bottom rung.
+  ASSERT_EQ(sink.degradations.size(), 1u);
+  EXPECT_EQ(sink.degradations[0].from_name, "cnn");
+  EXPECT_EQ(sink.degradations[0].to_name, "summary");
   EXPECT_EQ(sink.degradations[0].interval, 0u);
   EXPECT_FALSE(sink.degradations[0].recovering);
   EXPECT_DOUBLE_EQ(sink.degradations[0].latency_ms, 200.0);
   EXPECT_DOUBLE_EQ(sink.degradations[0].deadline_ms, 50.0);
-  EXPECT_EQ(sink.degradations[1].from_name, "cnn_incremental");
-  EXPECT_EQ(sink.degradations[1].to_name, "summary");
-  EXPECT_EQ(loop.degradation().level(), 2u);
+  EXPECT_EQ(loop.degradation().level(), 1u);
   EXPECT_EQ(loop.stats().deadline_misses, 3u);
-  EXPECT_EQ(loop.stats().steps_down, 2u);
+  EXPECT_EQ(loop.stats().steps_down, 1u);
 
-  // The cnn intervals carry a real autoencoder reconstruction loss; the
+  // The cnn interval carries a real autoencoder reconstruction loss; the
   // summary rung has none — observable proof the feature stage swapped.
   ASSERT_EQ(sink.reports.size(), 3u);
   EXPECT_GT(sink.reports[0].reconstruction_loss, 0.0f);
-  EXPECT_GT(sink.reports[1].reconstruction_loss, 0.0f);
+  EXPECT_FLOAT_EQ(sink.reports[1].reconstruction_loss, 0.0f);
 
   // One more interval fires on the summary rung (clock now instantaneous).
   offer_reports(loop, 30.0, 6);
@@ -253,20 +252,82 @@ TEST(ServeLoop, RecoversUpTheLadderAfterSustainedHits) {
     loop.advance_to(10.0 * static_cast<double>(i + 1));
   }
 
-  // Intervals 0,1 miss (down to summary); 2..3 hit -> up to cnn_incremental
-  // after interval 3; 4..5 hit -> up to cnn_full after interval 5.
-  ASSERT_EQ(sink.degradations.size(), 4u);
+  // Interval 0 misses (down to summary), interval 1 misses at the bottom
+  // rung; 2..3 hit -> back up to cnn after interval 3; 4..6 stay there.
+  ASSERT_EQ(sink.degradations.size(), 2u);
   EXPECT_FALSE(sink.degradations[0].recovering);
-  EXPECT_FALSE(sink.degradations[1].recovering);
-  EXPECT_TRUE(sink.degradations[2].recovering);
-  EXPECT_EQ(sink.degradations[2].from_name, "summary");
-  EXPECT_EQ(sink.degradations[2].to_name, "cnn_incremental");
-  EXPECT_EQ(sink.degradations[2].interval, 3u);
-  EXPECT_TRUE(sink.degradations[3].recovering);
-  EXPECT_EQ(sink.degradations[3].to_name, "cnn_full");
+  EXPECT_EQ(sink.degradations[0].interval, 0u);
+  EXPECT_TRUE(sink.degradations[1].recovering);
+  EXPECT_EQ(sink.degradations[1].from_name, "summary");
+  EXPECT_EQ(sink.degradations[1].to_name, "cnn");
+  EXPECT_EQ(sink.degradations[1].interval, 3u);
   EXPECT_EQ(loop.degradation().level(), 0u);
-  EXPECT_EQ(loop.stats().steps_down, 2u);
-  EXPECT_EQ(loop.stats().steps_up, 2u);
+  EXPECT_EQ(loop.stats().steps_down, 1u);
+  EXPECT_EQ(loop.stats().steps_up, 1u);
+  ASSERT_EQ(sink.reports.size(), 7u);
+  EXPECT_GT(sink.reports[4].reconstruction_loss, 0.0f);
+}
+
+/// Serves 6 intervals of ServeWorkload traffic through `ladder`, with
+/// `misses` scripted deadline misses first.
+core::CollectingSink run_ladder(const std::vector<std::string>& ladder,
+                                std::size_t misses) {
+  core::ServeConfig cfg = small_serve(16);
+  cfg.degradation.ladder.clear();
+  for (const std::string& key : ladder) {
+    cfg.degradation.ladder.push_back({key, key});
+  }
+  core::ManualServeClock clock;
+  for (std::size_t i = 0; i < misses; ++i) {
+    clock.queue_pipeline_cost(0.2);
+  }
+  core::CollectingSink sink;
+  core::ServeLoop loop(cfg, clock, &sink);
+  core::ServeWorkloadConfig wl_cfg;
+  wl_cfg.seed = 9;
+  wl_cfg.user_count = cfg.scheme.user_count;
+  wl_cfg.engagement = cfg.scheme.session.engagement;
+  core::ServeWorkload workload(wl_cfg, loop.catalog());
+  std::vector<core::TwinEvent> events;
+  for (std::size_t i = 0; i < 6; ++i) {
+    events.clear();
+    workload.generate(10.0 * static_cast<double>(i), 10.0 * static_cast<double>(i + 1),
+                      events);
+    for (const core::TwinEvent& e : events) {
+      loop.offer(e);
+    }
+    loop.advance_to(10.0 * static_cast<double>(i + 1));
+  }
+  return sink;
+}
+
+TEST(ServeLoop, RungsNamingOneKeyShareOneStage) {
+  // {cnn, cnn}: the miss steps to rung 1, which must be the same trained
+  // CNN as rung 0, so the run equals a single-rung {cnn} run.
+  const core::CollectingSink stepped = run_ladder({"cnn", "cnn"}, 1);
+  const core::CollectingSink single = run_ladder({"cnn"}, 0);
+  ASSERT_EQ(stepped.degradations.size(), 2u);  // down at 0, back up at 3
+
+  ASSERT_EQ(stepped.reports.size(), single.reports.size());
+  for (std::size_t i = 0; i < single.reports.size(); ++i) {
+    EXPECT_GT(single.reports[i].reconstruction_loss, 0.0f);
+    EXPECT_EQ(stepped.reports[i].reconstruction_loss,
+              single.reports[i].reconstruction_loss)
+        << "interval " << i;
+    EXPECT_EQ(stepped.reports[i].predicted_radio_hz_total,
+              single.reports[i].predicted_radio_hz_total);
+    EXPECT_EQ(stepped.reports[i].predicted_compute_total,
+              single.reports[i].predicted_compute_total);
+  }
+  ASSERT_EQ(stepped.groups.size(), single.groups.size());
+  for (std::size_t i = 0; i < single.groups.size(); ++i) {
+    EXPECT_EQ(stepped.groups[i].size, single.groups[i].size);
+    EXPECT_EQ(stepped.groups[i].predicted_efficiency,
+              single.groups[i].predicted_efficiency);
+    EXPECT_EQ(stepped.groups[i].predicted_radio_hz, single.groups[i].predicted_radio_hz);
+    EXPECT_EQ(stepped.groups[i].predicted_compute_cycles,
+              single.groups[i].predicted_compute_cycles);
+  }
 }
 
 TEST(ServeLoop, QueueOverflowShedsOldestWithExactDropCounts) {
@@ -502,7 +563,7 @@ interval_s = 10
 intervals = 6
 deadline_ms = 25
 queue_capacity = 512
-ladder = cnn:full, cnn, summary
+ladder = cnn, summary
 grouping = fixed
 fixed_k = 2
 demand = mean
@@ -527,12 +588,10 @@ TEST(ServeLoader, ParsesFullPlan) {
   EXPECT_EQ(plan.intervals, 6u);
   EXPECT_DOUBLE_EQ(plan.serve.deadline_ms, 25.0);
   EXPECT_EQ(plan.serve.queue_capacity, 512u);
-  ASSERT_EQ(plan.serve.degradation.ladder.size(), 3u);
+  ASSERT_EQ(plan.serve.degradation.ladder.size(), 2u);
   EXPECT_EQ(plan.serve.degradation.ladder[0].feature_stage, "cnn");
-  EXPECT_TRUE(plan.serve.degradation.ladder[0].full_extraction);
-  EXPECT_EQ(plan.serve.degradation.ladder[1].feature_stage, "cnn");
-  EXPECT_FALSE(plan.serve.degradation.ladder[1].full_extraction);
-  EXPECT_EQ(plan.serve.degradation.ladder[2].feature_stage, "summary");
+  EXPECT_EQ(plan.serve.degradation.ladder[0].name, "cnn");
+  EXPECT_EQ(plan.serve.degradation.ladder[1].feature_stage, "summary");
   EXPECT_EQ(plan.serve.scheme.grouping_stage, "fixed");
   EXPECT_EQ(plan.serve.scheme.demand_stage, "mean");
   EXPECT_DOUBLE_EQ(plan.workload.channel_period_s, 2.0);
@@ -544,16 +603,25 @@ TEST(ServeLoader, ParsesFullPlan) {
 }
 
 TEST(ServeLoader, ParsesLadderLevelSyntax) {
-  const core::DegradationLevel full = cli::parse_ladder_level("cnn:full");
-  EXPECT_EQ(full.feature_stage, "cnn");
-  EXPECT_TRUE(full.full_extraction);
-  const core::DegradationLevel inc = cli::parse_ladder_level("cnn:incremental");
-  EXPECT_FALSE(inc.full_extraction);
   const core::DegradationLevel bare = cli::parse_ladder_level("summary");
   EXPECT_EQ(bare.feature_stage, "summary");
-  EXPECT_FALSE(bare.full_extraction);
+  EXPECT_EQ(bare.name, "summary");
+  // The old extraction-mode suffixes still parse; they select nothing.
+  for (const char* item : {"cnn:full", "cnn:incremental"}) {
+    const core::DegradationLevel level = cli::parse_ladder_level(item);
+    EXPECT_EQ(level.feature_stage, "cnn");
+    EXPECT_EQ(level.name, item);
+    EXPECT_FALSE(level.full_extraction);
+  }
   EXPECT_THROW(cli::parse_ladder_level("cnn:sometimes"), util::RuntimeError);
   EXPECT_THROW(cli::parse_ladder_level(":full"), util::RuntimeError);
+
+  util::Config legacy = util::Config::parse("[serve]\nladder = cnn:full, cnn, summary\n");
+  const cli::ServePlan plan = cli::load_serve_plan(legacy);
+  ASSERT_EQ(plan.serve.degradation.ladder.size(), 3u);
+  EXPECT_EQ(plan.serve.degradation.ladder[0].feature_stage, "cnn");
+  EXPECT_EQ(plan.serve.degradation.ladder[1].feature_stage, "cnn");
+  EXPECT_EQ(plan.serve.degradation.ladder[2].feature_stage, "summary");
 }
 
 TEST(ServeLoader, RejectsUnknownKeysAndStages) {

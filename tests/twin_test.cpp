@@ -1,7 +1,7 @@
 // Unit tests for dtmsv::twin — attribute-series semantics (ordering,
 // eviction, windows, staleness, truncation reporting), the columnar
-// ring-buffer store (SoA layout, slot recycling, incremental arena
-// extraction and its thread-count invariance), UDT feature extraction,
+// ring-buffer store (SoA layout, slot recycling, pooled arena extraction
+// and its thread-count invariance), UDT feature extraction,
 // the twin store, and the per-attribute collector including loss/latency
 // failure injection.
 #include <gtest/gtest.h>
@@ -695,44 +695,59 @@ TEST(TwinColumnStore, BatchRowsMatchPerTwinExtraction) {
   }
 }
 
-TEST(TwinColumnStore, IncrementalExtractionRefreshesOnlyDirtyUsers) {
-  TwinStore store(6);
-  const FeatureScaling scaling{100.0, 100.0, 10.0, 40.0};
-  for (std::size_t u = 0; u < 6; ++u) {
-    for (int t = 0; t < 50; ++t) {
-      store.twin(u).record_channel(t, {5.0 + static_cast<double>(u), 2.0, 0});
+TEST(TwinColumnStore, ReusedArenaMatchesFreshArenaAcrossStoresAndSpecs) {
+  // One arena serving stores of different sizes and specs in turn must
+  // return exactly the bytes a fresh arena would, every time.
+  const TwinStore small = wrapped_store(5, 128);
+  const TwinStore large = wrapped_store(9, 256);
+  const FeatureScaling scaling{};
+  const WindowSpec windows[] = {{990.0, 60.0, 8, scaling}, {800.0, 120.0, 16, scaling}};
+  const SummarySpec summaries[] = {{990.0, 60.0, scaling}, {800.0, 120.0, scaling}};
+  FeatureArena shared;
+  for (const TwinStore* store : {&small, &large, &small, &large}) {
+    for (std::size_t k = 0; k < 2; ++k) {
+      const TwinColumnStore& columns = store->columns();
+      FeatureArena fresh;
+      const WindowBatch got = columns.feature_windows(windows[k], shared);
+      const WindowBatch want = columns.feature_windows(windows[k], fresh);
+      ASSERT_EQ(got.size(), want.size());
+      ASSERT_EQ(got.window_size(), want.window_size());
+      EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                            want.size() * want.window_size() * sizeof(float)),
+                0);
+      EXPECT_EQ(shared.window_stats().refreshed, columns.user_count());
+      EXPECT_EQ(shared.window_stats().reused, 0u);
+
+      const SummaryBatch got_summary = columns.summary_features(summaries[k], shared);
+      const SummaryBatch want_summary = columns.summary_features(summaries[k], fresh);
+      ASSERT_EQ(got_summary.size(), want_summary.size());
+      EXPECT_EQ(std::memcmp(got_summary.data(), want_summary.data(),
+                            want_summary.size() * want_summary.dim() * sizeof(double)),
+                0);
     }
   }
+}
+
+TEST(TwinColumnStore, BatchSummaryRejectsBadSpecBeforeThePoolRuns) {
+  // A bad spec must surface as a PreconditionError from the calling thread,
+  // not as a throw inside a pool job (which would terminate the process).
+  dtmsv::util::set_thread_count(4);
+  TwinStore store(64);
+  for (std::size_t u = 0; u < 64; ++u) {
+    store.columns().record_channel(u, 1.0, {10.0, 2.0, 0});
+  }
   FeatureArena arena;
-  const WindowSpec spec{50.0, 50.0, 16, scaling};
-  store.columns().feature_windows(spec, arena);
-  EXPECT_EQ(arena.window_stats().refreshed, 6u);
-  EXPECT_EQ(arena.window_stats().reused, 0u);
-
-  // Unchanged store + unchanged geometry: every row is served from cache.
-  store.columns().feature_windows(spec, arena);
-  EXPECT_EQ(arena.window_stats().refreshed, 0u);
-  EXPECT_EQ(arena.window_stats().reused, 6u);
-
-  // Touch one user: only that row is re-extracted, and the batch is
-  // bit-identical to a from-scratch full extraction.
-  store.columns().record_channel(2, 49.5, {20.0, 3.0, 0});
-  const WindowBatch incremental = store.columns().feature_windows(spec, arena);
-  EXPECT_EQ(arena.window_stats().refreshed, 1u);
-  EXPECT_EQ(arena.window_stats().reused, 5u);
-  FeatureArena fresh;
-  const WindowBatch full =
-      store.columns().feature_windows(spec, fresh, /*force_full=*/true);
-  ASSERT_EQ(incremental.size(), full.size());
-  ASSERT_EQ(incremental.window_size(), full.window_size());
-  EXPECT_EQ(std::memcmp(incremental.data(), full.data(),
-                        full.size() * full.window_size() * sizeof(float)),
-            0);
-
-  // Moving the window geometry (a new `now`) invalidates every row.
-  const WindowSpec moved{51.0, 50.0, 16, scaling};
-  store.columns().feature_windows(moved, arena);
-  EXPECT_EQ(arena.window_stats().refreshed, 6u);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const FeatureScaling scaling{};
+  FeatureScaling flat = scaling;
+  flat.snr_scale_db = 0.0;
+  for (const SummarySpec& bad :
+       {SummarySpec{nan, 60.0, scaling}, SummarySpec{inf, 60.0, scaling},
+        SummarySpec{10.0, 0.0, scaling}, SummarySpec{10.0, 60.0, flat}}) {
+    EXPECT_THROW(store.columns().summary_features(bad, arena), PreconditionError);
+  }
+  dtmsv::util::set_thread_count(0);  // restore env/hardware default
 }
 
 TEST(TwinColumnStore, HandoverSlotRecyclingLeavesNoHistoryBehind) {
@@ -750,37 +765,42 @@ TEST(TwinColumnStore, HandoverSlotRecyclingLeavesNoHistoryBehind) {
 
   FeatureArena arena;
   const WindowSpec spec{40.0, 40.0, 8, scaling};
-  const WindowBatch before = store.columns().feature_windows(spec, arena);
+  const WindowBatch batch = store.columns().feature_windows(spec, arena);
+  const std::vector<float> before(batch.data(),
+                                  batch.data() + batch.size() * batch.window_size());
   bool any_nonzero = false;
-  for (const float v : before.row(1)) {
+  for (const float v : batch.row(1)) {
     any_nonzero |= v != 0.0f;
   }
   ASSERT_TRUE(any_nonzero);
 
   // Handover: the slot is recycled in place — no history, no estimator
-  // evidence, no stale truncation flag, and the dirty watermark advances.
-  const std::uint64_t rev_before = store.columns().revision(1);
+  // evidence, no stale truncation flag.
   store.reset_user(1);
-  EXPECT_GT(store.columns().revision(1), rev_before);
   EXPECT_TRUE(store.twin(1).channel().empty());
   EXPECT_TRUE(store.twin(1).watch().empty());
   EXPECT_TRUE(store.twin(1).preference().empty());
   EXPECT_DOUBLE_EQ(store.twin(1).preference_estimator().evidence_seconds(), 0.0);
   EXPECT_FALSE(store.twin(1).channel().truncated_before(0.0));
 
-  // The next incremental snapshot must not leak the previous user's rows:
-  // only the recycled slot refreshes, and it refreshes to all-zero.
+  // The next snapshot through the same arena must not leak the previous
+  // user's rows: the recycled slot is all-zero, the other rows unchanged.
   const WindowBatch after = store.columns().feature_windows(spec, arena);
-  EXPECT_EQ(arena.window_stats().refreshed, 1u);
   for (const float v : after.row(1)) {
     EXPECT_EQ(v, 0.0f);
+  }
+  for (const std::size_t u : {0u, 2u}) {
+    EXPECT_EQ(std::memcmp(after.row(u).data(), before.data() + u * after.window_size(),
+                          after.window_size() * sizeof(float)),
+              0)
+        << "user " << u;
   }
   // Recording for the newcomer restarts cleanly from an empty ring.
   store.twin(1).record_channel(41.0, {12.0, 2.0, 0});
   EXPECT_EQ(store.twin(1).channel().size(), 1u);
 }
 
-TEST(TwinColumnStore, IncrementalExtractionThreadCountInvariant) {
+TEST(TwinColumnStore, ExtractionThreadCountInvariant) {
   const FeatureScaling scaling{100.0, 100.0, 10.0, 40.0};
   const WindowSpec spec{60.0, 60.0, 16, scaling};
   const auto run_with_threads = [&](std::size_t threads) {
