@@ -29,6 +29,8 @@ void run_scenario_bench(benchmark::State& state, core::ScenarioKind kind,
   state.counters["cells"] = static_cast<double>(cells);
   state.counters["intervals"] = static_cast<double>(intervals);
   state.counters["radio_accuracy"] = last.radio_accuracy;
+  state.counters["twin_bytes_per_user"] =
+      static_cast<double>(last.twin_bytes) / static_cast<double>(last.peak_users);
   state.counters["sim_seconds/s"] = benchmark::Counter(
       static_cast<double>(intervals) * base.base.interval_s,
       benchmark::Counter::kIsIterationInvariantRate);

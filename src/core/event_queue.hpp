@@ -19,6 +19,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "mobility/campus_map.hpp"
@@ -90,14 +91,17 @@ class EventQueue {
   const EventQueueStats& stats() const { return stats_; }
 
   /// Admits `event`. Producers must push finite times in nondecreasing
-  /// order (checked: a NaN time would never drain and would fail every
-  /// later order check). When the queue is full the oldest queued event is
-  /// shed to make room and counted in stats().dropped — the newcomer is
-  /// always admitted.
+  /// order over the queue's lifetime (checked against the last pushed time,
+  /// which survives drains: an event older than one already handed to the
+  /// consumer would reach the twin columns out of order). A NaN time would
+  /// never drain and would fail every later order check. When the queue is
+  /// full the oldest queued event is shed to make room and counted in
+  /// stats().dropped — the newcomer is always admitted.
   void push(const TwinEvent& event) {
     DTMSV_EXPECTS_MSG(std::isfinite(event.time), "EventQueue: event time must be finite");
-    DTMSV_EXPECTS_MSG(size_ == 0 || ring_[wrap(head_ + size_ - 1)].time <= event.time,
+    DTMSV_EXPECTS_MSG(event.time >= watermark_,
                       "EventQueue: events must arrive in nondecreasing time order");
+    watermark_ = event.time;
     ++stats_.offered;
     if (size_ == ring_.size()) {
       head_ = next(head_);
@@ -133,6 +137,7 @@ class EventQueue {
   std::vector<TwinEvent> ring_;
   std::size_t head_ = 0;
   std::size_t size_ = 0;
+  util::SimTime watermark_ = -std::numeric_limits<double>::infinity();  // last pushed time
   EventQueueStats stats_;
 };
 

@@ -97,6 +97,9 @@ ScenarioResult run_scenario(const ScenarioConfig& config, ReportSink* sink) {
     result.reports.push_back(fleet.run_interval(sink));
     result.peak_users = std::max(result.peak_users, fleet.user_count());
   }
+  for (std::size_t s = 0; s < fleet.shard_count(); ++s) {
+    result.twin_bytes += fleet.shard(s).twins().columns().bytes();
+  }
 
   std::vector<double> radio_actual;
   std::vector<double> radio_predicted;

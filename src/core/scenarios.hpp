@@ -74,6 +74,9 @@ struct ScenarioResult {
   /// Volume-weighted accuracy on fleet compute totals (robust to bursty
   /// per-interval transcode loads).
   double compute_accuracy = 0.0;
+  /// Bytes the shards' twin columns hold at the end of the run (rings only
+  /// grow, so this is also their peak).
+  std::size_t twin_bytes = 0;
 };
 
 /// Runs the scenario start to finish on a fresh fleet. When `sink` is

@@ -96,7 +96,11 @@ ServeLoop::ServeLoop(const ServeConfig& config, ServeClock& clock,
       catalog_(video::Catalog::generate(config.scheme.session.engagement.catalog,
                                         rng_)),
       content_(predict::ContentStats::from_catalog(catalog_)),
-      twins_(std::make_unique<twin::TwinStore>(config.scheme.user_count)),
+      // Predictions read windows ending at their boundary, after every
+      // ingested event (time <= boundary): the window plus a tick is kept.
+      twins_(std::make_unique<twin::TwinStore>(
+          config.scheme.user_count,
+          twin::RetentionSpan{config.scheme.feature_window_s + config.scheme.tick_s})),
       queue_(config.queue_capacity),
       popularity_(config.scheme.popularity_forgetting),
       policy_(config.degradation),

@@ -70,7 +70,12 @@ Simulation::Simulation(const SchemeConfig& config)
   util::Rng channel_rng = rng_.fork(2);
   channel_ = std::make_unique<wireless::ChannelModel>(campus_, config.radio,
                                                       config.user_count, channel_rng);
-  twins_ = std::make_unique<twin::TwinStore>(config.user_count);
+  // Twin rings keep what a feature window can read: every read happens at
+  // now_, after the collector stamped reports up to now_ + latency_s.
+  twins_ = std::make_unique<twin::TwinStore>(
+      config.user_count,
+      twin::RetentionSpan{config.feature_window_s + config.collection.latency_s +
+                          config.tick_s});
   collector_ = std::make_unique<twin::StatusCollector>(config.collection,
                                                        config.user_count, rng_.fork(3));
 

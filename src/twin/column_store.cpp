@@ -16,6 +16,12 @@ namespace {
 /// identical for any DTMSV_THREADS).
 constexpr std::size_t kExtractGrain = 8;
 
+/// Slots per user a ring that retains by time starts with, and the most it
+/// grows to: the fixed-ring defaults, so memory is bounded whatever the
+/// input stream (past the ceiling the ring evicts like a fixed one).
+constexpr std::size_t kRetainingStartCapacity = 8;
+constexpr ColumnCapacities kRetainingCeiling{};
+
 void validate_summary_spec(const SummarySpec& spec) {
   DTMSV_EXPECTS(std::isfinite(spec.now));
   DTMSV_EXPECTS(spec.window_s > 0.0);
@@ -74,6 +80,25 @@ TwinColumnStore::TwinColumnStore(std::size_t user_count,
       preference_(user_count, capacities.preference),
       estimators_(user_count) {
   DTMSV_EXPECTS(user_count > 0);
+}
+
+TwinColumnStore::TwinColumnStore(std::size_t user_count, RetentionSpan retention)
+    : channel_(user_count, kRetainingStartCapacity, retention.seconds,
+               kRetainingCeiling.channel),
+      location_(user_count, kRetainingStartCapacity, retention.seconds,
+                kRetainingCeiling.location),
+      watch_(user_count, kRetainingStartCapacity, retention.seconds,
+             kRetainingCeiling.watch),
+      preference_(user_count, kRetainingStartCapacity, retention.seconds,
+                  kRetainingCeiling.preference),
+      estimators_(user_count) {
+  DTMSV_EXPECTS(user_count > 0);
+  DTMSV_EXPECTS_MSG(retention.seconds > 0.0,
+                    "TwinColumnStore: retention span must be positive");
+}
+
+std::size_t TwinColumnStore::bytes() const {
+  return channel_.bytes() + location_.bytes() + watch_.bytes() + preference_.bytes();
 }
 
 void TwinColumnStore::record_channel(std::size_t u, util::SimTime t,

@@ -17,11 +17,13 @@
 
 namespace dtmsv::twin {
 
-/// Per-attribute ring capacities. The lanes are dense (capacity stride per
-/// user), so paying channel-rate capacity for every attribute would
-/// multiply fleet memory ~4x for nothing: the collector samples location /
-/// watch / preference 5-60x sparser than the 1 Hz channel feedback.
-/// scaled() derives proportional lanes from one channel-rate capacity.
+/// Per-attribute capacities of fixed rings (standalone twins, tests,
+/// micro-benchmarks); the defaults are also the ceilings of rings that
+/// retain by time (RetentionSpan). The lanes are dense (capacity stride per user), so
+/// paying channel-rate capacity for every attribute would multiply memory
+/// ~4x for nothing: the collector samples location / watch / preference
+/// 5-60x sparser than the 1 Hz channel feedback. scaled() derives
+/// proportional lanes from one channel-rate capacity.
 struct ColumnCapacities {
   std::size_t channel = 2048;
   std::size_t location = 512;
@@ -32,6 +34,16 @@ struct ColumnCapacities {
   /// it, floored at min(history_capacity, 64) so tiny test capacities
   /// keep uniform ring semantics.
   static ColumnCapacities scaled(std::size_t history_capacity);
+};
+
+/// Retention by time: every ring keeps the samples younger than `seconds`
+/// before its newest one (a feature window plus collection latency and one
+/// tick of slack, see RingColumnBase::push_slot). Rings start at 8 slots
+/// and double on demand, up to the default ColumnCapacities, past which
+/// they evict like fixed rings. A distinct type, so a slot count never
+/// converts into a span.
+struct RetentionSpan {
+  double seconds = 0.0;
 };
 
 /// Columnar storage + batch extraction for a population of twins.
@@ -46,9 +58,14 @@ class TwinColumnStore {
   /// attributes get ColumnCapacities::scaled() shares of it.
   TwinColumnStore(std::size_t user_count, std::size_t history_capacity);
   TwinColumnStore(std::size_t user_count, const ColumnCapacities& capacities);
+  /// Rings that retain `retention.seconds` of history and grow on demand,
+  /// to at most the default ColumnCapacities.
+  TwinColumnStore(std::size_t user_count, RetentionSpan retention);
 
   std::size_t user_count() const { return estimators_.size(); }
-  std::size_t history_capacity() const { return channel_.capacity(); }
+  /// Bytes allocated by the four attribute columns (all lanes and ring
+  /// state; the preference estimators are not counted).
+  std::size_t bytes() const;
 
   // --- ingestion ---
   void record_channel(std::size_t u, util::SimTime t, const ChannelObservation& obs);

@@ -3,9 +3,13 @@
 // The seed kept one std::deque<Stamped<T>> per attribute per user — every
 // window scan chased deque blocks and every handover reallocated a whole
 // UserDigitalTwin. Here each attribute holds ONE contiguous time column and
-// one contiguous column per value field, spanning all users with a fixed
+// one contiguous column per value field, spanning all users with a common
 // `capacity` stride: user u's slots live at [u*capacity, (u+1)*capacity),
-// managed as a ring (head + size, oldest evicted first). Per-user times are
+// managed as a ring (head + size, oldest evicted first). A fixed ring keeps
+// its capacity; a ring that retains by time (retain_s > 0) evicts only
+// samples older than retain_s before the newest one and doubles the stride
+// (up to a ceiling) when it fills with younger ones, so memory follows what
+// a window can read rather than a worst-case slot count. Per-user times are
 // non-decreasing and finite (push_slot enforces both), so a windowed read
 // (for_each_slot_in) binary-searches the ring for its first sample and walks
 // only the window: O(log capacity + samples in window), whatever the
@@ -26,6 +30,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <type_traits>
 #include <vector>
 
 #include "behavior/preference.hpp"
@@ -37,18 +42,34 @@
 
 namespace dtmsv::twin {
 
-/// Ring bookkeeping shared by every attribute column: the time column, the
-/// per-user {head, size} ring state, and the eviction metadata backing the
-/// truncation contract. Value columns live in the derived classes.
+/// Ring bookkeeping shared by every attribute column: the time lane, the
+/// per-user {head, size} ring state, the eviction metadata backing the
+/// truncation contract, and the retention rule. The value lanes live in the
+/// derived `Column`, which lists them once in a static
+/// `value_lanes(self, fn)`; the base allocates, re-lays and measures them
+/// through it.
+template <typename Column>
 class RingColumnBase {
  public:
-  RingColumnBase(std::size_t user_count, std::size_t capacity)
+  /// Ring head and size are uint32: a stride must fit them.
+  static constexpr std::size_t kMaxCapacity = std::numeric_limits<std::uint32_t>::max();
+
+  /// `capacity`: slots per user to start with. `retain_s` = 0 keeps that
+  /// capacity for good (a fixed ring, oldest evicted first); a positive
+  /// span retains by time and grows the stride on demand, up to
+  /// `max_capacity` slots per user (push_slot).
+  RingColumnBase(std::size_t user_count, std::size_t capacity, double retain_s,
+                 std::size_t max_capacity)
       : capacity_(capacity),
+        max_capacity_(max_capacity),
+        retain_s_(retain_s),
         rings_(user_count),
         times_(user_count * capacity, 0.0),
         last_evicted_(user_count, 0.0),
         evicted_(user_count, 0) {
-    DTMSV_EXPECTS(capacity > 0);
+    DTMSV_EXPECTS(capacity > 0 && capacity <= max_capacity && max_capacity <= kMaxCapacity);
+    DTMSV_EXPECTS_MSG(std::isfinite(retain_s) && retain_s >= 0.0,
+                      "twin column: retention span must be finite and >= 0");
   }
 
   std::size_t user_count() const { return rings_.size(); }
@@ -118,16 +139,50 @@ class RingColumnBase {
 
   const std::vector<double>& times() const { return times_; }
 
+  /// Bytes allocated by the column: time and value lanes plus the per-user
+  /// ring and eviction state.
+  std::size_t bytes() const {
+    std::size_t total = lane_bytes(rings_) + lane_bytes(times_) +
+                        lane_bytes(last_evicted_) + lane_bytes(evicted_);
+    Column::value_lanes(static_cast<const Column&>(*this),
+                        [&](const auto& lane) { total += lane_bytes(lane); });
+    return total;
+  }
+
  protected:
+  /// Zero-fills every value lane to the time lane's size (derived
+  /// constructors call this once their lanes exist).
+  void allocate_value_lanes() {
+    Column::value_lanes(static_cast<Column&>(*this),
+                        [&](auto& lane) { lane.assign(times_.size(), {}); });
+  }
+
   /// Claims the write slot for a new sample of `u` at `t` (finite and
-  /// non-decreasing within the user), evicting the oldest sample when the
-  /// ring is full.
+  /// non-decreasing within the user). When the ring is full, the oldest
+  /// sample is evicted if the ring is fixed (retain_s = 0), the stride is
+  /// already max_capacity, or that sample is older than t - retain_s;
+  /// otherwise the column's stride doubles (grow) and nothing is evicted.
+  ///
+  /// Why retaining by time is exact: a windowed read at `now` covers
+  /// [now - window_s, now), and every read happens at now >= (newest
+  /// ingested time - collection latency). Owners set retain_s = window_s +
+  /// latency + one tick, so an evicted sample (older than t - retain_s, t
+  /// ingested) lies more than a tick before any window a later read can
+  /// ask for: no window ever misses a sample and truncated_before() stays
+  /// false for all of them. The tick absorbs the rounding of now - window_s.
+  /// The one exception is a user whose window holds more than max_capacity
+  /// samples: the ceiling bounds memory against any input stream, and
+  /// truncated_before() reports what it evicted, as for a fixed ring.
   std::size_t push_slot(std::size_t u, util::SimTime t) {
     DTMSV_EXPECTS_MSG(std::isfinite(t), "twin column: timestamps must be finite");
     Ring& r = rings_[u];
     DTMSV_EXPECTS_MSG(
         r.size == 0 || t >= times_[u * capacity_ + (r.head + r.size - 1) % capacity_],
         "twin column: timestamps must be non-decreasing");
+    if (r.size == capacity_ && retain_s_ > 0.0 && capacity_ < max_capacity_ &&
+        times_[u * capacity_ + r.head] >= t - retain_s_) {
+      grow();
+    }
     std::size_t at;
     if (r.size == capacity_) {
       at = u * capacity_ + r.head;
@@ -148,7 +203,41 @@ class RingColumnBase {
     std::uint32_t size = 0;
   };
 
+  template <typename T>
+  static std::size_t lane_bytes(const std::vector<T>& lane) {
+    return lane.capacity() * sizeof(T);
+  }
+
+  /// Doubles the per-user stride, capped at max_capacity: every user's
+  /// ring in the time lane and in each value lane is copied oldest-first
+  /// into a lane of the new stride, and every head becomes 0. Ingestion is
+  /// serial, so growth happens at the same samples for any DTMSV_THREADS.
+  void grow() {
+    const std::size_t from = capacity_;
+    const std::size_t to = std::min(2 * from, max_capacity_);
+    const auto relayout = [&](auto& lane) {
+      std::remove_cvref_t<decltype(lane)> grown(rings_.size() * to);
+      for (std::size_t u = 0; u < rings_.size(); ++u) {
+        const Ring& r = rings_[u];
+        const auto src = lane.begin() + static_cast<std::ptrdiff_t>(u * from);
+        const auto dst = grown.begin() + static_cast<std::ptrdiff_t>(u * to);
+        const std::size_t tail = std::min<std::size_t>(r.size, from - r.head);
+        std::copy_n(src + r.head, tail, dst);
+        std::copy_n(src, r.size - tail, dst + static_cast<std::ptrdiff_t>(tail));
+      }
+      lane.swap(grown);
+    };
+    relayout(times_);
+    Column::value_lanes(static_cast<Column&>(*this), relayout);
+    for (Ring& r : rings_) {
+      r.head = 0;
+    }
+    capacity_ = to;
+  }
+
   std::size_t capacity_;
+  std::size_t max_capacity_;
+  double retain_s_;
   std::vector<Ring> rings_;
   std::vector<double> times_;
   std::vector<double> last_evicted_;
@@ -156,15 +245,15 @@ class RingColumnBase {
 };
 
 /// Channel condition column: snr / spectral efficiency / serving BS.
-class ChannelColumn : public RingColumnBase {
+class ChannelColumn : public RingColumnBase<ChannelColumn> {
  public:
   using value_type = ChannelObservation;
 
-  ChannelColumn(std::size_t user_count, std::size_t capacity)
-      : RingColumnBase(user_count, capacity),
-        snr_(user_count * capacity, 0.0),
-        efficiency_(user_count * capacity, 0.0),
-        serving_bs_(user_count * capacity, 0) {}
+  ChannelColumn(std::size_t user_count, std::size_t capacity, double retain_s = 0.0,
+                std::size_t max_capacity = kMaxCapacity)
+      : RingColumnBase(user_count, capacity, retain_s, max_capacity) {
+    allocate_value_lanes();
+  }
 
   void record(std::size_t u, util::SimTime t, const ChannelObservation& obs) {
     const std::size_t at = push_slot(u, t);
@@ -184,20 +273,29 @@ class ChannelColumn : public RingColumnBase {
   const std::vector<double>& efficiency() const { return efficiency_; }
 
  private:
+  friend class RingColumnBase<ChannelColumn>;
+  template <typename Self, typename Fn>
+  static void value_lanes(Self& self, Fn&& fn) {
+    fn(self.snr_);
+    fn(self.efficiency_);
+    fn(self.serving_bs_);
+  }
+
   std::vector<double> snr_;
   std::vector<double> efficiency_;
   std::vector<std::uint32_t> serving_bs_;
 };
 
 /// Location column: campus position reports.
-class LocationColumn : public RingColumnBase {
+class LocationColumn : public RingColumnBase<LocationColumn> {
  public:
   using value_type = mobility::Position;
 
-  LocationColumn(std::size_t user_count, std::size_t capacity)
-      : RingColumnBase(user_count, capacity),
-        x_(user_count * capacity, 0.0),
-        y_(user_count * capacity, 0.0) {}
+  LocationColumn(std::size_t user_count, std::size_t capacity, double retain_s = 0.0,
+                 std::size_t max_capacity = kMaxCapacity)
+      : RingColumnBase(user_count, capacity, retain_s, max_capacity) {
+    allocate_value_lanes();
+  }
 
   void record(std::size_t u, util::SimTime t, const mobility::Position& pos) {
     const std::size_t at = push_slot(u, t);
@@ -213,23 +311,27 @@ class LocationColumn : public RingColumnBase {
   const std::vector<double>& y() const { return y_; }
 
  private:
+  friend class RingColumnBase<LocationColumn>;
+  template <typename Self, typename Fn>
+  static void value_lanes(Self& self, Fn&& fn) {
+    fn(self.x_);
+    fn(self.y_);
+  }
+
   std::vector<double> x_;
   std::vector<double> y_;
 };
 
 /// Watch-event column: one finished view per sample.
-class WatchColumn : public RingColumnBase {
+class WatchColumn : public RingColumnBase<WatchColumn> {
  public:
   using value_type = WatchObservation;
 
-  WatchColumn(std::size_t user_count, std::size_t capacity)
-      : RingColumnBase(user_count, capacity),
-        video_id_(user_count * capacity, 0),
-        category_(user_count * capacity, 0),
-        duration_(user_count * capacity, 0.0),
-        watch_seconds_(user_count * capacity, 0.0),
-        watch_fraction_(user_count * capacity, 0.0),
-        completed_(user_count * capacity, 0) {}
+  WatchColumn(std::size_t user_count, std::size_t capacity, double retain_s = 0.0,
+              std::size_t max_capacity = kMaxCapacity)
+      : RingColumnBase(user_count, capacity, retain_s, max_capacity) {
+    allocate_value_lanes();
+  }
 
   void record(std::size_t u, util::SimTime t, const WatchObservation& obs) {
     const std::size_t at = push_slot(u, t);
@@ -257,6 +359,17 @@ class WatchColumn : public RingColumnBase {
   const std::vector<double>& watch_fraction() const { return watch_fraction_; }
 
  private:
+  friend class RingColumnBase<WatchColumn>;
+  template <typename Self, typename Fn>
+  static void value_lanes(Self& self, Fn&& fn) {
+    fn(self.video_id_);
+    fn(self.category_);
+    fn(self.duration_);
+    fn(self.watch_seconds_);
+    fn(self.watch_fraction_);
+    fn(self.completed_);
+  }
+
   std::vector<std::uint64_t> video_id_;
   std::vector<std::uint8_t> category_;
   std::vector<double> duration_;
@@ -267,15 +380,14 @@ class WatchColumn : public RingColumnBase {
 
 /// Preference-snapshot column: one contiguous lane per category, so the
 /// per-category feature channels stream straight through a double array.
-class PreferenceColumn : public RingColumnBase {
+class PreferenceColumn : public RingColumnBase<PreferenceColumn> {
  public:
   using value_type = behavior::PreferenceVector;
 
-  PreferenceColumn(std::size_t user_count, std::size_t capacity)
-      : RingColumnBase(user_count, capacity) {
-    for (auto& lane : weights_) {
-      lane.assign(user_count * capacity, 0.0);
-    }
+  PreferenceColumn(std::size_t user_count, std::size_t capacity, double retain_s = 0.0,
+                   std::size_t max_capacity = kMaxCapacity)
+      : RingColumnBase(user_count, capacity, retain_s, max_capacity) {
+    allocate_value_lanes();
   }
 
   void record(std::size_t u, util::SimTime t, const behavior::PreferenceVector& v) {
@@ -300,6 +412,14 @@ class PreferenceColumn : public RingColumnBase {
   }
 
  private:
+  friend class RingColumnBase<PreferenceColumn>;
+  template <typename Self, typename Fn>
+  static void value_lanes(Self& self, Fn&& fn) {
+    for (auto& lane : self.weights_) {
+      fn(lane);
+    }
+  }
+
   std::array<std::vector<double>, video::kCategoryCount> weights_;
 };
 

@@ -1,12 +1,20 @@
 #include "twin/store.hpp"
 
+#include <utility>
+
 #include "util/error.hpp"
 
 namespace dtmsv::twin {
 
 TwinStore::TwinStore(std::size_t user_count, std::size_t history_capacity)
-    : columns_(std::make_unique<TwinColumnStore>(user_count, history_capacity)) {
-  DTMSV_EXPECTS(user_count > 0);
+    : TwinStore(std::make_unique<TwinColumnStore>(user_count, history_capacity)) {}
+
+TwinStore::TwinStore(std::size_t user_count, RetentionSpan retention)
+    : TwinStore(std::make_unique<TwinColumnStore>(user_count, retention)) {}
+
+TwinStore::TwinStore(std::unique_ptr<TwinColumnStore> columns)
+    : columns_(std::move(columns)) {
+  const std::size_t user_count = columns_->user_count();
   twins_.reserve(user_count);
   for (std::size_t u = 0; u < user_count; ++u) {
     twins_.emplace_back(UserDigitalTwin(columns_.get(), u, u));

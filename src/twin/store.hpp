@@ -20,10 +20,14 @@ namespace dtmsv::twin {
 /// Owns the columnar histories plus one UserDigitalTwin handle per user.
 class TwinStore {
  public:
-  /// Creates `user_count` twins with ids 0..user_count-1.
+  /// Creates `user_count` twins with ids 0..user_count-1 on fixed rings:
   /// `history_capacity` sizes the 1 Hz channel lane; the sparser attribute
-  /// lanes keep ColumnCapacities::scaled shares of it.
+  /// lanes keep ColumnCapacities::scaled shares of it. The 2048 default is
+  /// held for the perfbench harness, whose serve replica still uses it.
   explicit TwinStore(std::size_t user_count, std::size_t history_capacity = 2048);
+  /// Same, on rings that retain `retention.seconds` of history and grow on
+  /// demand (what Simulation and ServeLoop use).
+  TwinStore(std::size_t user_count, RetentionSpan retention);
 
   std::size_t user_count() const { return twins_.size(); }
 
@@ -49,6 +53,8 @@ class TwinStore {
   const TwinColumnStore& columns() const { return *columns_; }
 
  private:
+  explicit TwinStore(std::unique_ptr<TwinColumnStore> columns);
+
   std::unique_ptr<TwinColumnStore> columns_;
   std::vector<UserDigitalTwin> twins_;
 };

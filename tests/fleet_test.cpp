@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/fleet.hpp"
+#include "core/scenarios.hpp"
 #include "twin/column_store.hpp"
 #include "util/error.hpp"
 #include "util/parallel.hpp"
@@ -277,6 +278,28 @@ TEST(SimulationFleet, ChurnDeterministicPerSeed) {
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_DOUBLE_EQ(a[i].actual_radio_hz_total, b[i].actual_radio_hz_total);
     EXPECT_DOUBLE_EQ(a[i].predicted_radio_hz_total, b[i].predicted_radio_hz_total);
+  }
+}
+
+TEST(SimulationFleet, SteadyStateTwinsKeepOnlyWhatTheWindowReads) {
+  // The canonical steady-state cell: 120 s feature window, 1 Hz channel,
+  // 5 s location and 60 s preference reports. Rings that retain by time
+  // settle near 128/32/32/8 slots; the fixed 2048/512/256/128 rings held
+  // 85.6 KiB per user.
+  const core::ScenarioConfig scenario =
+      core::make_scenario(core::ScenarioKind::kSteadyState, 240, 4, 7);
+  FleetConfig cfg;
+  cfg.base = scenario.base;
+  cfg.cell_count = scenario.cell_count;
+  cfg.total_users = scenario.total_users;
+  cfg.seed = scenario.seed;
+  SimulationFleet fleet(cfg);
+  fleet.run(4);  // past warm-up, with windows full of history
+  for (std::size_t s = 0; s < fleet.shard_count(); ++s) {
+    const core::Simulation& sim = fleet.shard(s);
+    const twin::TwinColumnStore& columns = sim.twins().columns();
+    EXPECT_LT(columns.bytes() / sim.config().user_count, 8u * 1024u) << "shard " << s;
+    EXPECT_GE(columns.channel_column().capacity(), 120u) << "shard " << s;
   }
 }
 

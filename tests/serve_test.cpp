@@ -15,6 +15,7 @@
 #include "core/pipeline.hpp"
 #include "core/serve.hpp"
 #include "core/serve_workload.hpp"
+#include "twin/column_store.hpp"
 #include "util/config.hpp"
 #include "util/error.hpp"
 #include "util/parallel.hpp"
@@ -72,6 +73,18 @@ TEST(EventQueue, RejectsOutOfOrderPushAndZeroCapacity) {
   queue.push(channel_at(0, 5.0));
   EXPECT_THROW(queue.push(channel_at(1, 4.0)), util::PreconditionError);
   queue.push(channel_at(1, 5.0));  // ties are fine
+}
+
+TEST(EventQueue, OrderWatermarkSurvivesDrains) {
+  core::EventQueue queue(4);
+  queue.push(channel_at(0, 5.0));
+  EXPECT_EQ(queue.drain_until(6.0, [](const core::TwinEvent&) {}), 1u);
+  ASSERT_TRUE(queue.empty());
+  // Empty again, but t=2 is older than an event already handed out.
+  EXPECT_THROW(queue.push(channel_at(1, 2.0)), util::PreconditionError);
+  EXPECT_EQ(queue.stats().offered, 1u);
+  queue.push(channel_at(1, 5.0));  // a tie with the last pushed time is fine
+  EXPECT_EQ(queue.size(), 1u);
 }
 
 TEST(EventQueue, RejectsNonFiniteTimeAndStaysUsable) {
@@ -427,6 +440,49 @@ TEST(ServeLoop, NanTimeOnEmptyQueueIsRejectedAndTheLoopKeepsServing) {
   EXPECT_EQ(loop.stats().intervals, 2u);
   EXPECT_EQ(sink.reports.size(), 2u);
   EXPECT_EQ(loop.queue_size(), 0u);
+}
+
+TEST(ServeLoop, LateEventAfterDrainIsRejectedAndTheLoopKeepsServing) {
+  core::ManualServeClock clock;
+  core::CollectingSink sink;
+  core::ServeLoop loop(small_serve(), clock, &sink);
+  loop.offer(channel_at(0, 5.0));
+  loop.advance_to(6.0);  // user 0's t=5 report is in the twin now
+  ASSERT_EQ(loop.queue_size(), 0u);
+  // Older than what the twin holds: admitting it would make every later
+  // advance_to throw on the same queued event.
+  EXPECT_THROW(loop.offer(channel_at(0, 2.0)), util::PreconditionError);
+
+  for (int i = 1; i <= 3; ++i) {
+    offer_reports(loop, 10.0 * i - 3.0, 6);
+    loop.advance_to(10.0 * i);
+  }
+  EXPECT_EQ(loop.stats().events_ingested, 19u);
+  EXPECT_EQ(loop.stats().intervals, 3u);
+  EXPECT_EQ(sink.reports.size(), 3u);
+  EXPECT_EQ(loop.queue_size(), 0u);
+}
+
+TEST(ServeLoop, SameTimeFloodOnOneUserKeepsTwinMemoryBounded) {
+  // Two full queues of reports for user 0, all at t=5, drained by repeated
+  // advance_to(6): every sample sits inside the retention span, so the
+  // rings grow until the fixed-ring ceiling and then evict. Twin memory
+  // never exceeds that of the fixed default rings.
+  const core::ServeConfig cfg = small_serve();
+  core::ManualServeClock clock;
+  core::ServeLoop loop(cfg, clock);
+  for (int batch = 0; batch < 2; ++batch) {
+    for (std::size_t i = 0; i < cfg.queue_capacity; ++i) {
+      loop.offer(channel_at(0, 5.0));
+    }
+    loop.advance_to(6.0);
+  }
+  EXPECT_EQ(loop.stats().events_ingested, 2 * cfg.queue_capacity);
+  const twin::TwinColumnStore& columns = loop.twins().columns();
+  EXPECT_EQ(columns.channel_column().capacity(), twin::ColumnCapacities{}.channel);
+  EXPECT_TRUE(columns.channel_column().truncated_before(0, 5.0));
+  EXPECT_LE(columns.bytes(),
+            twin::TwinColumnStore(cfg.scheme.user_count, twin::ColumnCapacities{}).bytes());
 }
 
 /// Runs the scripted overload scenario end to end and returns the sink.

@@ -6,12 +6,14 @@
 // failure injection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <string>
 #include <vector>
 
+#include "analysis/swiping.hpp"
 #include "behavior/session.hpp"
 #include "mobility/random_waypoint.hpp"
 #include "predict/channel_predictor.hpp"
@@ -829,6 +831,270 @@ TEST(TwinColumnStore, ExtractionThreadCountInvariant) {
   for (std::size_t i = 0; i < single.size(); ++i) {
     ASSERT_EQ(single[i], pooled[i]) << "element " << i;
   }
+}
+
+// ------------------------------------------------------- retention by time
+
+TEST(RetainingRing, GrowsAcrossAWrappedRingInsteadOfEvictingInsideTheSpan) {
+  // Capacity 3, retain 3 s. User 1: t=0 ages out when t=12 arrives (0 < 9),
+  // which leaves the ring wrapped (head 1); t=13 then finds the oldest
+  // sample (10) inside the span and doubles the stride instead of evicting.
+  ChannelColumn column(2, 3, 3.0);
+  column.record(0, 0.0, {100.0, 1.0, 7});
+  column.record(0, 1.0, {101.0, 1.0, 7});
+  for (const double t : {0.0, 10.0, 11.0, 12.0}) {
+    column.record(1, t, {t, 2.0 * t, 3});
+  }
+  ASSERT_EQ(column.capacity(), 3u);
+  ASSERT_TRUE(column.truncated_before(1, 0.0));
+  const std::size_t bytes_before = column.bytes();
+
+  column.record(1, 13.0, {13.0, 26.0, 3});
+  EXPECT_EQ(column.capacity(), 6u);
+  // Every lane doubled: time, snr, efficiency (8 B each) and serving BS (4 B).
+  EXPECT_EQ(column.bytes() - bytes_before, 2u * 3u * (8u + 8u + 8u + 4u));
+  ASSERT_EQ(column.size(1), 4u);
+  for (std::size_t i = 0; i < 4; ++i) {
+    const double t = 10.0 + static_cast<double>(i);
+    EXPECT_EQ(column.time(1, i), t);
+    EXPECT_EQ(column.get(1, i).snr_db, t);
+    EXPECT_EQ(column.get(1, i).efficiency_bps_hz, 2.0 * t);
+    EXPECT_EQ(column.get(1, i).serving_bs, 3u);
+  }
+  // The other user's ring moved to the new stride untouched.
+  ASSERT_EQ(column.size(0), 2u);
+  EXPECT_EQ(column.time(0, 1), 1.0);
+  EXPECT_EQ(column.get(0, 1).snr_db, 101.0);
+  EXPECT_EQ(column.get(0, 0).serving_bs, 7u);
+  // The growth evicted nothing new: only t=0 is gone.
+  EXPECT_FALSE(column.truncated_before(1, 0.5));
+
+  // Once the oldest sample leaves the span the ring evicts again.
+  column.record(1, 13.5, {13.5, 27.0, 3});
+  column.record(1, 13.5, {13.5, 27.0, 3});
+  column.record(1, 17.0, {17.0, 34.0, 3});  // 10 < 14: evicted, no growth
+  EXPECT_EQ(column.capacity(), 6u);
+  EXPECT_EQ(column.time(1, 0), 11.0);
+  EXPECT_TRUE(column.truncated_before(1, 10.0));
+}
+
+TEST(RetainingRing, StopsGrowingAtItsCeilingAndThenEvictsLikeAFixedRing) {
+  // Every sample is inside the 10 s span, so only the ceiling stops the
+  // growth: 2 -> 4 -> 5 slots (the last doubling is clamped), then eviction.
+  ChannelColumn column(1, 2, 10.0, 5);
+  for (int i = 0; i < 7; ++i) {
+    column.record(0, 1.0 + i, {static_cast<double>(i), 0.0, 0});
+  }
+  EXPECT_EQ(column.capacity(), 5u);
+  ASSERT_EQ(column.size(0), 5u);
+  EXPECT_EQ(column.time(0, 0), 3.0);
+  EXPECT_EQ(column.get(0, 4).snr_db, 6.0);
+  EXPECT_TRUE(column.truncated_before(0, 2.0));
+  EXPECT_FALSE(column.truncated_before(0, 2.5));
+  EXPECT_THROW(ChannelColumn(1, 8, 10.0, 4), PreconditionError);  // starts above it
+}
+
+TEST(RetainingRing, ZeroSpanIsAFixedRingAndBadSpansAreRejected) {
+  ChannelColumn fixed(1, 2);
+  for (int i = 0; i < 5; ++i) {
+    fixed.record(0, 1.0, {0.0, 0.0, 0});  // equal timestamps never grow it
+  }
+  EXPECT_EQ(fixed.capacity(), 2u);
+  EXPECT_EQ(fixed.size(0), 2u);
+  EXPECT_THROW(ChannelColumn(1, 2, -1.0), PreconditionError);
+  EXPECT_THROW(ChannelColumn(1, 2, std::numeric_limits<double>::quiet_NaN()),
+               PreconditionError);
+  EXPECT_THROW(TwinColumnStore(1, RetentionSpan{0.0}), PreconditionError);
+  EXPECT_THROW(TwinStore(1, RetentionSpan{std::numeric_limits<double>::infinity()}),
+               PreconditionError);
+}
+
+bool same_value(const ChannelObservation& a, const ChannelObservation& b) {
+  return a.snr_db == b.snr_db && a.efficiency_bps_hz == b.efficiency_bps_hz &&
+         a.serving_bs == b.serving_bs;
+}
+bool same_value(const dtmsv::mobility::Position& a, const dtmsv::mobility::Position& b) {
+  return a.x == b.x && a.y == b.y;
+}
+bool same_value(const WatchObservation& a, const WatchObservation& b) {
+  return a.video_id == b.video_id && a.category == b.category &&
+         a.duration_s == b.duration_s && a.watch_seconds == b.watch_seconds &&
+         a.watch_fraction == b.watch_fraction && a.completed == b.completed;
+}
+bool same_value(const dtmsv::behavior::PreferenceVector& a,
+                const dtmsv::behavior::PreferenceVector& b) {
+  return a == b;
+}
+
+template <typename Series>
+void expect_same_latest(const Series& windowed, const Series& fixed, const char* what) {
+  ASSERT_EQ(windowed.empty(), fixed.empty()) << what;
+  if (fixed.empty()) {
+    return;
+  }
+  const auto a = windowed.latest();
+  const auto b = fixed.latest();
+  EXPECT_EQ(std::memcmp(&a.time, &b.time, sizeof(double)), 0) << what;
+  EXPECT_TRUE(same_value(a.value, b.value)) << what;
+}
+
+void expect_same_bits(const std::vector<double>& a, const std::vector<double>& b,
+                      const char* what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0) << what;
+}
+
+/// Everything a windowed read at `now` can see, from one store.
+struct WindowReads {
+  std::vector<float> windows;
+  std::vector<double> summaries;
+  std::vector<double> forecast;  // efficiency, then the per-bin minima
+  std::vector<double> swiping;   // per category: mass, E[X], CDF on a grid
+};
+
+WindowReads read_window(const TwinStore& store, double now, double window_s) {
+  const FeatureScaling scaling{1200.0, 1000.0, 10.0, 40.0};
+  const WindowSpec wspec{now, window_s, 12, scaling};
+  const SummarySpec sspec{now, window_s, scaling};
+  const TwinColumnStore& columns = store.columns();
+  WindowReads reads;
+  std::vector<const UserDigitalTwin*> group;
+  for (std::size_t u = 0; u < store.user_count(); ++u) {
+    std::vector<float> row(TwinColumnStore::kFeatureChannels * wspec.timesteps);
+    columns.extract_window_row(u, wspec, row.data());
+    reads.windows.insert(reads.windows.end(), row.begin(), row.end());
+    std::vector<double> summary(TwinColumnStore::kSummaryDim);
+    columns.extract_summary_row(u, sspec, summary.data());
+    reads.summaries.insert(reads.summaries.end(), summary.begin(), summary.end());
+    group.push_back(&store.twin(u));
+  }
+  const auto forecast = dtmsv::predict::forecast_group_channel(group, now, window_s);
+  reads.forecast.push_back(forecast.efficiency);
+  reads.forecast.insert(reads.forecast.end(), forecast.min_series.begin(),
+                        forecast.min_series.end());
+  const auto swiping = dtmsv::analysis::build_group_swiping(group, now, window_s, 10, 0.7);
+  for (const auto category : dtmsv::video::all_categories()) {
+    reads.swiping.push_back(swiping.mass(category));
+    reads.swiping.push_back(swiping.expected_watch_fraction(category));
+    for (int k = 0; k <= 10; ++k) {
+      reads.swiping.push_back(swiping.cumulative_swipe_probability(category, 0.1 * k));
+    }
+  }
+  return reads;
+}
+
+TEST(RetainingRing, WindowedStoreReadsLikeANeverEvictingStore) {
+  // Random multi-user streams shaped like the collector's: reports stamped
+  // up to `latency` after the tick they were measured in (per-user offsets
+  // in [0, latency]), bursts of equal or near-equal timestamps, sparse
+  // location / preference reports, handover resets mid-stream. Every read
+  // happens at now >= newest stamp - latency, the owners' invariant.
+  constexpr std::size_t kUsers = 6;
+  constexpr double kTick = 1.0;
+  constexpr double kLatency = 2.5;
+  constexpr double kWindow = 20.0;
+  TwinStore windowed(kUsers, RetentionSpan{kWindow + kLatency + kTick});
+  TwinStore fixed(kUsers, 8192);  // 8192/2048/1024/512 slots: never evicts here
+  Rng rng(97);
+  std::vector<double> offset(kUsers);
+  for (double& o : offset) {
+    o = std::round(rng.uniform(0.0, kLatency) * 4.0) / 4.0;
+  }
+  offset[0] = kLatency;  // reads at t1 sit right on the invariant's edge
+  std::size_t reads = 0;
+  bool grew_wrapped = false;  // a growth after some ring had evicted
+  for (int tick = 0; tick < 400; ++tick) {
+    const double t1 = kTick * (tick + 1);
+    const std::size_t capacity_before = windowed.columns().channel_column().capacity();
+    bool evicted_before = false;
+    for (std::size_t u = 0; u < kUsers; ++u) {
+      evicted_before = evicted_before || windowed.columns().channel(u).size() <
+                                             fixed.columns().channel(u).size();
+    }
+    if (tick == 150 || tick == 260) {
+      const std::size_t u = tick == 150 ? 2 : 0;
+      windowed.reset_user(u);
+      fixed.reset_user(u);
+    }
+    for (std::size_t u = 0; u < kUsers; ++u) {
+      const double stamp = t1 + offset[u];
+      // A burst: many channel and watch reports in this tick, some tied.
+      const bool burst = rng.uniform() < 0.06;
+      // One late burst outgrows every stride the stream has needed so far.
+      const int channel_reports = tick == 300 && u == 3 ? 300
+                                  : burst               ? 25
+                                  : rng.uniform() < 0.9 ? 1
+                                                        : 0;
+      const int watch_reports = burst ? 12 : static_cast<int>(rng.uniform(0.0, 2.0));
+      std::vector<double> times;
+      for (int i = 0; i < channel_reports + watch_reports; ++i) {
+        times.push_back(stamp - std::round(rng.uniform(0.0, kTick) * 4.0) / 4.0);
+      }
+      std::sort(times.begin(), times.begin() + channel_reports);
+      std::sort(times.begin() + channel_reports, times.end());
+      for (TwinStore* store : {&windowed, &fixed}) {
+        Rng values(static_cast<std::uint64_t>(tick) * 131 + u);
+        TwinColumnStore& columns = store->columns();
+        for (int i = 0; i < channel_reports; ++i) {
+          columns.record_channel(u, times[static_cast<std::size_t>(i)],
+                                 {values.uniform(-15.0, 35.0), values.uniform(0.0, 6.5),
+                                  static_cast<std::size_t>(u)});
+        }
+        for (int i = 0; i < watch_reports; ++i) {
+          WatchObservation w;
+          w.video_id = values.next() % 1000;
+          w.category = dtmsv::video::all_categories()[values.next() %
+                                                      dtmsv::video::kCategoryCount];
+          w.duration_s = 30.0;
+          w.watch_seconds = values.uniform(0.0, 30.0);
+          w.watch_fraction = w.watch_seconds / w.duration_s;
+          w.completed = w.watch_fraction > 0.95;
+          columns.record_watch(u, times[static_cast<std::size_t>(channel_reports + i)], w);
+        }
+        if (tick % 5 == 0) {
+          columns.record_location(u, stamp,
+                                  {values.uniform(0.0, 1200.0), values.uniform(0.0, 1000.0)});
+        }
+        if (tick % 15 == 0 || burst) {
+          columns.record_preference(u, stamp, columns.estimator(u).estimate());
+        }
+      }
+    }
+    grew_wrapped = grew_wrapped ||
+                   (evicted_before &&
+                    windowed.columns().channel_column().capacity() > capacity_before);
+    if (tick % 9 != 4) {
+      continue;
+    }
+    for (const double now : {t1, t1 + 0.4, t1 + kLatency}) {
+      SCOPED_TRACE("tick " + std::to_string(tick) + " now " + std::to_string(now));
+      const WindowReads a = read_window(windowed, now, kWindow);
+      const WindowReads b = read_window(fixed, now, kWindow);
+      ASSERT_EQ(a.windows.size(), b.windows.size());
+      ASSERT_EQ(std::memcmp(a.windows.data(), b.windows.data(),
+                            a.windows.size() * sizeof(float)),
+                0);
+      expect_same_bits(a.summaries, b.summaries, "summary rows");
+      expect_same_bits(a.forecast, b.forecast, "group channel forecast");
+      expect_same_bits(a.swiping, b.swiping, "group swiping");
+      for (std::size_t u = 0; u < kUsers; ++u) {
+        expect_same_latest(windowed.twin(u).channel(), fixed.twin(u).channel(), "channel");
+        expect_same_latest(windowed.twin(u).location(), fixed.twin(u).location(),
+                           "location");
+        expect_same_latest(windowed.twin(u).watch(), fixed.twin(u).watch(), "watch");
+        expect_same_latest(windowed.twin(u).preference(), fixed.twin(u).preference(),
+                           "preference");
+        EXPECT_FALSE(windowed.twin(u).channel().truncated_before(now - kWindow));
+        EXPECT_FALSE(windowed.twin(u).watch().truncated_before(now - kWindow));
+      }
+      ++reads;
+    }
+  }
+  EXPECT_GT(reads, 100u);
+  EXPECT_TRUE(grew_wrapped);
+  // The windowed store kept far less than the fixed one and did evict.
+  EXPECT_LT(windowed.columns().bytes() * 8, fixed.columns().bytes());
+  EXPECT_LT(windowed.columns().channel(1).size(), fixed.columns().channel(1).size());
 }
 
 // -------------------------------------------------------------------- UDT

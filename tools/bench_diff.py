@@ -18,6 +18,10 @@ Rows are compared in nanoseconds after scaling each by its own
 `time_unit` (ns, us, ms or s; ns when absent), so a ms-unit file prints in
 ms and a baseline and current row in different units still compare.
 
+Each user counter in COUNTERS gets its own table over the rows that carry
+it in both files (none when no row does). Lower is better, as for times,
+and the same threshold and --strict rule apply.
+
 Exit status: 0 OK (or warnings without --strict), 1 regression with
 --strict, 2 unreadable/invalid input.
 """
@@ -31,6 +35,9 @@ import sys
 
 # google-benchmark's time_unit values, in nanoseconds.
 UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+# User counters compared like times (lower is better) wherever both rows
+# carry them: twin ring bytes per user, from bench_e2e_scale.
+COUNTERS = ("twin_bytes_per_user",)
 
 
 def die(message):
@@ -38,8 +45,8 @@ def die(message):
     sys.exit(2)
 
 
-def load_benchmarks(path, metric):
-    """Returns {name: time_ns} for the plain iteration entries of `path`."""
+def load_entries(path):
+    """Returns the plain iteration entries of `path` that have a name."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -47,15 +54,20 @@ def load_benchmarks(path, metric):
         die(f"cannot read {path}: {err}")
     except json.JSONDecodeError as err:
         die(f"{path} is not valid JSON: {err}")
+    # Skip aggregate rows (mean/median/stddev of --benchmark_repetitions);
+    # manual emitter entries are run_type == "iteration" as well.
+    return [entry for entry in doc.get("benchmarks", [])
+            if entry.get("run_type", "iteration") == "iteration"
+            and entry.get("name") is not None]
+
+
+def load_times(path, entries, metric):
+    """Returns {name: time_ns}."""
     out = {}
-    for entry in doc.get("benchmarks", []):
-        # Skip aggregate rows (mean/median/stddev of --benchmark_repetitions);
-        # manual emitter entries are run_type == "iteration" as well.
-        if entry.get("run_type", "iteration") != "iteration":
-            continue
-        name = entry.get("name")
+    for entry in entries:
+        name = entry["name"]
         value = entry.get(metric, entry.get("real_time"))
-        if name is None or value is None:
+        if value is None:
             continue
         unit = entry.get("time_unit", "ns")
         if unit not in UNIT_NS:
@@ -66,11 +78,40 @@ def load_benchmarks(path, metric):
     return out
 
 
+def load_counter(entries, counter):
+    """Returns {name: value} for the entries carrying user counter `counter`."""
+    return {entry["name"]: float(entry[counter])
+            for entry in entries if isinstance(entry.get(counter), (int, float))}
+
+
 def format_ns(ns):
     for unit, scale in (("s", 1e9), ("ms", 1e6), ("us", 1e3)):
         if abs(ns) >= scale:
             return f"{ns / scale:.3g} {unit}"
     return f"{ns:.3g} ns"
+
+
+def compare(baseline, current, threshold, fmt, better="faster"):
+    """Prints one delta row per shared name (lower is better); returns the
+    (name, delta%) lists of regressions and improvements beyond threshold."""
+    shared = [name for name in baseline if name in current]
+    regressions = []
+    improvements = []
+    width = max((len(n) for n in shared), default=4)
+    print(f"{'benchmark':<{width}}  {'baseline':>10}  {'current':>10}  {'delta':>8}")
+    for name in shared:
+        base = baseline[name]
+        cur = current[name]
+        delta = (cur - base) / base * 100.0 if base > 0 else 0.0
+        flag = ""
+        if delta > threshold:
+            flag = "  <-- REGRESSION"
+            regressions.append((name, delta))
+        elif delta < -threshold:
+            flag = f"  ({better})"
+            improvements.append((name, delta))
+        print(f"{name:<{width}}  {fmt(base):>10}  {fmt(cur):>10}  {delta:>+7.1f}%{flag}")
+    return regressions, improvements
 
 
 def main():
@@ -106,38 +147,35 @@ def main():
     if args.threshold <= 0:
         parser.error("--threshold must be positive")
 
-    baseline = load_benchmarks(args.baseline, args.metric)
-    current = load_benchmarks(args.current, args.metric)
+    baseline_entries = load_entries(args.baseline)
+    current_entries = load_entries(args.current)
+    baseline = load_times(args.baseline, baseline_entries, args.metric)
+    current = load_times(args.current, current_entries, args.metric)
     if args.filter:
         pattern = re.compile(args.filter)
         baseline = {k: v for k, v in baseline.items() if pattern.search(k)}
         current = {k: v for k, v in current.items() if pattern.search(k)}
+        baseline_entries = [e for e in baseline_entries if e["name"] in baseline]
+        current_entries = [e for e in current_entries if e["name"] in current]
 
     shared = [name for name in baseline if name in current]
     only_baseline = sorted(set(baseline) - set(current))
     only_current = sorted(set(current) - set(baseline))
 
-    regressions = []
-    improvements = []
-    width = max((len(n) for n in shared), default=4)
     print(f"bench_diff: {args.current} vs {args.baseline} "
           f"({args.metric}, threshold {args.threshold:g}%)\n")
-    print(f"{'benchmark':<{width}}  {'baseline':>10}  {'current':>10}  {'delta':>8}")
-    for name in shared:
-        base_ns = baseline[name]
-        cur_ns = current[name]
-        delta = (cur_ns - base_ns) / base_ns * 100.0 if base_ns > 0 else 0.0
-        flag = ""
-        if delta > args.threshold:
-            flag = "  <-- REGRESSION"
-            regressions.append((name, delta))
-        elif delta < -args.threshold:
-            flag = "  (faster)"
-            improvements.append((name, delta))
-        print(
-            f"{name:<{width}}  {format_ns(base_ns):>10}  "
-            f"{format_ns(cur_ns):>10}  {delta:>+7.1f}%{flag}"
-        )
+    regressions, improvements = compare(baseline, current, args.threshold, format_ns)
+    for counter in COUNTERS:
+        counter_baseline = load_counter(baseline_entries, counter)
+        counter_current = load_counter(current_entries, counter)
+        if not any(name in counter_current for name in counter_baseline):
+            continue
+        print(f"\ncounter {counter} (lower is better)")
+        counter_regressions, counter_improvements = compare(
+            counter_baseline, counter_current,
+            args.threshold, lambda v: f"{v:.6g}", better="better")
+        regressions += [(f"{name} {counter}", d) for name, d in counter_regressions]
+        improvements += [(f"{name} {counter}", d) for name, d in counter_improvements]
 
     if only_baseline:
         print(f"\nonly in baseline (removed?): {', '.join(only_baseline)}")
