@@ -24,7 +24,8 @@ int main(int argc, char** argv) {
   // Warm up long enough for twins to accumulate watch history and groups to
   // stabilise (the paper reports after its scheme has observed the users).
   std::cout << "warming up 12 reservation intervals (simulated 60 min)...\n";
-  sim.run(12);
+  core::ReportSink discard;
+  sim.run(12, discard);
 
   // "Multicast group 1": the group most attached to News content.
   const std::size_t group = sim.most_preferring_group(video::Category::kNews);

@@ -27,7 +27,8 @@ int main(int argc, char** argv) {
   constexpr std::size_t kReportIntervals = 24;  // 2 simulated hours
   std::cout << "training/warm-up: " << kWarmupIntervals
             << " intervals (simulated " << kWarmupIntervals * 5 << " min)...\n";
-  sim.run(kWarmupIntervals);
+  core::ReportSink discard;
+  sim.run(kWarmupIntervals, discard);
 
   util::Table table({"interval", "group-1 size", "g1 pred MHz", "g1 act MHz",
                      "total pred MHz", "total act MHz", "total err"});
@@ -40,11 +41,14 @@ int main(int argc, char** argv) {
     // Identify "group 1" for the upcoming interval before running it.
     const std::size_t g1 = sim.most_preferring_group(video::Category::kNews);
     const std::size_t g1_size = sim.group_members(g1).size();
-    const core::EpochReport r = sim.run_interval();
-    if (!r.has_prediction || g1 >= r.groups.size()) {
+    core::CollectingSink sink;
+    sim.run_interval(sink);
+    const core::EpochReport& r = sink.reports.back();
+    // Batch group ids are positions, so group g1 is the g1-th group report.
+    if (!r.has_prediction || g1 >= sink.groups.size()) {
       continue;
     }
-    const auto& gr = r.groups[g1];
+    const auto& gr = sink.groups[g1];
     g1_pred.push_back(gr.predicted_radio_hz);
     g1_act.push_back(gr.actual_radio_hz);
     total_pred.push_back(r.predicted_radio_hz_total);

@@ -28,22 +28,24 @@ int main() {
     core::SchemeConfig config = bench::sweep_config(/*seed=*/17);
     config.user_count = users;
     core::Simulation sim(config);
-    sim.run(kWarmup);
+    core::ReportSink discard;
+    sim.run(kWarmup, discard);
+    core::CollectingSink sink;
+    sim.run(kReport, sink);
 
     double multicast_hz = 0.0;
     double unicast_hz = 0.0;
-    double groups = 0.0;
     std::size_t scored = 0;
-    for (std::size_t i = 0; i < kReport; ++i) {
-      const core::EpochReport r = sim.run_interval();
+    for (const core::EpochReport& r : sink.reports) {
       if (!r.has_prediction) {
         continue;
       }
       multicast_hz += r.actual_radio_hz_total;
       unicast_hz += r.unicast_radio_hz_total;
-      groups += static_cast<double>(r.groups.size());
       ++scored;
     }
+    // Groups report only in intervals that carry a prediction.
+    const auto groups = static_cast<double>(sink.groups.size());
     if (scored == 0 || multicast_hz <= 0.0) {
       continue;
     }

@@ -83,10 +83,11 @@ int main() {
     config.grouping_stage = grouping_key;
 
     core::Simulation sim(config);
+    core::CollectingSink sink;
+    sim.run(8, sink);
     std::vector<double> predicted;
     std::vector<double> actual;
-    for (int i = 0; i < 8; ++i) {
-      const core::EpochReport r = sim.run_interval();
+    for (const core::EpochReport& r : sink.reports) {
       if (r.has_prediction) {
         predicted.push_back(r.predicted_radio_hz_total);
         actual.push_back(r.actual_radio_hz_total);

@@ -34,7 +34,8 @@ int main(int argc, char** argv) {
 
   core::Simulation sim(config);
   std::cout << "warming up " << warm << " intervals...\n";
-  sim.run(static_cast<std::size_t>(warm));
+  core::ReportSink discard;
+  sim.run(static_cast<std::size_t>(warm), discard);
 
   // --- group profiles under the DDQN decision --------------------------
   util::Table groups({"group", "size", "top preference", "pref weight",

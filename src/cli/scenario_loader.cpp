@@ -179,6 +179,7 @@ SimPlan load_plan(util::Config& config) {
             }
             base.fixed_k = config.get_size_or("stages.fixed_k", base.fixed_k);
             check_stage_keys(base);
+            core::validate(cfg);
 
             SimJob job;
             job.label = kind_name;

@@ -1,6 +1,7 @@
 #include "cli/serve_loader.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "core/pipeline.hpp"
 #include "util/error.hpp"
@@ -122,8 +123,8 @@ ServePlan load_serve_plan(util::Config& config) {
   plan.overload_intervals = config.get_size_or("workload.overload_intervals", 0);
   plan.overload_multiplier =
       config.get_double_or("workload.overload_multiplier", 1.0);
-  if (plan.overload_intervals > 0 && plan.overload_multiplier <= 0.0) {
-    throw util::RuntimeError("workload.overload_multiplier must be positive");
+  if (!(std::isfinite(plan.overload_multiplier) && plan.overload_multiplier > 0.0)) {
+    throw util::RuntimeError("workload.overload_multiplier must be finite and positive");
   }
 
   core::validate(plan.serve);

@@ -52,7 +52,7 @@ class ShardAccumulator final : public ReportSink {
     summary.radio_error = report.radio_error;
     summary.compute_error = report.compute_error;
     if (buffering_) {
-      buffered_interval_ = report;  // `groups` already empty in streaming mode
+      buffered_interval_ = report;
     }
   }
 

@@ -1,8 +1,10 @@
 #include "core/pipeline.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <map>
 #include <mutex>
+#include <span>
 #include <utility>
 
 #include "clustering/metrics.hpp"
@@ -443,6 +445,70 @@ std::string demand_stage_key(const SchemeConfig& config) {
   DTMSV_EXPECTS_MSG(!config.demand_stage.empty(),
                     "SchemeConfig::demand_stage must name a registry key");
   return config.demand_stage;
+}
+
+// ------------------------------------------------------ interval prediction
+
+double monotonic_s() {
+  return std::chrono::duration<double>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+std::vector<GroupForecast> predict_interval(
+    const TwinSnapshot& snapshot, const SchemeConfig& config, FeatureStage& feature,
+    GroupingStage& grouping, DemandStage& demand, util::Rng& cluster_rng,
+    const video::Catalog& catalog, const analysis::PopularityAnalyzer& popularity,
+    const predict::ContentStats& content, EpochReport& report, StageTimings& timings) {
+  const double t_feature = monotonic_s();
+  const FeatureOutput features = feature.extract(snapshot);
+  report.reconstruction_loss = features.reconstruction_loss;
+
+  const double t_grouping = monotonic_s();
+  const GroupingOutcome outcome = grouping.group(features.points, cluster_rng);
+  report.k = outcome.k;
+  report.silhouette = outcome.silhouette;
+  report.ddqn_epsilon = outcome.epsilon;
+
+  const double t_demand = monotonic_s();
+  const clustering::ClusterMembers by_group =
+      clustering::members_by_cluster(outcome.assignment, outcome.k);
+  std::vector<GroupForecast> groups;
+  std::vector<const twin::UserDigitalTwin*> member_twins;
+  for (std::size_t g = 0; g < outcome.k; ++g) {
+    const std::span<const std::size_t> ids = by_group.of(g);
+    if (ids.empty()) {
+      continue;  // K-means re-seeding should prevent this, but stay safe
+    }
+    GroupForecast& group = groups.emplace_back();
+    group.cluster = g;
+    group.members.assign(ids.begin(), ids.end());
+    member_twins.clear();
+    for (const std::size_t u : ids) {
+      member_twins.push_back(&snapshot.twins->twin(u));
+    }
+
+    group.swiping = analysis::build_group_swiping(member_twins, snapshot.now,
+                                                  snapshot.window_s, config.swiping_bins,
+                                                  config.swiping_forgetting);
+    group.preference = analysis::aggregate_group_preference(member_twins);
+    group.recommendation =
+        analysis::recommend(catalog, popularity, group.preference, config.recommender);
+
+    GroupDemandContext context;
+    context.members = &member_twins;
+    context.preference = &group.preference;
+    context.swiping = &group.swiping;
+    context.playlist_per_category = &group.recommendation.per_category_counts;
+    context.content = &content;
+    context.now = snapshot.now;
+    group.forecast = demand.predict(context);
+  }
+  const double t_end = monotonic_s();
+  timings.feature_s += t_grouping - t_feature;
+  timings.grouping_s += t_demand - t_grouping;
+  timings.demand_s += t_end - t_demand;
+  return groups;
 }
 
 }  // namespace dtmsv::core

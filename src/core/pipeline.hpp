@@ -15,6 +15,10 @@
 // selection mechanism; the pre-PR-3 enum aliases are gone (see
 // simulation.hpp for the migration note).
 //
+// predict_interval() chains the three stages for one interval; the batch
+// Simulation and the serve loop both call it, so they share one prediction
+// path.
+//
 // Report delivery is streaming: a ReportSink observes per-group and
 // per-interval outcomes (plus fleet handovers and serve-mode degradation /
 // drop events) as they are scored, so large fleets never materialize
@@ -29,6 +33,8 @@
 #include <string>
 #include <vector>
 
+#include "analysis/popularity.hpp"
+#include "analysis/recommend.hpp"
 #include "analysis/swiping.hpp"
 #include "behavior/preference.hpp"
 #include "clustering/kmeans.hpp"
@@ -75,9 +81,6 @@ struct EpochReport {
   double silhouette = 0.0;
   double ddqn_epsilon = 0.0;
   double reconstruction_loss = 0.0;
-  /// Per-group reports. Filled by the vector-returning run paths; empty in
-  /// streaming mode, where groups arrive through ReportSink::on_group.
-  std::vector<GroupReport> groups;
   double predicted_radio_hz_total = 0.0;
   double actual_radio_hz_total = 0.0;
   double predicted_compute_total = 0.0;
@@ -127,11 +130,10 @@ struct DropEvent {
 /// so sinks override only what they consume.
 ///
 /// Delivery contract: within one interval, every on_group call precedes the
-/// on_interval call, and the EpochReport passed to on_interval carries an
-/// empty `groups` vector (group data is not buffered twice). A fleet
-/// delivers shards in fixed shard order after its parallel phase, so sink
-/// output is deterministic for any thread count; on_handover fires once per
-/// swap before the interval that first observes it.
+/// on_interval call. A fleet delivers shards in fixed shard order after its
+/// parallel phase, so sink output is deterministic for any thread count;
+/// on_handover fires once per swap before the interval that first observes
+/// it.
 class ReportSink {
  public:
   virtual ~ReportSink() = default;
@@ -154,8 +156,7 @@ class ReportSink {
 };
 
 /// Convenience sink that retains everything it observes (tests, small runs).
-/// Interval reports arrive with empty `groups`; the group stream is kept
-/// separately in `groups`.
+/// `group_intervals[i]` is the interval `groups[i]` belongs to.
 class CollectingSink final : public ReportSink {
  public:
   void on_group(const GroupReport& group, util::IntervalId interval) override {
@@ -385,5 +386,33 @@ struct StageTimings {
   double pipeline_s() const { return feature_s + grouping_s + demand_s; }
   double total_s() const { return simulate_s + pipeline_s(); }
 };
+
+/// Monotonic wall-clock seconds (steady_clock) for StageTimings.
+double monotonic_s();
+
+// ------------------------------------------------------ interval prediction
+
+/// One non-empty group's abstraction and next-interval demand forecast.
+struct GroupForecast {
+  std::size_t cluster = 0;  // the group's index in the grouping's [0, k)
+  std::vector<std::size_t> members;
+  analysis::SwipingDistribution swiping;
+  behavior::PreferenceVector preference{};
+  analysis::Recommendation recommendation;
+  GroupDemandForecast forecast;
+};
+
+/// The paper's interval chain over `snapshot`: `feature` extracts every
+/// user, `grouping` clusters them on `cluster_rng`, then each non-empty
+/// group gets its swiping distribution, preference, recommendation (from
+/// `catalog` and `popularity`) and `demand` forecast. Sets `report`'s k,
+/// silhouette, ddqn_epsilon and reconstruction_loss, and adds the feature,
+/// grouping and demand wall time to `timings` (callers count `intervals`).
+/// Returns the groups in cluster order.
+std::vector<GroupForecast> predict_interval(
+    const TwinSnapshot& snapshot, const SchemeConfig& config, FeatureStage& feature,
+    GroupingStage& grouping, DemandStage& demand, util::Rng& cluster_rng,
+    const video::Catalog& catalog, const analysis::PopularityAnalyzer& popularity,
+    const predict::ContentStats& content, EpochReport& report, StageTimings& timings);
 
 }  // namespace dtmsv::core

@@ -69,15 +69,34 @@ ScenarioConfig make_scenario(ScenarioKind kind, std::size_t total_users,
   return cfg;
 }
 
-ScenarioResult run_scenario(const ScenarioConfig& config, ReportSink* sink) {
-  DTMSV_EXPECTS(config.intervals > 0);
+namespace {
 
-  FleetConfig fleet_config;
-  fleet_config.base = config.base;
-  fleet_config.cell_count = config.cell_count;
-  fleet_config.total_users = config.total_users;
-  fleet_config.seed = config.seed;
-  SimulationFleet fleet(fleet_config);
+FleetConfig fleet_config_of(const ScenarioConfig& config) {
+  FleetConfig fleet;
+  fleet.base = config.base;
+  fleet.cell_count = config.cell_count;
+  fleet.total_users = config.total_users;
+  fleet.seed = config.seed;
+  return fleet;
+}
+
+}  // namespace
+
+void validate(const ScenarioConfig& config) {
+  validate(fleet_config_of(config));
+  DTMSV_EXPECTS_MSG(config.intervals > 0, "ScenarioConfig: intervals must be > 0");
+  DTMSV_EXPECTS_MSG(
+      std::isfinite(config.surge_fraction) && config.surge_fraction >= 0.0,
+      "ScenarioConfig: surge_fraction must be finite and >= 0");
+  DTMSV_EXPECTS_MSG(config.surge_cell < config.cell_count,
+                    "ScenarioConfig: surge_cell must be < cell_count");
+  DTMSV_EXPECTS_MSG(config.churn_fraction >= 0.0 && config.churn_fraction <= 1.0,
+                    "ScenarioConfig: churn_fraction must be in [0, 1]");
+}
+
+ScenarioResult run_scenario(const ScenarioConfig& config, ReportSink* sink) {
+  validate(config);
+  SimulationFleet fleet(fleet_config_of(config));
 
   ScenarioResult result;
   result.kind = config.kind;

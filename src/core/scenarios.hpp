@@ -58,6 +58,13 @@ struct ScenarioConfig {
   SchemeConfig base{};
 };
 
+/// Validates a scenario (the fleet it builds, see validate(FleetConfig);
+/// then intervals > 0, finite surge_fraction >= 0, surge_cell <
+/// cell_count, churn_fraction in [0, 1]), throwing util::PreconditionError
+/// with the offending field. Called by run_scenario; the scenario loader
+/// calls it too, so a bad grid fails before its first job.
+void validate(const ScenarioConfig& config);
+
 /// Builds the canonical configuration of `kind` at the requested scale.
 ScenarioConfig make_scenario(ScenarioKind kind, std::size_t total_users,
                              std::size_t cell_count, std::uint64_t seed = 42);

@@ -2,12 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <span>
 #include <utility>
 
-#include "analysis/recommend.hpp"
-#include "analysis/swiping.hpp"
-#include "clustering/kmeans.hpp"
 #include "util/error.hpp"
 
 namespace dtmsv::core {
@@ -254,61 +250,25 @@ void ServeLoop::fire_prediction(util::SimTime at) {
   snapshot.timesteps = config_.scheme.feature_timesteps;
   snapshot.scaling = config_.scaling;
   snapshot.arena = &arena_;
-  const FeatureOutput features = rung_stages_[level]->extract(snapshot);
 
   EpochReport report;
   report.interval = interval_;
   report.has_prediction = true;
   report.grouped = true;
-  report.reconstruction_loss = features.reconstruction_loss;
-
-  const GroupingOutcome grouping =
-      grouping_stage_->group(features.points, cluster_rng_);
-  report.k = grouping.k;
-  report.silhouette = grouping.silhouette;
-  report.ddqn_epsilon = grouping.epsilon;
-
-  // Group abstraction + demand prediction, mirroring the batch
-  // Simulation::rebuild_groups wiring. Serve mode has no simulated ground
-  // truth, so the actual_* fields stay zero and no bias feedback runs.
-  const clustering::ClusterMembers by_group =
-      clustering::members_by_cluster(grouping.assignment, grouping.k);
-  std::vector<const twin::UserDigitalTwin*> member_twins;
-  for (std::size_t g = 0; g < grouping.k; ++g) {
-    const std::span<const std::size_t> members = by_group.of(g);
-    if (members.empty()) {
-      continue;
-    }
-    member_twins.clear();
-    for (const std::size_t u : members) {
-      member_twins.push_back(&twins_->twin(u));
-    }
-
-    const analysis::SwipingDistribution swiping = analysis::build_group_swiping(
-        member_twins, at, config_.scheme.feature_window_s,
-        config_.scheme.swiping_bins, config_.scheme.swiping_forgetting);
-    const behavior::PreferenceVector preference =
-        analysis::aggregate_group_preference(member_twins);
-    const analysis::Recommendation recommendation = analysis::recommend(
-        catalog_, popularity_, preference, config_.scheme.recommender);
-
-    GroupDemandContext context;
-    context.members = &member_twins;
-    context.preference = &preference;
-    context.swiping = &swiping;
-    context.playlist_per_category = &recommendation.per_category_counts;
-    context.content = &content_;
-    context.now = at;
-    const GroupDemandForecast forecast = demand_stage_->predict(context);
-
+  // Serve mode has no simulated ground truth, so the actual_* fields stay
+  // zero and no bias feedback runs.
+  const std::vector<GroupForecast> groups = predict_interval(
+      snapshot, config_.scheme, *rung_stages_[level], *grouping_stage_, *demand_stage_,
+      cluster_rng_, catalog_, popularity_, content_, report, stats_.stages);
+  for (const GroupForecast& group : groups) {
     GroupReport group_report;
-    group_report.group_id = g;
-    group_report.size = members.size();
-    group_report.predicted_efficiency = forecast.efficiency;
-    group_report.predicted_radio_hz = forecast.demand.radio_hz;
-    group_report.predicted_compute_cycles = forecast.demand.compute_cycles;
-    report.predicted_radio_hz_total += forecast.demand.radio_hz;
-    report.predicted_compute_total += forecast.demand.compute_cycles;
+    group_report.group_id = group.cluster;
+    group_report.size = group.members.size();
+    group_report.predicted_efficiency = group.forecast.efficiency;
+    group_report.predicted_radio_hz = group.forecast.demand.radio_hz;
+    group_report.predicted_compute_cycles = group.forecast.demand.compute_cycles;
+    report.predicted_radio_hz_total += group.forecast.demand.radio_hz;
+    report.predicted_compute_total += group.forecast.demand.compute_cycles;
     if (sink_ != nullptr) {
       sink_->on_group(group_report, interval_);
     }
@@ -319,6 +279,7 @@ void ServeLoop::fire_prediction(util::SimTime at) {
   const bool deadline_hit = latency_ms <= config_.deadline_ms;
 
   ++stats_.intervals;
+  ++stats_.stages.intervals;
   stats_.latencies_ms.push_back(latency_ms);
   if (!deadline_hit) {
     ++stats_.deadline_misses;

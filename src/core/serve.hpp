@@ -7,8 +7,8 @@
 // shed-oldest with exact drop accounting), and on every interval boundary
 // crossed by advance_to() drains the admitted events into the columnar
 // TwinColumnStore and fires the pipeline — feature extraction, grouping,
-// per-group abstraction + demand prediction — exactly as the batch
-// interval loop wires it.
+// per-group abstraction + demand prediction — through the same
+// core::predict_interval the batch interval loop calls.
 //
 // Latency SLO: each fired prediction is timed against ServeConfig::
 // deadline_ms using an injected ServeClock (steady_clock in production, a
@@ -23,7 +23,6 @@
 // to the ordinary group/interval reports.
 #pragma once
 
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -57,14 +56,10 @@ class ServeClock {
   virtual double now_s() = 0;
 };
 
-/// Production clock: std::chrono::steady_clock.
+/// Production clock: std::chrono::steady_clock (core::monotonic_s).
 class SteadyServeClock final : public ServeClock {
  public:
-  double now_s() override {
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-  }
+  double now_s() override { return monotonic_s(); }
 };
 
 /// Deterministic scripted clock for tests. Each now_s() call first advances
@@ -175,6 +170,9 @@ struct ServeStats {
   std::size_t steps_down = 0;       // ladder transitions away from rung 0
   std::size_t steps_up = 0;         // ladder transitions toward rung 0
   std::vector<double> latencies_ms;  // one entry per fired prediction
+  /// Feature/grouping/demand wall time summed over fired predictions
+  /// (`intervals` counts them; simulate_s stays 0).
+  StageTimings stages;
 };
 
 /// Nearest-rank percentile of `values` (q in [0, 100]); 0 when empty.

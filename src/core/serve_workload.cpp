@@ -56,8 +56,8 @@ ServeWorkload::ServeWorkload(const ServeWorkloadConfig& config,
 }
 
 void ServeWorkload::set_rate_multiplier(double multiplier) {
-  DTMSV_EXPECTS_MSG(multiplier > 0.0,
-                    "ServeWorkload: rate multiplier must be positive");
+  DTMSV_EXPECTS_MSG(std::isfinite(multiplier) && multiplier > 0.0,
+                    "ServeWorkload: rate multiplier must be finite and positive");
   rate_multiplier_ = multiplier;
 }
 

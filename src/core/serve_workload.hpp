@@ -51,7 +51,7 @@ class ServeWorkload {
 
   std::size_t user_count() const { return users_.size(); }
   double rate_multiplier() const { return rate_multiplier_; }
-  /// Scales all report rates from now on (must be > 0). Takes effect for
+  /// Scales all report rates from now on (finite, > 0). Takes effect for
   /// events scheduled after each user's next report of each kind, like a
   /// real traffic surge ramping in.
   void set_rate_multiplier(double multiplier);

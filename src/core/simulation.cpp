@@ -1,36 +1,27 @@
 #include "core/simulation.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <istream>
 #include <ostream>
-#include <span>
 
-#include "clustering/kmeans.hpp"
 #include "util/error.hpp"
 
 namespace dtmsv::core {
 
-namespace {
-
-/// Monotonic seconds for the stage-timing breakdown.
-double wall_s() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-}  // namespace
-
 void validate(const SchemeConfig& config) {
   DTMSV_EXPECTS_MSG(config.user_count > 0, "SchemeConfig: user_count must be > 0");
-  DTMSV_EXPECTS_MSG(config.interval_s > 0.0, "SchemeConfig: interval_s must be > 0");
-  DTMSV_EXPECTS_MSG(config.tick_s > 0.0, "SchemeConfig: tick_s must be > 0");
+  // Finite as well as positive: an infinite interval would schedule an
+  // unbounded tick count, an infinite window an unbounded retention span.
+  DTMSV_EXPECTS_MSG(std::isfinite(config.interval_s) && config.interval_s > 0.0,
+                    "SchemeConfig: interval_s must be finite and > 0");
+  DTMSV_EXPECTS_MSG(std::isfinite(config.tick_s) && config.tick_s > 0.0,
+                    "SchemeConfig: tick_s must be finite and > 0");
   DTMSV_EXPECTS_MSG(config.tick_s <= config.interval_s,
                     "SchemeConfig: interval_s must be >= tick_s");
-  DTMSV_EXPECTS_MSG(config.feature_window_s > 0.0,
-                    "SchemeConfig: feature_window_s must be > 0");
+  DTMSV_EXPECTS_MSG(
+      std::isfinite(config.feature_window_s) && config.feature_window_s > 0.0,
+      "SchemeConfig: feature_window_s must be finite and > 0");
   DTMSV_EXPECTS_MSG(config.feature_timesteps >= 8,
                     "SchemeConfig: feature_timesteps must be >= 8");
   DTMSV_EXPECTS_MSG(config.swiping_bins >= 2,
@@ -355,68 +346,36 @@ behavior::PreferenceVector Simulation::handover_user(
   return outgoing;
 }
 
-void Simulation::rebuild_groups(const clustering::Points& points,
-                                EpochReport& report) {
-  const double t_group0 = wall_s();
-  GroupingOutcome grouping = grouping_stage_->group(points, cluster_rng_);
-  report.k = grouping.k;
-  report.silhouette = grouping.silhouette;
-  report.ddqn_epsilon = grouping.epsilon;
-  const double t_group1 = wall_s();
-  timings_.grouping_s += t_group1 - t_group0;
+void Simulation::rebuild_groups(EpochReport& report) {
+  TwinSnapshot snapshot;
+  snapshot.twins = twins_.get();
+  snapshot.now = now_;
+  snapshot.window_s = config_.feature_window_s;
+  snapshot.timesteps = config_.feature_timesteps;
+  snapshot.scaling = twin::FeatureScaling{campus_.width(), campus_.height(), 10.0, 40.0};
+  snapshot.arena = &feature_arena_;
+  std::vector<GroupForecast> forecasts = predict_interval(
+      snapshot, config_, *feature_stage_, *grouping_stage_, *demand_stage_, cluster_rng_,
+      catalog_, popularity_, content_, report, timings_);
 
   groups_.clear();
-  const clustering::ClusterMembers by_group =
-      clustering::members_by_cluster(grouping.assignment, grouping.k);
-  for (std::size_t g = 0; g < grouping.k; ++g) {
-    const std::span<const std::size_t> ids = by_group.of(g);
-    if (ids.empty()) {
-      continue;  // K-means re-seeding should prevent this, but stay safe
-    }
-    Group group(config_.swiping_bins, config_.swiping_forgetting);
-    group.members.assign(ids.begin(), ids.end());
-
-    std::vector<const twin::UserDigitalTwin*> member_twins;
-    member_twins.reserve(group.members.size());
-    for (const std::size_t u : group.members) {
-      member_twins.push_back(&twins_->twin(u));
-    }
-
-    group.swiping =
-        analysis::build_group_swiping(member_twins, now_, config_.feature_window_s,
-                                      config_.swiping_bins, config_.swiping_forgetting);
-    group.preference = analysis::aggregate_group_preference(member_twins);
-    group.recommendation =
-        analysis::recommend(catalog_, popularity_, group.preference,
-                            config_.recommender);
-
-    GroupDemandContext context;
-    context.members = &member_twins;
-    context.preference = &group.preference;
-    context.swiping = &group.swiping;
-    context.playlist_per_category = &group.recommendation.per_category_counts;
-    context.content = &content_;
-    context.now = now_;
-    const GroupDemandForecast forecast = demand_stage_->predict(context);
-    group.predicted_efficiency = forecast.efficiency;
-    group.predicted = forecast.demand;
+  for (GroupForecast& forecast : forecasts) {
+    Group& group = groups_.emplace_back(std::move(forecast));
     if (config_.online_bias_correction) {
+      predict::ResourceDemand& demand = group.forecast.demand;
       if (radio_bias_.has_value()) {
         const double f = std::clamp(radio_bias_.value(), 0.7, 1.3);
-        group.predicted.radio_hz *= f;
-        group.predicted.transmitted_bits *= f;
+        demand.radio_hz *= f;
+        demand.transmitted_bits *= f;
       }
       if (compute_bias_.has_value()) {
-        group.predicted.compute_cycles *=
-            std::clamp(compute_bias_.value(), 0.5, 1.5);
+        demand.compute_cycles *= std::clamp(compute_bias_.value(), 0.5, 1.5);
       }
     }
-    groups_.push_back(std::move(group));
   }
-  timings_.demand_s += wall_s() - t_group1;
 }
 
-EpochReport Simulation::run_interval_impl(ReportSink* sink) {
+void Simulation::run_interval(ReportSink& sink) {
   EpochReport report;
   report.interval = interval_;
   report.grouped = !groups_.empty();
@@ -427,7 +386,7 @@ EpochReport Simulation::run_interval_impl(ReportSink* sink) {
   // each tick's endpoints are computed from the index instead and the
   // interval lands exactly on its nominal boundary. When tick_s does not
   // divide interval_s the final tick is truncated to the boundary.
-  const double t_sim0 = wall_s();
+  const double t_sim0 = monotonic_s();
   const util::SimTime interval_start = now_;
   const util::SimTime interval_end =
       static_cast<double>(interval_ + 1) * config_.interval_s;
@@ -444,7 +403,7 @@ EpochReport Simulation::run_interval_impl(ReportSink* sink) {
     events.clear();
     tick(events, t0, t1);
   }
-  timings_.simulate_s += wall_s() - t_sim0;
+  timings_.simulate_s += monotonic_s() - t_sim0;
 
   // Score the predictions made at the start of this interval.
   if (report.grouped) {
@@ -455,12 +414,12 @@ EpochReport Simulation::run_interval_impl(ReportSink* sink) {
       gr.group_id = g;
       gr.size = grp.members.size();
       gr.rung = grp.rung;
-      gr.predicted_efficiency = grp.predicted_efficiency;
+      gr.predicted_efficiency = grp.forecast.efficiency;
       gr.realized_efficiency =
           grp.on_air_time > 0.0 ? grp.efficiency_time_integral / grp.on_air_time : 0.0;
-      gr.predicted_radio_hz = grp.predicted.radio_hz;
+      gr.predicted_radio_hz = grp.forecast.demand.radio_hz;
       gr.actual_radio_hz = grp.hz_seconds / config_.interval_s;
-      gr.predicted_compute_cycles = grp.predicted.compute_cycles;
+      gr.predicted_compute_cycles = grp.forecast.demand.compute_cycles;
       gr.actual_compute_cycles = grp.compute_cycles;
       gr.unicast_radio_hz = grp.unicast_hz_seconds / config_.interval_s;
       gr.videos_played = grp.videos_played;
@@ -470,11 +429,7 @@ EpochReport Simulation::run_interval_impl(ReportSink* sink) {
       report.predicted_compute_total += gr.predicted_compute_cycles;
       report.actual_compute_total += gr.actual_compute_cycles;
       report.unicast_radio_hz_total += gr.unicast_radio_hz;
-      if (sink != nullptr) {
-        sink->on_group(gr, report.interval);
-      } else {
-        report.groups.push_back(gr);
-      }
+      sink.on_group(gr, report.interval);
     }
     if (report.actual_radio_hz_total > 0.0) {
       report.radio_error =
@@ -511,32 +466,13 @@ EpochReport Simulation::run_interval_impl(ReportSink* sink) {
 
   // Re-cluster and predict for the next interval once warm-up is over.
   if (interval_ + 1 >= static_cast<util::IntervalId>(config_.warmup_intervals)) {
-    const double t_feat0 = wall_s();
-    TwinSnapshot snapshot;
-    snapshot.twins = twins_.get();
-    snapshot.now = now_;
-    snapshot.window_s = config_.feature_window_s;
-    snapshot.timesteps = config_.feature_timesteps;
-    snapshot.scaling =
-        twin::FeatureScaling{campus_.width(), campus_.height(), 10.0, 40.0};
-    snapshot.arena = &feature_arena_;
-    FeatureOutput features = feature_stage_->extract(snapshot);
-    report.reconstruction_loss = features.reconstruction_loss;
-    timings_.feature_s += wall_s() - t_feat0;
-    rebuild_groups(features.points, report);
+    rebuild_groups(report);
   }
 
   ++interval_;
   ++timings_.intervals;
-  if (sink != nullptr) {
-    sink->on_interval(report);
-  }
-  return report;
+  sink.on_interval(report);
 }
-
-EpochReport Simulation::run_interval() { return run_interval_impl(nullptr); }
-
-void Simulation::run_interval(ReportSink& sink) { run_interval_impl(&sink); }
 
 void Simulation::save_models(std::ostream& os) const {
   const bool feature = feature_stage_->has_learned_state();
@@ -570,15 +506,6 @@ void Simulation::load_models(std::istream& is) {
   if (has_grouping != 0) {
     grouping_stage_->load_state(is);
   }
-}
-
-std::vector<EpochReport> Simulation::run(std::size_t n) {
-  std::vector<EpochReport> reports;
-  reports.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    reports.push_back(run_interval());
-  }
-  return reports;
 }
 
 void Simulation::run(std::size_t n, ReportSink& sink) {

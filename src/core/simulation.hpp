@@ -4,10 +4,11 @@
 //   tick loop (1 s): mobility -> channel -> viewing (individual sessions
 //     during warm-up, group-feed multicast playback after) -> UDT collection
 //   interval end:    realized demand vs. the prediction made one interval
-//     earlier -> FeatureStage (1D-CNN compression of UDT windows) ->
-//     GroupingStage (DDQN+K-means++) -> per-group swiping distribution,
-//     preference aggregation, recommendation -> DemandStage (radio &
-//     computing demand prediction for the next interval).
+//     earlier -> core::predict_interval: FeatureStage (1D-CNN compression
+//     of UDT windows) -> GroupingStage (DDQN+K-means++) -> per-group
+//     swiping distribution, preference aggregation, recommendation ->
+//     DemandStage (radio & computing demand prediction for the next
+//     interval), the same routine the serve loop calls.
 //
 // The three stages are pluggable through core/pipeline.hpp's StageRegistry;
 // the defaults reproduce the paper. Ground truth and prediction share the
@@ -20,6 +21,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/popularity.hpp"
@@ -116,17 +118,10 @@ class Simulation {
   Simulation(const Simulation&) = delete;
   Simulation& operator=(const Simulation&) = delete;
 
-  /// Advances one reservation interval and returns its report (per-group
-  /// reports included in EpochReport::groups).
-  EpochReport run_interval();
-
-  /// Streaming variant: advances one interval, delivering per-group reports
-  /// through sink.on_group and the interval report (with empty `groups`)
-  /// through sink.on_interval. Nothing is accumulated.
+  /// Advances one reservation interval, delivering its per-group reports
+  /// through sink.on_group and the interval report through
+  /// sink.on_interval. Nothing is accumulated (a CollectingSink keeps them).
   void run_interval(ReportSink& sink);
-
-  /// Runs `n` intervals, returning all reports.
-  std::vector<EpochReport> run(std::size_t n);
 
   /// Runs `n` intervals streaming into `sink`.
   void run(std::size_t n, ReportSink& sink);
@@ -191,13 +186,9 @@ class Simulation {
   void load_models(std::istream& is);
 
  private:
-  struct Group {
-    std::vector<std::size_t> members;
-    behavior::PreferenceVector preference{};
-    analysis::Recommendation recommendation;
-    analysis::SwipingDistribution swiping;
-    predict::ResourceDemand predicted;
-    double predicted_efficiency = 0.0;
+  /// A forecast group (core::predict_interval) plus its playback state.
+  struct Group : GroupForecast {
+    explicit Group(GroupForecast&& forecast) : GroupForecast(std::move(forecast)) {}
 
     // Playback state.
     std::size_t playlist_pos = 0;
@@ -217,12 +208,8 @@ class Simulation {
     double efficiency_time_integral = 0.0;  // for mean realized efficiency
     double on_air_time = 0.0;
     std::size_t videos_played = 0;
-
-    explicit Group(std::size_t swiping_bins, double swiping_forgetting)
-        : swiping(swiping_bins, swiping_forgetting) {}
   };
 
-  EpochReport run_interval_impl(ReportSink* sink);
   void tick(std::vector<behavior::ViewEvent>& events, util::SimTime t0,
             util::SimTime t1);
   void drift_affinities();
@@ -230,7 +217,7 @@ class Simulation {
   void start_group_video(Group& g, util::SimTime at);
   void advance_group(Group& g, util::SimTime from, double dt,
                      std::vector<behavior::ViewEvent>& events);
-  void rebuild_groups(const clustering::Points& points, EpochReport& report);
+  void rebuild_groups(EpochReport& report);
 
   SchemeConfig config_;
   util::Rng rng_;

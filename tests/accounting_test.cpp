@@ -36,8 +36,9 @@ class AccountingSweep : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(AccountingSweep, GroupTotalsEqualSumOfGroups) {
   core::Simulation sim(tiny_config(GetParam()));
-  const auto reports = sim.run(4);
-  for (const auto& r : reports) {
+  core::CollectingSink sink;
+  sim.run(4, sink);
+  for (const auto& r : sink.reports) {
     if (!r.has_prediction) {
       continue;
     }
@@ -46,7 +47,11 @@ TEST_P(AccountingSweep, GroupTotalsEqualSumOfGroups) {
     double pred_compute = 0.0;
     double act_compute = 0.0;
     double unicast = 0.0;
-    for (const auto& g : r.groups) {
+    for (std::size_t i = 0; i < sink.groups.size(); ++i) {
+      if (sink.group_intervals[i] != r.interval) {
+        continue;
+      }
+      const core::GroupReport& g = sink.groups[i];
       pred_radio += g.predicted_radio_hz;
       act_radio += g.actual_radio_hz;
       pred_compute += g.predicted_compute_cycles;
@@ -68,45 +73,42 @@ TEST_P(AccountingSweep, GroupTotalsEqualSumOfGroups) {
 
 TEST_P(AccountingSweep, DemandQuantitiesNonNegativeAndFinite) {
   core::Simulation sim(tiny_config(GetParam() + 100));
-  const auto reports = sim.run(4);
-  for (const auto& r : reports) {
-    for (const auto& g : r.groups) {
-      EXPECT_TRUE(std::isfinite(g.predicted_radio_hz));
-      EXPECT_TRUE(std::isfinite(g.actual_radio_hz));
-      EXPECT_GE(g.predicted_radio_hz, 0.0);
-      EXPECT_GE(g.actual_radio_hz, 0.0);
-      EXPECT_GE(g.predicted_compute_cycles, 0.0);
-      EXPECT_GE(g.actual_compute_cycles, 0.0);
-      EXPECT_GE(g.unicast_radio_hz, 0.0);
-      EXPECT_LT(g.rung, 5u);
-    }
+  core::CollectingSink sink;
+  sim.run(4, sink);
+  for (const auto& g : sink.groups) {
+    EXPECT_TRUE(std::isfinite(g.predicted_radio_hz));
+    EXPECT_TRUE(std::isfinite(g.actual_radio_hz));
+    EXPECT_GE(g.predicted_radio_hz, 0.0);
+    EXPECT_GE(g.actual_radio_hz, 0.0);
+    EXPECT_GE(g.predicted_compute_cycles, 0.0);
+    EXPECT_GE(g.actual_compute_cycles, 0.0);
+    EXPECT_GE(g.unicast_radio_hz, 0.0);
+    EXPECT_LT(g.rung, 5u);
   }
 }
 
 TEST_P(AccountingSweep, RealizedEfficiencyWithinPhysicalBounds) {
   core::Simulation sim(tiny_config(GetParam() + 200));
-  const auto reports = sim.run(4);
-  for (const auto& r : reports) {
-    for (const auto& g : r.groups) {
-      if (g.videos_played == 0) {
-        continue;
-      }
-      // Realized efficiency averages the multicast operating points: floored
-      // below and bounded by the top CQI efficiency above.
-      EXPECT_GE(g.realized_efficiency,
-                sim.config().demand.efficiency_floor - 1e-9);
-      EXPECT_LE(g.realized_efficiency, 5.5547 + 1e-6);
-      EXPECT_GE(g.predicted_efficiency,
-                sim.config().demand.efficiency_floor - 1e-9);
-      EXPECT_LE(g.predicted_efficiency, 5.5547 + 1e-6);
+  core::CollectingSink sink;
+  sim.run(4, sink);
+  for (const auto& g : sink.groups) {
+    if (g.videos_played == 0) {
+      continue;
     }
+    // Realized efficiency averages the multicast operating points: floored
+    // below and bounded by the top CQI efficiency above.
+    EXPECT_GE(g.realized_efficiency, sim.config().demand.efficiency_floor - 1e-9);
+    EXPECT_LE(g.realized_efficiency, 5.5547 + 1e-6);
+    EXPECT_GE(g.predicted_efficiency, sim.config().demand.efficiency_floor - 1e-9);
+    EXPECT_LE(g.predicted_efficiency, 5.5547 + 1e-6);
   }
 }
 
 TEST_P(AccountingSweep, MulticastNeverCostsMoreThanUnicastForSharedViewing) {
   core::Simulation sim(tiny_config(GetParam() + 300));
-  const auto reports = sim.run(4);
-  for (const auto& r : reports) {
+  core::CollectingSink sink;
+  sim.run(4, sink);
+  for (const auto& r : sink.reports) {
     if (!r.has_prediction || r.actual_radio_hz_total <= 0.0) {
       continue;
     }
@@ -120,7 +122,8 @@ TEST_P(AccountingSweep, MulticastNeverCostsMoreThanUnicastForSharedViewing) {
 
 TEST_P(AccountingSweep, WatchEventsRespectOnAirCap) {
   core::Simulation sim(tiny_config(GetParam() + 400));
-  sim.run(3);
+  core::ReportSink discard;
+  sim.run(3, discard);
   const auto& twins = sim.twins();
   for (std::size_t u = 0; u < twins.user_count(); ++u) {
     for (const auto& s : twins.twin(u).watch()) {

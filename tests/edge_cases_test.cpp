@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 
 #include "analysis/recommend.hpp"
 #include "analysis/swiping.hpp"
@@ -15,6 +16,7 @@
 #include "core/feature_compressor.hpp"
 #include "core/fleet.hpp"
 #include "core/group_constructor.hpp"
+#include "core/scenarios.hpp"
 #include "core/simulation.hpp"
 #include "nn/activations.hpp"
 #include "nn/linear.hpp"
@@ -325,18 +327,20 @@ TEST(GroupPlaybackCorners, SubPointTwoSecondClipsPlayCleanly) {
   cfg.recommender.playlist_size = 16;
 
   core::Simulation sim(cfg);
-  const auto reports = sim.run(3);
-  for (const auto& r : reports) {
+  core::CollectingSink sink;
+  sim.run(3, sink);
+  for (const auto& r : sink.reports) {
     EXPECT_TRUE(std::isfinite(r.actual_radio_hz_total));
     EXPECT_TRUE(std::isfinite(r.predicted_radio_hz_total));
     if (!r.grouped) {
       continue;
     }
     EXPECT_GT(r.actual_radio_hz_total, 0.0);
-    for (const auto& g : r.groups) {
-      // Sub-0.2 s clips + swipe gaps: a 30 s interval burns through many.
-      EXPECT_GT(g.videos_played, 10u);
-    }
+  }
+  // Groups report only in grouped intervals. Sub-0.2 s clips + swipe gaps:
+  // a 30 s interval burns through many.
+  for (const auto& g : sink.groups) {
+    EXPECT_GT(g.videos_played, 10u);
   }
 }
 
@@ -367,7 +371,8 @@ TEST(GroupAccessorBounds, GroupMembersOutOfRangeThrows) {
   core::Simulation fresh(tiny_sim_config(71));
   EXPECT_THROW(fresh.group_members(0), util::RuntimeError);  // no groups yet
   core::Simulation sim(tiny_sim_config(71));
-  sim.run(2);
+  core::ReportSink discard;
+  sim.run(2, discard);
   ASSERT_GT(sim.group_count(), 0u);
   EXPECT_NO_THROW(sim.group_members(sim.group_count() - 1));
   EXPECT_THROW(sim.group_members(sim.group_count()), util::RuntimeError);
@@ -376,21 +381,24 @@ TEST(GroupAccessorBounds, GroupMembersOutOfRangeThrows) {
 TEST(GroupAccessorBounds, GroupSwipingOutOfRangeThrows) {
   core::Simulation sim(tiny_sim_config(72));
   EXPECT_THROW(sim.group_swiping(0), util::RuntimeError);
-  sim.run(2);
+  core::ReportSink discard;
+  sim.run(2, discard);
   EXPECT_THROW(sim.group_swiping(sim.group_count()), util::RuntimeError);
 }
 
 TEST(GroupAccessorBounds, GroupPreferenceOutOfRangeThrows) {
   core::Simulation sim(tiny_sim_config(73));
   EXPECT_THROW(sim.group_preference(0), util::RuntimeError);
-  sim.run(2);
+  core::ReportSink discard;
+  sim.run(2, discard);
   EXPECT_THROW(sim.group_preference(sim.group_count()), util::RuntimeError);
 }
 
 TEST(GroupAccessorBounds, GroupRecommendationOutOfRangeThrows) {
   core::Simulation sim(tiny_sim_config(74));
   EXPECT_THROW(sim.group_recommendation(0), util::RuntimeError);
-  sim.run(2);
+  core::ReportSink discard;
+  sim.run(2, discard);
   EXPECT_THROW(sim.group_recommendation(sim.group_count()), util::RuntimeError);
 }
 
@@ -398,7 +406,8 @@ TEST(GroupAccessorBounds, MostPreferringGroupWithoutGroupsThrows) {
   core::Simulation sim(tiny_sim_config(75));
   EXPECT_THROW(sim.most_preferring_group(video::Category::kNews),
                util::RuntimeError);
-  sim.run(2);
+  core::ReportSink discard;
+  sim.run(2, discard);
   EXPECT_NO_THROW(sim.most_preferring_group(video::Category::kNews));
 }
 
@@ -432,6 +441,23 @@ TEST(ConfigValidation, SchemeConfigRejectsDegenerateValues) {
   cfg.feature_window_s = 0.0;
   EXPECT_THROW(core::Simulation{cfg}, PreconditionError);
 
+  // Non-finite timing: an infinite interval used to schedule an unbounded
+  // tick count (the run spun forever), an infinite window an unbounded
+  // retention span.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double bad : {inf, nan}) {
+    cfg = good;
+    cfg.interval_s = bad;
+    EXPECT_THROW(core::validate(cfg), PreconditionError);
+    cfg = good;
+    cfg.tick_s = bad;
+    EXPECT_THROW(core::validate(cfg), PreconditionError);
+    cfg = good;
+    cfg.feature_window_s = bad;
+    EXPECT_THROW(core::validate(cfg), PreconditionError);
+  }
+
   cfg = good;
   cfg.grouping.k_min = 5;
   cfg.grouping.k_max = 3;
@@ -462,6 +488,41 @@ TEST(ConfigValidation, FleetConfigRejectsDegenerateValues) {
   cfg = good;
   cfg.base.tick_s = 0.0;
   EXPECT_THROW(core::SimulationFleet{cfg}, PreconditionError);
+}
+
+TEST(ConfigValidation, ScenarioConfigRejectsBadRunShapeBeforeRunning) {
+  const core::ScenarioConfig good =
+      core::make_scenario(core::ScenarioKind::kFlashCrowd, 8, 2, 78);
+  EXPECT_NO_THROW(core::validate(good));
+
+  // Each of these used to fail partway through a run, after records were
+  // already written; run_scenario now rejects them before the first interval.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {nan, inf, -1.0}) {
+    core::ScenarioConfig cfg = good;
+    cfg.surge_fraction = bad;
+    EXPECT_THROW(core::validate(cfg), PreconditionError);
+    EXPECT_THROW(core::run_scenario(cfg), PreconditionError);
+  }
+  for (const double bad : {nan, -0.1, 1.5}) {
+    core::ScenarioConfig cfg = good;
+    cfg.kind = core::ScenarioKind::kMobilityChurn;
+    cfg.churn_fraction = bad;
+    EXPECT_THROW(core::run_scenario(cfg), PreconditionError);
+  }
+  core::ScenarioConfig cfg = good;
+  cfg.surge_cell = cfg.cell_count;
+  EXPECT_THROW(core::run_scenario(cfg), PreconditionError);
+
+  cfg = good;
+  cfg.intervals = 0;
+  EXPECT_THROW(core::validate(cfg), PreconditionError);
+
+  // The fleet and its base scheme are validated through the scenario too.
+  cfg = good;
+  cfg.base.interval_s = inf;
+  EXPECT_THROW(core::validate(cfg), PreconditionError);
 }
 
 // --------------------------------------------------------- session corners

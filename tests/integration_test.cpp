@@ -41,14 +41,17 @@ SchemeConfig fast_config(std::uint64_t seed = 42) {
 
 TEST(Simulation, WarmupThenGroups) {
   Simulation sim(fast_config());
-  const EpochReport r0 = sim.run_interval();
+  core::CollectingSink sink;
+  sim.run_interval(sink);
+  const EpochReport r0 = sink.reports.back();
   EXPECT_EQ(r0.interval, 0);
   EXPECT_FALSE(r0.grouped);          // warm-up interval: individual sessions
   EXPECT_FALSE(r0.has_prediction);
   EXPECT_GT(r0.k, 0u);               // grouping decided at interval end
   EXPECT_GT(sim.group_count(), 0u);
 
-  const EpochReport r1 = sim.run_interval();
+  sim.run_interval(sink);
+  const EpochReport r1 = sink.reports.back();
   EXPECT_TRUE(r1.grouped);
   EXPECT_TRUE(r1.has_prediction);
   EXPECT_GT(r1.actual_radio_hz_total, 0.0);
@@ -57,7 +60,8 @@ TEST(Simulation, WarmupThenGroups) {
 
 TEST(Simulation, GroupsPartitionUsers) {
   Simulation sim(fast_config(7));
-  sim.run(3);
+  core::ReportSink discard;
+  sim.run(3, discard);
   std::set<std::size_t> seen;
   for (std::size_t g = 0; g < sim.group_count(); ++g) {
     for (const std::size_t u : sim.group_members(g)) {
@@ -70,8 +74,12 @@ TEST(Simulation, GroupsPartitionUsers) {
 TEST(Simulation, DeterministicPerSeed) {
   Simulation a(fast_config(123));
   Simulation b(fast_config(123));
-  const auto ra = a.run(3);
-  const auto rb = b.run(3);
+  core::CollectingSink sink_a;
+  a.run(3, sink_a);
+  core::CollectingSink sink_b;
+  b.run(3, sink_b);
+  const auto& ra = sink_a.reports;
+  const auto& rb = sink_b.reports;
   ASSERT_EQ(ra.size(), rb.size());
   for (std::size_t i = 0; i < ra.size(); ++i) {
     EXPECT_EQ(ra[i].k, rb[i].k);
@@ -84,22 +92,31 @@ TEST(Simulation, DeterministicPerSeed) {
 TEST(Simulation, DifferentSeedsDiverge) {
   Simulation a(fast_config(1));
   Simulation b(fast_config(2));
-  const auto ra = a.run(2);
-  const auto rb = b.run(2);
+  core::CollectingSink sink_a;
+  a.run(2, sink_a);
+  core::CollectingSink sink_b;
+  b.run(2, sink_b);
+  const auto& ra = sink_a.reports;
+  const auto& rb = sink_b.reports;
   EXPECT_NE(ra[1].actual_radio_hz_total, rb[1].actual_radio_hz_total);
 }
 
 TEST(Simulation, ReportInternalConsistency) {
   Simulation sim(fast_config(9));
-  const auto reports = sim.run(4);
-  for (const auto& r : reports) {
+  core::CollectingSink sink;
+  sim.run(4, sink);
+  for (const auto& r : sink.reports) {
     if (!r.grouped) {
       continue;
     }
     double pred_sum = 0.0;
     double act_sum = 0.0;
     std::size_t members = 0;
-    for (const auto& g : r.groups) {
+    for (std::size_t i = 0; i < sink.groups.size(); ++i) {
+      if (sink.group_intervals[i] != r.interval) {
+        continue;
+      }
+      const core::GroupReport& g = sink.groups[i];
       EXPECT_GT(g.size, 0u);
       EXPECT_GE(g.predicted_radio_hz, 0.0);
       EXPECT_GE(g.actual_radio_hz, 0.0);
@@ -123,15 +140,16 @@ TEST(Simulation, ReportInternalConsistency) {
 TEST(Simulation, PredictionTracksActualAfterLearning) {
   SchemeConfig cfg = fast_config(11);
   Simulation sim(cfg);
-  const auto reports = sim.run(8);
+  core::CollectingSink sink;
+  sim.run(8, sink);
   // Average radio accuracy over the last 5 grouped intervals must beat a
   // loose floor (full calibration is validated in the bench harness).
   std::vector<double> pred;
   std::vector<double> act;
-  for (std::size_t i = 3; i < reports.size(); ++i) {
-    if (reports[i].has_prediction) {
-      pred.push_back(reports[i].predicted_radio_hz_total);
-      act.push_back(reports[i].actual_radio_hz_total);
+  for (std::size_t i = 3; i < sink.reports.size(); ++i) {
+    if (sink.reports[i].has_prediction) {
+      pred.push_back(sink.reports[i].predicted_radio_hz_total);
+      act.push_back(sink.reports[i].actual_radio_hz_total);
     }
   }
   ASSERT_GE(pred.size(), 3u);
@@ -142,7 +160,8 @@ TEST(Simulation, PredictionTracksActualAfterLearning) {
 
 TEST(Simulation, CollectorReceivesAllAttributeKinds) {
   Simulation sim(fast_config(13));
-  sim.run(2);
+  core::ReportSink discard;
+  sim.run(2, discard);
   const auto& stats = sim.collector_stats();
   EXPECT_GT(stats.channel_reports, 0u);
   EXPECT_GT(stats.location_reports, 0u);
@@ -152,7 +171,8 @@ TEST(Simulation, CollectorReceivesAllAttributeKinds) {
 
 TEST(Simulation, TwinsHoldFreshData) {
   Simulation sim(fast_config(15));
-  sim.run(2);
+  core::ReportSink discard;
+  sim.run(2, discard);
   const auto& twins = sim.twins();
   std::size_t with_channel = 0;
   std::size_t with_watch = 0;
@@ -170,7 +190,8 @@ TEST(Simulation, TwinsHoldFreshData) {
 
 TEST(Simulation, SwipingDistributionsAreProper) {
   Simulation sim(fast_config(17));
-  sim.run(3);
+  core::ReportSink discard;
+  sim.run(3, discard);
   ASSERT_GT(sim.group_count(), 0u);
   for (std::size_t g = 0; g < sim.group_count(); ++g) {
     const auto& dist = sim.group_swiping(g);
@@ -188,7 +209,8 @@ TEST(Simulation, SwipingDistributionsAreProper) {
 
 TEST(Simulation, GroupPreferencesNormalised) {
   Simulation sim(fast_config(19));
-  sim.run(3);
+  core::ReportSink discard;
+  sim.run(3, discard);
   for (std::size_t g = 0; g < sim.group_count(); ++g) {
     const auto& pref = sim.group_preference(g);
     double total = 0.0;
@@ -202,7 +224,8 @@ TEST(Simulation, GroupPreferencesNormalised) {
 
 TEST(Simulation, MostPreferringGroupIsArgmax) {
   Simulation sim(fast_config(21));
-  sim.run(3);
+  core::ReportSink discard;
+  sim.run(3, discard);
   const std::size_t g = sim.most_preferring_group(video::Category::kNews);
   const double w =
       sim.group_preference(g)[static_cast<std::size_t>(video::Category::kNews)];
@@ -215,7 +238,8 @@ TEST(Simulation, MostPreferringGroupIsArgmax) {
 
 TEST(Simulation, RecommendationsServeGroupTaste) {
   Simulation sim(fast_config(23));
-  sim.run(4);
+  core::ReportSink discard;
+  sim.run(4, discard);
   for (std::size_t g = 0; g < sim.group_count(); ++g) {
     const auto& rec = sim.group_recommendation(g);
     EXPECT_EQ(rec.playlist.size(), sim.config().recommender.playlist_size);
@@ -234,17 +258,19 @@ TEST(SimulationVariants, RawWindowFeatureStage) {
   SchemeConfig cfg = fast_config(25);
   cfg.feature_stage = "raw";
   Simulation sim(cfg);
-  const auto reports = sim.run(3);
-  EXPECT_TRUE(reports[2].grouped);
-  EXPECT_EQ(reports[2].reconstruction_loss, 0.0f);  // no CNN in this mode
+  core::CollectingSink sink;
+  sim.run(3, sink);
+  EXPECT_TRUE(sink.reports[2].grouped);
+  EXPECT_EQ(sink.reports[2].reconstruction_loss, 0.0f);  // no CNN in this mode
 }
 
 TEST(SimulationVariants, SummaryStatsFeatureStage) {
   SchemeConfig cfg = fast_config(27);
   cfg.feature_stage = "summary";
   Simulation sim(cfg);
-  const auto reports = sim.run(3);
-  EXPECT_TRUE(reports[2].grouped);
+  core::CollectingSink sink;
+  sim.run(3, sink);
+  EXPECT_TRUE(sink.reports[2].grouped);
 }
 
 TEST(SimulationVariants, FixedKMode) {
@@ -252,8 +278,9 @@ TEST(SimulationVariants, FixedKMode) {
   cfg.grouping_stage = "fixed";
   cfg.fixed_k = 3;
   Simulation sim(cfg);
-  const auto reports = sim.run(3);
-  EXPECT_EQ(reports[2].k, 3u);
+  core::CollectingSink sink;
+  sim.run(3, sink);
+  EXPECT_EQ(sink.reports[2].k, 3u);
   EXPECT_EQ(sim.group_count(), 3u);
 }
 
@@ -261,9 +288,10 @@ TEST(SimulationVariants, RandomKStage) {
   SchemeConfig cfg = fast_config(31);
   cfg.grouping_stage = "random";
   Simulation sim(cfg);
-  const auto reports = sim.run(3);
-  EXPECT_GE(reports[2].k, cfg.grouping.k_min);
-  EXPECT_LE(reports[2].k, cfg.grouping.k_max);
+  core::CollectingSink sink;
+  sim.run(3, sink);
+  EXPECT_GE(sink.reports[2].k, cfg.grouping.k_min);
+  EXPECT_LE(sink.reports[2].k, cfg.grouping.k_max);
 }
 
 TEST(SimulationVariants, ElbowKStage) {
@@ -271,8 +299,9 @@ TEST(SimulationVariants, ElbowKStage) {
   cfg.grouping_stage = "elbow";
   cfg.user_count = 24;  // keep the elbow sweep cheap
   Simulation sim(cfg);
-  const auto reports = sim.run(3);
-  EXPECT_TRUE(reports[2].grouped);
+  core::CollectingSink sink;
+  sim.run(3, sink);
+  EXPECT_TRUE(sink.reports[2].grouped);
 }
 
 TEST(SimulationVariants, PerMemberDemandStages) {
@@ -281,9 +310,10 @@ TEST(SimulationVariants, PerMemberDemandStages) {
     cfg.user_count = 20;
     cfg.demand_stage = key;
     Simulation sim(cfg);
-    const auto reports = sim.run(2);
-    EXPECT_TRUE(reports[1].grouped);
-    EXPECT_GT(reports[1].predicted_radio_hz_total, 0.0);
+    core::CollectingSink sink;
+    sim.run(2, sink);
+    EXPECT_TRUE(sink.reports[1].grouped);
+    EXPECT_GT(sink.reports[1].predicted_radio_hz_total, 0.0);
   }
 }
 
@@ -294,7 +324,8 @@ TEST(Simulation, ModelSaveLoadRoundTrip) {
   // produce identical grouping decisions on the same twin state.
   SchemeConfig cfg = fast_config(51);
   Simulation trained(cfg);
-  trained.run(3);
+  core::ReportSink discard;
+  trained.run(3, discard);
 
   std::stringstream models;
   trained.save_models(models);
@@ -303,13 +334,15 @@ TEST(Simulation, ModelSaveLoadRoundTrip) {
   fresh.load_models(models);
   // Run both one more interval; identical seeds + identical models keep the
   // trajectories in lock-step.
-  const EpochReport a = trained.run_interval();
+  core::CollectingSink a;
+  trained.run_interval(a);
   // The fresh sim lags three intervals of environment state, so we cannot
   // compare report values — instead verify the loaded models are usable and
   // the pipeline runs.
-  const EpochReport b = fresh.run_interval();
-  EXPECT_GE(a.k, cfg.grouping.k_min);
-  EXPECT_GE(b.k, 0u);
+  core::CollectingSink b;
+  fresh.run_interval(b);
+  EXPECT_GE(a.reports.back().k, cfg.grouping.k_min);
+  EXPECT_GE(b.reports.back().k, 0u);
 }
 
 TEST(Simulation, ModelLoadRejectsWrongConfiguration) {
@@ -334,18 +367,20 @@ TEST(FailureInjection, CollectionLossStillRuns) {
   SchemeConfig cfg = fast_config(37);
   cfg.collection.report_loss_prob = 0.5;
   Simulation sim(cfg);
-  const auto reports = sim.run(3);
-  EXPECT_TRUE(reports[2].grouped);
+  core::CollectingSink sink;
+  sim.run(3, sink);
+  EXPECT_TRUE(sink.reports[2].grouped);
   EXPECT_GT(sim.collector_stats().dropped_reports, 0u);
-  EXPECT_GT(reports[2].actual_radio_hz_total, 0.0);
+  EXPECT_GT(sink.reports[2].actual_radio_hz_total, 0.0);
 }
 
 TEST(FailureInjection, CollectionLatencyStillRuns) {
   SchemeConfig cfg = fast_config(39);
   cfg.collection.latency_s = 10.0;
   Simulation sim(cfg);
-  const auto reports = sim.run(3);
-  EXPECT_TRUE(reports[2].grouped);
+  core::CollectingSink sink;
+  sim.run(3, sink);
+  EXPECT_TRUE(sink.reports[2].grouped);
 }
 
 TEST(FailureInjection, SingleUserPopulation) {
@@ -354,16 +389,18 @@ TEST(FailureInjection, SingleUserPopulation) {
   cfg.grouping.k_min = 1;
   cfg.grouping.k_max = 2;
   Simulation sim(cfg);
-  const auto reports = sim.run(3);
-  EXPECT_TRUE(reports[2].grouped);
+  core::CollectingSink sink;
+  sim.run(3, sink);
+  EXPECT_TRUE(sink.reports[2].grouped);
   EXPECT_EQ(sim.group_count(), 1u);
   ASSERT_EQ(sim.group_members(0).size(), 1u);
 }
 
 TEST(Simulation, UnicastCounterfactualExceedsMulticast) {
   Simulation sim(fast_config(43));
-  const auto reports = sim.run(4);
-  for (const auto& r : reports) {
+  core::CollectingSink sink;
+  sim.run(4, sink);
+  for (const auto& r : sink.reports) {
     if (!r.has_prediction) {
       continue;
     }
@@ -371,10 +408,10 @@ TEST(Simulation, UnicastCounterfactualExceedsMulticast) {
     // Serving every member a private stream can never be cheaper than one
     // shared multicast stream of the same content.
     EXPECT_GE(r.unicast_radio_hz_total, r.actual_radio_hz_total * 0.99);
-    for (const auto& g : r.groups) {
-      if (g.size > 1) {
-        EXPECT_GE(g.unicast_radio_hz, 0.0);
-      }
+  }
+  for (const auto& g : sink.groups) {
+    if (g.size > 1) {
+      EXPECT_GE(g.unicast_radio_hz, 0.0);
     }
   }
 }
@@ -384,7 +421,8 @@ TEST(Simulation, AffinityDriftChangesGroundTruth) {
   cfg.affinity_drift_rate = 0.5;
   Simulation sim(cfg);
   const auto before = sim.true_affinities();
-  sim.run(3);
+  core::ReportSink discard;
+  sim.run(3, discard);
   const auto& after = sim.true_affinities();
   double moved = 0.0;
   for (std::size_t u = 0; u < before.size(); ++u) {
@@ -409,7 +447,8 @@ TEST(Simulation, ZeroDriftKeepsAffinitiesFixed) {
   cfg.affinity_drift_rate = 0.0;
   Simulation sim(cfg);
   const auto before = sim.true_affinities();
-  sim.run(3);
+  core::ReportSink discard;
+  sim.run(3, discard);
   const auto& after = sim.true_affinities();
   for (std::size_t u = 0; u < before.size(); ++u) {
     for (std::size_t c = 0; c < before[u].size(); ++c) {
@@ -422,10 +461,11 @@ TEST(Simulation, PipelineSurvivesTasteDrift) {
   SchemeConfig cfg = fast_config(49);
   cfg.affinity_drift_rate = 0.2;
   Simulation sim(cfg);
-  const auto reports = sim.run(6);
+  core::CollectingSink sink;
+  sim.run(6, sink);
   std::vector<double> pred;
   std::vector<double> act;
-  for (const auto& r : reports) {
+  for (const auto& r : sink.reports) {
     if (r.has_prediction) {
       pred.push_back(r.predicted_radio_hz_total);
       act.push_back(r.actual_radio_hz_total);
@@ -450,7 +490,8 @@ TEST(Simulation, TickCountsExactOverLongHorizon) {
   cfg.session.engagement.catalog.videos_per_category = 8;
   Simulation sim(cfg);
   const std::size_t intervals = 200;
-  sim.run(intervals);
+  core::ReportSink discard;
+  sim.run(intervals, discard);
   EXPECT_EQ(sim.tick_count(), intervals * 50u);
   // Interval boundaries land exactly on their nominal times — bitwise.
   EXPECT_EQ(sim.now(), static_cast<double>(intervals) * cfg.interval_s);
@@ -467,8 +508,12 @@ TEST(Simulation, DriftToggleLeavesOtherStreamsUntouched) {
   on.affinity_drift_rate = 1e-300;  // draws drift targets, moves nothing
   Simulation a(off);
   Simulation b(on);
-  const auto ra = a.run(4);
-  const auto rb = b.run(4);
+  core::CollectingSink sink_a;
+  a.run(4, sink_a);
+  core::CollectingSink sink_b;
+  b.run(4, sink_b);
+  const auto& ra = sink_a.reports;
+  const auto& rb = sink_b.reports;
   ASSERT_EQ(ra.size(), rb.size());
   for (std::size_t i = 0; i < ra.size(); ++i) {
     EXPECT_EQ(ra[i].k, rb[i].k);
@@ -496,12 +541,16 @@ TEST(FailureInjection, DegradedCollectionHurtsAccuracy) {
 
     Simulation sg(good);
     Simulation sb(bad);
-    for (const auto& r : sg.run(6)) {
+    core::CollectingSink sink_good;
+    sg.run(6, sink_good);
+    core::CollectingSink sink_bad;
+    sb.run(6, sink_bad);
+    for (const auto& r : sink_good.reports) {
       if (r.has_prediction) {
         err_good += r.radio_error;
       }
     }
-    for (const auto& r : sb.run(6)) {
+    for (const auto& r : sink_bad.reports) {
       if (r.has_prediction) {
         err_bad += r.radio_error;
       }

@@ -136,7 +136,11 @@ TEST(PipelineEquivalence, ExplicitKeysMatchDefaultsPaperCombo) {
   via_keys.demand_stage = "joint";
   Simulation a(via_defaults);
   Simulation b(via_keys);
-  expect_reports_identical(a.run(6), b.run(6));
+  core::CollectingSink sink_a;
+  a.run(6, sink_a);
+  core::CollectingSink sink_b;
+  b.run(6, sink_b);
+  expect_reports_identical(sink_a.reports, sink_b.reports);
 }
 
 // --------------------------------------------------- seed-path regression
@@ -208,7 +212,9 @@ TEST(PipelineRegression, DefaultRegistryReproducesSeedPathPaperCombo) {
        14852859569.659935, 13824538593.702339},
   };
   Simulation sim(golden_config(42));
-  expect_matches_golden(sim.run(6), golden);
+  core::CollectingSink sink;
+  sim.run(6, sink);
+  expect_matches_golden(sink.reports, golden);
 }
 
 TEST(PipelineRegression, DefaultRegistryReproducesSeedPathAblationCombo) {
@@ -235,44 +241,12 @@ TEST(PipelineRegression, DefaultRegistryReproducesSeedPathAblationCombo) {
   cfg.grouping_stage = "elbow";
   cfg.demand_stage = "mean";
   Simulation sim(cfg);
-  expect_matches_golden(sim.run(6), golden);
+  core::CollectingSink sink;
+  sim.run(6, sink);
+  expect_matches_golden(sink.reports, golden);
 }
 
 // ------------------------------------------------------- streaming contract
-
-TEST(ReportStreaming, SinkStreamMatchesVectorRun) {
-  Simulation batch(golden_config(7));
-  const std::vector<EpochReport> reports = batch.run(5);
-
-  Simulation streamed(golden_config(7));
-  core::CollectingSink sink;
-  streamed.run(5, sink);
-
-  ASSERT_EQ(sink.reports.size(), reports.size());
-  for (std::size_t i = 0; i < reports.size(); ++i) {
-    // Streaming mode must not buffer groups inside the interval report...
-    EXPECT_TRUE(sink.reports[i].groups.empty());
-    EXPECT_EQ(sink.reports[i].k, reports[i].k);
-    EXPECT_DOUBLE_EQ(sink.reports[i].predicted_radio_hz_total,
-                     reports[i].predicted_radio_hz_total);
-    EXPECT_DOUBLE_EQ(sink.reports[i].actual_radio_hz_total,
-                     reports[i].actual_radio_hz_total);
-    EXPECT_DOUBLE_EQ(sink.reports[i].silhouette, reports[i].silhouette);
-  }
-  // ...but every group flows through on_group, bit-identical to the
-  // vector path's per-group reports.
-  std::vector<core::GroupReport> batch_groups;
-  for (const auto& r : reports) {
-    batch_groups.insert(batch_groups.end(), r.groups.begin(), r.groups.end());
-  }
-  ASSERT_EQ(sink.groups.size(), batch_groups.size());
-  for (std::size_t i = 0; i < batch_groups.size(); ++i) {
-    EXPECT_EQ(sink.groups[i].size, batch_groups[i].size);
-    EXPECT_DOUBLE_EQ(sink.groups[i].actual_radio_hz, batch_groups[i].actual_radio_hz);
-    EXPECT_DOUBLE_EQ(sink.groups[i].predicted_radio_hz,
-                     batch_groups[i].predicted_radio_hz);
-  }
-}
 
 TEST(ReportStreaming, FleetSinkMatchesAggregates) {
   core::FleetConfig cfg;
@@ -365,15 +339,16 @@ TEST(CustomStage, OutOfTreeGroupingStageRunsFullInterval) {
   Simulation sim(cfg);
   EXPECT_EQ(sim.grouping_stage().name(), "test_round_robin");
 
-  const std::vector<EpochReport> reports = sim.run(3);
+  core::CollectingSink sink;
+  sim.run(3, sink);
   ASSERT_NE(live_stage, nullptr);
 
   // The stub's decisions drive the real pipeline end-to-end: K groups,
   // round-robin membership, demand predicted and scored.
-  EXPECT_EQ(reports[1].k, 3u);
-  EXPECT_TRUE(reports[1].grouped);
-  EXPECT_TRUE(reports[2].has_prediction);
-  EXPECT_GT(reports[2].actual_radio_hz_total, 0.0);
+  EXPECT_EQ(sink.reports[1].k, 3u);
+  EXPECT_TRUE(sink.reports[1].grouped);
+  EXPECT_TRUE(sink.reports[2].has_prediction);
+  EXPECT_GT(sink.reports[2].actual_radio_hz_total, 0.0);
   ASSERT_EQ(sim.group_count(), 3u);
   for (std::size_t g = 0; g < sim.group_count(); ++g) {
     for (const std::size_t u : sim.group_members(g)) {
@@ -389,7 +364,8 @@ TEST(CustomStage, OutOfTreeGroupingStageRunsFullInterval) {
 
 TEST(StageTimings, AccumulateAndReset) {
   Simulation sim(golden_config(23));
-  sim.run(3);
+  core::ReportSink discard;
+  sim.run(3, discard);
   const core::StageTimings& t = sim.stage_timings();
   EXPECT_EQ(t.intervals, 3u);
   EXPECT_GT(t.simulate_s, 0.0);
@@ -409,7 +385,8 @@ TEST(StagePersistence, SaveLoadRoundTripsThroughStageHooks) {
   // cnn+ddqn: both stages carry learned state through the stage hooks.
   SchemeConfig cfg = golden_config(29);
   Simulation trained(cfg);
-  trained.run(2);
+  core::ReportSink discard;
+  trained.run(2, discard);
   std::stringstream models;
   trained.save_models(models);
 

@@ -5,7 +5,9 @@
 // reproducibility, and the [serve] config loader.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <limits>
 #include <string>
 #include <vector>
@@ -343,6 +345,22 @@ TEST(ServeLoop, RungsNamingOneKeyShareOneStage) {
   }
 }
 
+TEST(ServeLoop, StageTimingsCoverEveryFiredPrediction) {
+  core::ManualServeClock clock;
+  core::ServeLoop loop(small_serve(), clock);
+  for (int i = 0; i < 3; ++i) {
+    offer_reports(loop, 10.0 * i + 1.0, 6);
+    loop.advance_to(10.0 * (i + 1));
+  }
+  const core::ServeStats& stats = loop.stats();
+  ASSERT_EQ(stats.intervals, 3u);
+  EXPECT_EQ(stats.stages.intervals, stats.intervals);
+  EXPECT_GE(stats.stages.feature_s, 0.0);
+  EXPECT_GE(stats.stages.grouping_s, 0.0);
+  EXPECT_GE(stats.stages.demand_s, 0.0);
+  EXPECT_EQ(stats.stages.simulate_s, 0.0);  // serve mode simulates nothing
+}
+
 TEST(ServeLoop, QueueOverflowShedsOldestWithExactDropCounts) {
   core::ServeConfig cfg = small_serve();
   cfg.queue_capacity = 8;
@@ -541,6 +559,115 @@ TEST(ServeLoop, ResultsAreBitIdenticalForAnyThreadCount) {
   }
 }
 
+// -------------------------------------------------------- forecast golden
+
+/// The pinned doubles assume the optimized FP regime they were captured in
+/// (see pipeline_test's golden_regime): unoptimized builds and hosts that
+/// export DTMSV_SKIP_GOLDEN=1 skip the pin.
+bool golden_regime() {
+#if defined(__OPTIMIZE__)
+  return std::getenv("DTMSV_SKIP_GOLDEN") == nullptr;
+#else
+  return false;
+#endif
+}
+
+/// {k, groups, predicted radio total, predicted compute total} per interval.
+struct ServeGoldenInterval {
+  std::size_t k;
+  std::size_t groups;
+  double predicted_radio;
+  double predicted_compute;
+};
+
+/// Serves 6 intervals of fixed-seed ServeWorkload traffic to 60 users
+/// through the paper's grouping and demand stages, on a zero-cost clock (so
+/// the ladder never leaves its first rung). An empty `ladder` keeps the
+/// default one.
+core::CollectingSink serve_forecast_stream(const std::vector<std::string>& ladder) {
+  core::ServeConfig cfg;
+  cfg.scheme.seed = 23;
+  cfg.scheme.user_count = 60;
+  cfg.scheme.interval_s = 10.0;
+  cfg.scheme.demand.interval_s = 10.0;
+  cfg.scheme.warmup_intervals = 0;
+  cfg.scheme.feature_window_s = 30.0;
+  cfg.scheme.feature_timesteps = 16;
+  cfg.scheme.session.engagement.catalog.videos_per_category = 6;
+  cfg.scheme.compressor.epochs_per_fit = 1;
+  cfg.scheme.grouping.k_min = 2;
+  cfg.scheme.grouping.k_max = 6;
+  cfg.scheme.grouping.ddqn.hidden = {32};
+  cfg.scheme.grouping.kmeans.restarts = 2;
+  cfg.scheme.recommender.playlist_size = 24;
+  if (!ladder.empty()) {
+    cfg.degradation.ladder.clear();
+    for (const std::string& key : ladder) {
+      cfg.degradation.ladder.push_back({key, key});
+    }
+  }
+  core::ManualServeClock clock;
+  core::CollectingSink sink;
+  core::ServeLoop loop(cfg, clock, &sink);
+  core::ServeWorkloadConfig wl_cfg;
+  wl_cfg.seed = 31;
+  wl_cfg.user_count = cfg.scheme.user_count;
+  wl_cfg.engagement = cfg.scheme.session.engagement;
+  core::ServeWorkload workload(wl_cfg, loop.catalog());
+  std::vector<core::TwinEvent> events;
+  for (std::size_t i = 0; i < 6; ++i) {
+    events.clear();
+    workload.generate(10.0 * static_cast<double>(i), 10.0 * static_cast<double>(i + 1),
+                      events);
+    for (const core::TwinEvent& e : events) {
+      loop.offer(e);
+    }
+    loop.advance_to(10.0 * static_cast<double>(i + 1));
+  }
+  return sink;
+}
+
+void expect_matches_serve_golden(const core::CollectingSink& sink,
+                                 const std::vector<ServeGoldenInterval>& golden) {
+  ASSERT_EQ(sink.reports.size(), golden.size());
+  EXPECT_TRUE(sink.degradations.empty());
+  for (std::size_t i = 0; i < golden.size(); ++i) {
+    const core::EpochReport& r = sink.reports[i];
+    EXPECT_EQ(r.interval, i);
+    EXPECT_EQ(r.k, golden[i].k) << "interval " << i;
+    EXPECT_EQ(static_cast<std::size_t>(std::count(sink.group_intervals.begin(),
+                                                  sink.group_intervals.end(), i)),
+              golden[i].groups)
+        << "interval " << i;
+    EXPECT_EQ(r.predicted_radio_hz_total, golden[i].predicted_radio) << i;
+    EXPECT_EQ(r.predicted_compute_total, golden[i].predicted_compute) << i;
+  }
+}
+
+TEST(ServeLoop, ForecastStreamMatchesGolden) {
+  if (!golden_regime()) {
+    GTEST_SKIP() << "golden stream pinned for optimized FP regime only";
+  }
+  // Default ladder (cnn, summary): every interval runs the CNN rung.
+  expect_matches_serve_golden(serve_forecast_stream({}), {
+      {5, 5, 2651894.4145589708, 3131738909.4338212},
+      {3, 3, 1909618.9671679623, 1202108103.9806406},
+      {4, 4, 2763747.9843014181, 1662603838.2729075},
+      {5, 5, 4007749.1446189433, 2327463633.1249819},
+      {4, 4, 4325345.8887614589, 2371129072.275547},
+      {2, 2, 3324239.6464647469, 746243548.12860441},
+  });
+  // Summary-only ladder.
+  expect_matches_serve_golden(serve_forecast_stream({"summary"}), {
+      {5, 5, 2805454.8882378824, 2930082630.1256504},
+      {3, 3, 1926947.5039988575, 1179690009.7811978},
+      {4, 4, 2721688.282628173, 1695760566.7511287},
+      {5, 5, 4222471.1400326481, 2139077059.6718423},
+      {4, 4, 4469491.5120075773, 1656404359.7529056},
+      {2, 2, 3688492.2975719664, 740896286.22717047},
+  });
+}
+
 // ------------------------------------------------------------ ServeWorkload
 
 video::Catalog test_catalog(std::uint64_t seed = 3) {
@@ -607,7 +734,10 @@ TEST(ServeWorkload, RateMultiplierScalesEventVolume) {
   steady.generate(0.0, 60.0, e_steady);
   surging.generate(0.0, 60.0, e_surge);
   EXPECT_GT(e_surge.size(), 2 * e_steady.size());
-  EXPECT_THROW(surging.set_rate_multiplier(0.0), util::PreconditionError);
+  for (const double bad : {0.0, std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(surging.set_rate_multiplier(bad), util::PreconditionError);
+  }
 }
 
 // -------------------------------------------------------------- serve_loader
@@ -691,6 +821,15 @@ TEST(ServeLoader, RejectsUnknownKeysAndStages) {
   util::Config bad_ladder =
       util::Config::parse("[serve]\nladder = cnn, warp-drive\n");
   EXPECT_THROW(cli::load_serve_plan(bad_ladder), util::RuntimeError);
+
+  // A NaN multiplier used to pass the `<= 0` check and abort mid-run, an
+  // infinite one to exhaust memory in the workload generator.
+  for (const char* bad : {"nan", "inf", "0"}) {
+    util::Config bad_multiplier = util::Config::parse(
+        std::string("[workload]\noverload_intervals = 2\noverload_multiplier = ") + bad +
+        "\n");
+    EXPECT_THROW(cli::load_serve_plan(bad_multiplier), util::RuntimeError) << bad;
+  }
 }
 
 }  // namespace

@@ -318,6 +318,14 @@ int main(int argc, char** argv) {
            << summary.to_string();
       info << "ladder: " << ladder_to_string(plan.serve.degradation)
            << " (at rung " << loop.degradation().level() << " after run)\n";
+      const core::StageTimings& stages = stats.stages;
+      if (stages.intervals > 0) {
+        const double ms_per_interval = 1e3 / static_cast<double>(stages.intervals);
+        info << "stage ms/interval: feature "
+             << util::fixed(stages.feature_s * ms_per_interval, 2) << ", grouping "
+             << util::fixed(stages.grouping_s * ms_per_interval, 2) << ", demand "
+             << util::fixed(stages.demand_s * ms_per_interval, 2) << "\n";
+      }
       if (!plan.report_path.empty()) {
         info << records << " NDJSON records written to "
              << (plan.report_path == "-" ? "stdout" : plan.report_path) << "\n";
