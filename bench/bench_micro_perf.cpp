@@ -357,7 +357,7 @@ void BM_ChannelStep120Users(benchmark::State& state) {
   const auto map = mobility::CampusMap::waterloo_campus();
   util::Rng rng(12);
   wireless::RadioConfig cfg;
-  wireless::ChannelModel channel(map, cfg, 120, rng);
+  wireless::ChannelModel channel(map, cfg, 120, 1.0, rng);
   mobility::MobilityConfig mob_cfg;
   util::Rng mob_rng(13);
   mobility::MobilityField field(map, mob_cfg, 120, mob_rng);

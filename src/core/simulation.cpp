@@ -59,8 +59,8 @@ Simulation::Simulation(const SchemeConfig& config)
   mobility_ = std::make_unique<mobility::MobilityField>(
       campus_, config.mobility, config.user_count, fork_source);
   util::Rng channel_rng = rng_.fork(2);
-  channel_ = std::make_unique<wireless::ChannelModel>(campus_, config.radio,
-                                                      config.user_count, channel_rng);
+  channel_ = std::make_unique<wireless::ChannelModel>(
+      campus_, config.radio, config.user_count, config.tick_s, channel_rng);
   // Twin rings keep what a feature window can read: every read happens at
   // now_, after the collector stamped reports up to now_ + latency_s.
   twins_ = std::make_unique<twin::TwinStore>(

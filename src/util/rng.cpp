@@ -10,6 +10,42 @@ namespace {
 constexpr std::uint64_t rotl(std::uint64_t x, int k) {
   return (x << k) | (x >> (64 - k));
 }
+
+// Ziggurat for the standard normal under f(x) = exp(-x²/2) (unnormalised):
+// kZigLayers strips of equal area kZigArea. Strip 0 is the base: a
+// rectangle of width x[0] = V/f(r) whose part beyond r stands for the
+// tail. Strip i >= 1 spans heights f(x[i])..f(x[i+1]) over [0, x[i]],
+// with x[1] = r and x[kZigLayers] = 0. r and V are Doornik's (2005)
+// ZIGNOR constants for 128 strips.
+constexpr int kZigLayers = 128;
+constexpr double kZigR = 3.442619855899;
+constexpr double kZigArea = 9.91256303526217e-3;
+
+struct ZigguratTables {
+  std::array<double, kZigLayers + 1> x{};
+  /// x[i+1] / x[i]: |u| below it lands inside the curve for sure.
+  std::array<double, kZigLayers> inner{};
+
+  ZigguratTables() {
+    double f = std::exp(-0.5 * kZigR * kZigR);
+    x[0] = kZigArea / f;
+    x[1] = kZigR;
+    for (int i = 2; i < kZigLayers; ++i) {
+      x[i] = std::sqrt(-2.0 * std::log(kZigArea / x[i - 1] + f));
+      f = std::exp(-0.5 * x[i] * x[i]);
+    }
+    x[kZigLayers] = 0.0;
+    for (int i = 0; i < kZigLayers; ++i) {
+      inner[i] = x[i + 1] / x[i];
+    }
+  }
+};
+
+// Built once, on first use (thread-safe static initialisation).
+const ZigguratTables& ziggurat() {
+  static const ZigguratTables tables;
+  return tables;
+}
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
@@ -70,21 +106,36 @@ std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
 }
 
 double Rng::normal() {
-  if (has_cached_normal_) {
-    has_cached_normal_ = false;
-    return cached_normal_;
+  const ZigguratTables& zig = ziggurat();
+  for (;;) {
+    const std::uint64_t bits = next();
+    // u uniform in [-1, 1) from the top 53 bits; the layer from the low 7,
+    // which the 53-bit abscissa never reads.
+    const double u = static_cast<double>(bits >> 11) * 0x1.0p-52 - 1.0;
+    const auto i = static_cast<std::size_t>(bits & (kZigLayers - 1));
+    if (std::abs(u) < zig.inner[i]) {
+      return u * zig.x[i];
+    }
+    if (i == 0) {
+      // Tail beyond r (Marsaglia 1964): x = r + e1/r with e1, e2 ~ Exp(1),
+      // accepted when 2·e2 >= (e1/r)². 1 - uniform() lies in (0, 1].
+      double excess = 0.0;
+      double e2 = 0.0;
+      do {
+        excess = -std::log(1.0 - uniform()) / kZigR;
+        e2 = -std::log(1.0 - uniform());
+      } while (2.0 * e2 < excess * excess);
+      return u < 0.0 ? -(kZigR + excess) : kZigR + excess;
+    }
+    // Wedge between x[i+1] and x[i]: accept when a uniform height in
+    // [f(x[i]), f(x[i+1])] falls below f(x), all scaled by 1/f(x).
+    const double x = u * zig.x[i];
+    const double below = std::exp(-0.5 * (zig.x[i] * zig.x[i] - x * x));
+    const double above = std::exp(-0.5 * (zig.x[i + 1] * zig.x[i + 1] - x * x));
+    if (above + uniform() * (below - above) < 1.0) {
+      return x;
+    }
   }
-  // Box–Muller; u1 in (0,1] to avoid log(0).
-  double u1 = 0.0;
-  do {
-    u1 = uniform();
-  } while (u1 <= 0.0);
-  const double u2 = uniform();
-  const double r = std::sqrt(-2.0 * std::log(u1));
-  const double theta = 2.0 * M_PI * u2;
-  cached_normal_ = r * std::sin(theta);
-  has_cached_normal_ = true;
-  return r * std::cos(theta);
 }
 
 double Rng::normal(double mean, double sigma) {

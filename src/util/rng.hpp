@@ -63,7 +63,11 @@ class Rng {
   double uniform(double lo, double hi);
   /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
-  /// Standard normal via Box–Muller (cached second variate).
+  /// Standard normal via a 128-layer ziggurat (Marsaglia & Tsang, with
+  /// Doornik's ZIGNOR layer constants). One next() per attempt: the top 53
+  /// bits give the abscissa, as in uniform(), and the low 7 bits the layer.
+  /// About 97% of attempts return after one comparison; the rest take
+  /// exp/log for a wedge or the tail beyond r = 3.4426.
   double normal();
   /// Normal with the given mean and standard deviation (sigma >= 0).
   double normal(double mean, double sigma);
@@ -102,9 +106,11 @@ class Rng {
 
  private:
   std::array<std::uint64_t, 4> s_{};
-  double cached_normal_ = 0.0;
-  bool has_cached_normal_ = false;
 };
+
+// The state is the whole generator: a channel model holds one Rng per
+// (user, BS) link, so keep it at four words.
+static_assert(sizeof(Rng) == 4 * sizeof(std::uint64_t));
 
 /// Precomputed Zipf sampler for repeated draws over a fixed (n, s).
 class ZipfDistribution {

@@ -14,26 +14,23 @@ double noise_power_dbm(double bandwidth_hz, double noise_figure_db) {
 }
 
 ChannelModel::ChannelModel(const mobility::CampusMap& map, const RadioConfig& config,
-                           std::size_t user_count, util::Rng& rng)
+                           std::size_t user_count, double tick_s, util::Rng& rng)
     : config_(config),
+      tick_s_(tick_s),
       bs_positions_(map.base_stations()),
       noise_dbm_(noise_power_dbm(config.bandwidth_hz, config.noise_figure_db)) {
   DTMSV_EXPECTS(user_count > 0);
   DTMSV_EXPECTS(!bs_positions_.empty());
-  DTMSV_EXPECTS(config.sample_interval_s > 0.0);
+  DTMSV_EXPECTS(tick_s > 0.0);
 
-  shadowing_.reserve(user_count);
+  shadowing_.reserve(user_count * bs_positions_.size());
   fading_.reserve(user_count);
   for (std::size_t u = 0; u < user_count; ++u) {
-    std::vector<ShadowingProcess> links;
-    links.reserve(bs_positions_.size());
     for (std::size_t b = 0; b < bs_positions_.size(); ++b) {
-      links.emplace_back(config.shadowing_sigma_db, config.shadowing_decorrelation_m,
-                         rng.fork(u * 131 + b));
+      shadowing_.emplace_back(config.shadowing_sigma_db,
+                              config.shadowing_decorrelation_m, rng.fork(u * 131 + b));
     }
-    shadowing_.push_back(std::move(links));
-    fading_.emplace_back(config.doppler_hz, config.sample_interval_s,
-                         rng.fork(0xFAD0 + u));
+    fading_.emplace_back(config.doppler_hz, tick_s, rng.fork(0xFAD0 + u));
   }
   last_positions_.assign(user_count, {});
   last_samples_.assign(user_count, {});
@@ -43,16 +40,20 @@ void ChannelModel::step(const std::vector<mobility::Position>& positions) {
   DTMSV_EXPECTS_MSG(positions.size() == last_samples_.size(),
                     "ChannelModel::step: position count mismatch");
 
+  const std::size_t sites = bs_positions_.size();
   for (std::size_t u = 0; u < positions.size(); ++u) {
     const double moved =
         stepped_ ? mobility::distance(positions[u], last_positions_[u]) : 0.0;
+    const ShadowingStep ar1 = ShadowingProcess::coefficients(
+        config_.shadowing_sigma_db, config_.shadowing_decorrelation_m, moved);
+    ShadowingProcess* links = shadowing_.data() + u * sites;
 
     // Strongest-BS attachment on large-scale signal (path loss + shadowing).
     double best_rx_dbm = -std::numeric_limits<double>::infinity();
     std::size_t best_bs = 0;
-    for (std::size_t b = 0; b < bs_positions_.size(); ++b) {
+    for (std::size_t b = 0; b < sites; ++b) {
       const double d = mobility::distance(positions[u], bs_positions_[b]);
-      const double shadow_db = shadowing_[u][b].step(moved);
+      const double shadow_db = links[b].step(ar1);
       const double rx_dbm = config_.tx_power_dbm + config_.antenna_gain_db -
                             config_.path_loss.loss_db(d) - shadow_db;
       if (rx_dbm > best_rx_dbm) {
@@ -78,14 +79,13 @@ void ChannelModel::step(const std::vector<mobility::Position>& positions) {
 
 void ChannelModel::reset_user(std::size_t user, util::Rng& rng) {
   DTMSV_EXPECTS(user < last_samples_.size());
-  auto& links = shadowing_[user];
+  ShadowingProcess* links = shadowing_.data() + user * bs_positions_.size();
   for (std::size_t b = 0; b < bs_positions_.size(); ++b) {
     links[b] = ShadowingProcess(config_.shadowing_sigma_db,
                                 config_.shadowing_decorrelation_m,
                                 rng.fork(user * 131 + b));
   }
-  fading_[user] = RayleighFading(config_.doppler_hz, config_.sample_interval_s,
-                                 rng.fork(0xFAD0 + user));
+  fading_[user] = RayleighFading(config_.doppler_hz, tick_s_, rng.fork(0xFAD0 + user));
 }
 
 const ChannelSample& ChannelModel::sample_of(std::size_t user) const {

@@ -23,7 +23,6 @@ struct RadioConfig {
   double shadowing_sigma_db = 6.0;
   double shadowing_decorrelation_m = 50.0;
   double doppler_hz = 10.0;          // pedestrian at 2.6 GHz ≈ 10 Hz
-  double sample_interval_s = 1.0;    // channel sampling period
   /// Spectral efficiency model: true -> CQI table, false -> truncated Shannon.
   bool use_cqi_table = true;
 };
@@ -41,10 +40,12 @@ struct ChannelSample {
 /// Evolves every user's channel against the BS fleet.
 class ChannelModel {
  public:
+  /// `tick_s` is the simulated time between successive step() calls; the
+  /// fading correlation over one step derives from it.
   ChannelModel(const mobility::CampusMap& map, const RadioConfig& config,
-               std::size_t user_count, util::Rng& rng);
+               std::size_t user_count, double tick_s, util::Rng& rng);
 
-  /// Advances all users one sample interval given their current positions
+  /// Advances all users one tick given their current positions
   /// (positions.size() must equal user_count()).
   void step(const std::vector<mobility::Position>& positions);
 
@@ -64,11 +65,12 @@ class ChannelModel {
 
  private:
   RadioConfig config_;
+  double tick_s_;
   std::vector<mobility::Position> bs_positions_;
   CqiTable cqi_;
   double noise_dbm_;
-  // Per (user, bs) shadowing processes; per-user fading.
-  std::vector<std::vector<ShadowingProcess>> shadowing_;
+  // Shadowing per (user, bs) link, flat [user × bs]; fading per user.
+  std::vector<ShadowingProcess> shadowing_;
   std::vector<RayleighFading> fading_;
   std::vector<mobility::Position> last_positions_;
   std::vector<ChannelSample> last_samples_;

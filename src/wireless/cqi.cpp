@@ -30,13 +30,11 @@ CqiTable::CqiTable() {
 }
 
 std::size_t CqiTable::cqi_for_snr(double snr_db) const {
+  // Thresholds ascend, so the levels met are a prefix: count them without
+  // a data-dependent branch.
   std::size_t cqi = 0;
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
-    if (snr_db >= entries_[i].min_snr_db) {
-      cqi = i + 1;
-    } else {
-      break;
-    }
+  for (const CqiEntry& e : entries_) {
+    cqi += snr_db >= e.min_snr_db ? 1 : 0;
   }
   return cqi;
 }

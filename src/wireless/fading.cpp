@@ -18,14 +18,14 @@ RayleighFading::RayleighFading(double doppler_hz, double sample_interval_s,
   // Clarke's model autocorrelation J0(2π·fd·τ) approximated by a Gauss–Markov
   // coefficient; exact J0 is unnecessary for the demand statistics we need.
   rho_ = std::exp(-2.0 * M_PI * doppler_hz * sample_interval_s * 0.1);
+  innovation_ = std::sqrt(std::max(0.0, 1.0 - rho_ * rho_));
   re_ = rng_.normal(0.0, kInvSqrt2);
   im_ = rng_.normal(0.0, kInvSqrt2);
 }
 
 double RayleighFading::step() {
-  const double innov = std::sqrt(std::max(0.0, 1.0 - rho_ * rho_));
-  re_ = rho_ * re_ + innov * rng_.normal(0.0, kInvSqrt2);
-  im_ = rho_ * im_ + innov * rng_.normal(0.0, kInvSqrt2);
+  re_ = rho_ * re_ + innovation_ * rng_.normal(0.0, kInvSqrt2);
+  im_ = rho_ * im_ + innovation_ * rng_.normal(0.0, kInvSqrt2);
   return current_power();
 }
 

@@ -27,6 +27,7 @@ class RayleighFading {
 
  private:
   double rho_;
+  double innovation_;  // sqrt(1 - rho²)
   util::Rng rng_;
   double re_;
   double im_;

@@ -22,12 +22,18 @@ ShadowingProcess::ShadowingProcess(double sigma_db, double decorrelation_m,
   value_db_ = rng_.normal(0.0, sigma_db_);
 }
 
-double ShadowingProcess::step(double moved_m) {
+ShadowingStep ShadowingProcess::coefficients(double sigma_db, double decorrelation_m,
+                                             double moved_m) {
   DTMSV_EXPECTS(moved_m >= 0.0);
   // AR(1): rho = exp(-Δd / d_corr); innovation keeps stationary variance.
-  const double rho = std::exp(-moved_m / decorrelation_m_);
-  const double innovation_sigma = sigma_db_ * std::sqrt(std::max(0.0, 1.0 - rho * rho));
-  value_db_ = rho * value_db_ + rng_.normal(0.0, innovation_sigma);
+  const double rho = std::exp(-moved_m / decorrelation_m);
+  return {rho, sigma_db * std::sqrt(std::max(0.0, 1.0 - rho * rho))};
+}
+
+// Out of line on purpose: one compiled body serves the per-link step(moved)
+// and the channel loop, so both round (and contract) identically.
+double ShadowingProcess::step(const ShadowingStep& ar1) {
+  value_db_ = ar1.rho * value_db_ + rng_.normal(0.0, ar1.innovation_sigma);
   return value_db_;
 }
 

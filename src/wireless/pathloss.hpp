@@ -18,6 +18,13 @@ struct PathLossModel {
   double loss_db(double d_m) const;
 };
 
+/// Coefficients of one AR(1) shadowing step:
+/// value' = rho·value + innovation_sigma·z with z ~ N(0, 1).
+struct ShadowingStep {
+  double rho = 1.0;
+  double innovation_sigma = 0.0;
+};
+
 /// Temporally correlated log-normal shadowing per (user, BS) link.
 ///
 /// Gudmundson-style: the shadowing process decorrelates over distance; with
@@ -29,9 +36,20 @@ class ShadowingProcess {
   /// over which correlation falls to 1/e.
   ShadowingProcess(double sigma_db, double decorrelation_m, util::Rng rng);
 
+  /// The step for `moved_m` metres (>= 0) of displacement. It depends only
+  /// on the move and the link constants, so every link of one user shares
+  /// it: a channel computes it once per user-tick.
+  static ShadowingStep coefficients(double sigma_db, double decorrelation_m,
+                                    double moved_m);
+
   /// Advances the process given metres moved since the last step and
   /// returns the new shadowing value in dB.
-  double step(double moved_m);
+  double step(double moved_m) {
+    return step(coefficients(sigma_db_, decorrelation_m_, moved_m));
+  }
+  /// Advances the process by precomputed coefficients (those of this
+  /// link's constants) and returns the new value in dB.
+  double step(const ShadowingStep& ar1);
 
   double current_db() const { return value_db_; }
   double sigma_db() const { return sigma_db_; }

@@ -497,6 +497,40 @@ TEST(Simulation, TickCountsExactOverLongHorizon) {
   EXPECT_EQ(sim.now(), static_cast<double>(intervals) * cfg.interval_s);
 }
 
+TEST(Simulation, FadingCorrelationFollowsTickSpacing) {
+  // Regression: the channel's fading assumed a fixed 1 s step, so at
+  // tick_s = 0.5 it decorrelated twice as fast in simulated time. The
+  // Gauss–Markov tap's power has lag-one autocorrelation rho² with
+  // rho = exp(-0.2π·f_d·tick_s): 0.533 at f_d = 1 Hz and 0.5 s ticks,
+  // against 0.284 under the old fixed step.
+  SchemeConfig cfg = fast_config(65);
+  cfg.tick_s = 0.5;
+  cfg.warmup_intervals = 1000000;  // stay in warm-up: no clustering cost
+  cfg.radio.doppler_hz = 1.0;
+  cfg.radio.shadowing_sigma_db = 0.0;
+  cfg.mobility.min_speed_mps = 1e-3;  // all but stationary: the path loss
+  cfg.mobility.max_speed_mps = 1e-3;  // is constant, only fading moves
+  cfg.collection.channel_period_s = cfg.tick_s;
+  Simulation sim(cfg);
+  core::ReportSink discard;
+  sim.run(1, discard);
+
+  const double rho = std::exp(-0.2 * M_PI * cfg.radio.doppler_hz * cfg.tick_s);
+  util::RunningStats lag1;
+  for (std::size_t u = 0; u < cfg.user_count; ++u) {
+    const auto series = sim.twins().twin(u).channel();
+    ASSERT_EQ(series.size(), 120u);  // one report per tick
+    std::vector<double> now;
+    std::vector<double> next;
+    for (std::size_t i = 0; i + 1 < series.size(); ++i) {
+      now.push_back(std::pow(10.0, series[i].value.snr_db / 10.0));
+      next.push_back(std::pow(10.0, series[i + 1].value.snr_db / 10.0));
+    }
+    lag1.add(util::pearson(now, next));
+  }
+  EXPECT_NEAR(lag1.mean(), rho * rho, 0.08);
+}
+
 TEST(Simulation, DriftToggleLeavesOtherStreamsUntouched) {
   // Regression: drift targets used to be drawn from the playback stream,
   // so merely enabling affinity_drift_rate perturbed group playback and

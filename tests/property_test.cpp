@@ -287,7 +287,7 @@ TEST_P(ChannelSweep, EfficiencyAlwaysLawful) {
   const auto map = mobility::CampusMap::waterloo_campus();
   Rng rng(GetParam());
   wireless::RadioConfig cfg;
-  wireless::ChannelModel channel(map, cfg, 10, rng);
+  wireless::ChannelModel channel(map, cfg, 10, 1.0, rng);
   mobility::MobilityConfig mob_cfg;
   Rng mob_rng(GetParam() + 1);
   mobility::MobilityField field(map, mob_cfg, 10, mob_rng);

@@ -650,21 +650,21 @@ TEST(ServeLoop, ForecastStreamMatchesGolden) {
   }
   // Default ladder (cnn, summary): every interval runs the CNN rung.
   expect_matches_serve_golden(serve_forecast_stream({}), {
-      {5, 5, 2651894.4145589708, 3131738909.4338212},
-      {3, 3, 1909618.9671679623, 1202108103.9806406},
-      {4, 4, 2763747.9843014181, 1662603838.2729075},
-      {5, 5, 4007749.1446189433, 2327463633.1249819},
-      {4, 4, 4325345.8887614589, 2371129072.275547},
-      {2, 2, 3324239.6464647469, 746243548.12860441},
+      {5, 5, 2784101.6896311967, 4057203292.9720764},
+      {4, 4, 2204930.6852217913, 3201743305.8896008},
+      {3, 3, 1646124.9620439853, 1337109835.3314326},
+      {3, 3, 1652630.8718342017, 1277237821.0470099},
+      {5, 5, 2813301.9550867663, 3411698864.1029911},
+      {2, 2, 1202139.0064584347, 727497838.83399391},
   });
   // Summary-only ladder.
   expect_matches_serve_golden(serve_forecast_stream({"summary"}), {
-      {5, 5, 2805454.8882378824, 2930082630.1256504},
-      {3, 3, 1926947.5039988575, 1179690009.7811978},
-      {4, 4, 2721688.282628173, 1695760566.7511287},
-      {5, 5, 4222471.1400326481, 2139077059.6718423},
-      {4, 4, 4469491.5120075773, 1656404359.7529056},
-      {2, 2, 3688492.2975719664, 740896286.22717047},
+      {5, 5, 2700623.2710477728, 2747074979.5128422},
+      {4, 4, 2155166.3459196459, 1952755481.4021389},
+      {3, 3, 1601423.4619471531, 1329741090.2120681},
+      {3, 3, 1665457.1774959678, 1342259684.8425641},
+      {5, 5, 2724982.2714461018, 2388358989.013803},
+      {2, 2, 1206957.2177563692, 727469747.12936556},
   });
 }
 

@@ -1255,7 +1255,7 @@ struct CollectorFixture {
   dtmsv::mobility::MobilityField field{map, mob_cfg, users, rng};
   dtmsv::wireless::RadioConfig radio{};
   Rng channel_rng{100};
-  dtmsv::wireless::ChannelModel channel{map, radio, users, channel_rng};
+  dtmsv::wireless::ChannelModel channel{map, radio, users, 1.0, channel_rng};
   TwinStore store{users};
 
   void run(StatusCollector& collector, int seconds) {

@@ -3,9 +3,12 @@
 // clock arithmetic, and error-check macros.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
 #include <numeric>
 
+#include "stats_check.hpp"
 #include "util/clock.hpp"
 #include "util/csv.hpp"
 #include "util/error.hpp"
@@ -235,6 +238,82 @@ TEST(Rng, DirichletMeansTrackAlpha) {
     mean0 += rng.dirichlet(alpha)[0];
   }
   EXPECT_NEAR(mean0 / n, 0.25, 0.01);
+}
+
+// ------------------------------------------- RNG distributions (K-S, α = 1e-3)
+
+constexpr double kKsAlpha = 1e-3;
+
+std::vector<double> draw(std::size_t n, const std::function<double()>& sampler) {
+  std::vector<double> xs(n);
+  for (double& x : xs) {
+    x = sampler();
+  }
+  return xs;
+}
+
+TEST(RngDistribution, NormalMatchesPhi) {
+  Rng rng(20240);
+  const auto xs = draw(1'000'000, [&] { return rng.normal(); });
+  const auto ks = dtmsv::testing::ks::one_sample(xs, dtmsv::testing::normal_cdf);
+  EXPECT_GT(ks.p, kKsAlpha) << "sqrt(n)·D = " << ks.scaled_d;
+  // K-S is least sensitive in the tails; count |x| > 3.5 directly
+  // (P = 4.6525e-4, so 465 ± 21.6 expected; allow 5 sigma).
+  const auto tail = std::count_if(xs.begin(), xs.end(),
+                                  [](double x) { return std::abs(x) > 3.5; });
+  const double expected = 4.6525e-4 * 1e6;
+  EXPECT_NEAR(static_cast<double>(tail), expected, 5.0 * std::sqrt(expected));
+  RunningStats s;
+  for (const double x : xs) {
+    s.add(x);
+  }
+  EXPECT_NEAR(s.mean(), 0.0, 0.005);
+  EXPECT_NEAR(s.variance(), 1.0, 0.005);
+}
+
+TEST(RngDistribution, GammaMatchesClosedFormCdf) {
+  struct Case {
+    double shape;
+    double (*cdf)(double);
+  };
+  const Case cases[] = {
+      {1.0, [](double x) { return -std::expm1(-x); }},
+      {2.0, [](double x) { return 1.0 - std::exp(-x) * (1.0 + x); }},
+      // Gamma(1/2, 1) is χ²₁/2: P(X <= x) = erf(√x).
+      {0.5, [](double x) { return std::erf(std::sqrt(x)); }},
+  };
+  Rng rng(31);
+  for (const Case& c : cases) {
+    const double scale = 2.0;
+    const auto xs = draw(200'000, [&] { return rng.gamma(c.shape, scale) / scale; });
+    const auto ks = dtmsv::testing::ks::one_sample(xs, c.cdf);
+    EXPECT_GT(ks.p, kKsAlpha) << "shape " << c.shape << ": sqrt(n)·D = " << ks.scaled_d;
+  }
+}
+
+TEST(RngDistribution, DirichletMarginalIsBeta) {
+  // Component i of Dirichlet(α) is Beta(α_i, Σα − α_i).
+  const std::vector<double> alpha = {0.35, 0.35, 0.35, 0.35, 0.35, 0.35};
+  Rng dirichlet_rng(41);
+  Rng beta_rng(42);
+  const auto marginal = draw(50'000, [&] { return dirichlet_rng.dirichlet(alpha)[2]; });
+  const auto beta = draw(50'000, [&] { return beta_rng.beta(0.35, 5 * 0.35); });
+  const auto ks = dtmsv::testing::ks::two_sample(marginal, beta);
+  EXPECT_GT(ks.p, kKsAlpha) << "sqrt(n_eff)·D = " << ks.scaled_d;
+}
+
+TEST(KsCheck, RejectsAShiftedSample) {
+  // The harness itself must have power: N(0.02, 1) at n = 1e6 lies ~8
+  // standard errors of D away from Φ, and two-sample against N(0, 1)
+  // at 50k each is far outside too.
+  Rng rng(7);
+  const auto shifted = draw(1'000'000, [&] { return rng.normal(0.02, 1.0); });
+  EXPECT_LT(dtmsv::testing::ks::one_sample(shifted, dtmsv::testing::normal_cdf).p, 1e-6);
+  const auto a = draw(50'000, [&] { return rng.normal(); });
+  const auto b = draw(50'000, [&] { return rng.normal(0.1, 1.0); });
+  EXPECT_LT(dtmsv::testing::ks::two_sample(a, b).p, 1e-6);
+  EXPECT_GT(dtmsv::testing::ks::kolmogorov_sf(1.36), 0.049);
+  EXPECT_LT(dtmsv::testing::ks::kolmogorov_sf(1.36), 0.051);
 }
 
 TEST(Rng, ZipfRankZeroMostLikely) {

@@ -131,14 +131,14 @@ TEST_P(SnrPlausibility, MedianSnrInPlausibleBand) {
   cfg.shadowing_sigma_db = 0.0;
   cfg.doppler_hz = 0.0;
   Rng rng(13);
-  ChannelModel channel(map, cfg, 1, rng);
+  ChannelModel channel(map, cfg, 1, 1.0, rng);
   const auto bs = map.base_stations()[0];
   // Average the frozen fading out by sampling several independent channels.
   double total = 0.0;
   const int trials = 32;
   for (int i = 0; i < trials; ++i) {
     Rng trial_rng(static_cast<std::uint64_t>(i) + 100);
-    ChannelModel trial(map, cfg, 1, trial_rng);
+    ChannelModel trial(map, cfg, 1, 1.0, trial_rng);
     trial.step({{bs.x + c.distance_m, bs.y}});
     total += trial.sample_of(0).snr_db;
   }

@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "mobility/campus_map.hpp"
+#include "stats_check.hpp"
 #include "util/error.hpp"
 #include "util/stats.hpp"
 #include "wireless/channel.hpp"
@@ -70,6 +73,19 @@ TEST(Shadowing, StationaryVariance) {
   EXPECT_NEAR(stats.stddev(), 6.0, 0.5);
 }
 
+TEST(Shadowing, DecorrelatedMarginalIsNormal) {
+  // Steps of 20 decorrelation lengths leave rho = e^-20: the samples are
+  // independent draws of the stationary marginal N(0, sigma²).
+  ShadowingProcess proc(6.0, 50.0, Rng(21));
+  std::vector<double> xs(200'000);
+  for (double& x : xs) {
+    x = proc.step(1000.0);
+  }
+  const auto ks = dtmsv::testing::ks::one_sample(
+      xs, [](double x) { return dtmsv::testing::normal_cdf(x / 6.0); });
+  EXPECT_GT(ks.p, 1e-3) << "sqrt(n)·D = " << ks.scaled_d;
+}
+
 TEST(Shadowing, ZeroMovementFreezesValue) {
   ShadowingProcess proc(6.0, 50.0, Rng(2));
   const double v0 = proc.current_db();
@@ -126,6 +142,18 @@ TEST(Fading, ExponentialPowerDistribution) {
     }
   }
   EXPECT_NEAR(above / static_cast<double>(n), std::exp(-1.0), 0.02);
+}
+
+TEST(Fading, PowerMatchesExponentialCdf) {
+  // The whole |h|² distribution, not one quantile: K-S against Exp(1).
+  RayleighFading fading(100.0, 1.0, Rng(22));
+  std::vector<double> xs(200'000);
+  for (double& x : xs) {
+    x = fading.step();
+  }
+  const auto ks = dtmsv::testing::ks::one_sample(
+      xs, [](double x) { return -std::expm1(-x); });
+  EXPECT_GT(ks.p, 1e-3) << "sqrt(n)·D = " << ks.scaled_d;
 }
 
 TEST(Fading, DbConversionConsistent) {
@@ -209,7 +237,7 @@ TEST(ChannelModel, SnrDecreasesWithDistance) {
   const auto map = dtmsv::mobility::CampusMap::grid(10, 2, 100.0);
   // grid() puts one BS at the centre.
   Rng rng(8);
-  ChannelModel channel(map, quiet_radio(), 2, rng);
+  ChannelModel channel(map, quiet_radio(), 2, 1.0, rng);
   const dtmsv::mobility::Position bs = map.base_stations()[0];
   channel.step({{bs.x + 10.0, bs.y}, {bs.x + 400.0, bs.y}});
   EXPECT_GT(channel.sample_of(0).snr_db, channel.sample_of(1).snr_db);
@@ -218,7 +246,7 @@ TEST(ChannelModel, SnrDecreasesWithDistance) {
 TEST(ChannelModel, AttachesToNearestBsWithoutShadowing) {
   const auto map = dtmsv::mobility::CampusMap::waterloo_campus();
   Rng rng(9);
-  ChannelModel channel(map, quiet_radio(), 1, rng);
+  ChannelModel channel(map, quiet_radio(), 1, 1.0, rng);
   const auto& sites = map.base_stations();
   // Stand right next to BS 2.
   channel.step({{sites[2].x + 5.0, sites[2].y}});
@@ -230,7 +258,7 @@ TEST(ChannelModel, EfficiencyConsistentWithCqi) {
   Rng rng(10);
   RadioConfig cfg = quiet_radio();
   cfg.use_cqi_table = true;
-  ChannelModel channel(map, cfg, 1, rng);
+  ChannelModel channel(map, cfg, 1, 1.0, rng);
   channel.step({{600.0, 500.0}});
   const auto& s = channel.sample_of(0);
   CqiTable table;
@@ -240,14 +268,14 @@ TEST(ChannelModel, EfficiencyConsistentWithCqi) {
 TEST(ChannelModel, SampleBeforeStepRejected) {
   const auto map = dtmsv::mobility::CampusMap::waterloo_campus();
   Rng rng(11);
-  ChannelModel channel(map, quiet_radio(), 1, rng);
+  ChannelModel channel(map, quiet_radio(), 1, 1.0, rng);
   EXPECT_THROW(channel.sample_of(0), PreconditionError);
 }
 
 TEST(ChannelModel, PositionCountMismatchRejected) {
   const auto map = dtmsv::mobility::CampusMap::waterloo_campus();
   Rng rng(12);
-  ChannelModel channel(map, quiet_radio(), 2, rng);
+  ChannelModel channel(map, quiet_radio(), 2, 1.0, rng);
   std::vector<dtmsv::mobility::Position> wrong = {{0.0, 0.0}};
   EXPECT_THROW(channel.step(wrong), PreconditionError);
 }
@@ -258,7 +286,7 @@ TEST(ChannelModel, FadingVariesOverTime) {
   RadioConfig cfg;
   cfg.shadowing_sigma_db = 0.0;
   cfg.doppler_hz = 10.0;
-  ChannelModel channel(map, cfg, 1, rng);
+  ChannelModel channel(map, cfg, 1, 1.0, rng);
   const std::vector<dtmsv::mobility::Position> pos = {{600.0, 500.0}};
   RunningStats snr;
   for (int i = 0; i < 200; ++i) {
@@ -266,6 +294,85 @@ TEST(ChannelModel, FadingVariesOverTime) {
     snr.add(channel.sample_of(0).snr_db);
   }
   EXPECT_GT(snr.stddev(), 0.5) << "fading should move the SNR";
+}
+
+TEST(ChannelModel, MatchesPerLinkReference) {
+  // The model's definition, spelled out link by link: each (user, BS)
+  // link is its own ShadowingProcess stepped by the user's displacement,
+  // each user has its own RayleighFading, the strongest large-scale link
+  // serves, and reset_user re-forks both from the caller's generator. The
+  // channel's loop must reproduce every sample bit for bit.
+  const auto map = dtmsv::mobility::CampusMap::waterloo_campus();
+  const RadioConfig cfg;
+  const std::size_t users = 12;
+  const std::size_t sites = map.base_stations().size();
+  const double tick_s = 0.5;
+  Rng channel_rng(14);
+  Rng reference_rng = channel_rng;
+  ChannelModel channel(map, cfg, users, tick_s, channel_rng);
+
+  std::vector<ShadowingProcess> shadowing;
+  std::vector<RayleighFading> fading;
+  const auto seat = [&](std::size_t u, Rng& rng) {
+    for (std::size_t b = 0; b < sites; ++b) {
+      shadowing[u * sites + b] = ShadowingProcess(
+          cfg.shadowing_sigma_db, cfg.shadowing_decorrelation_m, rng.fork(u * 131 + b));
+    }
+    fading[u] = RayleighFading(cfg.doppler_hz, tick_s, rng.fork(0xFAD0 + u));
+  };
+  for (std::size_t u = 0; u < users; ++u) {
+    for (std::size_t b = 0; b < sites; ++b) {
+      shadowing.emplace_back(cfg.shadowing_sigma_db, cfg.shadowing_decorrelation_m,
+                             reference_rng.fork(u * 131 + b));
+    }
+    fading.emplace_back(cfg.doppler_hz, tick_s, reference_rng.fork(0xFAD0 + u));
+  }
+  const CqiTable cqi;
+  const double noise_dbm = noise_power_dbm(cfg.bandwidth_hz, cfg.noise_figure_db);
+
+  Rng walk(15);
+  std::vector<dtmsv::mobility::Position> positions(users);
+  for (auto& p : positions) {
+    p = map.random_position(walk);
+  }
+  std::vector<dtmsv::mobility::Position> last = positions;
+  for (int tick = 0; tick < 200; ++tick) {
+    if (tick == 100) {
+      Rng handover(16);
+      Rng handover_copy = handover;
+      channel.reset_user(5, handover);
+      seat(5, handover_copy);
+    }
+    for (std::size_t u = 0; u < users; ++u) {
+      if (u % 4 != 0) {  // every fourth user stands still (moved = 0)
+        positions[u].x += walk.uniform(-2.0, 2.0);
+        positions[u].y += walk.uniform(-2.0, 2.0);
+      }
+    }
+    channel.step(positions);
+    for (std::size_t u = 0; u < users; ++u) {
+      const double moved =
+          tick == 0 ? 0.0 : dtmsv::mobility::distance(positions[u], last[u]);
+      double best_rx_dbm = -std::numeric_limits<double>::infinity();
+      std::size_t best_bs = 0;
+      for (std::size_t b = 0; b < sites; ++b) {
+        const double d = dtmsv::mobility::distance(positions[u], map.base_stations()[b]);
+        const double rx_dbm = cfg.tx_power_dbm + cfg.antenna_gain_db -
+                              cfg.path_loss.loss_db(d) -
+                              shadowing[u * sites + b].step(moved);
+        if (rx_dbm > best_rx_dbm) {
+          best_rx_dbm = rx_dbm;
+          best_bs = b;
+        }
+      }
+      const double snr_db = best_rx_dbm + linear_to_db(fading[u].step()) - noise_dbm;
+      const ChannelSample& s = channel.sample_of(u);
+      ASSERT_EQ(s.serving_bs, best_bs) << "user " << u << " tick " << tick;
+      ASSERT_EQ(s.snr_db, snr_db) << "user " << u << " tick " << tick;
+      ASSERT_EQ(s.efficiency_bps_hz, cqi.efficiency(snr_db)) << "user " << u;
+    }
+    last = positions;
+  }
 }
 
 // ---------------------------------------------------------------- multicast
