@@ -29,6 +29,7 @@
 #include "twin/store.hpp"
 #include "twin/udt.hpp"
 #include "util/parallel.hpp"
+#include "util/vmath.hpp"
 #include "video/catalog.hpp"
 #include "wireless/channel.hpp"
 
@@ -367,6 +368,67 @@ void BM_ChannelStep120Users(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ChannelStep120Users);
+
+// ChannelModel::step alone at n users (625 = one fleet_steady shard),
+// cycling through 64 precomputed walker snapshots so users move between
+// ticks. "time/user-tick" is the per-user cost of one step.
+void BM_ChannelStep(benchmark::State& state) {
+  const auto users = static_cast<std::size_t>(state.range(0));
+  const auto map = mobility::CampusMap::waterloo_campus();
+  util::Rng rng(12);
+  wireless::ChannelModel channel(map, wireless::RadioConfig{}, users, 1.0, rng);
+  util::Rng mob_rng(13);
+  mobility::MobilityField field(map, mobility::MobilityConfig{}, users, mob_rng);
+  std::vector<std::vector<mobility::Position>> ticks;
+  for (int t = 0; t < 64; ++t) {
+    field.advance(1.0);
+    ticks.push_back(field.snapshot());
+  }
+  std::size_t t = 0;
+  for (auto _ : state) {
+    channel.step(ticks[t++ % ticks.size()]);
+  }
+  // An inverted per-iteration rate: seconds per user-tick.
+  state.counters["time/user-tick"] = benchmark::Counter(
+      static_cast<double>(users),
+      benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_ChannelStep)->Arg(625);
+
+// The channel tick's log10 and exp kernels on the default SIMD backend,
+// over 1024 inputs in the model's domains: distances of 1..5000 m and
+// shadowing exponents -moved/d_corr in [-4, 0]. "time/elem" per input.
+template <typename Kernel>
+void run_vmath_bench(benchmark::State& state, double lo, double hi, Kernel kernel) {
+  using P = util::simd::pack<double, util::simd::default_backend>;
+  constexpr std::size_t kInputs = 1024;
+  util::Rng rng(15);
+  std::vector<double> in(kInputs);
+  std::vector<double> out(kInputs);
+  for (double& x : in) {
+    x = rng.uniform(lo, hi);
+  }
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < kInputs; i += P::width) {
+      kernel(P::load(in.data() + i)).store(out.data() + i);
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["time/elem"] = benchmark::Counter(
+      static_cast<double>(kInputs),
+      benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+}
+
+void BM_SimdLog10(benchmark::State& state) {
+  run_vmath_bench(state, 1.0, 5000.0, [](auto x) { return util::vmath::log10(x); });
+}
+BENCHMARK(BM_SimdLog10);
+
+void BM_SimdExp(benchmark::State& state) {
+  run_vmath_bench(state, -4.0, 0.0, [](auto x) { return util::vmath::exp(x); });
+}
+BENCHMARK(BM_SimdExp);
 
 void BM_GroupChannelForecast(benchmark::State& state) {
   util::Rng rng(14);

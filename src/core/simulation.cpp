@@ -19,6 +19,10 @@ void validate(const SchemeConfig& config) {
                     "SchemeConfig: tick_s must be finite and > 0");
   DTMSV_EXPECTS_MSG(config.tick_s <= config.interval_s,
                     "SchemeConfig: interval_s must be >= tick_s");
+  // The tick count per interval is a size_t cast of this ratio, and past
+  // 2^53 interval_start + i·tick_s no longer separates consecutive ticks.
+  DTMSV_EXPECTS_MSG(config.interval_s / config.tick_s < 0x1p53,
+                    "SchemeConfig: interval_s / tick_s must be < 2^53 ticks per interval");
   DTMSV_EXPECTS_MSG(
       std::isfinite(config.feature_window_s) && config.feature_window_s > 0.0,
       "SchemeConfig: feature_window_s must be finite and > 0");

@@ -15,7 +15,19 @@
 // regime knob is FMA fusion: `madd` fuses if and only if the libm fast-fma
 // macros (FP_FAST_FMAF / FP_FAST_FMA) say the target has hardware FMA, in
 // scalar and vector backends alike, so a mixed scalar-tail/vector-body
-// kernel still agrees with itself.
+// kernel still agrees with itself. Code that must agree across loops or
+// translation units writes every multiply-add as madd and lets no other
+// product feed an add or subtract unless the product is exact: the
+// compiler may contract such a pair into an FMA (GCC does by default, with
+// -ffp-contract=fast) and may choose differently in different loops. A
+// product that must round on its own before a sum is madd(a, b, 0).
+//
+// Transcendentals (util/vmath.hpp) are built from the same lane-wise
+// IEEE ops plus ops that are exact on every backend: compare-selects, the
+// exponent/significand split (logb/significand), an exact power-of-two
+// scale rounded once (scalbn) and a bit mask (clear_low_word). Each is
+// defined by its scalar form, and the vector forms (AVX-512 getexp/
+// getmant/scalef, AVX2 integer bit ops) reproduce it bit for bit.
 //
 // Backend selection: `default_backend` picks the widest ISA the
 // translation unit is compiled for (__AVX512F__ > __AVX2__ > scalar).
@@ -25,8 +37,10 @@
 // fallback paths.
 #pragma once
 
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 
 #if defined(__AVX2__) || defined(__AVX512F__)
 // GCC's _mm512_reduce_* expansions trip -Wmaybe-uninitialized inside
@@ -175,6 +189,25 @@ struct pack<T, scalar_backend> {
   T reduce_min() const { return v; }
   unsigned eq_mask(T x) const { return v == x ? 1u : 0u; }
   unsigned unord_mask() const { return v != v ? 1u : 0u; }
+
+  // Exact lane ops for the transcendental kernels (double packs only).
+  // select_gt / select_ge: a > b (a >= b) ? t : f, false when either
+  // compared lane is NaN.
+  friend pack select_gt(pack a, pack b, pack t, pack f) { return {a.v > b.v ? t.v : f.v}; }
+  friend pack select_ge(pack a, pack b, pack t, pack f) { return {a.v >= b.v ? t.v : f.v}; }
+  // For positive finite x (normal or subnormal): logb is floor(log2 x) as
+  // a double, significand is x / 2^logb(x), in [1, 2). Both are exact.
+  friend pack logb(pack x) { return {std::logb(x.v)}; }
+  friend pack significand(pack x) { return {std::scalbn(x.v, -std::ilogb(x.v))}; }
+  // y * 2^n rounded once, for |y| in [0.5, 2) and integral n in
+  // [-1100, 1100]; NaN n leaves y unscaled (no undefined int conversion).
+  friend pack scalbn(pack y, pack n) {
+    return {std::scalbn(y.v, n.v == n.v ? static_cast<int>(n.v) : 0)};
+  }
+  // x with the low 32 bits of its encoding cleared (a short "high part").
+  friend pack clear_low_word(pack x) {
+    return {std::bit_cast<T>(std::bit_cast<std::uint64_t>(x.v) & 0xFFFFFFFF00000000ULL)};
+  }
 };
 
 #if defined(__AVX2__)
@@ -268,6 +301,59 @@ struct pack<double, avx2_backend> {
     return static_cast<unsigned>(
         _mm256_movemask_pd(_mm256_cmp_pd(v, v, _CMP_UNORD_Q)));
   }
+
+  friend pack select_gt(pack a, pack b, pack t, pack f) {
+    return {_mm256_blendv_pd(f.v, t.v, _mm256_cmp_pd(a.v, b.v, _CMP_GT_OQ))};
+  }
+  friend pack select_ge(pack a, pack b, pack t, pack f) {
+    return {_mm256_blendv_pd(f.v, t.v, _mm256_cmp_pd(a.v, b.v, _CMP_GE_OQ))};
+  }
+  // No getexp/getmant on AVX2: read the exponent field, after scaling a
+  // subnormal lane by 2^54 so that its field is a normal one.
+  friend pack logb(pack x) {
+    const __m256d sub = subnormal_lanes(x.v);
+    const __m256i field = _mm256_and_si256(
+        _mm256_srli_epi64(_mm256_castpd_si256(normalised(x.v, sub)), 52),
+        _mm256_set1_epi64x(0x7FF));
+    // field | bits(2^52) is the double 2^52 + field, exactly.
+    const __m256d biased = _mm256_sub_pd(
+        _mm256_castsi256_pd(_mm256_or_si256(field, _mm256_set1_epi64x(0x4330000000000000))),
+        _mm256_set1_pd(0x1p52));
+    return {_mm256_sub_pd(_mm256_sub_pd(biased, _mm256_set1_pd(1023.0)),
+                          _mm256_and_pd(sub, _mm256_set1_pd(54.0)))};
+  }
+  friend pack significand(pack x) {
+    const __m256i bits = _mm256_castpd_si256(normalised(x.v, subnormal_lanes(x.v)));
+    return {_mm256_castsi256_pd(_mm256_or_si256(
+        _mm256_and_si256(bits, _mm256_set1_epi64x(0x000FFFFFFFFFFFFF)),
+        _mm256_set1_epi64x(0x3FF0000000000000)))};
+  }
+  // Two exact normal scale steps, 2^floor(n/2) then 2^(n - floor(n/2)):
+  // the first product stays normal for |y| in [0.5, 2), so only the
+  // second rounds, as scalbn does.
+  friend pack scalbn(pack y, pack n) {
+    const __m256d first = _mm256_floor_pd(_mm256_mul_pd(n.v, _mm256_set1_pd(0.5)));
+    const __m256d second = _mm256_sub_pd(n.v, first);
+    return {_mm256_mul_pd(_mm256_mul_pd(y.v, pow2(first)), pow2(second))};
+  }
+  friend pack clear_low_word(pack x) {
+    return {_mm256_and_pd(x.v, _mm256_castsi256_pd(
+                                   _mm256_set1_epi64x(static_cast<long long>(0xFFFFFFFF00000000ULL))))};
+  }
+
+ private:
+  static __m256d subnormal_lanes(__m256d x) {
+    return _mm256_cmp_pd(x, _mm256_set1_pd(0x1p-1022), _CMP_LT_OQ);
+  }
+  static __m256d normalised(__m256d x, __m256d sub) {
+    return _mm256_blendv_pd(x, _mm256_mul_pd(x, _mm256_set1_pd(0x1p54)), sub);
+  }
+  // 2^k for integral k in [-1022, 1023]: 2^52 + 1023 + k holds the
+  // biased exponent in its low mantissa bits; shift them into place.
+  static __m256d pow2(__m256d k) {
+    const __m256d biased = _mm256_add_pd(k, _mm256_set1_pd(0x1p52 + 1023.0));
+    return _mm256_castsi256_pd(_mm256_slli_epi64(_mm256_castpd_si256(biased), 52));
+  }
 };
 
 #endif  // __AVX2__
@@ -355,6 +441,25 @@ struct pack<double, avx512_backend> {
   }
   unsigned unord_mask() const {
     return static_cast<unsigned>(_mm512_cmp_pd_mask(v, v, _CMP_UNORD_Q));
+  }
+
+  friend pack select_gt(pack a, pack b, pack t, pack f) {
+    return {_mm512_mask_blend_pd(_mm512_cmp_pd_mask(a.v, b.v, _CMP_GT_OQ), f.v, t.v)};
+  }
+  friend pack select_ge(pack a, pack b, pack t, pack f) {
+    return {_mm512_mask_blend_pd(_mm512_cmp_pd_mask(a.v, b.v, _CMP_GE_OQ), f.v, t.v)};
+  }
+  // The zero-masked forms with every lane selected: the unmasked ones pass
+  // _mm512_undefined_pd() through, which trips GCC's -Wuninitialized.
+  friend pack logb(pack x) { return {_mm512_maskz_getexp_pd(0xFF, x.v)}; }
+  friend pack significand(pack x) {
+    return {_mm512_maskz_getmant_pd(0xFF, x.v, _MM_MANT_NORM_1_2, _MM_MANT_SIGN_zero)};
+  }
+  friend pack scalbn(pack y, pack n) { return {_mm512_maskz_scalef_pd(0xFF, y.v, n.v)}; }
+  friend pack clear_low_word(pack x) {
+    return {_mm512_castsi512_pd(_mm512_and_si512(
+        _mm512_castpd_si512(x.v),
+        _mm512_set1_epi64(static_cast<long long>(0xFFFFFFFF00000000ULL))))};
   }
 };
 

@@ -1,6 +1,14 @@
 // Per-user downlink channel: combines path loss to the serving BS (strongest
 // link), correlated shadowing, Rayleigh fading, and link adaptation into the
 // per-user SNR / spectral-efficiency stream that feeds the UDTs.
+//
+// The model's definition is per link: PathLossModel::loss_db, one
+// ShadowingProcess per (user, BS) link, one RayleighFading per user and
+// linear_to_db. ChannelModel computes exactly that, bit for bit, with its
+// state in structure-of-arrays form so that a tick runs 8 users per vector:
+// a scalar pass takes the distances and each link's normal draws, then a
+// vector pass runs the rest through util/vmath.hpp's log10/exp, the same
+// kernel the per-link definitions call in scalar form.
 #pragma once
 
 #include <cstddef>
@@ -64,14 +72,36 @@ class ChannelModel {
   const RadioConfig& config() const { return config_; }
 
  private:
+  // Users per block: the scalar pass fills a block's scratch, then the
+  // vector pass consumes it while it is still in L1.
+  static constexpr std::size_t kBlock = 64;
+
+  void seat(std::size_t user, util::Rng& rng);
+  void draw_block(const std::vector<mobility::Position>& positions, std::size_t first,
+                  std::size_t count);
+  void advance_block(std::size_t first, std::size_t count);
+
   RadioConfig config_;
-  double tick_s_;
   std::vector<mobility::Position> bs_positions_;
   CqiTable cqi_;
   double noise_dbm_;
-  // Shadowing per (user, bs) link, flat [user × bs]; fading per user.
-  std::vector<ShadowingProcess> shadowing_;
-  std::vector<RayleighFading> fading_;
+  FadingStep fading_step_;
+  // user_count() rounded up to a whole number of packs, so the vector pass
+  // never needs a scalar tail.
+  std::size_t lanes_;
+  // Link state: shadowing in dB, flat [bs × lanes_]; fading taps [lanes_];
+  // each link's normal stream, flat [user × bs]; each user's fading stream.
+  std::vector<double> shadow_db_;
+  std::vector<double> tap_re_;
+  std::vector<double> tap_im_;
+  std::vector<util::Rng> link_rng_;
+  std::vector<util::Rng> fading_rng_;
+  // One block's scratch, [quantity × kBlock]: displacement since the last
+  // tick, distance to each BS, and the normals (one per BS, then the
+  // fading tap's re and im).
+  std::vector<double> moved_;
+  std::vector<double> distance_;
+  std::vector<double> normal_;
   std::vector<mobility::Position> last_positions_;
   std::vector<ChannelSample> last_samples_;
   bool stepped_ = false;

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "util/error.hpp"
+#include "util/vmath.hpp"
 
 namespace dtmsv::wireless {
 
@@ -59,7 +60,7 @@ double truncated_shannon(double snr_db, double alpha, double eff_max) {
 double db_to_linear(double db) { return std::pow(10.0, db / 10.0); }
 
 double linear_to_db(double linear) {
-  return 10.0 * std::log10(std::max(linear, 1e-30));
+  return 10.0 * util::vmath::log10(std::max(linear, 1e-30));
 }
 
 }  // namespace dtmsv::wireless

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 namespace dtmsv::wireless {
@@ -26,6 +27,8 @@ class CqiTable {
 
   std::size_t level_count() const { return entries_.size(); }
   const CqiEntry& entry(std::size_t cqi) const;  // cqi in [1, 15]
+  /// All levels, CQI 1 first; thresholds ascend.
+  std::span<const CqiEntry> entries() const { return entries_; }
 
  private:
   std::vector<CqiEntry> entries_;  // index 0 <-> CQI 1

@@ -4,6 +4,8 @@
 #include <cmath>
 
 #include "util/error.hpp"
+#include "util/simd.hpp"
+#include "util/vmath.hpp"
 
 namespace dtmsv::wireless {
 
@@ -11,7 +13,7 @@ double PathLossModel::loss_db(double d_m) const {
   DTMSV_EXPECTS(d_m >= 0.0);
   DTMSV_EXPECTS(reference_m > 0.0);
   const double d = std::max(d_m, reference_m);
-  return pl_ref_db + 10.0 * exponent * std::log10(d / reference_m);
+  return util::simd::madd(10.0 * exponent, util::vmath::log10(d / reference_m), pl_ref_db);
 }
 
 ShadowingProcess::ShadowingProcess(double sigma_db, double decorrelation_m,
@@ -26,14 +28,12 @@ ShadowingStep ShadowingProcess::coefficients(double sigma_db, double decorrelati
                                              double moved_m) {
   DTMSV_EXPECTS(moved_m >= 0.0);
   // AR(1): rho = exp(-Δd / d_corr); innovation keeps stationary variance.
-  const double rho = std::exp(-moved_m / decorrelation_m);
-  return {rho, sigma_db * std::sqrt(std::max(0.0, 1.0 - rho * rho))};
+  const double rho = util::vmath::exp(-moved_m / decorrelation_m);
+  return {rho, sigma_db * std::sqrt(std::max(0.0, util::simd::madd(-rho, rho, 1.0)))};
 }
 
-// Out of line on purpose: one compiled body serves the per-link step(moved)
-// and the channel loop, so both round (and contract) identically.
 double ShadowingProcess::step(const ShadowingStep& ar1) {
-  value_db_ = ar1.rho * value_db_ + rng_.normal(0.0, ar1.innovation_sigma);
+  value_db_ = util::simd::madd(ar1.rho, value_db_, rng_.normal(0.0, ar1.innovation_sigma));
   return value_db_;
 }
 

@@ -1,6 +1,8 @@
 // Large-scale propagation: log-distance path loss with log-normal shadowing,
 // the standard 3GPP-style urban model (see DESIGN.md §2 for why this stands
-// in for the authors' campus measurements).
+// in for the authors' campus measurements). The log10 and exp here are
+// util/vmath.hpp's scalar forms: ChannelModel runs the same kernel 8 users
+// per vector, so these per-link definitions and its loop agree bit for bit.
 #pragma once
 
 #include "mobility/campus_map.hpp"
@@ -9,6 +11,8 @@
 namespace dtmsv::wireless {
 
 /// Log-distance path loss: PL(d) = pl_ref_db + 10·n·log10(max(d, d_ref)/d_ref).
+/// Like every multiply-add of the model's definitions, the one here is a
+/// util::simd::madd, so ChannelModel's vector loop rounds it identically.
 struct PathLossModel {
   double pl_ref_db = 38.0;     // loss at the reference distance (2.6 GHz urban)
   double reference_m = 1.0;    // reference distance

@@ -458,6 +458,18 @@ TEST(ConfigValidation, SchemeConfigRejectsDegenerateValues) {
     EXPECT_THROW(core::validate(cfg), PreconditionError);
   }
 
+  // A huge finite interval used to cast ceil(interval_s / tick_s) past
+  // size_t (undefined behaviour; the run hung). 2^53 ticks is the limit.
+  cfg = good;
+  cfg.interval_s = 1e300;
+  EXPECT_THROW(core::validate(cfg), PreconditionError);
+  cfg = good;
+  cfg.tick_s = 1.0;
+  cfg.interval_s = 0x1p53;
+  EXPECT_THROW(core::validate(cfg), PreconditionError);
+  cfg.interval_s = 0x1p53 - 1.0;
+  EXPECT_NO_THROW(core::validate(cfg));
+
   cfg = good;
   cfg.grouping.k_min = 5;
   cfg.grouping.k_max = 3;

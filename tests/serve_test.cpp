@@ -6,10 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cli/serve_loader.hpp"
@@ -21,6 +23,7 @@
 #include "util/config.hpp"
 #include "util/error.hpp"
 #include "util/parallel.hpp"
+#include "stats_check.hpp"
 
 namespace {
 
@@ -737,6 +740,77 @@ TEST(ServeWorkload, RateMultiplierScalesEventVolume) {
   for (const double bad : {0.0, std::numeric_limits<double>::quiet_NaN(),
                            std::numeric_limits<double>::infinity()}) {
     EXPECT_THROW(surging.set_rate_multiplier(bad), util::PreconditionError);
+  }
+}
+
+/// Per-user event times of one kind, in stream order, from a workload run
+/// at `multiplier` over [0, horizon_s).
+std::vector<std::vector<double>> report_times(std::size_t users, double multiplier,
+                                              double horizon_s, core::TwinEvent::Kind kind,
+                                              const video::Catalog& catalog) {
+  core::ServeWorkloadConfig cfg;
+  cfg.user_count = users;
+  cfg.seed = 11;
+  core::ServeWorkload workload(cfg, catalog);
+  workload.set_rate_multiplier(multiplier);
+  std::vector<core::TwinEvent> events;
+  workload.generate(0.0, horizon_s, events);
+  std::vector<std::vector<double>> times(users);
+  for (const core::TwinEvent& e : events) {
+    if (e.kind == kind) {
+      times[e.user].push_back(e.time);
+    }
+  }
+  return times;
+}
+
+TEST(ServeWorkload, WatchInterArrivalsAreExponential) {
+  // Watch reports are a Poisson stream per user: the gaps between a user's
+  // consecutive watches are Exp(m / watch_period_s), including under the
+  // overload multiplier m = 8. (The first report, drawn at construction,
+  // is at m = 1, so only gaps are tested.) K-S at alpha = 1e-3.
+  const video::Catalog catalog = test_catalog();
+  const core::ServeWorkloadConfig defaults;
+  struct Case {
+    double multiplier;
+    double horizon_s;
+  };
+  for (const Case c : {Case{1.0, 1800.0}, Case{8.0, 400.0}}) {
+    const double rate = c.multiplier / defaults.watch_period_s;
+    std::vector<double> gaps;
+    for (const auto& times :
+         report_times(100, c.multiplier, c.horizon_s, core::TwinEvent::Kind::kWatch, catalog)) {
+      for (std::size_t i = 1; i < times.size(); ++i) {
+        gaps.push_back(times[i] - times[i - 1]);
+      }
+    }
+    ASSERT_GT(gaps.size(), 8000u) << "m = " << c.multiplier;
+    const auto ks = dtmsv::testing::ks::one_sample(
+        gaps, [rate](double x) { return -std::expm1(-rate * x); });
+    EXPECT_GT(ks.p, 1e-3) << "m = " << c.multiplier << ": sqrt(n)·D = " << ks.scaled_d;
+  }
+}
+
+TEST(ServeWorkload, ReportSpacingIsPeriodOverMultiplier) {
+  // Channel and location reports are periodic: after each user's staggered
+  // first report, every gap is exactly period / m.
+  const video::Catalog catalog = test_catalog();
+  const core::ServeWorkloadConfig defaults;
+  for (const double m : {1.0, 8.0}) {
+    for (const auto& [kind, period] :
+         {std::pair{core::TwinEvent::Kind::kChannel, defaults.channel_period_s},
+          std::pair{core::TwinEvent::Kind::kLocation, defaults.location_period_s}}) {
+      std::size_t gaps = 0;
+      for (const auto& times : report_times(20, m, 120.0, kind, catalog)) {
+        ASSERT_FALSE(times.empty());
+        EXPECT_LT(times.front(), period);
+        for (std::size_t i = 1; i < times.size(); ++i, ++gaps) {
+          ASSERT_EQ(times[i], times[i - 1] + period / m) << "m = " << m << ", gap " << i;
+        }
+      }
+      // Each user's first report lies in [0, period).
+      EXPECT_GE(gaps, static_cast<std::size_t>(20 * ((120.0 - period) * m / period - 1.0)));
+    }
   }
 }
 

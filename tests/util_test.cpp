@@ -4,8 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <functional>
+#include <limits>
 #include <numeric>
 
 #include "stats_check.hpp"
@@ -15,6 +19,7 @@
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
+#include "util/vmath.hpp"
 
 namespace {
 
@@ -314,6 +319,151 @@ TEST(KsCheck, RejectsAShiftedSample) {
   EXPECT_LT(dtmsv::testing::ks::two_sample(a, b).p, 1e-6);
   EXPECT_GT(dtmsv::testing::ks::kolmogorov_sf(1.36), 0.049);
   EXPECT_LT(dtmsv::testing::ks::kolmogorov_sf(1.36), 0.051);
+}
+
+// ------------------------------------------------- vmath (log10 / exp kernel)
+
+// Distance in units in the last place between two finite doubles.
+double ulps(double got, double want) {
+  if (got == want) {
+    return 0.0;
+  }
+  const auto key = [](double x) {
+    // Map the sign-magnitude encoding onto a monotone integer line.
+    const auto b = std::bit_cast<std::int64_t>(x);
+    return b < 0 ? std::numeric_limits<std::int64_t>::min() - b : b;
+  };
+  return std::abs(static_cast<double>(key(got) - key(want)));
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b) ||
+         (std::isnan(a) && std::isnan(b));
+}
+
+// Sweeps: log-spaced [1e-30, 1e6] (dB conversion's clamp up to large
+// ratios) and dense [1, 5000] (path loss over a campus, in metres).
+std::vector<double> log10_sweep() {
+  std::vector<double> xs;
+  const std::size_t n = 400'000;
+  for (std::size_t i = 0; i <= n; ++i) {
+    xs.push_back(std::pow(10.0, -30.0 + 36.0 * static_cast<double>(i) / n));
+  }
+  for (double d = 1.0; d <= 5000.0; d += 1.0 / 256.0 + 1e-9) {
+    xs.push_back(d);
+  }
+  return xs;
+}
+
+std::vector<double> exp_sweep() {
+  std::vector<double> xs;
+  const std::size_t n = 1'000'000;
+  for (std::size_t i = 0; i <= n; ++i) {
+    xs.push_back(-745.0 * static_cast<double>(i) / n);
+  }
+  // Small arguments, where rho = exp(-moved/d_corr) of a slow walker lives.
+  for (double x = -1e-3; x < 0.0; x += 1e-7) {
+    xs.push_back(x);
+  }
+  return xs;
+}
+
+TEST(VMath, Log10WithinTwoUlpOfLibm) {
+  double worst = 0.0;
+  double worst_x = 0.0;
+  for (const double x : log10_sweep()) {
+    const double e = ulps(dtmsv::util::vmath::log10(x), std::log10(x));
+    if (e > worst) {
+      worst = e;
+      worst_x = x;
+    }
+  }
+  std::printf("vmath::log10: max %.0f ulp vs std::log10 (at x = %.17g)\n", worst, worst_x);
+  EXPECT_LE(worst, 2.0) << "at x = " << worst_x;
+}
+
+TEST(VMath, ExpWithinTwoUlpOfLibm) {
+  double worst = 0.0;
+  double worst_x = 0.0;
+  for (const double x : exp_sweep()) {
+    const double e = ulps(dtmsv::util::vmath::exp(x), std::exp(x));
+    if (e > worst) {
+      worst = e;
+      worst_x = x;
+    }
+  }
+  std::printf("vmath::exp: max %.0f ulp vs std::exp (at x = %.17g)\n", worst, worst_x);
+  EXPECT_LE(worst, 2.0) << "at x = " << worst_x;
+}
+
+TEST(VMath, ExactPoints) {
+  using dtmsv::util::vmath::exp;
+  using dtmsv::util::vmath::log10;
+  // Stationary users rely on rho = exp(-0/d) == 1 and log10(d_ref/d_ref) == 0.
+  EXPECT_TRUE(same_bits(log10(1.0), 0.0));
+  EXPECT_TRUE(same_bits(exp(0.0), 1.0));
+  EXPECT_TRUE(same_bits(exp(-0.0), 1.0));
+  EXPECT_EQ(log10(10.0), 1.0);
+  EXPECT_EQ(log10(1000.0), 3.0);
+  // Underflow to +0 below the smallest subnormal's half-way point, and the
+  // smallest subnormal just above it.
+  EXPECT_TRUE(same_bits(exp(-746.0), 0.0));
+  EXPECT_TRUE(same_bits(exp(-1e4), 0.0));
+  EXPECT_TRUE(same_bits(exp(-std::numeric_limits<double>::infinity()), 0.0));
+  EXPECT_EQ(exp(-745.0), std::exp(-745.0));
+  EXPECT_TRUE(std::isnan(exp(std::numeric_limits<double>::quiet_NaN())));
+  EXPECT_EQ(exp(1e4), std::numeric_limits<double>::infinity());
+}
+
+template <typename Backend>
+void check_vmath_matches_scalar(const char* name) {
+  using P = simd::pack<double, Backend>;
+  constexpr std::size_t W = P::width;
+  const auto compare = [&](std::vector<double> xs, auto vector_fn, auto scalar_fn,
+                           const char* fn) {
+    while (xs.size() % W != 0) {
+      xs.push_back(1.0);
+    }
+    double lanes[W];
+    for (std::size_t i = 0; i < xs.size(); i += W) {
+      vector_fn(P::load(xs.data() + i)).store(lanes);
+      for (std::size_t l = 0; l < W; ++l) {
+        ASSERT_TRUE(same_bits(lanes[l], scalar_fn(xs[i + l])))
+            << name << ": " << fn << " lane " << l << " of " << xs[i + l];
+      }
+    }
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> logs = log10_sweep();
+  // Subnormals, the normal range's ends and the sqrt(2) fold point.
+  for (const double x : {4.9e-324, 1e-310, 2.2250738585072009e-308,
+                         std::numeric_limits<double>::min(), std::numeric_limits<double>::max(),
+                         1.4142135623730949, 1.4142135623730951, 1.4142135623730954,
+                         0.70710678118654746, 0.70710678118654757}) {
+    logs.push_back(x);
+  }
+  compare(logs, [](P x) { return dtmsv::util::vmath::log10(x); },
+          [](double x) { return dtmsv::util::vmath::log10(x); }, "log10");
+  std::vector<double> exps = exp_sweep();
+  // Subnormal results, both clamps, overflow, signed zeros, NaN, ±inf.
+  for (const double x : {-745.13321910194122, -745.1332191019411, -720.5, -708.4,
+                         -708.39641853226408, -746.0, -800.0, -inf, 0.0, -0.0, 1.0,
+                         709.78, 709.79, 710.0, 1e4, inf,
+                         std::numeric_limits<double>::quiet_NaN()}) {
+    exps.push_back(x);
+  }
+  compare(exps, [](P x) { return dtmsv::util::vmath::exp(x); },
+          [](double x) { return dtmsv::util::vmath::exp(x); }, "exp");
+}
+
+TEST(VMath, BitIdenticalAcrossBackends) {
+  check_vmath_matches_scalar<simd::scalar_backend>("scalar");
+#if defined(__AVX2__)
+  check_vmath_matches_scalar<simd::avx2_backend>("avx2");
+#endif
+#if defined(__AVX512F__)
+  check_vmath_matches_scalar<simd::avx512_backend>("avx512");
+#endif
 }
 
 TEST(Rng, ZipfRankZeroMostLikely) {

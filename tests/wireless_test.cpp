@@ -375,6 +375,81 @@ TEST(ChannelModel, MatchesPerLinkReference) {
   }
 }
 
+TEST(ChannelModel, MatchesPerLinkReferenceAcrossBlocks) {
+  // The loop steps users in blocks of 64 and 8-user packs: at 150 users the
+  // last block and its last pack are partial. Every user, a handover in the
+  // third block and the truncated-Shannon link adaptation must still match
+  // the per-link definitions bit for bit.
+  const auto map = dtmsv::mobility::CampusMap::waterloo_campus();
+  RadioConfig cfg;
+  cfg.use_cqi_table = false;
+  const std::size_t users = 150;
+  const std::size_t sites = map.base_stations().size();
+  const double tick_s = 1.0;
+  Rng channel_rng(24);
+  Rng reference_rng = channel_rng;
+  ChannelModel channel(map, cfg, users, tick_s, channel_rng);
+  std::vector<ShadowingProcess> shadowing;
+  std::vector<RayleighFading> fading;
+  for (std::size_t u = 0; u < users; ++u) {
+    for (std::size_t b = 0; b < sites; ++b) {
+      shadowing.emplace_back(cfg.shadowing_sigma_db, cfg.shadowing_decorrelation_m,
+                             reference_rng.fork(u * 131 + b));
+    }
+    fading.emplace_back(cfg.doppler_hz, tick_s, reference_rng.fork(0xFAD0 + u));
+  }
+  const double noise_dbm = noise_power_dbm(cfg.bandwidth_hz, cfg.noise_figure_db);
+
+  Rng walk(25);
+  std::vector<dtmsv::mobility::Position> positions(users);
+  for (auto& p : positions) {
+    p = map.random_position(walk);
+  }
+  std::vector<dtmsv::mobility::Position> last = positions;
+  for (int tick = 0; tick < 40; ++tick) {
+    if (tick == 20) {
+      const std::size_t u = 130;
+      Rng handover(26);
+      channel.reset_user(u, handover);
+      Rng reseat(26);
+      for (std::size_t b = 0; b < sites; ++b) {
+        shadowing[u * sites + b] = ShadowingProcess(
+            cfg.shadowing_sigma_db, cfg.shadowing_decorrelation_m, reseat.fork(u * 131 + b));
+      }
+      fading[u] = RayleighFading(cfg.doppler_hz, tick_s, reseat.fork(0xFAD0 + u));
+    }
+    for (std::size_t u = 0; u < users; ++u) {
+      if (u % 3 != 0) {
+        positions[u].x += walk.uniform(-3.0, 3.0);
+        positions[u].y += walk.uniform(-3.0, 3.0);
+      }
+    }
+    channel.step(positions);
+    for (std::size_t u = 0; u < users; ++u) {
+      const double moved =
+          tick == 0 ? 0.0 : dtmsv::mobility::distance(positions[u], last[u]);
+      double best_rx_dbm = -std::numeric_limits<double>::infinity();
+      std::size_t best_bs = 0;
+      for (std::size_t b = 0; b < sites; ++b) {
+        const double d = dtmsv::mobility::distance(positions[u], map.base_stations()[b]);
+        const double rx_dbm = cfg.tx_power_dbm + cfg.antenna_gain_db -
+                              cfg.path_loss.loss_db(d) -
+                              shadowing[u * sites + b].step(moved);
+        if (rx_dbm > best_rx_dbm) {
+          best_rx_dbm = rx_dbm;
+          best_bs = b;
+        }
+      }
+      const double snr_db = best_rx_dbm + linear_to_db(fading[u].step()) - noise_dbm;
+      const ChannelSample& s = channel.sample_of(u);
+      ASSERT_EQ(s.serving_bs, best_bs) << "user " << u << " tick " << tick;
+      ASSERT_EQ(s.snr_db, snr_db) << "user " << u << " tick " << tick;
+      ASSERT_EQ(s.efficiency_bps_hz, truncated_shannon(snr_db)) << "user " << u;
+    }
+    last = positions;
+  }
+}
+
 // ---------------------------------------------------------------- multicast
 
 TEST(MulticastPhy, GroupEfficiencyIsWorstMember) {
