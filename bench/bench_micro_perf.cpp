@@ -166,14 +166,26 @@ void BM_GroupConstructorEncodeState(benchmark::State& state) {
 }
 BENCHMARK(BM_GroupConstructorEncodeState)->Arg(1000);
 
-void BM_CnnEmbedBatched(benchmark::State& state) {
-  const auto users = static_cast<std::size_t>(state.range(0));
+// The compressor at the shard shape (default layer sizes, 16-step windows)
+// over range(0) users, on one thread as the fleet shards and the serve
+// loop run it. allocs/iter counts heap allocations after one warm-up call
+// at the same shape: embed's is its returned point matrix, and a fit
+// epoch's is zero. (A multi-threaded parallel_for dispatch allocates its
+// job record, so more threads would add one per dispatch.)
+core::CompressorConfig shard_compressor() {
   core::CompressorConfig cfg;
-  core::FeatureCompressor comp(cfg, 4);
+  cfg.timesteps = 16;
+  return cfg;
+}
+
+void BM_CnnEmbedBatched(benchmark::State& state) {
+  util::set_thread_count(1);
+  const auto users = static_cast<std::size_t>(state.range(0));
+  core::FeatureCompressor comp(shard_compressor(), 4);
   util::Rng rng(6);
   const auto data = random_window_data(users, comp.input_size(), rng);
   const twin::WindowBatch windows(data.data(), users, comp.input_size());
-  benchmark::DoNotOptimize(comp.embed(windows));  // warm the batch buffer
+  benchmark::DoNotOptimize(comp.embed(windows));  // warm the layer buffers
   const std::uint64_t allocs_before = g_alloc_count.load(std::memory_order_relaxed);
   for (auto _ : state) {
     benchmark::DoNotOptimize(comp.embed(windows));
@@ -182,17 +194,20 @@ void BM_CnnEmbedBatched(benchmark::State& state) {
   state.counters["allocs/iter"] = benchmark::Counter(
       static_cast<double>(allocs) / static_cast<double>(state.iterations()));
   state.counters["users/iter"] = static_cast<double>(users);
+  util::set_thread_count(0);
 }
-BENCHMARK(BM_CnnEmbedBatched)->Arg(120)->Arg(1000);
+BENCHMARK(BM_CnnEmbedBatched)->Arg(120)->Arg(625)->Arg(1000);
 
-void BM_CnnFitEpoch120Users(benchmark::State& state) {
-  core::CompressorConfig cfg;
+void BM_CnnFitEpoch(benchmark::State& state) {
+  util::set_thread_count(1);
+  const auto users = static_cast<std::size_t>(state.range(0));
+  core::CompressorConfig cfg = shard_compressor();
   cfg.epochs_per_fit = 1;
   core::FeatureCompressor comp(cfg, 6);
   util::Rng rng(7);
-  const auto data = random_window_data(120, comp.input_size(), rng);
-  const twin::WindowBatch windows(data.data(), 120, comp.input_size());
-  benchmark::DoNotOptimize(comp.fit(windows));  // warm the layer scratch
+  const auto data = random_window_data(users, comp.input_size(), rng);
+  const twin::WindowBatch windows(data.data(), users, comp.input_size());
+  benchmark::DoNotOptimize(comp.fit(windows));  // warm the layer buffers
   const std::uint64_t allocs_before = g_alloc_count.load(std::memory_order_relaxed);
   for (auto _ : state) {
     benchmark::DoNotOptimize(comp.fit(windows));
@@ -200,8 +215,10 @@ void BM_CnnFitEpoch120Users(benchmark::State& state) {
   const std::uint64_t allocs = g_alloc_count.load(std::memory_order_relaxed) - allocs_before;
   state.counters["allocs/iter"] = benchmark::Counter(
       static_cast<double>(allocs) / static_cast<double>(state.iterations()));
+  state.counters["users/iter"] = static_cast<double>(users);
+  util::set_thread_count(0);
 }
-BENCHMARK(BM_CnnFitEpoch120Users);
+BENCHMARK(BM_CnnFitEpoch)->Arg(120)->Arg(625);
 
 /// Fills every ring of `columns` to capacity at the serve workload's report
 /// rates (channel 1 Hz, location every 5 s, a watch event every 18 s, a

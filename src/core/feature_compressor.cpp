@@ -50,13 +50,11 @@ nn::Tensor& FeatureCompressor::gather_batch(const twin::WindowBatch& windows,
   DTMSV_EXPECTS_MSG(windows.window_size() == input_size(),
                     "FeatureCompressor: window size mismatch");
   const std::size_t n = end - begin;
-  if (batch_.rank() != 3 || batch_.dim(0) != n) {
-    batch_ = nn::Tensor({n, config_.channels, config_.timesteps});
-  }
+  batch_.resize({n, config_.channels, config_.timesteps});
   auto data = batch_.data();
   if (indices == nullptr) {
-    // Contiguous fleet slice (the embed path): WindowBatch rows are
-    // adjacent in the arena, so the whole batch stages as one bulk copy.
+    // Contiguous slice (the embed path): WindowBatch rows are adjacent in
+    // the arena, so the chunk stages as one bulk copy.
     const float* src = windows.data() + begin * windows.window_size();
     std::copy(src, src + n * windows.window_size(), data.begin());
     return batch_;
@@ -68,58 +66,30 @@ nn::Tensor& FeatureCompressor::gather_batch(const twin::WindowBatch& windows,
   return batch_;
 }
 
-twin::WindowBatch FeatureCompressor::stage_windows(
-    const std::vector<std::vector<float>>& windows) {
-  DTMSV_EXPECTS(!windows.empty());
-  staging_.resize(windows.size() * input_size());
-  float* out = staging_.data();
-  for (const auto& w : windows) {
-    DTMSV_EXPECTS_MSG(w.size() == input_size(),
-                      "FeatureCompressor: window size mismatch");
-    out = std::copy(w.begin(), w.end(), out);
-  }
-  return twin::WindowBatch(staging_.data(), windows.size(), input_size());
-}
-
-float FeatureCompressor::fit(const std::vector<std::vector<float>>& windows) {
-  return fit(stage_windows(windows));
-}
-
-clustering::Points FeatureCompressor::embed(
-    const std::vector<std::vector<float>>& windows) {
-  return embed(stage_windows(windows));
-}
-
-float FeatureCompressor::reconstruction_loss(
-    const std::vector<std::vector<float>>& windows) {
-  return reconstruction_loss(stage_windows(windows));
-}
-
 float FeatureCompressor::fit(const twin::WindowBatch& windows) {
   DTMSV_EXPECTS(!windows.empty());
   float last_epoch_loss = 0.0f;
-  std::vector<std::size_t> order(windows.size());
+  order_.resize(windows.size());
   for (std::size_t epoch = 0; epoch < config_.epochs_per_fit; ++epoch) {
     // Shuffled minibatch order each epoch.
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      order[i] = i;
+    for (std::size_t i = 0; i < order_.size(); ++i) {
+      order_[i] = i;
     }
-    rng_.shuffle(order);
+    rng_.shuffle(order_);
 
     float epoch_loss = 0.0f;
     std::size_t batches = 0;
-    for (std::size_t start = 0; start < order.size(); start += config_.batch_size) {
-      const std::size_t stop = std::min(start + config_.batch_size, order.size());
-      const nn::Tensor& input = gather_batch(windows, order.data(), start, stop);
-      const nn::Tensor target = input.reshaped({stop - start, input_size()});
+    for (std::size_t start = 0; start < order_.size(); start += config_.batch_size) {
+      const std::size_t stop = std::min(start + config_.batch_size, order_.size());
+      const nn::Tensor& input = gather_batch(windows, order_.data(), start, stop);
 
-      const nn::Tensor embedding = encoder_->forward(input);
-      const nn::Tensor reconstruction = decoder_->forward(embedding);
-      const auto loss = nn::mse_loss(reconstruction, target);
+      const nn::Tensor& embedding = encoder_->forward(input);
+      const nn::Tensor& reconstruction = decoder_->forward(embedding);
+      // The target is the input itself, read flat as [n, C*T].
+      const float loss = nn::mse_loss(reconstruction, input.data(), loss_grad_);
 
-      encoder_->zero_grad();
-      decoder_->zero_grad();
-      const nn::Tensor grad_embedding = decoder_->backward(loss.grad);
+      optimizer_->zero_grad();
+      const nn::Tensor& grad_embedding = decoder_->backward(loss_grad_);
       encoder_->backward_params(grad_embedding);
       // A non-finite norm means a NaN/inf window reached the gradients;
       // stepping would write it into every weight and both Adam moments,
@@ -128,7 +98,7 @@ float FeatureCompressor::fit(const twin::WindowBatch& windows) {
         optimizer_->step();
       }
 
-      epoch_loss += loss.value;
+      epoch_loss += loss;
       ++batches;
     }
     last_epoch_loss = batches > 0 ? epoch_loss / static_cast<float>(batches) : 0.0f;
@@ -138,26 +108,37 @@ float FeatureCompressor::fit(const twin::WindowBatch& windows) {
 
 clustering::Points FeatureCompressor::embed(const twin::WindowBatch& windows) {
   DTMSV_EXPECTS(!windows.empty());
-  const nn::Tensor& input = gather_batch(windows, nullptr, 0, windows.size());
-  const nn::Tensor embedding = encoder_->forward(input);
-
-  // Write straight into the flat point matrix: one allocation for the
+  // Written straight into the flat point matrix: one allocation for the
   // whole embedding cloud instead of one per user.
   clustering::Points points(windows.size(), config_.embedding_dim);
   double* rows = points.data();
-  const float* emb = embedding.data().data();
-  for (std::size_t i = 0; i < windows.size() * config_.embedding_dim; ++i) {
-    rows[i] = static_cast<double>(emb[i]);
+  for (std::size_t start = 0; start < windows.size(); start += config_.batch_size) {
+    const std::size_t stop = std::min(start + config_.batch_size, windows.size());
+    const nn::Tensor& embedding =
+        encoder_->forward(gather_batch(windows, nullptr, start, stop));
+    for (const float v : embedding.data()) {
+      *rows++ = static_cast<double>(v);
+    }
   }
   return points;
 }
 
 float FeatureCompressor::reconstruction_loss(const twin::WindowBatch& windows) {
   DTMSV_EXPECTS(!windows.empty());
-  const nn::Tensor& input = gather_batch(windows, nullptr, 0, windows.size());
-  const nn::Tensor target = input.reshaped({windows.size(), input_size()});
-  const nn::Tensor reconstruction = decoder_->forward(encoder_->forward(input));
-  return nn::mse_loss(reconstruction, target).value;
+  // The squared errors summed in row order across the chunks and divided
+  // once: the same value as one whole-batch mse_loss.
+  float total = 0.0f;
+  for (std::size_t start = 0; start < windows.size(); start += config_.batch_size) {
+    const std::size_t stop = std::min(start + config_.batch_size, windows.size());
+    const nn::Tensor& input = gather_batch(windows, nullptr, start, stop);
+    const auto reconstruction = decoder_->forward(encoder_->forward(input)).data();
+    const auto target = input.data();
+    for (std::size_t i = 0; i < reconstruction.size(); ++i) {
+      const float err = reconstruction[i] - target[i];
+      total += err * err;
+    }
+  }
+  return total / static_cast<float>(windows.size() * input_size());
 }
 
 }  // namespace dtmsv::core

@@ -5,8 +5,11 @@
 //
 // The interval path feeds it twin::WindowBatch views straight out of the
 // columnar extraction arena — one flat float matrix end to end, no
-// per-user window vectors. The nested-vector overloads are convenience
-// copies for out-of-tree callers and tests.
+// per-user window vectors. One minibatch is the network's whole working
+// set: fit trains on batch_size rows at a time and embed runs the encoder
+// over batch_size-row chunks, so every layer buffer holds batch_size rows
+// whatever the user count, and a call at a shape already seen allocates
+// nothing but embed's returned points.
 #pragma once
 
 #include <memory>
@@ -30,6 +33,8 @@ struct CompressorConfig {
   std::size_t decoder_hidden = 64;
   double learning_rate = 1e-3;
   std::size_t epochs_per_fit = 2;
+  /// Rows per training step, and per encoder pass in embed and
+  /// reconstruction_loss: it bounds the memory every layer holds.
   std::size_t batch_size = 32;
 };
 
@@ -43,17 +48,13 @@ class FeatureCompressor {
   /// Requires at least one window.
   float fit(const twin::WindowBatch& windows);
 
-  /// Embeds feature windows into the bottleneck space (no training).
+  /// Embeds feature windows into the bottleneck space (no training), in
+  /// batch_size-row chunks. Every encoder layer works row by row, so the
+  /// result is bit-identical to one whole-batch forward.
   clustering::Points embed(const twin::WindowBatch& windows);
 
   /// Mean reconstruction MSE of the given windows under the current model.
   float reconstruction_loss(const twin::WindowBatch& windows);
-
-  /// Convenience copies of the batch entry points (flatten one vector per
-  /// user into a staging buffer first; the interval path never does this).
-  float fit(const std::vector<std::vector<float>>& windows);
-  clustering::Points embed(const std::vector<std::vector<float>>& windows);
-  float reconstruction_loss(const std::vector<std::vector<float>>& windows);
 
   const CompressorConfig& config() const { return config_; }
   std::size_t input_size() const { return config_.channels * config_.timesteps; }
@@ -67,17 +68,16 @@ class FeatureCompressor {
   nn::Tensor& gather_batch(const twin::WindowBatch& windows,
                            const std::size_t* indices, std::size_t begin,
                            std::size_t end);
-  /// Copies a nested-vector window set into the flat staging buffer and
-  /// wraps it as a batch view (validating row sizes).
-  twin::WindowBatch stage_windows(const std::vector<std::vector<float>>& windows);
 
   CompressorConfig config_;
   util::Rng rng_;
   std::unique_ptr<nn::Sequential> encoder_;  // [N,C,T] -> [N,emb]
   std::unique_ptr<nn::Sequential> decoder_;  // [N,emb] -> [N,C*T]
   std::unique_ptr<nn::Adam> optimizer_;
-  nn::Tensor batch_;  // reused [N,C,T] staging buffer for fit/embed
-  std::vector<float> staging_;  // legacy-overload flattening buffer
+  // Reused across calls, sized by the largest call seen.
+  nn::Tensor batch_;                // [<= batch_size, C, T] staging for one chunk
+  nn::Tensor loss_grad_;            // dL/dreconstruction of one minibatch
+  std::vector<std::size_t> order_;  // fit's shuffled row order
 };
 
 }  // namespace dtmsv::core

@@ -17,8 +17,8 @@ class Conv1D final : public Layer {
   Conv1D(std::size_t in_channels, std::size_t out_channels, std::size_t kernel,
          util::Rng& rng, std::size_t stride = 1, std::size_t padding = 0);
 
-  Tensor forward(const Tensor& input) override;
-  Tensor backward(const Tensor& grad_output) override;
+  const Tensor& forward(const Tensor& input) override;
+  const Tensor& backward(const Tensor& grad_output) override;
   void backward_params(const Tensor& grad_output) override;
   std::vector<ParamRef> parameters() override;
   std::string name() const override { return "Conv1D"; }
@@ -37,9 +37,9 @@ class Conv1D final : public Layer {
 
  private:
   /// The body of backward() and backward_params(): accumulates the
-  /// parameter gradients and, when `input_grad`, returns dL/dinput (an
-  /// empty tensor otherwise).
-  Tensor backward_pass(const Tensor& grad_output, bool input_grad);
+  /// parameter gradients and, when `input_grad`, writes dL/dinput into
+  /// grad_input_.
+  void backward_pass(const Tensor& grad_output, bool input_grad);
 
   std::size_t in_channels_;
   std::size_t out_channels_;
@@ -52,12 +52,19 @@ class Conv1D final : public Layer {
   Tensor b_grad_;
   // im2col of the last forward input, kept for backward and reused across
   // calls (resized per call; capacity only grows, so it retains what the
-  // largest batch needs, the embed batch in the compressor). Laid out
-  // [N][in_ch*kernel][L_out]: row (c, k) of sample b is input channel c
-  // shifted by tap k across every output position, so the forward product
-  // per sample lands straight in [out_ch, L_out].
+  // largest batch needs: one minibatch in the compressor, whose embed runs
+  // in batch_size chunks too). Laid out [N][in_ch*kernel][L_out]: row
+  // (c, k) of sample b is input channel c shifted by tap k across every
+  // output position, so the forward product per sample lands straight in
+  // [out_ch, L_out].
   std::vector<float> cols_;
   Shape input_shape_;
+  // The remaining buffers are reused the same way.
+  Tensor output_;      // [N, out_ch, L_out]
+  Tensor grad_input_;  // [N, in_ch, L]
+  std::vector<float> w_t_;      // the weights transposed, [in_ch*kernel, out_ch]
+  std::vector<float> padded_;   // zero-padded staging, [N, in_ch, L + 2*padding]
+  std::vector<float> scratch_;  // backward_pass's working set (laid out there)
 };
 
 }  // namespace dtmsv::nn

@@ -15,13 +15,13 @@ Linear::Linear(std::size_t in_features, std::size_t out_features, util::Rng& rng
   xavier_uniform(w_, in_features, out_features, rng);
 }
 
-Tensor Linear::forward(const Tensor& input) {
+const Tensor& Linear::forward(const Tensor& input) {
   DTMSV_EXPECTS_MSG(input.rank() == 2 && input.dim(1) == in_features_,
                     "Linear: input must be [N, in_features]");
   input_ = input;
-  Tensor out = Tensor::matmul_bt(input, w_);  // [N, out]
-  const std::size_t n = out.dim(0);
-  float* op = out.data().data();
+  Tensor::matmul_bt(input, w_, output_, w_t_);  // [N, out]
+  const std::size_t n = output_.dim(0);
+  float* op = output_.data().data();
   const float* bias = b_.data().data();
   for (std::size_t i = 0; i < n; ++i) {
     float* orow = op + i * out_features_;
@@ -29,25 +29,27 @@ Tensor Linear::forward(const Tensor& input) {
       orow[j] += bias[j];
     }
   }
-  return out;
+  return output_;
 }
 
-Tensor Linear::backward(const Tensor& grad_output) {
-  return backward_pass(grad_output, true);
+const Tensor& Linear::backward(const Tensor& grad_output) {
+  backward_pass(grad_output, true);
+  return grad_input_;
 }
 
 void Linear::backward_params(const Tensor& grad_output) {
   backward_pass(grad_output, false);
 }
 
-Tensor Linear::backward_pass(const Tensor& grad_output, bool input_grad) {
+void Linear::backward_pass(const Tensor& grad_output, bool input_grad) {
   DTMSV_EXPECTS_MSG(grad_output.rank() == 2 && grad_output.dim(1) == out_features_,
                     "Linear: grad_output must be [N, out_features]");
   DTMSV_EXPECTS_MSG(!input_.empty(), "Linear: backward before forward");
   DTMSV_EXPECTS(grad_output.dim(0) == input_.dim(0));
 
   // dL/dW = gradᵀ · input ; dL/db = column sums of grad ; dL/dx = grad · W
-  w_grad_ += Tensor::matmul_at(grad_output, input_);
+  Tensor::matmul_at(grad_output, input_, w_grad_step_);
+  w_grad_ += w_grad_step_;
   const std::size_t n = grad_output.dim(0);
   const float* gp = grad_output.data().data();
   float* bg = b_grad_.data().data();
@@ -57,7 +59,9 @@ Tensor Linear::backward_pass(const Tensor& grad_output, bool input_grad) {
       bg[j] += grow[j];
     }
   }
-  return input_grad ? Tensor::matmul(grad_output, w_) : Tensor();
+  if (input_grad) {
+    Tensor::matmul(grad_output, w_, grad_input_);
+  }
 }
 
 std::vector<ParamRef> Linear::parameters() {

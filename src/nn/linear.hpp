@@ -12,8 +12,8 @@ class Linear final : public Layer {
   /// Weights are Xavier-initialised from `rng`; biases start at zero.
   Linear(std::size_t in_features, std::size_t out_features, util::Rng& rng);
 
-  Tensor forward(const Tensor& input) override;
-  Tensor backward(const Tensor& grad_output) override;
+  const Tensor& forward(const Tensor& input) override;
+  const Tensor& backward(const Tensor& grad_output) override;
   void backward_params(const Tensor& grad_output) override;
   std::vector<ParamRef> parameters() override;
   std::string name() const override { return "Linear"; }
@@ -27,9 +27,9 @@ class Linear final : public Layer {
 
  private:
   /// The body of backward() and backward_params(): accumulates the
-  /// parameter gradients and, when `input_grad`, returns dL/dinput (an
-  /// empty tensor otherwise).
-  Tensor backward_pass(const Tensor& grad_output, bool input_grad);
+  /// parameter gradients and, when `input_grad`, writes dL/dinput into
+  /// grad_input_.
+  void backward_pass(const Tensor& grad_output, bool input_grad);
 
   std::size_t in_features_;
   std::size_t out_features_;
@@ -37,7 +37,12 @@ class Linear final : public Layer {
   Tensor b_;       // [out]
   Tensor w_grad_;  // [out, in]
   Tensor b_grad_;  // [out]
-  Tensor input_;   // cached forward input [N, in]
+  // Owned buffers, resized within capacity per batch shape.
+  Tensor input_;       // cached forward input [N, in]
+  Tensor output_;      // [N, out]
+  Tensor grad_input_;  // [N, in]
+  Tensor w_grad_step_;  // this backward's dL/dW, added onto w_grad_
+  std::vector<float> w_t_;  // Wᵀ for matmul_bt's batch path
 };
 
 }  // namespace dtmsv::nn

@@ -6,21 +6,25 @@ namespace dtmsv::nn {
 
 LossResult mse_loss(const Tensor& prediction, const Tensor& target) {
   DTMSV_EXPECTS_MSG(same_shape(prediction, target), "mse_loss: shape mismatch");
+  LossResult result;
+  result.value = mse_loss(prediction, target.data(), result.grad);
+  return result;
+}
+
+float mse_loss(const Tensor& prediction, std::span<const float> target, Tensor& grad) {
+  DTMSV_EXPECTS_MSG(prediction.size() == target.size(), "mse_loss: shape mismatch");
   DTMSV_EXPECTS(!prediction.empty());
   const auto n = static_cast<float>(prediction.size());
-  LossResult result;
-  result.grad = Tensor(prediction.shape());
-  auto g = result.grad.data();
+  grad.resize(prediction.shape());
+  auto g = grad.data();
   const auto p = prediction.data();
-  const auto t = target.data();
   float total = 0.0f;
   for (std::size_t i = 0; i < p.size(); ++i) {
-    const float err = p[i] - t[i];
+    const float err = p[i] - target[i];
     total += err * err;
     g[i] = 2.0f * err / n;
   }
-  result.value = total / n;
-  return result;
+  return total / n;
 }
 
 LossResult huber_loss(const Tensor& prediction, const Tensor& target, float delta) {

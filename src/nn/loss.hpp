@@ -1,6 +1,8 @@
 // Loss functions returning (value, gradient-w.r.t.-prediction) pairs.
 #pragma once
 
+#include <span>
+
 #include "nn/tensor.hpp"
 
 namespace dtmsv::nn {
@@ -13,6 +15,12 @@ struct LossResult {
 
 /// Mean squared error averaged over all elements.
 LossResult mse_loss(const Tensor& prediction, const Tensor& target);
+
+/// mse_loss into a caller-owned gradient: writes dL/dprediction into `grad`
+/// (resized to the prediction's shape, see Tensor::resize) and returns the
+/// loss. `target` is any view of prediction.size() values in row-major
+/// order, so a training loop passes its input batch without reshaping it.
+float mse_loss(const Tensor& prediction, std::span<const float> target, Tensor& grad);
 
 /// Huber (smooth-L1) loss averaged over all elements; quadratic within
 /// |err| <= delta, linear outside. The standard DQN training loss.

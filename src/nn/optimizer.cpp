@@ -6,6 +6,12 @@
 
 namespace dtmsv::nn {
 
+void Optimizer::zero_grad() {
+  for (auto& p : params_) {
+    p.grad->zero();
+  }
+}
+
 double Optimizer::clip_grad_norm(double max_norm) {
   DTMSV_EXPECTS(max_norm > 0.0);
   double sq = 0.0;

@@ -8,7 +8,7 @@
 namespace dtmsv::nn {
 
 /// Optimiser interface: step() applies accumulated gradients and the caller
-/// is responsible for zeroing them afterwards (Layer::zero_grad).
+/// is responsible for zeroing them before the next backward (zero_grad()).
 class Optimizer {
  public:
   virtual ~Optimizer() = default;
@@ -17,6 +17,10 @@ class Optimizer {
   Optimizer& operator=(const Optimizer&) = delete;
 
   virtual void step() = 0;
+
+  /// Zeroes the gradient of every parameter this optimiser steps, through
+  /// the ParamRef list it holds — no per-step list is built.
+  void zero_grad();
 
   /// Clips the global gradient L2 norm to `max_norm` (no-op when below).
   /// Returns the pre-clip norm.

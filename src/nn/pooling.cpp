@@ -41,7 +41,7 @@ std::size_t MaxPool1D::output_length(std::size_t input_length) const {
   return (input_length + window_ - 1) / window_;
 }
 
-Tensor MaxPool1D::forward(const Tensor& input) {
+const Tensor& MaxPool1D::forward(const Tensor& input) {
   DTMSV_EXPECTS_MSG(input.rank() == 3, "MaxPool1D: input must be [N, C, L]");
   input_shape_ = input.shape();
   const std::size_t n = input.dim(0);
@@ -52,10 +52,10 @@ Tensor MaxPool1D::forward(const Tensor& input) {
   DTMSV_EXPECTS_MSG(input.size() <= std::numeric_limits<std::uint32_t>::max(),
                     "MaxPool1D: input too large for 32-bit argmax");
 
-  Tensor out({n, c, out_len});
+  output_.resize({n, c, out_len});
   argmax_.resize(n * c * out_len);
   const float* in = input.data().data();
-  float* op = out.data().data();
+  float* op = output_.data().data();
   std::uint32_t* ap = argmax_.data();
   const auto pool = [](const float* x, float* o, std::uint32_t* a, std::size_t first,
                            std::size_t width, std::size_t count) {
@@ -69,7 +69,7 @@ Tensor MaxPool1D::forward(const Tensor& input) {
   if (full == out_len) {
     // No partial window: the rows are one run of back-to-back windows.
     pool(in, op, ap, 0, window_, n * c * out_len);
-    return out;
+    return output_;
   }
   for (std::size_t row = 0; row < n * c; ++row) {
     const std::size_t o = row * out_len;
@@ -78,10 +78,10 @@ Tensor MaxPool1D::forward(const Tensor& input) {
     pool(in + i + full * window_, op + o + full, ap + o + full, i + full * window_,
          len - full * window_, 1);
   }
-  return out;
+  return output_;
 }
 
-Tensor MaxPool1D::backward(const Tensor& grad_output) {
+const Tensor& MaxPool1D::backward(const Tensor& grad_output) {
   DTMSV_EXPECTS_MSG(!input_shape_.empty(), "MaxPool1D: backward before forward");
   const std::size_t n = input_shape_[0];
   const std::size_t c = input_shape_[1];
@@ -90,25 +90,26 @@ Tensor MaxPool1D::backward(const Tensor& grad_output) {
   DTMSV_EXPECTS(grad_output.rank() == 3 && grad_output.dim(0) == n &&
                 grad_output.dim(1) == c && grad_output.dim(2) == out_len);
 
-  Tensor grad_input(input_shape_);
-  auto gi = grad_input.data();
+  grad_input_.resize(input_shape_);
+  grad_input_.zero();
+  auto gi = grad_input_.data();
   const auto go = grad_output.data();
   for (std::size_t i = 0; i < go.size(); ++i) {
     gi[argmax_[i]] += go[i];
   }
-  return grad_input;
+  return grad_input_;
 }
 
-Tensor GlobalAvgPool1D::forward(const Tensor& input) {
+const Tensor& GlobalAvgPool1D::forward(const Tensor& input) {
   DTMSV_EXPECTS_MSG(input.rank() == 3, "GlobalAvgPool1D: input must be [N, C, L]");
   input_shape_ = input.shape();
   const std::size_t n = input.dim(0);
   const std::size_t c = input.dim(1);
   const std::size_t len = input.dim(2);
 
-  Tensor out({n, c});
+  output_.resize({n, c});
   const float* in = input.data().data();
-  float* op = out.data().data();
+  float* op = output_.data().data();
   for (std::size_t row = 0; row < n * c; ++row) {
     const float* irow = in + row * len;
     float acc = 0.0f;
@@ -117,10 +118,10 @@ Tensor GlobalAvgPool1D::forward(const Tensor& input) {
     }
     op[row] = acc / static_cast<float>(len);
   }
-  return out;
+  return output_;
 }
 
-Tensor GlobalAvgPool1D::backward(const Tensor& grad_output) {
+const Tensor& GlobalAvgPool1D::backward(const Tensor& grad_output) {
   DTMSV_EXPECTS_MSG(!input_shape_.empty(), "GlobalAvgPool1D: backward before forward");
   const std::size_t n = input_shape_[0];
   const std::size_t c = input_shape_[1];
@@ -128,10 +129,10 @@ Tensor GlobalAvgPool1D::backward(const Tensor& grad_output) {
   DTMSV_EXPECTS(grad_output.rank() == 2 && grad_output.dim(0) == n &&
                 grad_output.dim(1) == c);
 
-  Tensor grad_input(input_shape_);
+  grad_input_.resize(input_shape_);
   const float scale = 1.0f / static_cast<float>(len);
   const float* go = grad_output.data().data();
-  float* gi = grad_input.data().data();
+  float* gi = grad_input_.data().data();
   for (std::size_t row = 0; row < n * c; ++row) {
     const float g = go[row] * scale;
     float* grow = gi + row * len;
@@ -139,22 +140,24 @@ Tensor GlobalAvgPool1D::backward(const Tensor& grad_output) {
       grow[l] = g;
     }
   }
-  return grad_input;
+  return grad_input_;
 }
 
-Tensor Flatten::forward(const Tensor& input) {
+const Tensor& Flatten::forward(const Tensor& input) {
   DTMSV_EXPECTS_MSG(input.rank() >= 2, "Flatten: input must be batched");
   input_shape_ = input.shape();
-  std::size_t features = 1;
-  for (std::size_t i = 1; i < input_shape_.size(); ++i) {
-    features *= input_shape_[i];
-  }
-  return input.reshaped({input_shape_[0], features});
+  output_.resize({input_shape_[0], input.size() / input_shape_[0]});
+  std::copy(input.data().begin(), input.data().end(), output_.data().begin());
+  return output_;
 }
 
-Tensor Flatten::backward(const Tensor& grad_output) {
+const Tensor& Flatten::backward(const Tensor& grad_output) {
   DTMSV_EXPECTS_MSG(!input_shape_.empty(), "Flatten: backward before forward");
-  return grad_output.reshaped(input_shape_);
+  DTMSV_EXPECTS(grad_output.size() == output_.size());
+  grad_input_.resize(input_shape_);
+  std::copy(grad_output.data().begin(), grad_output.data().end(),
+            grad_input_.data().begin());
+  return grad_input_;
 }
 
 }  // namespace dtmsv::nn

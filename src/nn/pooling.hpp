@@ -13,8 +13,8 @@ class MaxPool1D final : public Layer {
  public:
   explicit MaxPool1D(std::size_t window);
 
-  Tensor forward(const Tensor& input) override;
-  Tensor backward(const Tensor& grad_output) override;
+  const Tensor& forward(const Tensor& input) override;
+  const Tensor& backward(const Tensor& grad_output) override;
   std::string name() const override { return "MaxPool1D"; }
 
   std::size_t window() const { return window_; }
@@ -24,28 +24,34 @@ class MaxPool1D final : public Layer {
   std::size_t window_;
   Shape input_shape_;
   std::vector<std::uint32_t> argmax_;  // flat input index per output element
+  Tensor output_;
+  Tensor grad_input_;
 };
 
 /// Global average pooling over the time axis: [N, C, L] -> [N, C].
 class GlobalAvgPool1D final : public Layer {
  public:
-  Tensor forward(const Tensor& input) override;
-  Tensor backward(const Tensor& grad_output) override;
+  const Tensor& forward(const Tensor& input) override;
+  const Tensor& backward(const Tensor& grad_output) override;
   std::string name() const override { return "GlobalAvgPool1D"; }
 
  private:
   Shape input_shape_;
+  Tensor output_;
+  Tensor grad_input_;
 };
 
 /// Flattens all trailing axes: [N, ...] -> [N, prod(...)].
 class Flatten final : public Layer {
  public:
-  Tensor forward(const Tensor& input) override;
-  Tensor backward(const Tensor& grad_output) override;
+  const Tensor& forward(const Tensor& input) override;
+  const Tensor& backward(const Tensor& grad_output) override;
   std::string name() const override { return "Flatten"; }
 
  private:
   Shape input_shape_;
+  Tensor output_;  // the input's elements under the flat shape
+  Tensor grad_input_;
 };
 
 }  // namespace dtmsv::nn

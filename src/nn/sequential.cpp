@@ -8,34 +8,34 @@ Sequential& Sequential::add(std::unique_ptr<Layer> layer) {
   return *this;
 }
 
-Tensor Sequential::forward(const Tensor& input) {
+const Tensor& Sequential::forward(const Tensor& input) {
   DTMSV_EXPECTS_MSG(!layers_.empty(), "Sequential: no layers");
-  Tensor x = input;
+  const Tensor* x = &input;
   for (const auto& layer : layers_) {
-    x = layer->forward(x);
+    x = &layer->forward(*x);
   }
-  return x;
+  return *x;
 }
 
-Tensor Sequential::backward(const Tensor& grad_output) {
-  return backward_pass(grad_output, true);
+const Tensor& Sequential::backward(const Tensor& grad_output) {
+  return *backward_pass(grad_output, true);
 }
 
 void Sequential::backward_params(const Tensor& grad_output) {
   backward_pass(grad_output, false);
 }
 
-Tensor Sequential::backward_pass(const Tensor& grad_output, bool input_grad) {
+const Tensor* Sequential::backward_pass(const Tensor& grad_output, bool input_grad) {
   DTMSV_EXPECTS_MSG(!layers_.empty(), "Sequential: no layers");
-  Tensor g = grad_output;
+  const Tensor* g = &grad_output;
   for (std::size_t i = layers_.size(); i-- > 1;) {
-    g = layers_[i]->backward(g);
+    g = &layers_[i]->backward(*g);
   }
   if (input_grad) {
-    return layers_.front()->backward(g);
+    return &layers_.front()->backward(*g);
   }
-  layers_.front()->backward_params(g);
-  return {};
+  layers_.front()->backward_params(*g);
+  return nullptr;
 }
 
 std::vector<ParamRef> Sequential::parameters() {

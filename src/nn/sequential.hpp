@@ -9,7 +9,9 @@
 
 namespace dtmsv::nn {
 
-/// A feed-forward stack of layers executed in order.
+/// A feed-forward stack of layers executed in order. It owns no buffers of
+/// its own: forward() hands each layer the previous layer's output buffer
+/// and returns the last one's, backward() likewise.
 class Sequential final : public Layer {
  public:
   Sequential() = default;
@@ -23,8 +25,8 @@ class Sequential final : public Layer {
     return add(std::make_unique<L>(std::forward<Args>(args)...));
   }
 
-  Tensor forward(const Tensor& input) override;
-  Tensor backward(const Tensor& grad_output) override;
+  const Tensor& forward(const Tensor& input) override;
+  const Tensor& backward(const Tensor& grad_output) override;
   /// Backward through every layer, with the first layer's input gradient
   /// skipped (Layer::backward_params) — the training step's form.
   void backward_params(const Tensor& grad_output) override;
@@ -39,8 +41,9 @@ class Sequential final : public Layer {
 
  private:
   /// Shared body: layers last to second run backward(); the first runs
-  /// backward() when `input_grad`, else backward_params().
-  Tensor backward_pass(const Tensor& grad_output, bool input_grad);
+  /// backward() when `input_grad`, else backward_params(). Returns the
+  /// first layer's input gradient, or null without `input_grad`.
+  const Tensor* backward_pass(const Tensor& grad_output, bool input_grad);
 
   std::vector<std::unique_ptr<Layer>> layers_;
 };

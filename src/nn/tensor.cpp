@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <numeric>
 #include <sstream>
 
@@ -97,6 +96,16 @@ Tensor Tensor::reshaped(Shape new_shape) const {
   return Tensor(std::move(new_shape), data_);
 }
 
+void Tensor::resize(std::span<const std::size_t> shape) {
+  std::size_t n = 1;
+  for (const std::size_t d : shape) {
+    DTMSV_EXPECTS_MSG(d > 0, "tensor dimensions must be positive");
+    n *= d;
+  }
+  shape_.assign(shape.begin(), shape.end());
+  data_.resize(shape.empty() ? 0 : n);
+}
+
 void Tensor::fill(float value) { std::fill(data_.begin(), data_.end(), value); }
 
 Tensor& Tensor::operator+=(const Tensor& other) {
@@ -166,28 +175,49 @@ constexpr std::size_t kBtTransposeMinRows = 8;
 }  // namespace
 
 Tensor Tensor::matmul(const Tensor& a, const Tensor& b) {
+  Tensor out;
+  matmul(a, b, out);
+  return out;
+}
+
+Tensor Tensor::matmul_bt(const Tensor& a, const Tensor& b) {
+  Tensor out;
+  std::vector<float> bt;
+  matmul_bt(a, b, out, bt);
+  return out;
+}
+
+Tensor Tensor::matmul_at(const Tensor& a, const Tensor& b) {
+  Tensor out;
+  matmul_at(a, b, out);
+  return out;
+}
+
+void Tensor::matmul(const Tensor& a, const Tensor& b, Tensor& out) {
   DTMSV_EXPECTS(a.rank() == 2 && b.rank() == 2);
   DTMSV_EXPECTS_MSG(a.dim(1) == b.dim(0), "inner dimensions must agree");
   const std::size_t m = a.dim(0);
   const std::size_t k = a.dim(1);
   const std::size_t n = b.dim(1);
-  Tensor out({m, n});
+  out.resize({m, n});
+  out.zero();
   const float* ap = a.data_.data();
   const float* bp = b.data_.data();
   float* op = out.data_.data();
   util::parallel_for(0, m, row_grain(k * n), [&](std::size_t i0, std::size_t i1) {
     kernels::matmul_rows<Backend>(ap, bp, op, i0, i1, k, n);
   });
-  return out;
 }
 
-Tensor Tensor::matmul_bt(const Tensor& a, const Tensor& b) {
+void Tensor::matmul_bt(const Tensor& a, const Tensor& b, Tensor& out,
+                       std::vector<float>& bt) {
   DTMSV_EXPECTS(a.rank() == 2 && b.rank() == 2);
   DTMSV_EXPECTS_MSG(a.dim(1) == b.dim(1), "inner dimensions must agree (b transposed)");
   const std::size_t m = a.dim(0);
   const std::size_t k = a.dim(1);
   const std::size_t n = b.dim(0);
-  Tensor out({m, n});
+  out.resize({m, n});
+  out.zero();
   const float* ap = a.data_.data();
   const float* bp = b.data_.data();
   float* op = out.data_.data();
@@ -195,34 +225,33 @@ Tensor Tensor::matmul_bt(const Tensor& a, const Tensor& b) {
     // Batch path: transpose b once, then the product is a plain a · bᵗ
     // matmul on contiguous columns the vector kernel can eat (a narrow
     // output, such as a head with few units, runs as one masked vector).
-    const auto bt = std::make_unique_for_overwrite<float[]>(k * n);
-    kernels::transpose(bp, bt.get(), n, k);
-    const float* btp = bt.get();
+    bt.resize(k * n);
+    kernels::transpose(bp, bt.data(), n, k);
+    const float* btp = bt.data();
     util::parallel_for(0, m, row_grain(k * n), [&](std::size_t i0, std::size_t i1) {
       kernels::matmul_rows<Backend>(ap, btp, op, i0, i1, k, n);
     });
-    return out;
+    return;
   }
   util::parallel_for(0, m, row_grain(k * n), [&](std::size_t i0, std::size_t i1) {
     kernels::matmul_bt_rows(ap, bp, op, i0, i1, k, n);
   });
-  return out;
 }
 
-Tensor Tensor::matmul_at(const Tensor& a, const Tensor& b) {
+void Tensor::matmul_at(const Tensor& a, const Tensor& b, Tensor& out) {
   DTMSV_EXPECTS(a.rank() == 2 && b.rank() == 2);
   DTMSV_EXPECTS_MSG(a.dim(0) == b.dim(0), "inner dimensions must agree (a transposed)");
   const std::size_t k = a.dim(0);
   const std::size_t m = a.dim(1);
   const std::size_t n = b.dim(1);
-  Tensor out({m, n});
+  out.resize({m, n});
+  out.zero();
   const float* ap = a.data_.data();
   const float* bp = b.data_.data();
   float* op = out.data_.data();
   util::parallel_for(0, m, row_grain(k * n), [&](std::size_t i0, std::size_t i1) {
     kernels::matmul_at_rows<Backend>(ap, bp, op, i0, i1, k, m, n);
   });
-  return out;
 }
 
 std::string Tensor::shape_string() const {

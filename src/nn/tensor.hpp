@@ -79,6 +79,16 @@ class Tensor {
   /// Reinterprets the buffer with a new shape of identical element count.
   Tensor reshaped(Shape new_shape) const;
 
+  /// Gives the tensor `shape` in place, reusing its storage: it allocates
+  /// only when the rank or element count outgrows every earlier shape.
+  /// Elements that were there keep their values and new ones are zero, so
+  /// a caller overwrites (or fill()s) whatever it reads. Layers size their
+  /// owned outputs and gradients this way, once per batch shape.
+  void resize(std::span<const std::size_t> shape);
+  void resize(std::initializer_list<std::size_t> shape) {
+    resize(std::span<const std::size_t>(shape.begin(), shape.size()));
+  }
+
   void fill(float value);
   void zero() { fill(0.0f); }
 
@@ -105,6 +115,15 @@ class Tensor {
   static Tensor matmul_bt(const Tensor& a, const Tensor& b);
   /// Matrix product with a transposed: (k×m)ᵀ · (k×n) -> (m×n).
   static Tensor matmul_at(const Tensor& a, const Tensor& b);
+
+  /// The same three products written into `out`, which is resized (see
+  /// resize()) and overwritten: bit-identical to the returning forms, with
+  /// no allocation once `out` has held a product that large. matmul_bt's
+  /// batch path transposes b into `bt`, reused the same way.
+  static void matmul(const Tensor& a, const Tensor& b, Tensor& out);
+  static void matmul_bt(const Tensor& a, const Tensor& b, Tensor& out,
+                        std::vector<float>& bt);
+  static void matmul_at(const Tensor& a, const Tensor& b, Tensor& out);
 
   /// Human-readable shape, e.g. "[32, 4, 16]".
   std::string shape_string() const;

@@ -67,7 +67,7 @@ double DdqnAgent::current_epsilon() const { return epsilon_.value(action_steps_)
 std::vector<float> DdqnAgent::q_values(std::span<const float> state) {
   DTMSV_EXPECTS(state.size() == config_.state_dim);
   std::copy(state.begin(), state.end(), single_state_.data().begin());
-  const nn::Tensor out = online_->forward(single_state_);
+  const nn::Tensor& out = online_->forward(single_state_);
   return {out.data().begin(), out.data().end()};
 }
 
@@ -76,8 +76,7 @@ std::size_t DdqnAgent::greedy_action(std::span<const float> state) {
   // Scans the forward output in place (no q-vector materialised); first
   // maximum wins, like std::max_element over q_values would.
   std::copy(state.begin(), state.end(), single_state_.data().begin());
-  const nn::Tensor out = online_->forward(single_state_);
-  const std::span<const float> q = out.data();
+  const std::span<const float> q = online_->forward(single_state_).data();
   std::size_t best = 0;
   for (std::size_t a = 1; a < config_.action_count; ++a) {
     if (q[a] > q[best]) {
@@ -87,19 +86,17 @@ std::size_t DdqnAgent::greedy_action(std::span<const float> state) {
   return best;
 }
 
-nn::Tensor DdqnAgent::q_values_batch(std::span<const float> states, std::size_t n) {
+const nn::Tensor& DdqnAgent::q_values_batch(std::span<const float> states, std::size_t n) {
   DTMSV_EXPECTS(n > 0);
   DTMSV_EXPECTS(states.size() == n * config_.state_dim);
-  if (batch_state_.rank() != 2 || batch_state_.dim(0) != n) {
-    batch_state_ = nn::Tensor({n, config_.state_dim});
-  }
+  batch_state_.resize({n, config_.state_dim});
   std::copy(states.begin(), states.end(), batch_state_.data().begin());
   return online_->forward(batch_state_);
 }
 
 std::vector<std::size_t> DdqnAgent::greedy_actions(std::span<const float> states,
                                                    std::size_t n) {
-  const nn::Tensor q = q_values_batch(states, n);
+  const nn::Tensor& q = q_values_batch(states, n);
   const float* rows = q.data().data();
   std::vector<std::size_t> actions(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -156,9 +153,11 @@ std::optional<float> DdqnAgent::train_step() {
   const std::size_t n = batch.size();
 
   // Double-Q target: a* from the online net, value from the target net.
+  // Both are the networks' own output buffers; q_next_online is read only
+  // here, before the online net's second forward below overwrites it.
   const nn::Tensor next_states = batch_states(batch, /*next=*/true);
-  const nn::Tensor q_next_online = online_->forward(next_states);
-  const nn::Tensor q_next_target = target_->forward(next_states);
+  const nn::Tensor& q_next_online = online_->forward(next_states);
+  const nn::Tensor& q_next_target = target_->forward(next_states);
 
   std::vector<float> targets(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -179,7 +178,7 @@ std::optional<float> DdqnAgent::train_step() {
 
   // Current Q-values; train only the taken action via masking.
   const nn::Tensor states = batch_states(batch, /*next=*/false);
-  const nn::Tensor q = online_->forward(states);
+  const nn::Tensor& q = online_->forward(states);
 
   nn::Tensor target_tensor = q;
   nn::Tensor mask({n, config_.action_count});
@@ -189,7 +188,7 @@ std::optional<float> DdqnAgent::train_step() {
   }
 
   const auto loss = nn::masked_huber_loss(q, target_tensor, mask);
-  online_->zero_grad();
+  optimizer_->zero_grad();
   online_->backward_params(loss.grad);
   // Non-finite gradients (a NaN/inf state or reward) would poison every
   // weight and both Adam moments: skip the update, keep the model.

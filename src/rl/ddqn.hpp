@@ -73,8 +73,9 @@ class DdqnAgent {
   /// forwards, rows staged into a reused scratch tensor. Row i of the
   /// returned [n, action_count] tensor is bit-identical to
   /// q_values(states[i]) (the batch and single-row matmul paths share the
-  /// same per-element accumulation chain).
-  nn::Tensor q_values_batch(std::span<const float> states, std::size_t n);
+  /// same per-element accumulation chain). The result is the online
+  /// network's output buffer, valid until its next forward.
+  const nn::Tensor& q_values_batch(std::span<const float> states, std::size_t n);
 
   /// Greedy actions for a packed batch via one forward; ties resolve to
   /// the lowest action index, matching greedy_action. Does not touch the

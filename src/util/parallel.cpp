@@ -45,7 +45,7 @@ struct Job {
   std::size_t begin = 0;
   std::size_t end = 0;
   std::size_t chunks = 0;
-  const std::function<void(std::size_t, std::size_t)>* fn = nullptr;
+  const ChunkFn* fn = nullptr;
   std::atomic<std::size_t> next{0};
   std::atomic<std::size_t> done{0};
 };
@@ -64,8 +64,7 @@ class Pool {
     return *pool;
   }
 
-  void run(std::size_t begin, std::size_t end, std::size_t chunks,
-           const std::function<void(std::size_t, std::size_t)>& fn) {
+  void run(std::size_t begin, std::size_t end, std::size_t chunks, const ChunkFn& fn) {
     std::unique_lock<std::mutex> job_lock(job_mutex_);
     auto job = std::make_shared<Job>();
     job->begin = begin;
@@ -161,7 +160,7 @@ void set_thread_count(std::size_t n) {
 }
 
 void parallel_for(std::size_t begin, std::size_t end, std::size_t min_grain,
-                  const std::function<void(std::size_t, std::size_t)>& fn) {
+                  ChunkFn fn) {
   if (begin >= end) {
     return;
   }

@@ -15,9 +15,33 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
+#include <memory>
+#include <type_traits>
 
 namespace dtmsv::util {
+
+/// Non-owning reference to a `void(std::size_t, std::size_t)` callable,
+/// the chunk body of parallel_for. Binding a lambda costs nothing, where a
+/// std::function holding a lambda with more than two captured references
+/// heap-allocates at every call. Valid while the callable lives, which for
+/// a parallel_for argument is the whole call.
+class ChunkFn {
+ public:
+  template <typename F>
+    requires(!std::is_same_v<std::remove_cvref_t<F>, ChunkFn> &&
+             std::is_invocable_v<F&, std::size_t, std::size_t>)
+  ChunkFn(F&& fn)  // NOLINT(google-explicit-constructor): binds call-site lambdas
+      : fn_(const_cast<void*>(static_cast<const void*>(std::addressof(fn)))),
+        call_([](void* f, std::size_t b, std::size_t e) {
+          (*static_cast<std::remove_reference_t<F>*>(f))(b, e);
+        }) {}
+
+  void operator()(std::size_t begin, std::size_t end) const { call_(fn_, begin, end); }
+
+ private:
+  void* fn_;
+  void (*call_)(void*, std::size_t, std::size_t);
+};
 
 /// Number of worker threads the pool will use (see resolution order above).
 std::size_t thread_count();
@@ -35,6 +59,6 @@ void set_thread_count(std::size_t n);
 /// worker, so coarse outer parallelism wins and nesting cannot deadlock.
 /// fn must not throw; exceptions escaping a worker terminate the process.
 void parallel_for(std::size_t begin, std::size_t end, std::size_t min_grain,
-                  const std::function<void(std::size_t, std::size_t)>& fn);
+                  ChunkFn fn);
 
 }  // namespace dtmsv::util

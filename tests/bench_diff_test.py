@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Checks tools/bench_diff.py on two fixture files whose rows use ms, ns and
 (for one benchmark) a different time_unit in baseline and current, and on
-a pair of files whose rows carry the twin_bytes_per_user counter.
+pairs of files whose rows carry the twin_bytes_per_user and allocs/iter
+counters.
 
 Usage: bench_diff_test.py REPO_ROOT
 """
@@ -26,14 +27,14 @@ def run(root, *extra):
                      fixtures / "bench_diff_current.json", *extra)
 
 
-def write_rows(path, rows):
-    """Writes one 1 ms iteration row per (name, twin_bytes_per_user or None)."""
+def write_rows(path, rows, counter="twin_bytes_per_user"):
+    """Writes one 1 ms iteration row per (name, `counter` value or None)."""
     benchmarks = []
-    for name, twin_bytes in rows:
+    for name, value in rows:
         entry = {"name": name, "run_type": "iteration", "real_time": 1.0,
                  "cpu_time": 1.0, "time_unit": "ms"}
-        if twin_bytes is not None:
-            entry["twin_bytes_per_user"] = twin_bytes
+        if value is not None:
+            entry[counter] = value
         benchmarks.append(entry)
     path.write_text(json.dumps({"benchmarks": benchmarks}), encoding="utf-8")
 
@@ -81,6 +82,27 @@ def main():
     assert "BM_Plain" not in counter_table, result.stdout
     assert "1 regression(s)" in result.stdout, result.stdout
     assert "BM_Grew twin_bytes_per_user regressed +20.0%" in result.stderr, result
+
+    # allocs/iter from a zero baseline: any rise is a regression (+inf%),
+    # zero to zero is no change.
+    with tempfile.TemporaryDirectory() as tmp:
+        baseline = Path(tmp) / "baseline.json"
+        current = Path(tmp) / "current.json"
+        write_rows(baseline, [("BM_Fit", 0), ("BM_Embed", 0), ("BM_Act", 4)],
+                   counter="allocs/iter")
+        write_rows(current, [("BM_Fit", 50), ("BM_Embed", 0), ("BM_Act", 0)],
+                   counter="allocs/iter")
+        result = run_files(root, baseline, current, "--strict")
+    assert result.returncode == 1, result
+    counter_table = result.stdout.split("counter allocs/iter")[1]
+    assert row(counter_table, "BM_Fit") == [
+        "BM_Fit", "0", "50", "+inf%", "<--", "REGRESSION"], result.stdout
+    assert row(counter_table, "BM_Embed") == [
+        "BM_Embed", "0", "0", "+0.0%"], result.stdout
+    assert row(counter_table, "BM_Act") == [
+        "BM_Act", "4", "0", "-100.0%", "(better)"], result.stdout
+    assert "1 regression(s)" in result.stdout, result.stdout
+    assert "BM_Fit allocs/iter regressed +inf%" in result.stderr, result
     print("bench_diff_test: ok")
 
 

@@ -13,6 +13,8 @@
 #include "clustering/kmeans.hpp"
 #include "core/feature_compressor.hpp"
 #include "core/group_constructor.hpp"
+#include "nn/tensor.hpp"
+#include "twin/arena.hpp"
 #include "util/error.hpp"
 #include "util/stats.hpp"
 
@@ -20,6 +22,7 @@ namespace {
 
 using namespace dtmsv::core;
 using dtmsv::clustering::Points;
+using dtmsv::twin::WindowBatch;
 using dtmsv::util::PreconditionError;
 using dtmsv::util::Rng;
 
@@ -37,23 +40,31 @@ CompressorConfig small_compressor() {
   return cfg;
 }
 
+/// Flat window rows, one channels*timesteps row per user, and their batch
+/// view: the layout the compressor reads out of the extraction arena.
+struct WindowRows {
+  std::vector<float> data;
+  std::size_t width = 0;
+
+  std::size_t size() const { return data.size() / width; }
+  float* row(std::size_t i) { return data.data() + i * width; }
+  WindowBatch batch() const { return WindowBatch(data.data(), size(), width); }
+};
+
 /// Windows with two latent modes: flat-low and oscillating-high.
-std::vector<std::vector<float>> two_mode_windows(std::size_t per_mode, Rng& rng) {
+WindowRows two_mode_windows(std::size_t per_mode, Rng& rng) {
   const CompressorConfig cfg = small_compressor();
-  std::vector<std::vector<float>> windows;
+  WindowRows windows{{}, cfg.channels * cfg.timesteps};
   for (std::size_t m = 0; m < 2; ++m) {
     for (std::size_t i = 0; i < per_mode; ++i) {
-      std::vector<float> w(cfg.channels * cfg.timesteps);
       for (std::size_t c = 0; c < cfg.channels; ++c) {
         for (std::size_t t = 0; t < cfg.timesteps; ++t) {
           const double base =
               m == 0 ? 0.2
                      : 0.8 + 0.2 * std::sin(2.0 * M_PI * static_cast<double>(t) / 8.0);
-          w[c * cfg.timesteps + t] =
-              static_cast<float>(base + rng.normal(0.0, 0.02));
+          windows.data.push_back(static_cast<float>(base + rng.normal(0.0, 0.02)));
         }
       }
-      windows.push_back(std::move(w));
     }
   }
   return windows;
@@ -63,7 +74,7 @@ TEST(FeatureCompressor, EmbeddingShape) {
   FeatureCompressor comp(small_compressor(), 1);
   Rng rng(1);
   const auto windows = two_mode_windows(5, rng);
-  const Points points = comp.embed(windows);
+  const Points points = comp.embed(windows.batch());
   ASSERT_EQ(points.size(), windows.size());
   for (const auto& p : points) {
     EXPECT_EQ(p.size(), 4u);
@@ -77,11 +88,11 @@ TEST(FeatureCompressor, TrainingReducesReconstructionLoss) {
   FeatureCompressor comp(small_compressor(), 2);
   Rng rng(2);
   const auto windows = two_mode_windows(16, rng);
-  const float before = comp.reconstruction_loss(windows);
+  const float before = comp.reconstruction_loss(windows.batch());
   for (int i = 0; i < 25; ++i) {
-    comp.fit(windows);
+    comp.fit(windows.batch());
   }
-  const float after = comp.reconstruction_loss(windows);
+  const float after = comp.reconstruction_loss(windows.batch());
   EXPECT_LT(after, 0.5f * before)
       << "autoencoder failed to learn: " << before << " -> " << after;
 }
@@ -91,9 +102,9 @@ TEST(FeatureCompressor, EmbeddingSeparatesModes) {
   Rng rng(3);
   const auto windows = two_mode_windows(12, rng);
   for (int i = 0; i < 15; ++i) {
-    comp.fit(windows);
+    comp.fit(windows.batch());
   }
-  const Points points = comp.embed(windows);
+  const Points points = comp.embed(windows.batch());
   // Mean intra-mode distance must be far below the inter-mode distance.
   const auto mean_dist = [&](std::size_t a_begin, std::size_t a_end,
                              std::size_t b_begin, std::size_t b_end) {
@@ -119,11 +130,51 @@ TEST(FeatureCompressor, DeterministicGivenSeed) {
   FeatureCompressor b(small_compressor(), 7);
   Rng rng(4);
   const auto windows = two_mode_windows(4, rng);
-  const Points pa = a.embed(windows);
-  const Points pb = b.embed(windows);
+  const Points pa = a.embed(windows.batch());
+  const Points pb = b.embed(windows.batch());
   for (std::size_t i = 0; i < pa.size(); ++i) {
     for (std::size_t d = 0; d < pa[i].size(); ++d) {
       EXPECT_DOUBLE_EQ(pa[i][d], pb[i][d]);
+    }
+  }
+}
+
+TEST(FeatureCompressor, EmbedIsChunkInvariant) {
+  // embed runs the encoder over batch_size-row chunks. Every encoder layer
+  // works row by row, so a row's embedding must carry the same bits however
+  // the rows are chunked: in batch_size chunks with a ragged tail, one row
+  // at a time, or in one direct whole-batch forward of the encoder. A NaN
+  // in one row must stay in that row.
+  CompressorConfig cfg = small_compressor();
+  cfg.batch_size = 32;
+  const std::size_t width = cfg.channels * cfg.timesteps;
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (const std::size_t n : {1, 7, 8, 31, 32, 33, 100}) {
+    SCOPED_TRACE(n);
+    Rng rng(20 + n);
+    WindowRows windows{std::vector<float>(n * width), width};
+    for (float& v : windows.data) {
+      v = static_cast<float>(rng.uniform(-1.0, 1.0));
+    }
+    const std::size_t poisoned = n / 2;
+    windows.row(poisoned)[5] = std::nanf("");
+
+    FeatureCompressor comp(cfg, 9);
+    const Points chunked = comp.embed(windows.batch());
+    ASSERT_EQ(chunked.size(), n);
+
+    dtmsv::nn::Tensor input({n, cfg.channels, cfg.timesteps}, windows.data);
+    const dtmsv::nn::Tensor whole = comp.encoder().forward(input);
+    for (std::size_t i = 0; i < n; ++i) {
+      const Points single = comp.embed(WindowBatch(windows.row(i), 1, width));
+      for (std::size_t d = 0; d < cfg.embedding_dim; ++d) {
+        ASSERT_EQ(bits(chunked[i][d]), bits(single[0][d])) << "row " << i << " dim " << d;
+        ASSERT_EQ(bits(chunked[i][d]), bits(static_cast<double>(whole.at2(i, d))))
+            << "row " << i << " dim " << d;
+        if (i != poisoned) {
+          ASSERT_TRUE(std::isfinite(chunked[i][d])) << "row " << i << " dim " << d;
+        }
+      }
     }
   }
 }
@@ -136,14 +187,14 @@ TEST(FeatureCompressor, NonFiniteBatchLeavesModelUntouched) {
   Rng rng(8);
   const auto windows = two_mode_windows(16, rng);  // one batch of 32
   for (int i = 0; i < 3; ++i) {
-    comp.fit(windows);
+    comp.fit(windows.batch());
   }
-  const Points before = comp.embed(windows);
+  const Points before = comp.embed(windows.batch());
 
   auto poisoned = windows;
-  poisoned[5][7] = std::nanf("");
-  EXPECT_TRUE(std::isnan(comp.fit(poisoned)));
-  const Points after = comp.embed(windows);
+  poisoned.row(5)[7] = std::nanf("");
+  EXPECT_TRUE(std::isnan(comp.fit(poisoned.batch())));
+  const Points after = comp.embed(windows.batch());
   for (std::size_t i = 0; i < before.size(); ++i) {
     for (std::size_t d = 0; d < before[i].size(); ++d) {
       ASSERT_EQ(after[i][d], before[i][d]) << "user " << i << " dim " << d;
@@ -151,9 +202,9 @@ TEST(FeatureCompressor, NonFiniteBatchLeavesModelUntouched) {
   }
 
   for (int i = 0; i < 3; ++i) {
-    EXPECT_TRUE(std::isfinite(comp.fit(windows)));
+    EXPECT_TRUE(std::isfinite(comp.fit(windows.batch())));
   }
-  for (const auto& p : comp.embed(windows)) {
+  for (const auto& p : comp.embed(windows.batch())) {
     for (const double v : p) {
       ASSERT_TRUE(std::isfinite(v));
     }
@@ -162,19 +213,15 @@ TEST(FeatureCompressor, NonFiniteBatchLeavesModelUntouched) {
 
 TEST(FeatureCompressor, WindowSizeMismatchRejected) {
   FeatureCompressor comp(small_compressor(), 5);
-  std::vector<std::vector<float>> bad = {{1.0f, 2.0f}};
-  EXPECT_THROW(comp.embed(bad), PreconditionError);
-  EXPECT_THROW(comp.fit(bad), PreconditionError);
+  const WindowRows bad{{1.0f, 2.0f}, 2};
+  EXPECT_THROW(comp.embed(bad.batch()), PreconditionError);
+  EXPECT_THROW(comp.fit(bad.batch()), PreconditionError);
 }
 
 TEST(FeatureCompressor, EmptyInputRejected) {
   FeatureCompressor comp(small_compressor(), 6);
-  const std::vector<std::vector<float>> none;
-  EXPECT_THROW(comp.embed(none), PreconditionError);
-  EXPECT_THROW(comp.fit(none), PreconditionError);
-  // The zero-copy batch entry points reject empty batches the same way.
-  EXPECT_THROW(comp.embed(dtmsv::twin::WindowBatch{}), PreconditionError);
-  EXPECT_THROW(comp.fit(dtmsv::twin::WindowBatch{}), PreconditionError);
+  EXPECT_THROW(comp.embed(WindowBatch{}), PreconditionError);
+  EXPECT_THROW(comp.fit(WindowBatch{}), PreconditionError);
 }
 
 // -------------------------------------------------------- GroupConstructor

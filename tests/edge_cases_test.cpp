@@ -22,6 +22,7 @@
 #include "nn/linear.hpp"
 #include "nn/sequential.hpp"
 #include "nn/serialize.hpp"
+#include "twin/arena.hpp"
 #include "twin/udt.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -160,8 +161,8 @@ TEST(CompressorCorners, SingleWindowBatch) {
   cfg.timesteps = 8;
   cfg.embedding_dim = 3;
   core::FeatureCompressor comp(cfg, 9);
-  const std::vector<std::vector<float>> one = {
-      std::vector<float>(cfg.channels * cfg.timesteps, 0.5f)};
+  const std::vector<float> row(cfg.channels * cfg.timesteps, 0.5f);
+  const twin::WindowBatch one(row.data(), 1, row.size());
   const auto points = comp.embed(one);
   ASSERT_EQ(points.size(), 1u);
   EXPECT_EQ(points[0].size(), 3u);
@@ -173,8 +174,9 @@ TEST(CompressorCorners, ConstantWindowsEmbedIdentically) {
   cfg.channels = 2;
   cfg.timesteps = 8;
   core::FeatureCompressor comp(cfg, 10);
-  const std::vector<float> w(cfg.channels * cfg.timesteps, 0.25f);
-  const auto points = comp.embed({w, w, w});
+  const std::vector<float> rows(3 * cfg.channels * cfg.timesteps, 0.25f);
+  const auto points =
+      comp.embed(twin::WindowBatch(rows.data(), 3, cfg.channels * cfg.timesteps));
   for (std::size_t d = 0; d < points[0].size(); ++d) {
     EXPECT_DOUBLE_EQ(points[0][d], points[1][d]);
     EXPECT_DOUBLE_EQ(points[1][d], points[2][d]);

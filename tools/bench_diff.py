@@ -20,7 +20,9 @@ ms and a baseline and current row in different units still compare.
 
 Each user counter in COUNTERS gets its own table over the rows that carry
 it in both files (none when no row does). Lower is better, as for times,
-and the same threshold and --strict rule apply.
+and the same threshold and --strict rule apply. A rise from a zero
+baseline (a row that allocated nothing and now allocates) reads +inf% and
+is always a regression.
 
 Exit status: 0 OK (or warnings without --strict), 1 regression with
 --strict, 2 unreadable/invalid input.
@@ -28,6 +30,7 @@ Exit status: 0 OK (or warnings without --strict), 1 regression with
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -36,8 +39,9 @@ import sys
 # google-benchmark's time_unit values, in nanoseconds.
 UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 # User counters compared like times (lower is better) wherever both rows
-# carry them: twin ring bytes per user, from bench_e2e_scale.
-COUNTERS = ("twin_bytes_per_user",)
+# carry them: twin ring bytes per user, from bench_e2e_scale, and heap
+# allocations per iteration, from bench_micro_perf.
+COUNTERS = ("twin_bytes_per_user", "allocs/iter")
 
 
 def die(message):
@@ -102,7 +106,11 @@ def compare(baseline, current, threshold, fmt, better="faster"):
     for name in shared:
         base = baseline[name]
         cur = current[name]
-        delta = (cur - base) / base * 100.0 if base > 0 else 0.0
+        if base > 0:
+            delta = (cur - base) / base * 100.0
+        else:
+            # No relative change exists from zero: any rise is unbounded.
+            delta = math.inf if cur > base else 0.0
         flag = ""
         if delta > threshold:
             flag = "  <-- REGRESSION"
