@@ -170,8 +170,7 @@ BENCHMARK(BM_GroupConstructorEncodeState)->Arg(1000);
 // over range(0) users, on one thread as the fleet shards and the serve
 // loop run it. allocs/iter counts heap allocations after one warm-up call
 // at the same shape: embed's is its returned point matrix, and a fit
-// epoch's is zero. (A multi-threaded parallel_for dispatch allocates its
-// job record, so more threads would add one per dispatch.)
+// epoch's is zero (on more threads too: nn_alloc_test).
 core::CompressorConfig shard_compressor() {
   core::CompressorConfig cfg;
   cfg.timesteps = 16;
@@ -637,6 +636,24 @@ void BM_AdamStep(benchmark::State& state) {
   state.counters["params"] = static_cast<double>(n);
 }
 BENCHMARK(BM_AdamStep)->Arg(14744)->Arg(26184);
+
+// clip_grad_norm over range(0) gradients in one tensor (sizes as for
+// BM_AdamStep), at max_norm 10 as the compressor clips. The gradients sit
+// far below the clipping margin, as every norm measured on the benchmark
+// workloads did, so this times the lane-sum path that runs there.
+void BM_ClipGradNorm(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  util::Rng rng(28);
+  nn::Tensor value = random_tensor({n}, rng);
+  nn::Tensor grad = random_tensor({n}, rng);
+  grad *= 1e-3f;
+  nn::Adam adam({{&value, &grad, "p"}}, 1e-3);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(adam.clip_grad_norm(10.0));
+  }
+  state.counters["params"] = static_cast<double>(n);
+}
+BENCHMARK(BM_ClipGradNorm)->Arg(14744)->Arg(26184);
 
 // The compressor's pooling stage on one training batch: 32 users, 16
 // conv1 filters, 32 steps, window 2.

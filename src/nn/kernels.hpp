@@ -1,8 +1,10 @@
-// Backend-templated matmul row kernels and the Adam step kernel, shared by
-// the entry points in tensor.cpp and optimizer.cpp (instantiated on the
-// build's default SIMD backend) and by the backend-equivalence tests
-// (which instantiate every backend compiled into the binary and assert
-// bit-identical outputs).
+// Backend-templated matmul row kernels, the Adam step kernel and the
+// gradient sum of squares, shared by the entry points in tensor.cpp and
+// optimizer.cpp (instantiated on the build's default SIMD backend) and by
+// the backend-equivalence tests (which instantiate every backend compiled
+// into the binary and assert bit-identical outputs). The sum of squares is
+// the one exception: it sums across lanes, so its bits depend on the
+// backend, and it serves only as a bound.
 //
 // Vectorisation layout: lanes are *output columns* (j). All kernels
 // accumulate each output element (i, j) in ascending kk order whatever the
@@ -205,7 +207,8 @@ inline void matmul_bt_rows(const float* a, const float* b, float* out,
   }
 }
 
-/// out[i0..i1) += aᵀ · b for row-major a (k×m), b (k×n).
+/// out[i0..i1) += aᵀ · b for row-major a (k×m), b (k×n), tiled as
+/// matmul_rows is.
 template <typename Backend>
 void matmul_at_rows(const float* a, const float* b, float* out, std::size_t i0,
                     std::size_t i1, std::size_t k, std::size_t m,
@@ -214,7 +217,10 @@ void matmul_at_rows(const float* a, const float* b, float* out, std::size_t i0,
     const std::size_t ie = std::min(ib + kTileI, i1);
     for (std::size_t kb = 0; kb < k; kb += kTileK) {
       const std::size_t ke = std::min(kb + kTileK, k);
-      accum_rows<Backend>(a, 1, m, b, n, out, ib, ie, kb, ke, 0, n);
+      for (std::size_t jb = 0; jb < n; jb += kTileJ) {
+        const std::size_t je = std::min(jb + kTileJ, n);
+        accum_rows<Backend>(a, 1, m, b, n, out, ib, ie, kb, ke, jb, je);
+      }
     }
   }
 }
@@ -226,19 +232,44 @@ struct AdamCoefficients {
   double bias1, bias2, lr, epsilon;
 };
 
+/// a / b in every lane, for b > 0 with ny = -RN(1/b), both broadcast.
+/// Where madd is a real FMA, two of them replace the divide (Markstein):
+/// q = RN(a·y) is within one ulp of a/b, so the residual q·b - a is exact
+/// in one fused op, and RN(q - residual·y) is RN(a/b) whenever nothing
+/// overflows or underflows. Adam's numerators are floats widened to double
+/// and its b = 1 - beta^t lies in [1 - beta, 1], so for finite a neither
+/// happens. The negated form keeps the sign of a zero quotient: with a =
+/// -0 the residual is +0 and q - (+0)·y stays -0. An infinite a makes the
+/// residual NaN; the caller detects that and redoes the lane with divides.
+/// Without a fused madd the residual would round, so the divide stays.
+template <typename P>
+inline P divide_by_bias(const P& a, const P& b, [[maybe_unused]] const P& ny) {
+#ifdef FP_FAST_FMA
+  const P na = -a;
+  const P q = na * ny;
+  return P::madd(P::madd(q, b, na), ny, q);
+#else
+  return a / b;
+#endif
+}
+
 /// Adam update of the `len` parameters at [j, j + len), one lane each,
 /// len == W unless Tail. Op for op the scalar chain
 ///   m = float(fma(m, b1, (1 - b1) * g))
 ///   v = float(fma(v, b2, ((1 - b2) * g) * g))
 ///   value = value - float(lr * (m / bias1) / (sqrt(v / bias2) + eps))
 /// in double lanes, with madd fusing exactly when the scalar build's FP
-/// contraction does. The last subtraction runs in double on two floats and
-/// rounds once to float: for +, -, *, / and sqrt that double rounding is
-/// innocuous (53 >= 2*24 + 2 bits), so it equals the float subtraction.
+/// contraction does. The two bias divides go through divide_by_bias, which
+/// returns the divide's bits; ny1, ny2 are -RN(1 / bias). A NaN update
+/// means a non-finite moment, where divide_by_bias may differ, so that
+/// vector is recomputed with the divides. The last subtraction runs in
+/// double on two floats and rounds once to float: for +, -, *, / and sqrt
+/// that double rounding is innocuous (53 >= 2*24 + 2 bits), so it equals
+/// the float subtraction.
 template <typename Backend, bool Tail>
 inline void adam_lanes(float* value, const float* grad, float* m, float* v,
                        std::size_t j, std::size_t len,
-                       const AdamCoefficients& c) {
+                       const AdamCoefficients& c, double ny1, double ny2) {
   using P = util::simd::pack<double, Backend>;
   const auto load = [len](const float* p) {
     return Tail ? P::load_widen_first(p, len) : P::load_widen(p);
@@ -255,10 +286,16 @@ inline void adam_lanes(float* value, const float* grad, float* m, float* v,
                                       P::broadcast(c.one_minus_beta1) * g));
   const P vj = round_to_float(P::madd(load(v + j), P::broadcast(c.beta2),
                                       (P::broadcast(c.one_minus_beta2) * g) * g));
-  const P m_hat = mj / P::broadcast(c.bias1);
-  const P v_hat = vj / P::broadcast(c.bias2);
-  const P update = round_to_float(P::broadcast(c.lr) * m_hat /
-                                  (sqrt(v_hat) + P::broadcast(c.epsilon)));
+  const P bias1 = P::broadcast(c.bias1);
+  const P bias2 = P::broadcast(c.bias2);
+  const P lr = P::broadcast(c.lr);
+  const P eps = P::broadcast(c.epsilon);
+  P update = round_to_float(
+      lr * divide_by_bias(mj, bias1, P::broadcast(ny1)) /
+      (sqrt(divide_by_bias(vj, bias2, P::broadcast(ny2))) + eps));
+  if (update.unord_mask() != 0) {
+    update = round_to_float(lr * (mj / bias1) / (sqrt(vj / bias2) + eps));
+  }
   store(mj, m + j);
   store(vj, v + j);
   store(load(value + j) - update, value + j);
@@ -271,13 +308,53 @@ template <typename Backend>
 void adam_step(float* value, const float* grad, float* m, float* v,
                std::size_t n, const AdamCoefficients& c) {
   constexpr std::size_t W = util::simd::pack<double, Backend>::width;
+  const double ny1 = -(1.0 / c.bias1);
+  const double ny2 = -(1.0 / c.bias2);
   std::size_t j = 0;
   for (; j + W <= n; j += W) {
-    adam_lanes<Backend, false>(value, grad, m, v, j, W, c);
+    adam_lanes<Backend, false>(value, grad, m, v, j, W, c, ny1, ny2);
   }
   if (j < n) {
-    adam_lanes<Backend, true>(value, grad, m, v, j, n - j, c);
+    adam_lanes<Backend, true>(value, grad, m, v, j, n - j, c, ny1, ny2);
   }
+}
+
+/// Σ x[i]² over n floats: each square is exact in double, and the sum runs
+/// in four vectors of independent lanes folded at the end. That is not the
+/// sequential chain's order, so the bits can differ from it; any order of
+/// n non-negative terms is within (n - 1)·2^-53 relative of the exact sum,
+/// which is what a caller may rely on.
+template <typename Backend>
+double sum_squares(const float* x, std::size_t n) {
+  using P = util::simd::pack<double, Backend>;
+  constexpr std::size_t W = P::width;
+  P s0 = P::zero(), s1 = P::zero(), s2 = P::zero(), s3 = P::zero();
+  std::size_t i = 0;
+  for (; i + 4 * W <= n; i += 4 * W) {
+    const P x0 = P::load_widen(x + i);
+    const P x1 = P::load_widen(x + i + W);
+    const P x2 = P::load_widen(x + i + 2 * W);
+    const P x3 = P::load_widen(x + i + 3 * W);
+    s0 = P::madd(x0, x0, s0);
+    s1 = P::madd(x1, x1, s1);
+    s2 = P::madd(x2, x2, s2);
+    s3 = P::madd(x3, x3, s3);
+  }
+  for (; i + W <= n; i += W) {
+    const P x0 = P::load_widen(x + i);
+    s0 = P::madd(x0, x0, s0);
+  }
+  if (i < n) {
+    const P x0 = P::load_widen_first(x + i, n - i);
+    s1 = P::madd(x0, x0, s1);
+  }
+  double lanes[W];
+  ((s0 + s1) + (s2 + s3)).store(lanes);
+  double sum = 0.0;
+  for (const double lane : lanes) {
+    sum += lane;
+  }
+  return sum;
 }
 
 /// dst (k×n) = src (n×k) transposed. Pure data movement, exact.

@@ -14,6 +14,20 @@ void Optimizer::zero_grad() {
 
 double Optimizer::clip_grad_norm(double max_norm) {
   DTMSV_EXPECTS(max_norm > 0.0);
+  // Decide with a lane-order sum first. Each g² is exact in double and
+  // both this sum and the sequential chain below are within (n - 1)·2^-53
+  // relative of the exact sum, so a lane sum at most max_norm²/4 puts the
+  // chain's norm far below max_norm: nothing would be scaled. A non-finite
+  // lane sum means a NaN or inf gradient (float squares cannot overflow
+  // double), where the chain is non-finite too.
+  double lane_sq = 0.0;
+  for (const auto& p : params_) {
+    lane_sq += kernels::sum_squares<util::simd::default_backend>(
+        p.grad->data().data(), p.grad->size());
+  }
+  if (lane_sq <= 0.25 * max_norm * max_norm || !std::isfinite(lane_sq)) {
+    return std::sqrt(lane_sq);
+  }
   double sq = 0.0;
   for (const auto& p : params_) {
     for (const float g : p.grad->data()) {

@@ -23,7 +23,10 @@ class Optimizer {
   void zero_grad();
 
   /// Clips the global gradient L2 norm to `max_norm` (no-op when below).
-  /// Returns the pre-clip norm.
+  /// Returns the pre-clip norm: the sequential sum's whenever clipping can
+  /// fire, else a lane-order sum's, whose last bits may differ by backend.
+  /// A NaN or inf gradient returns a non-finite norm and leaves the
+  /// gradients as they are.
   double clip_grad_norm(double max_norm);
 
  protected:

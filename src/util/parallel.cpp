@@ -4,7 +4,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -35,12 +34,14 @@ std::atomic<std::size_t> g_override{0};
 /// regardless of how the row range is partitioned.
 thread_local std::size_t g_nesting = 0;
 
-/// One parallel_for invocation. Workers snapshot a shared_ptr to the
-/// current job under the pool mutex, so a worker that wakes late holds
-/// its own (kept-alive) Job whose chunk counter is already exhausted —
-/// it can never claim work from, or read torn state of, a newer job.
-/// `fn` stays valid while any chunk is unclaimed: run() only returns
-/// once done == chunks, and every successful claim happens before that.
+/// One parallel_for invocation, in a record the pool owns and reuses. A
+/// worker registers under the pool mutex while a job is set and only then
+/// reads it, and run() neither clears nor refills the record until every
+/// chunk is done and no worker is registered. So a worker that wakes late
+/// finds no job (or the next one, whole) and can never claim work from,
+/// or read torn state of, a record being refilled. `fn` stays valid while
+/// any chunk is unclaimed: run() only returns once done == chunks, and
+/// every successful claim happens before that.
 struct Job {
   std::size_t begin = 0;
   std::size_t end = 0;
@@ -53,7 +54,8 @@ struct Job {
 /// Lazily started pool of persistent workers. Work arrives as one
 /// chunked loop at a time (parallel_for is not reentrant); workers grab
 /// chunk indices from the job's counter and the caller participates too,
-/// so a pool of N threads serves N+1-way parallelism.
+/// so a pool of N threads serves N+1-way parallelism. A dispatch
+/// allocates nothing once the workers exist.
 class Pool {
  public:
   static Pool& instance() {
@@ -66,22 +68,25 @@ class Pool {
 
   void run(std::size_t begin, std::size_t end, std::size_t chunks, const ChunkFn& fn) {
     std::unique_lock<std::mutex> job_lock(job_mutex_);
-    auto job = std::make_shared<Job>();
-    job->begin = begin;
-    job->end = end;
-    job->chunks = chunks;
-    job->fn = &fn;
     {
       std::lock_guard<std::mutex> lock(mutex_);
       ensure_workers_locked(chunks - 1);
-      job_ = job;
+      job_.begin = begin;
+      job_.end = end;
+      job_.chunks = chunks;
+      job_.fn = &fn;
+      job_.next.store(0, std::memory_order_relaxed);
+      job_.done.store(0, std::memory_order_relaxed);
+      active_ = true;
       ++generation_;
     }
     work_cv_.notify_all();
-    work_chunks(*job);
+    work_chunks();
     std::unique_lock<std::mutex> lock(mutex_);
-    idle_cv_.wait(lock, [&] { return job->done.load() == job->chunks; });
-    job_.reset();
+    idle_cv_.wait(lock, [&] {
+      return job_.done.load(std::memory_order_acquire) == job_.chunks && registered_ == 0;
+    });
+    active_ = false;
   }
 
  private:
@@ -97,51 +102,55 @@ class Pool {
   void worker_loop() {
     std::uint64_t seen = 0;
     while (true) {
-      std::shared_ptr<Job> job;
       {
         std::unique_lock<std::mutex> lock(mutex_);
         work_cv_.wait(lock, [&] { return generation_ != seen; });
         seen = generation_;
-        job = job_;
+        if (!active_) {
+          continue;
+        }
+        ++registered_;
       }
-      if (job) {
-        work_chunks(*job);
+      work_chunks();
+      std::lock_guard<std::mutex> lock(mutex_);
+      if (--registered_ == 0) {
+        idle_cv_.notify_all();
       }
     }
   }
 
-  void work_chunks(Job& job) {
-    const std::size_t span = job.end - job.begin;
+  void work_chunks() {
+    const std::size_t span = job_.end - job_.begin;
     std::size_t finished = 0;
     while (true) {
-      const std::size_t c = job.next.fetch_add(1, std::memory_order_relaxed);
-      if (c >= job.chunks) {
+      const std::size_t c = job_.next.fetch_add(1, std::memory_order_relaxed);
+      if (c >= job_.chunks) {
         break;
       }
-      const std::size_t lo = job.begin + span * c / job.chunks;
-      const std::size_t hi = job.begin + span * (c + 1) / job.chunks;
+      const std::size_t lo = job_.begin + span * c / job_.chunks;
+      const std::size_t hi = job_.begin + span * (c + 1) / job_.chunks;
       if (lo < hi) {
         ++g_nesting;
-        (*job.fn)(lo, hi);
+        (*job_.fn)(lo, hi);
         --g_nesting;
       }
       ++finished;
     }
-    if (finished > 0 &&
-        job.done.fetch_add(finished, std::memory_order_acq_rel) + finished ==
-            job.chunks) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      idle_cv_.notify_all();
+    if (finished > 0) {
+      job_.done.fetch_add(finished, std::memory_order_acq_rel);
     }
   }
 
   std::mutex job_mutex_;  // serialises parallel_for callers
-  std::mutex mutex_;      // guards job_, generation_, workers_
+  std::mutex mutex_;      // guards generation_, active_, registered_, workers_
+                          // and job_'s plain fields
   std::condition_variable work_cv_;
   std::condition_variable idle_cv_;
   std::vector<std::thread> workers_;
   std::uint64_t generation_ = 0;
-  std::shared_ptr<Job> job_;
+  bool active_ = false;          // job_ holds a dispatch not yet returned
+  std::size_t registered_ = 0;   // workers inside work_chunks()
+  Job job_;
 };
 
 }  // namespace

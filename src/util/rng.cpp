@@ -232,24 +232,6 @@ std::vector<double> Rng::dirichlet(std::span<const double> alpha) {
   return out;
 }
 
-std::size_t Rng::zipf(std::size_t n, double s) {
-  DTMSV_EXPECTS(n > 0);
-  DTMSV_EXPECTS(s >= 0.0);
-  // Direct inversion on the CDF; fine for the catalog sizes we simulate.
-  double total = 0.0;
-  for (std::size_t k = 0; k < n; ++k) {
-    total += 1.0 / std::pow(static_cast<double>(k + 1), s);
-  }
-  double draw = uniform() * total;
-  for (std::size_t k = 0; k < n; ++k) {
-    draw -= 1.0 / std::pow(static_cast<double>(k + 1), s);
-    if (draw < 0.0) {
-      return k;
-    }
-  }
-  return n - 1;
-}
-
 std::vector<std::size_t> Rng::sample_without_replacement(std::size_t n, std::size_t k) {
   DTMSV_EXPECTS(k <= n);
   std::vector<std::size_t> pool(n);
@@ -267,27 +249,27 @@ std::vector<std::size_t> Rng::sample_without_replacement(std::size_t n, std::siz
 ZipfDistribution::ZipfDistribution(std::size_t n, double exponent) {
   DTMSV_EXPECTS(n > 0);
   DTMSV_EXPECTS(exponent >= 0.0);
-  cdf_.resize(n);
-  double total = 0.0;
+  weights_.resize(n);
   for (std::size_t k = 0; k < n; ++k) {
-    total += 1.0 / std::pow(static_cast<double>(k + 1), exponent);
-    cdf_[k] = total;
+    weights_[k] = 1.0 / std::pow(static_cast<double>(k + 1), exponent);
+    total_ += weights_[k];
   }
-  for (double& c : cdf_) {
-    c /= total;
-  }
-  cdf_.back() = 1.0;
 }
 
 std::size_t ZipfDistribution::sample(Rng& rng) const {
-  const double u = rng.uniform();
-  const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
-  return static_cast<std::size_t>(std::distance(cdf_.begin(), it));
+  double draw = rng.uniform() * total_;
+  for (std::size_t k = 0; k < weights_.size(); ++k) {
+    draw -= weights_[k];
+    if (draw < 0.0) {
+      return k;
+    }
+  }
+  return weights_.size() - 1;
 }
 
 double ZipfDistribution::pmf(std::size_t k) const {
-  DTMSV_EXPECTS(k < cdf_.size());
-  return k == 0 ? cdf_[0] : cdf_[k] - cdf_[k - 1];
+  DTMSV_EXPECTS(k < weights_.size());
+  return weights_[k] / total_;
 }
 
 }  // namespace dtmsv::util

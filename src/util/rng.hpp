@@ -3,9 +3,10 @@
 // All stochastic components in dtmsv draw from Rng so that every experiment
 // is exactly reproducible from a single 64-bit seed. The generator is
 // xoshiro256** (Blackman & Vigna), seeded through SplitMix64 as its authors
-// recommend. Rng also provides the distributions the simulator needs
-// (uniform, normal, exponential, log-normal, Zipf, Dirichlet, categorical)
-// so modules never reach for unseeded global randomness.
+// recommend. Rng and ZipfDistribution provide the distributions the
+// simulator needs (uniform, normal, exponential, log-normal, Zipf,
+// Dirichlet, categorical) so modules never reach for unseeded global
+// randomness.
 #pragma once
 
 #include <array>
@@ -89,9 +90,6 @@ class Rng {
   /// probability vector of the same size.
   std::vector<double> dirichlet(std::span<const double> alpha);
 
-  /// Zipf-distributed rank in [0, n) with exponent s >= 0: P(k) ∝ 1/(k+1)^s.
-  std::size_t zipf(std::size_t n, double s);
-
   /// Fisher–Yates shuffle.
   template <typename T>
   void shuffle(std::vector<T>& items) {
@@ -112,18 +110,22 @@ class Rng {
 // (user, BS) link, so keep it at four words.
 static_assert(sizeof(Rng) == 4 * sizeof(std::uint64_t));
 
-/// Precomputed Zipf sampler for repeated draws over a fixed (n, s).
+/// Zipf-distributed rank in [0, n) with exponent s >= 0: P(k) ∝ 1/(k+1)^s.
+/// The weights 1/(k+1)^s and their ascending-k total are tabulated once;
+/// a draw is one uniform() scaled by the total, less the weights in
+/// ascending k until it goes negative.
 class ZipfDistribution {
  public:
   ZipfDistribution(std::size_t n, double exponent);
 
   std::size_t sample(Rng& rng) const;
-  /// P(rank == k).
+  /// P(rank == k): weight k over the total.
   double pmf(std::size_t k) const;
-  std::size_t size() const { return cdf_.size(); }
+  std::size_t size() const { return weights_.size(); }
 
  private:
-  std::vector<double> cdf_;  // cumulative probabilities, back() == 1.
+  std::vector<double> weights_;
+  double total_ = 0.0;
 };
 
 }  // namespace dtmsv::util

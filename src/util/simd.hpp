@@ -9,7 +9,7 @@
 // a matmul, dimensions of a sum, parameters of an optimiser step), never
 // across a reduction — every lane carries one output's full chain in its
 // original order. All pack ops are lane-wise IEEE operations
-// (add/sub/mul/div/fma/sqrt, float<->double conversion), so a lane
+// (add/sub/mul/div/fma/sqrt/negate, float<->double conversion), so a lane
 // computes bit-for-bit what the scalar backend computes for that output,
 // and results cannot depend on which backend was compiled in. The one
 // regime knob is FMA fusion: `madd` fuses if and only if the libm fast-fma
@@ -155,6 +155,8 @@ struct pack<T, scalar_backend> {
   friend pack operator-(pack a, pack b) { return {a.v - b.v}; }
   friend pack operator*(pack a, pack b) { return {a.v * b.v}; }
   friend pack operator/(pack a, pack b) { return {a.v / b.v}; }
+  /// Lane-wise negation: flips the sign bit, so -(+0) is -0 (0 - x is not).
+  friend pack operator-(pack a) { return {-a.v}; }
   /// Lane-wise a*b+acc through the shared scalar madd (FMA iff fast).
   static pack madd(pack a, pack b, pack acc) {
     return {simd::madd(a.v, b.v, acc.v)};
@@ -260,6 +262,7 @@ struct pack<double, avx2_backend> {
   friend pack operator-(pack a, pack b) { return {_mm256_sub_pd(a.v, b.v)}; }
   friend pack operator*(pack a, pack b) { return {_mm256_mul_pd(a.v, b.v)}; }
   friend pack operator/(pack a, pack b) { return {_mm256_div_pd(a.v, b.v)}; }
+  friend pack operator-(pack a) { return {_mm256_xor_pd(a.v, _mm256_set1_pd(-0.0))}; }
   static pack madd(pack a, pack b, pack acc) {
 #if defined(__FMA__) && defined(FP_FAST_FMA)
     return {_mm256_fmadd_pd(a.v, b.v, acc.v)};
@@ -406,6 +409,11 @@ struct pack<double, avx512_backend> {
   friend pack operator-(pack a, pack b) { return {_mm512_sub_pd(a.v, b.v)}; }
   friend pack operator*(pack a, pack b) { return {_mm512_mul_pd(a.v, b.v)}; }
   friend pack operator/(pack a, pack b) { return {_mm512_div_pd(a.v, b.v)}; }
+  // An integer xor: the double form needs AVX-512DQ.
+  friend pack operator-(pack a) {
+    return {_mm512_castsi512_pd(_mm512_xor_si512(
+        _mm512_castpd_si512(a.v), _mm512_set1_epi64(static_cast<long long>(0x8000000000000000ULL))))};
+  }
   static pack madd(pack a, pack b, pack acc) {
 #ifdef FP_FAST_FMA
     return {_mm512_fmadd_pd(a.v, b.v, acc.v)};

@@ -72,7 +72,6 @@ Catalog Catalog::generate(const CatalogConfig& config, util::Rng& rng) {
   DTMSV_EXPECTS(config.ladder_jitter_sigma >= 0.0);
 
   Catalog catalog;
-  catalog.zipf_exponent_ = config.popularity_zipf;
   const BitrateLadder standard = BitrateLadder::standard();
 
   std::uint64_t next_id = 0;
@@ -109,6 +108,7 @@ Catalog Catalog::generate(const CatalogConfig& config, util::Rng& rng) {
     for (std::size_t r = 0; r < ids.size(); ++r) {
       catalog.rank_[ids[r]] = r;
     }
+    catalog.popularity_.emplace_back(ids.size(), config.popularity_zipf);
   }
   return catalog;
 }
@@ -125,8 +125,7 @@ const std::vector<std::uint64_t>& Catalog::category_videos(Category c) const {
 const Video& Catalog::sample_from_category(Category c, util::Rng& rng) const {
   const auto& ids = category_videos(c);
   DTMSV_EXPECTS_MSG(!ids.empty(), "catalog: empty category");
-  const std::size_t rank = rng.zipf(ids.size(), zipf_exponent_);
-  return video(ids[rank]);
+  return video(ids[popularity_[static_cast<std::size_t>(c)].sample(rng)]);
 }
 
 std::size_t Catalog::popularity_rank(std::uint64_t id) const {
@@ -136,13 +135,8 @@ std::size_t Catalog::popularity_rank(std::uint64_t id) const {
 
 double Catalog::popularity_probability(std::uint64_t id) const {
   DTMSV_EXPECTS(id < videos_.size());
-  const auto& ids = category_videos(videos_[static_cast<std::size_t>(id)].category);
-  const std::size_t rank = popularity_rank(id);
-  double total = 0.0;
-  for (std::size_t k = 0; k < ids.size(); ++k) {
-    total += 1.0 / std::pow(static_cast<double>(k + 1), zipf_exponent_);
-  }
-  return (1.0 / std::pow(static_cast<double>(rank + 1), zipf_exponent_)) / total;
+  const auto category = static_cast<std::size_t>(videos_[static_cast<std::size_t>(id)].category);
+  return popularity_[category].pmf(popularity_rank(id));
 }
 
 }  // namespace dtmsv::video

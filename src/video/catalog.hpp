@@ -105,7 +105,8 @@ class Catalog {
   std::vector<Video> videos_;
   std::array<std::vector<std::uint64_t>, kCategoryCount> by_category_;
   std::vector<std::size_t> rank_;  // by video id
-  double zipf_exponent_ = 0.9;
+  // Within-category popularity, one table per category in enum order.
+  std::vector<util::ZipfDistribution> popularity_;
 };
 
 }  // namespace dtmsv::video

@@ -3,10 +3,9 @@
 // After one warm-up call at a shape, a training pass allocates nothing and
 // embed allocates only the points it returns, whatever the user count.
 //
-// A counting global operator new (as in bench_micro_perf) measures it. The
-// tests pin the pool to one thread: a multi-threaded parallel_for dispatch
-// allocates its own job record, and the fleet runs each shard's CNN on one
-// thread anyway.
+// A counting global operator new (as in bench_micro_perf) measures it, on
+// one thread (as the fleet runs each shard's CNN) and on pools of 2 and 4,
+// whose parallel_for dispatches reuse one pool-owned job record.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,6 +13,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <tuple>
 #include <vector>
 
 #include "clustering/kmeans.hpp"
@@ -69,14 +69,17 @@ std::vector<float> random_rows(std::size_t users, std::size_t width, std::uint64
   return rows;
 }
 
-class CnnAllocations : public ::testing::TestWithParam<std::size_t> {
+/// (users, pool threads).
+class CnnAllocations
+    : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>> {
  protected:
-  void SetUp() override { util::set_thread_count(1); }
+  void SetUp() override { util::set_thread_count(std::get<1>(GetParam())); }
   void TearDown() override { util::set_thread_count(0); }
+  static std::size_t users() { return std::get<0>(GetParam()); }
 };
 
 TEST_P(CnnAllocations, SecondFitAllocatesNothing) {
-  const std::size_t users = GetParam();
+  const std::size_t users = CnnAllocations::users();
   core::FeatureCompressor comp(shard_config(), 1);
   const auto rows = random_rows(users, comp.input_size(), 2);
   const twin::WindowBatch windows(rows.data(), users, comp.input_size());
@@ -88,7 +91,7 @@ TEST_P(CnnAllocations, SecondFitAllocatesNothing) {
 }
 
 TEST_P(CnnAllocations, EmbedAllocatesOnlyItsPoints) {
-  const std::size_t users = GetParam();
+  const std::size_t users = CnnAllocations::users();
   core::FeatureCompressor comp(shard_config(), 3);
   const auto rows = random_rows(users, comp.input_size(), 4);
   const twin::WindowBatch windows(rows.data(), users, comp.input_size());
@@ -100,6 +103,8 @@ TEST_P(CnnAllocations, EmbedAllocatesOnlyItsPoints) {
 }
 
 // 33 users: one full minibatch and a one-row tail. 625: a fleet shard.
-INSTANTIATE_TEST_SUITE_P(Users, CnnAllocations, ::testing::Values(33, 625));
+INSTANTIATE_TEST_SUITE_P(UsersThreads, CnnAllocations,
+                         ::testing::Combine(::testing::Values(33, 625),
+                                            ::testing::Values(1, 2, 4)));
 
 }  // namespace

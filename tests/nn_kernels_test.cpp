@@ -9,6 +9,7 @@
 // the two sides disagree.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cmath>
@@ -349,6 +350,42 @@ TEST(SimdBackends, MatmulKernelsBitIdenticalAcrossBackends) {
 #endif
 }
 
+/// matmul_at_rows against the ascending-kk triple loop on products wider
+/// than two column tiles (kTileJ), where the column tiling splits every
+/// output row: the tiles must leave each element's chain as it was.
+template <typename Backend>
+void check_wide_matmul_at(const char* name) {
+  constexpr std::size_t kTileJ = dtmsv::nn::kernels::kTileJ;
+  Rng rng(15);
+  for (const RaggedShape s : {RaggedShape{48, 32, 4 * kTileJ},
+                              RaggedShape{9, 70, 2 * kTileJ + 37}}) {
+    ASSERT_GT(s.n, 2 * kTileJ);
+    const auto a = random_values(s.k * s.m, rng);  // (k×m)
+    const auto b = random_values(s.k * s.n, rng);
+    std::vector<float> want(s.m * s.n);
+    for (std::size_t i = 0; i < s.m; ++i) {
+      for (std::size_t j = 0; j < s.n; ++j) {
+        float acc = 0.0f;
+        for (std::size_t kk = 0; kk < s.k; ++kk) {
+          acc = dtmsv::nn::fused_madd(a[kk * s.m + i], b[kk * s.n + j], acc);
+        }
+        want[i * s.n + j] = acc;
+      }
+    }
+    expect_bits_equal(matmul_at_via<Backend>(a, b, s.m, s.k, s.n), want, name);
+  }
+}
+
+TEST(SimdBackends, WideMatmulAtMatchesNaiveOnEveryBackend) {
+  check_wide_matmul_at<simd::scalar_backend>("scalar");
+#if defined(__AVX2__)
+  check_wide_matmul_at<simd::avx2_backend>("avx2");
+#endif
+#if defined(__AVX512F__)
+  check_wide_matmul_at<simd::avx512_backend>("avx512");
+#endif
+}
+
 TEST(SimdBackends, PartialLoadStoreTouchOnlyLeadingLanes) {
   check_partial_load_store<simd::scalar_backend>("scalar");
 #if defined(__AVX2__)
@@ -574,6 +611,159 @@ TEST(AdamKernel, OptimizerStepMatchesScalarLoop) {
   EXPECT_EQ(adam.step_count(), 200u);
 }
 
+// ---------------------------------------------------------------------------
+// Adam's bias-correction divides. Where madd fuses, adam_lanes divides by
+// bias1 and bias2 through divide_by_bias (a reciprocal and two FMAs); the
+// sweeps hold it to the plain divide bit for bit, over every step count up
+// to 20000 (bias1 = 1 - 0.9^t rounds to 1.0 from t ~ 350 on) and over
+// inputs at the edges of float: ±0, subnormals, 1 ulp around powers of two
+// and ±FLT_MAX, plus random finite bit patterns.
+
+/// ±0, float subnormals and FLT_MIN, 1 ulp either side of powers of two
+/// (and the powers), ±FLT_MAX, and a few ordinary values.
+std::vector<float> edge_floats() {
+  constexpr float kMax = std::numeric_limits<float>::max();
+  constexpr float kMin = std::numeric_limits<float>::min();
+  constexpr float kTrueMin = std::numeric_limits<float>::denorm_min();
+  std::vector<float> out = {0.0f,  -0.0f, kTrueMin, -kTrueMin, 1e-40f, -3e-39f,
+                            kMin,  -kMin, kMax,     -kMax,     0.1f,   -0.3f,
+                            1.5f,  7.0f,  1e-30f,   -1e30f};
+  for (const int e : {-126, -100, -20, -1, 0, 1, 20, 100, 127}) {
+    const float p = std::ldexp(1.0f, e);
+    for (const float x : {std::nextafter(p, 0.0f), p, std::nextafter(p, kMax)}) {
+      out.push_back(x);
+      out.push_back(-x);
+    }
+  }
+  return out;
+}
+
+/// A finite float from random bits: every exponent, subnormals included,
+/// equally likely.
+float random_finite_float(Rng& rng) {
+  while (true) {
+    const float x = std::bit_cast<float>(static_cast<std::uint32_t>(rng.next()));
+    if (std::isfinite(x)) {
+      return x;
+    }
+  }
+}
+
+bool same_bits_or_both_nan(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b) ||
+         (std::isnan(a) && std::isnan(b));
+}
+
+template <typename Backend>
+void check_bias_divide_matches_divide(const char* name) {
+  using P = simd::pack<double, Backend>;
+  constexpr std::size_t W = P::width;
+  const std::vector<float> edges = edge_floats();
+  std::vector<float> nums(edges.size() + 64);
+  nums.resize((nums.size() + W - 1) / W * W, 1.0f);
+  Rng rng(49);
+  for (const double beta : {0.9, 0.999, 0.9999}) {
+    for (std::size_t t = 1; t <= 20000; ++t) {
+      std::copy(edges.begin(), edges.end(), nums.begin());
+      for (std::size_t i = edges.size(); i < edges.size() + 64; ++i) {
+        nums[i] = random_finite_float(rng);
+      }
+      const double b = 1.0 - std::pow(beta, static_cast<double>(t));
+      const P bias = P::broadcast(b);
+      const P ny = P::broadcast(-(1.0 / b));
+      for (std::size_t i = 0; i < nums.size(); i += W) {
+        double got[W];
+        dtmsv::nn::kernels::divide_by_bias(P::load_widen(nums.data() + i), bias, ny)
+            .store(got);
+        for (std::size_t l = 0; l < W; ++l) {
+          const double want = static_cast<double>(nums[i + l]) / b;
+          if (std::bit_cast<std::uint64_t>(got[l]) != std::bit_cast<std::uint64_t>(want)) {
+            FAIL() << name << ": " << nums[i + l] << " / (1 - " << beta << "^" << t
+                   << ") gave " << got[l] << ", the divide " << want;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(AdamKernel, BiasDivideEqualsDivideOnEveryBackend) {
+  check_bias_divide_matches_divide<simd::scalar_backend>("scalar");
+#if defined(__AVX2__)
+  check_bias_divide_matches_divide<simd::avx2_backend>("avx2");
+#endif
+#if defined(__AVX512F__)
+  check_bias_divide_matches_divide<simd::avx512_backend>("avx512");
+#endif
+}
+
+/// One Adam step as a plain scalar loop with both bias corrections as
+/// divides. Every multiply-add is a madd and every other product rounds
+/// on its own, so the loop means the same in every build regime.
+void adam_divide_reference(AdamState& s, const std::vector<float>& grad,
+                           const dtmsv::nn::kernels::AdamCoefficients& c) {
+  for (std::size_t j = 0; j < s.value.size(); ++j) {
+    const double g = grad[j];
+    const double mj = static_cast<float>(simd::madd(static_cast<double>(s.m[j]), c.beta1,
+                                                    c.one_minus_beta1 * g));
+    const double vj = static_cast<float>(simd::madd(static_cast<double>(s.v[j]), c.beta2,
+                                                    (c.one_minus_beta2 * g) * g));
+    const double update = static_cast<float>(c.lr * (mj / c.bias1) /
+                                             (std::sqrt(vj / c.bias2) + c.epsilon));
+    s.m[j] = static_cast<float>(mj);
+    s.v[j] = static_cast<float>(vj);
+    s.value[j] = static_cast<float>(static_cast<double>(s.value[j]) - update);
+  }
+}
+
+template <typename Backend>
+void check_adam_edge_sweep(const char* name) {
+  // Fresh state each step, rotated through the edge values so that every
+  // lane meets every kind of weight, moment and gradient: a FLT_MAX
+  // gradient overflows v to inf, a negative v takes sqrt to NaN, and both
+  // reach adam_lanes' divide fallback. 70 parameters: full vectors and a
+  // ragged tail on every backend.
+  const std::vector<float> edges = edge_floats();
+  const std::size_t n = edges.size();
+  const auto same = [](const std::vector<float>& got, const std::vector<float>& want) {
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      if (!same_bits_or_both_nan(got[i], want[i])) {
+        return false;
+      }
+    }
+    return true;
+  };
+  for (const double beta2 : {0.999, 0.9999}) {
+    for (std::size_t t = 1; t <= 20000; ++t) {
+      AdamState want{std::vector<float>(n), std::vector<float>(n), std::vector<float>(n)};
+      std::vector<float> grad(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        want.value[i] = edges[i];
+        want.m[i] = edges[(i + t) % n];
+        want.v[i] = edges[(3 * i + t) % n];
+        grad[i] = edges[(7 * i + 2 * t) % n];
+      }
+      AdamState got = want;
+      const auto c = adam_coefficients(0.9, beta2, 1e-3, 1e-8, t);
+      adam_divide_reference(want, grad, c);
+      dtmsv::nn::kernels::adam_step<Backend>(got.value.data(), grad.data(), got.m.data(),
+                                             got.v.data(), n, c);
+      ASSERT_TRUE(same(got.m, want.m) && same(got.v, want.v) && same(got.value, want.value))
+          << name << ": beta2 " << beta2 << " step " << t;
+    }
+  }
+}
+
+TEST(AdamKernel, EdgeInputSweepMatchesDivideLoopOnEveryBackend) {
+  check_adam_edge_sweep<simd::scalar_backend>("scalar");
+#if defined(__AVX2__)
+  check_adam_edge_sweep<simd::avx2_backend>("avx2");
+#endif
+#if defined(__AVX512F__)
+  check_adam_edge_sweep<simd::avx512_backend>("avx512");
+#endif
+}
+
 template <typename Backend>
 void check_double_pack_lanes(const char* name) {
   // sqrt, widen/narrow and round_to_float lane by lane against their
@@ -645,6 +835,29 @@ TEST(SimdBackends, DoublePackSqrtAndWidenNarrowLanes) {
 #if defined(__AVX512F__)
   check_double_pack_lanes<simd::avx512_backend>("avx512");
 #endif
+}
+
+TEST(ParallelFor, BackToBackDispatchesReuseTheJobSafely) {
+  // Thousands of short dispatches in a row, each over a different range:
+  // the pool refills one job record for every one, so a worker still
+  // leaving the previous dispatch must never see a half-refilled record.
+  // Each dispatch must cover its own range exactly once.
+  dtmsv::util::set_thread_count(4);
+  std::vector<std::atomic<int>> hits(64);
+  for (std::size_t round = 0; round < 4000; ++round) {
+    const std::size_t begin = round % 7;
+    const std::size_t end = begin + 4 + round % 53;
+    dtmsv::util::parallel_for(begin, end, 1, [&](std::size_t lo, std::size_t hi) {
+      for (std::size_t i = lo; i < hi; ++i) {
+        hits[i].fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+    for (std::size_t i = 0; i < hits.size(); ++i) {
+      ASSERT_EQ(hits[i].exchange(0), i >= begin && i < end ? 1 : 0)
+          << "round " << round << " index " << i;
+    }
+  }
+  dtmsv::util::set_thread_count(0);
 }
 
 TEST(ParallelFor, EmptyAndTinyRanges) {

@@ -8,11 +8,13 @@
 #include <cstdint>
 #include <limits>
 #include <sstream>
+#include <utility>
 
 #include "nn/activations.hpp"
 #include "nn/conv1d.hpp"
 #include "nn/gradient_check.hpp"
 #include "nn/init.hpp"
+#include "nn/kernels.hpp"
 #include "nn/linear.hpp"
 #include "nn/loss.hpp"
 #include "nn/optimizer.hpp"
@@ -22,6 +24,7 @@
 #include "nn/tensor.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
+#include "util/simd.hpp"
 
 namespace {
 
@@ -883,6 +886,128 @@ TEST(Adam, GradClipBoundsNorm) {
     }
   }
   EXPECT_NEAR(std::sqrt(sq), 1.0, 1e-4);
+}
+
+// ClipGradNorm: the lane-sum shortcut must never change a bit of what the
+// sequential chain decides. The reference is clip_grad_norm as it was
+// before the shortcut: one ascending chain over every gradient, then the
+// float scale.
+
+double clip_sequential(const std::vector<ParamRef>& params, double max_norm) {
+  double sq = 0.0;
+  for (const auto& p : params) {
+    for (const float g : p.grad->data()) {
+      sq += static_cast<double>(g) * static_cast<double>(g);
+    }
+  }
+  const double norm = std::sqrt(sq);
+  if (norm > max_norm && norm > 0.0) {
+    const auto scale = static_cast<float>(max_norm / norm);
+    for (const auto& p : params) {
+      *p.grad *= scale;
+    }
+  }
+  return norm;
+}
+
+void fill_gradients(const std::vector<ParamRef>& params, double scale, std::uint64_t seed) {
+  Rng rng(seed);
+  for (const auto& p : params) {
+    for (float& g : p.grad->data()) {
+      g = static_cast<float>(rng.normal(0.0, scale));
+    }
+  }
+}
+
+void expect_same_bits(const std::vector<ParamRef>& got, const std::vector<ParamRef>& want,
+                      bool grads) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const Tensor& g = grads ? *got[i].grad : *got[i].value;
+    const Tensor& w = grads ? *want[i].grad : *want[i].value;
+    ASSERT_EQ(g.size(), w.size());
+    for (std::size_t j = 0; j < g.size(); ++j) {
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(g[j]), std::bit_cast<std::uint32_t>(w[j]))
+          << (grads ? "gradient " : "weight ") << i << "[" << j << "]";
+    }
+  }
+}
+
+/// Two identical layers and an Adam on each: `got` steps after
+/// clip_grad_norm, `want` after clip_sequential, both on the same
+/// gradients at `grad_scale`. Returns both pre-clip norms.
+std::pair<double, double> clip_then_step(double grad_scale, double max_norm) {
+  Rng rng_got(40), rng_want(40);
+  Linear got(24, 16, rng_got), want(24, 16, rng_want);
+  Adam opt_got(got.parameters(), 1e-3), opt_want(want.parameters(), 1e-3);
+  fill_gradients(got.parameters(), grad_scale, 41);
+  fill_gradients(want.parameters(), grad_scale, 41);
+  const double norm_got = opt_got.clip_grad_norm(max_norm);
+  const double norm_want = clip_sequential(want.parameters(), max_norm);
+  expect_same_bits(got.parameters(), want.parameters(), /*grads=*/true);
+  opt_got.step();
+  opt_want.step();
+  expect_same_bits(got.parameters(), want.parameters(), /*grads=*/false);
+  return {norm_got, norm_want};
+}
+
+TEST(ClipGradNorm, FarBelowMarginStepsAsSequential) {
+  // Norm ~0.2 against max 10: the lane sum decides, nothing is scaled, and
+  // the norm agrees with the chain's to rounding.
+  const auto [got, want] = clip_then_step(0.01, 10.0);
+  EXPECT_LT(want, 10.0 / 8);
+  EXPECT_NEAR(got, want, 1e-12 * want);
+}
+
+TEST(ClipGradNorm, BetweenMarginAndMaxTakesSequentialChain) {
+  // One gradient of 1 and 4095 of 2^-27, whose squares 2^-54 are each
+  // below half an ulp of 1: the chain, starting from the 1, drops every
+  // one of them and sums to exactly 1, while the lane sum keeps the lanes
+  // without the 1 exact and ends near 1 + 2^-42. With max 1.5 the sum lies
+  // between max²/4 and max², where only the chain may decide, so the norm
+  // returned is exactly 1 and nothing is scaled.
+  Rng rng(42);
+  Linear layer(64, 64, rng);
+  Adam opt(layer.parameters(), 1e-3);
+  const auto params = layer.parameters();
+  params[0].grad->fill(std::ldexp(1.0f, -27));
+  (*params[0].grad)[0] = 1.0f;
+  params[1].grad->zero();
+  double lane_sq = 0.0;
+  for (const auto& p : params) {
+    lane_sq += kernels::sum_squares<dtmsv::util::simd::default_backend>(
+        p.grad->data().data(), p.grad->size());
+  }
+  ASSERT_NE(lane_sq, 1.0) << "the lane sum must differ from the chain's for this test";
+  ASSERT_GT(lane_sq, 1.5 * 1.5 / 4);
+  EXPECT_EQ(opt.clip_grad_norm(1.5), 1.0);
+  EXPECT_EQ((*params[0].grad)[1], std::ldexp(1.0f, -27));
+}
+
+TEST(ClipGradNorm, ClippingScaleEqualsSequential) {
+  // Norm ~40 against max 10: the same norm, the same float scale, the
+  // same scaled gradients and weights after the step, bit for bit.
+  const auto [got, want] = clip_then_step(2.0, 10.0);
+  EXPECT_GT(want, 10.0);
+  EXPECT_EQ(got, want);
+}
+
+TEST(ClipGradNorm, NonFiniteGradientsReturnNonFiniteNorm) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  for (const float bad : {nan, inf, -inf}) {
+    Rng rng(43);
+    Linear layer(8, 4, rng);
+    Adam opt(layer.parameters(), 1e-3);
+    const auto params = layer.parameters();
+    fill_gradients(params, 0.1, 44);
+    (*params[1].grad)[2] = bad;
+    const float kept = (*params[0].grad)[0];
+    const double norm = opt.clip_grad_norm(1.0);
+    EXPECT_FALSE(std::isfinite(norm)) << bad;
+    EXPECT_EQ(std::isnan(norm), std::isnan(bad)) << bad;
+    EXPECT_EQ((*params[0].grad)[0], kept) << "gradients are left as they are";
+  }
 }
 
 TEST(Optimizer, RejectsBadHyperparameters) {

@@ -466,25 +466,62 @@ TEST(VMath, BitIdenticalAcrossBackends) {
 #endif
 }
 
-TEST(Rng, ZipfRankZeroMostLikely) {
+TEST(ZipfDistribution, RankZeroMostLikely) {
   Rng rng(20);
+  const ZipfDistribution dist(10, 1.0);
   std::vector<int> counts(10, 0);
   for (int i = 0; i < 30000; ++i) {
-    ++counts[rng.zipf(10, 1.0)];
+    ++counts[dist.sample(rng)];
   }
   for (std::size_t k = 1; k < counts.size(); ++k) {
     EXPECT_GE(counts[0], counts[k]);
   }
 }
 
-TEST(Rng, ZipfExponentZeroIsUniform) {
+TEST(ZipfDistribution, ExponentZeroIsUniform) {
   Rng rng(21);
+  const ZipfDistribution dist(4, 0.0);
   std::vector<int> counts(4, 0);
   for (int i = 0; i < 40000; ++i) {
-    ++counts[rng.zipf(4, 0.0)];
+    ++counts[dist.sample(rng)];
   }
   for (const int c : counts) {
     EXPECT_NEAR(c / 40000.0, 0.25, 0.02);
+  }
+}
+
+/// The sampler the table replaced, verbatim: both sums recomputed with
+/// std::pow on every draw.
+std::size_t zipf_by_pow(Rng& rng, std::size_t n, double s) {
+  double total = 0.0;
+  for (std::size_t k = 0; k < n; ++k) {
+    total += 1.0 / std::pow(static_cast<double>(k + 1), s);
+  }
+  double draw = rng.uniform() * total;
+  for (std::size_t k = 0; k < n; ++k) {
+    draw -= 1.0 / std::pow(static_cast<double>(k + 1), s);
+    if (draw < 0.0) {
+      return k;
+    }
+  }
+  return n - 1;
+}
+
+TEST(ZipfDistribution, TableDrawEqualsPowLoop) {
+  // Same rank and the same generator state after every draw, so a caller
+  // that switches sampler sees an unchanged stream.
+  for (const std::size_t n : {1u, 2u, 7u, 50u, 200u, 1000u}) {
+    for (const double s : {0.0, 0.5, 0.9, 1.0, 1.3, 2.5}) {
+      for (const std::uint64_t seed : {1u, 29u, 977u}) {
+        Rng table_rng(seed), pow_rng(seed);
+        const ZipfDistribution dist(n, s);
+        for (int i = 0; i < 500; ++i) {
+          ASSERT_EQ(dist.sample(table_rng), zipf_by_pow(pow_rng, n, s))
+              << "n " << n << " s " << s << " seed " << seed << " draw " << i;
+        }
+        ASSERT_EQ(table_rng.next(), pow_rng.next());
+      }
+    }
   }
 }
 
