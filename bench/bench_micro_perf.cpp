@@ -112,31 +112,35 @@ void populate_store(twin::TwinStore& store, util::Rng& rng) {
   }
 }
 
+// The k-means rows: 120 and 500 users at the 8-d CNN embedding shape, 1000
+// users at the 12-d summary-feature shape of the serve loop's bottom rung.
+std::size_t grouping_dim(std::size_t users) { return users >= 1000 ? 12 : 8; }
+
 void BM_KMeansPlusPlusInit(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
   util::Rng rng(1);
-  const auto points = random_points(static_cast<std::size_t>(state.range(0)), 8, rng);
+  const auto points = random_points(n, grouping_dim(n), rng);
   for (auto _ : state) {
     benchmark::DoNotOptimize(clustering::kmeans_plus_plus_init(points, 8, rng));
   }
 }
-BENCHMARK(BM_KMeansPlusPlusInit)->Arg(120)->Arg(500);
+BENCHMARK(BM_KMeansPlusPlusInit)->Arg(120)->Arg(500)->Arg(1000);
 
 void BM_KMeansFull(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
   util::Rng rng(2);
-  const auto points = random_points(static_cast<std::size_t>(state.range(0)), 8, rng);
+  const auto points = random_points(n, grouping_dim(n), rng);
   clustering::KMeansOptions opts;
   for (auto _ : state) {
     benchmark::DoNotOptimize(clustering::k_means(points, 8, rng, opts));
   }
 }
-BENCHMARK(BM_KMeansFull)->Arg(120)->Arg(500);
+BENCHMARK(BM_KMeansFull)->Arg(120)->Arg(500)->Arg(1000);
 
 void BM_Silhouette(benchmark::State& state) {
-  // 120 and 500 users at the 8-d CNN embedding shape; 1000 users at the
-  // 12-d summary-feature shape of the serve loop's bottom rung.
   const auto n = static_cast<std::size_t>(state.range(0));
   util::Rng rng(3);
-  const auto points = random_points(n, n >= 1000 ? 12 : 8, rng);
+  const auto points = random_points(n, grouping_dim(n), rng);
   const auto result = clustering::k_means(points, 8, rng);
   for (auto _ : state) {
     benchmark::DoNotOptimize(clustering::silhouette(points, result.assignment));
@@ -197,8 +201,11 @@ void BM_CnnEmbedBatched(benchmark::State& state) {
 }
 BENCHMARK(BM_CnnEmbedBatched)->Arg(120)->Arg(625)->Arg(1000);
 
+// One training pass over range(0) users on range(1) threads. Every
+// product in it is one 32-row minibatch, below util::kParallelMinMadds, so
+// the 4-thread row shows the pool staying out of the way.
 void BM_CnnFitEpoch(benchmark::State& state) {
-  util::set_thread_count(1);
+  util::set_thread_count(static_cast<std::size_t>(state.range(1)));
   const auto users = static_cast<std::size_t>(state.range(0));
   core::CompressorConfig cfg = shard_compressor();
   cfg.epochs_per_fit = 1;
@@ -217,7 +224,7 @@ void BM_CnnFitEpoch(benchmark::State& state) {
   state.counters["users/iter"] = static_cast<double>(users);
   util::set_thread_count(0);
 }
-BENCHMARK(BM_CnnFitEpoch)->Arg(120)->Arg(625);
+BENCHMARK(BM_CnnFitEpoch)->ArgsProduct({{120, 625}, {1, 4}});
 
 /// Fills every ring of `columns` to capacity at the serve workload's report
 /// rates (channel 1 Hz, location every 5 s, a watch event every 18 s, a
@@ -620,6 +627,47 @@ void BM_Conv1DBackward(benchmark::State& state) {
   util::set_thread_count(0);
 }
 BENCHMARK(BM_Conv1DBackward)->Arg(1)->Arg(2)->Arg(4);
+
+// The encoder's convolutions at the shape training runs them, one thread:
+// a 32-row minibatch of T = 16 windows. range(0) is the layer: 1 is
+// 11 -> 16 channels, width 5, on 16 steps; 2 is 16 -> 32 channels, width 3,
+// on the 8 steps left after pooling.
+nn::Conv1D minibatch_conv(std::size_t layer, util::Rng& rng) {
+  return layer == 1 ? nn::Conv1D(11, 16, 5, rng, /*stride=*/1, /*padding=*/2)
+                    : nn::Conv1D(16, 32, 3, rng, /*stride=*/1, /*padding=*/1);
+}
+
+nn::Shape minibatch_conv_input(std::size_t layer) {
+  return layer == 1 ? nn::Shape{32, 11, 16} : nn::Shape{32, 16, 8};
+}
+
+void BM_Conv1DMinibatchForward(benchmark::State& state) {
+  util::set_thread_count(1);
+  const auto layer = static_cast<std::size_t>(state.range(0));
+  util::Rng rng(26);
+  nn::Conv1D conv = minibatch_conv(layer, rng);
+  const auto input = random_tensor(minibatch_conv_input(layer), rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(conv.forward(input));
+  }
+  util::set_thread_count(0);
+}
+BENCHMARK(BM_Conv1DMinibatchForward)->Arg(1)->Arg(2);
+
+void BM_Conv1DMinibatchBackward(benchmark::State& state) {
+  util::set_thread_count(1);
+  const auto layer = static_cast<std::size_t>(state.range(0));
+  util::Rng rng(27);
+  nn::Conv1D conv = minibatch_conv(layer, rng);
+  const auto input = random_tensor(minibatch_conv_input(layer), rng);
+  const nn::Tensor& output = conv.forward(input);
+  const auto upstream = random_tensor(output.shape(), rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(conv.backward(upstream));
+  }
+  util::set_thread_count(0);
+}
+BENCHMARK(BM_Conv1DMinibatchBackward)->Arg(1)->Arg(2);
 
 // One Adam step over range(0) parameters in one tensor: 14744 is the
 // compressor at T=16 (the serve benchmark's window), 26184 at T=32.

@@ -163,16 +163,27 @@ Points kmeans_plus_plus_init(const Points& points, std::size_t k, util::Rng& rng
 
   // D² distances to the nearest chosen centroid, maintained incrementally:
   // each round only the newest centroid can lower a point's distance, which
-  // turns the seed's O(k²·n) rescans into O(k·n) with identical values.
-  std::vector<double> d2(n, std::numeric_limits<double>::infinity());
+  // turns the seed's O(k²·n) rescans into O(k·n) with identical values. The
+  // update runs with lanes over points on a dim-major copy (padded to the
+  // pack width with +0 points whose d2 is never read); the total stays a
+  // scalar sum in point order.
+  using Backend = util::simd::default_backend;
+  constexpr std::size_t W = util::simd::pack<double, Backend>::width;
+  const std::size_t stride = (n + W - 1) / W * W;
+  std::vector<double> cols(dim * stride, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t d = 0; d < dim; ++d) {
+      cols[d * stride + i] = pts[i * dim + d];
+    }
+  }
+  std::vector<double> d2(stride, std::numeric_limits<double>::infinity());
+  const std::span<const double> weights(d2.data(), n);
   while (centroids.size() < k) {
-    const double* newest = centroids[centroids.size() - 1].data();
+    kernels::d2_update<Backend>(cols.data(), stride, dim,
+                                centroids[centroids.size() - 1].data(), stride,
+                                d2.data());
     double total = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
-      const double d = row_sq_dist(pts + i * dim, newest, dim);
-      if (d < d2[i]) {
-        d2[i] = d;
-      }
       total += d2[i];
     }
     std::size_t chosen = 0;
@@ -181,7 +192,7 @@ Points kmeans_plus_plus_init(const Points& points, std::size_t k, util::Rng& rng
       chosen = static_cast<std::size_t>(
           rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
     } else {
-      chosen = rng.categorical(d2);
+      chosen = rng.categorical(weights);
     }
     centroids.push_back(points[chosen]);
   }

@@ -54,7 +54,7 @@ inline double row_dist(const double* a, const double* b, std::size_t dim) {
 }
 
 /// Silhouette contribution of one point from its per-cluster distance
-/// sums (see kernels::silhouette_sums), or 0 for singleton clusters.
+/// sums (see kernels::silhouette_sums_row), or 0 for singleton clusters.
 double silhouette_of_point(const ClusterMembers& members, std::size_t own,
                            const double* dist_sum) {
   const std::size_t own_size = members.size_of(own);
@@ -90,15 +90,12 @@ std::optional<ClusterMembers> live_members(const std::vector<std::size_t>& assig
 }
 
 /// Mean silhouette contribution of the `queries` points, summed in query
-/// order.
-double mean_silhouette(const Points& points, const std::vector<std::size_t>& assignment,
+/// order; row q of `sums` holds queries[q]'s per-cluster distance sums.
+double mean_silhouette(const std::vector<std::size_t>& assignment,
                        const ClusterMembers& members,
-                       const std::vector<std::size_t>& queries) {
+                       const std::vector<std::size_t>& queries,
+                       const std::vector<double>& sums) {
   const std::size_t k = members.cluster_count();
-  std::vector<double> sums(queries.size() * k);
-  kernels::silhouette_sums<util::simd::default_backend>(
-      points.data(), points.dim(), members.offsets.data(), members.ids.data(), k,
-      queries.data(), queries.size(), sums.data());
   double total = 0.0;
   for (std::size_t q = 0; q < queries.size(); ++q) {
     total += silhouette_of_point(members, assignment[queries[q]], sums.data() + q * k);
@@ -117,9 +114,14 @@ double silhouette(const Points& points, const std::vector<std::size_t>& assignme
   if (!members) {
     return 0.0;
   }
+  const std::size_t k = members->cluster_count();
+  std::vector<double> sums(points.size() * k);
+  kernels::silhouette_sums_pairwise<util::simd::default_backend>(
+      points.data(), points.dim(), members->offsets.data(), members->ids.data(), k,
+      sums.data());
   std::vector<std::size_t> all(points.size());
   std::iota(all.begin(), all.end(), std::size_t{0});
-  return mean_silhouette(points, assignment, *members, all);
+  return mean_silhouette(assignment, *members, all, sums);
 }
 
 double silhouette_sampled(const Points& points,
@@ -136,7 +138,12 @@ double silhouette_sampled(const Points& points,
   }
   const std::vector<std::size_t> samples =
       rng.sample_without_replacement(points.size(), max_samples);
-  return mean_silhouette(points, assignment, *members, samples);
+  const std::size_t k = members->cluster_count();
+  std::vector<double> sums(samples.size() * k);
+  kernels::silhouette_sums<util::simd::default_backend>(
+      points.data(), points.dim(), members->offsets.data(), members->ids.data(), k,
+      samples.data(), samples.size(), sums.data());
+  return mean_silhouette(assignment, *members, samples, sums);
 }
 
 double davies_bouldin(const Points& points, const std::vector<std::size_t>& assignment) {

@@ -21,10 +21,11 @@ inline constexpr std::size_t kDefaultSilhouetteSampleCap = 2048;
 ///
 /// Every distance is sqrt(kernels::row_sq_dist), the ascending-dimension
 /// madd chain k-means assigns with, summed per cluster in ascending point
-/// order by the backend-templated kernels::silhouette_sums (lanes = query
-/// points); the result is the same on every SIMD backend. The exact and
-/// sampled forms share the kernel. The Davies–Bouldin index uses the same
-/// distance.
+/// order; the result is the same on every SIMD backend. The exact form
+/// computes each pair once (kernels::silhouette_sums_pairwise), the
+/// sampled form puts the drawn points in vector lanes
+/// (kernels::silhouette_sums); both give the per-point scan's bits. The
+/// Davies–Bouldin index uses the same distance.
 double silhouette(const Points& points, const std::vector<std::size_t>& assignment);
 
 /// Silhouette estimated from at most `max_samples` points drawn without

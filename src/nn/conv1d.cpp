@@ -13,10 +13,6 @@ namespace {
 
 using Backend = util::simd::default_backend;
 
-// Samples per parallel chunk are sized so each chunk carries at least this
-// many forward multiply-adds; smaller batches run on the calling thread.
-constexpr std::size_t kParallelFlops = 1u << 17;
-
 }  // namespace
 
 Conv1D::Conv1D(std::size_t in_channels, std::size_t out_channels, std::size_t kernel,
@@ -71,7 +67,9 @@ const Tensor& Conv1D::forward(const Tensor& input) {
   padded_.resize(n * in_channels_ * plen);
   float* padded = padded_.data();
   const std::size_t sample_flops = out_channels_ * patch * out_len;
-  const std::size_t grain = std::max<std::size_t>(1, kParallelFlops / sample_flops);
+  // Batches below util::kParallelMinMadds forward multiply-adds run on the
+  // calling thread.
+  const std::size_t grain = std::max<std::size_t>(1, util::kParallelMinMadds / sample_flops);
   util::parallel_for(0, n, grain, [&](std::size_t b0, std::size_t b1) {
     float* pchunk = padded + b0 * in_channels_ * plen;
     std::fill(pchunk, pchunk + in_channels_ * plen, 0.0f);

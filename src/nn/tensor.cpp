@@ -156,12 +156,11 @@ namespace {
 // backends, tile sizes, and thread counts).
 using Backend = util::simd::default_backend;
 
-// Row blocks below this many multiply-adds run on the calling thread;
-// parallel dispatch overhead would dominate smaller products.
-constexpr std::size_t kParallelFlops = 1u << 17;
-
+// Products below util::kParallelMinMadds multiply-adds run on the calling
+// thread; dispatch overhead would dominate them.
 std::size_t row_grain(std::size_t per_row_flops) {
-  return std::max<std::size_t>(1, kParallelFlops / std::max<std::size_t>(1, per_row_flops));
+  return std::max<std::size_t>(
+      1, util::kParallelMinMadds / std::max<std::size_t>(1, per_row_flops));
 }
 
 // matmul_bt on this many output rows or more transposes b once and runs

@@ -43,6 +43,14 @@ class ChunkFn {
   void (*call_)(void*, std::size_t, std::size_t);
 };
 
+/// Multiply-adds below which a product runs on the calling thread. On a
+/// 4-vCPU AVX-512 VM a dispatch that wakes the pool costs ~13-24 µs and a
+/// one-thread float product runs ~34 multiply-adds per ns, so a four-way
+/// split pays only above ~0.9M multiply-adds; 2^20 also keeps every
+/// 32-row training minibatch of the compressor (at most ~0.9M at T = 32)
+/// on one thread.
+inline constexpr std::size_t kParallelMinMadds = std::size_t{1} << 20;
+
 /// Number of worker threads the pool will use (see resolution order above).
 std::size_t thread_count();
 

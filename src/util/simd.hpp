@@ -473,6 +473,51 @@ struct pack<double, avx512_backend> {
 
 #endif  // __AVX512F__
 
+// ------------------------------------------------------------- transposes
+// transpose(rows): rows[0 .. width) viewed as a width x width matrix of
+// doubles, transposed in registers (lane l of rows[r] becomes lane r of
+// rows[l]). Pure data movement, so exact on every backend.
+
+inline void transpose(pack<double, scalar_backend>*) {}
+
+#if defined(__AVX2__)
+inline void transpose(pack<double, avx2_backend>* r) {
+  const __m256d t0 = _mm256_unpacklo_pd(r[0].v, r[1].v);
+  const __m256d t1 = _mm256_unpackhi_pd(r[0].v, r[1].v);
+  const __m256d t2 = _mm256_unpacklo_pd(r[2].v, r[3].v);
+  const __m256d t3 = _mm256_unpackhi_pd(r[2].v, r[3].v);
+  r[0].v = _mm256_permute2f128_pd(t0, t2, 0x20);
+  r[1].v = _mm256_permute2f128_pd(t1, t3, 0x20);
+  r[2].v = _mm256_permute2f128_pd(t0, t2, 0x31);
+  r[3].v = _mm256_permute2f128_pd(t1, t3, 0x31);
+}
+#endif
+
+#if defined(__AVX512F__)
+inline void transpose(pack<double, avx512_backend>* r) {
+  // Pairs of rows interleave lane by lane, then 128-bit chunks, then
+  // 256-bit halves.
+  __m512d t[8];
+  for (int i = 0; i < 8; i += 2) {
+    t[i] = _mm512_unpacklo_pd(r[i].v, r[i + 1].v);
+    t[i + 1] = _mm512_unpackhi_pd(r[i].v, r[i + 1].v);
+  }
+  const __m512i even = _mm512_setr_epi64(0, 1, 8, 9, 4, 5, 12, 13);
+  const __m512i odd = _mm512_setr_epi64(2, 3, 10, 11, 6, 7, 14, 15);
+  __m512d u[8];
+  for (int i = 0; i < 8; i += 4) {
+    u[i] = _mm512_permutex2var_pd(t[i], even, t[i + 2]);
+    u[i + 1] = _mm512_permutex2var_pd(t[i + 1], even, t[i + 3]);
+    u[i + 2] = _mm512_permutex2var_pd(t[i], odd, t[i + 2]);
+    u[i + 3] = _mm512_permutex2var_pd(t[i + 1], odd, t[i + 3]);
+  }
+  for (int i = 0; i < 4; ++i) {
+    r[i].v = _mm512_shuffle_f64x2(u[i], u[i + 4], 0x44);
+    r[i + 4].v = _mm512_shuffle_f64x2(u[i], u[i + 4], 0xEE);
+  }
+}
+#endif
+
 // -------------------------------------------------------- span-level helpers
 // Lane-wise whole-range operations with scalar tails. Because every lane is
 // an independent output, these are bit-identical across backends by

@@ -783,4 +783,307 @@ TEST(Silhouette, ExactAndSampledMatchScanOracle) {
   EXPECT_EQ(draw.next(), replay.next());
 }
 
+// ----------------------------------- register assign kernel vs generic loop
+// kernels::assign_accumulate sends 8-d and 12-d points with k <= 2W to the
+// register-resident kernel; it must agree bit for bit with the generic
+// loop it stands in for, on every backend, at cluster counts on both sides
+// of one and two pack widths, with tied centroids (lowest index wins, also
+// across lane groups), NaN rows (index 0), a NaN centroid (never wins) and
+// point counts that are not multiples of anything.
+
+template <typename Backend>
+void check_register_assign_matches_generic(const char* name) {
+  constexpr std::size_t W = simd::pack<double, Backend>::width;
+  Rng rng(79);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const std::size_t dim : {8u, 12u, 5u}) {
+    for (const std::size_t k : {std::size_t{1}, std::size_t{2}, W - 1, W, W + 1,
+                                2 * W, 2 * W + 1}) {
+      if (k == 0) {
+        continue;
+      }
+      for (const std::size_t n : {1u, 7u, 37u, 101u}) {
+        for (int variant = 0; variant < 3; ++variant) {
+          std::vector<double> pts(n * dim);
+          for (double& v : pts) {
+            v = rng.uniform(-2.0, 2.0);
+          }
+          std::vector<double> cents(k * dim);
+          for (double& v : cents) {
+            v = rng.uniform(-2.0, 2.0);
+          }
+          if (variant == 1) {
+            // Every centroid a copy of centroid 0 or 1, and points sitting
+            // on the midpoint grid: ties everywhere, across lane groups.
+            for (std::size_t c = 2; c < k; ++c) {
+              std::copy_n(cents.begin() + static_cast<std::ptrdiff_t>((c % 2) * dim), dim,
+                          cents.begin() + static_cast<std::ptrdiff_t>(c * dim));
+            }
+            for (std::size_t i = 0; i < n; i += 2) {
+              std::fill_n(pts.begin() + static_cast<std::ptrdiff_t>(i * dim), dim, 0.0);
+            }
+            for (double& v : cents) {
+              v = std::round(v);
+            }
+          }
+          if (variant == 2) {
+            pts[(n / 2) * dim + dim - 1] = nan;
+            cents[(k / 2) * dim] = nan;
+          }
+          std::vector<std::size_t> carried(n);
+          for (std::size_t& a : carried) {
+            a = static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(k) - 1));
+          }
+          AssignOutput want{carried, std::vector<double>(k * dim, 0.5),
+                            std::vector<std::size_t>(k, 1), false};
+          AssignOutput got = want;
+          want.changed = kernels::assign_accumulate_generic<Backend>(
+              pts.data(), n, dim, cents.data(), k, want.assignment.data(),
+              want.sums.data(), want.counts.data());
+          got.changed = kernels::assign_accumulate<Backend>(
+              pts.data(), n, dim, cents.data(), k, got.assignment.data(),
+              got.sums.data(), got.counts.data());
+          ASSERT_EQ(got.assignment, want.assignment)
+              << name << ": dim=" << dim << " k=" << k << " n=" << n
+              << " variant=" << variant;
+          ASSERT_EQ(got.counts, want.counts) << name;
+          ASSERT_EQ(got.changed, want.changed) << name;
+          for (std::size_t i = 0; i < got.sums.size(); ++i) {
+            ASSERT_TRUE(same_double(got.sums[i], want.sums[i])) << name << ": sum " << i;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(KMeansSimdBackends, RegisterAssignMatchesGenericLoopOnEveryBackend) {
+  check_register_assign_matches_generic<simd::scalar_backend>("scalar");
+#if defined(__AVX2__)
+  check_register_assign_matches_generic<simd::avx2_backend>("avx2");
+#endif
+#if defined(__AVX512F__)
+  check_register_assign_matches_generic<simd::avx512_backend>("avx512");
+#endif
+}
+
+// ------------------------------------------------- k-means++ D² update
+// kernels::d2_update (lanes = points) must leave the D² array exactly as
+// the per-point scalar loop does, and kmeans_plus_plus_init must pick the
+// same centroids and leave the generator where the scalar seeding left it.
+
+/// The scalar seeding the vector update replaced, verbatim.
+Points reference_plus_plus_init(const Points& points, std::size_t k, Rng& rng) {
+  const std::size_t n = points.size();
+  const std::size_t dim = points.dim();
+  Points centroids;
+  centroids.push_back(
+      points[static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(n) - 1))]);
+  std::vector<double> d2(n, std::numeric_limits<double>::infinity());
+  while (centroids.size() < k) {
+    const std::vector<double> newest(centroids[centroids.size() - 1].begin(),
+                                     centroids[centroids.size() - 1].end());
+    double total = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double d = chain_sq_dist(points[i].data(), newest.data(), dim);
+      if (d < d2[i]) {
+        d2[i] = d;
+      }
+      total += d2[i];
+    }
+    std::size_t chosen = 0;
+    if (total <= 0.0) {
+      chosen = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+    } else {
+      chosen = rng.categorical(d2);
+    }
+    centroids.push_back(points[chosen]);
+  }
+  return centroids;
+}
+
+template <typename Backend>
+void check_d2_update(const char* name) {
+  constexpr std::size_t W = simd::pack<double, Backend>::width;
+  Rng rng(80);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const std::size_t dim : {1u, 5u, 8u, 12u}) {
+    for (const std::size_t n : {W, 3 * W, 40 * W}) {
+      const std::size_t stride = n + W;  // a row pitch wider than n
+      std::vector<double> cols(dim * stride, 0.0);
+      std::vector<double> rows(n * dim);
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t d = 0; d < dim; ++d) {
+          // Some rows equal the second centroid below (D² = 0), one holds
+          // +inf (D² = +inf) and one NaN (D² = NaN, which never lowers).
+          double v = i % 5 == 3 ? 0.25 : rng.uniform(-3.0, 3.0);
+          v = i == 1 && d == 0 ? inf : (i == n - 1 && d == dim - 1 ? nan : v);
+          rows[i * dim + d] = v;
+          cols[d * stride + i] = v;
+        }
+      }
+      std::vector<double> want(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        want[i] = i % 3 == 0 ? inf : rng.uniform(0.0, 40.0);
+      }
+      std::vector<double> got = want;
+      // Centroids: random, then one equal to some points, then one with a
+      // NaN coordinate.
+      for (int round = 0; round < 3; ++round) {
+        std::vector<double> newest(dim, 0.25);
+        if (round == 0) {
+          for (double& v : newest) {
+            v = rng.uniform(-3.0, 3.0);
+          }
+        } else if (round == 2) {
+          newest[dim / 2] = nan;
+        }
+        for (std::size_t i = 0; i < n; ++i) {
+          const double d = chain_sq_dist(rows.data() + i * dim, newest.data(), dim);
+          if (d < want[i]) {
+            want[i] = d;
+          }
+        }
+        kernels::d2_update<Backend>(cols.data(), stride, dim, newest.data(), n,
+                                    got.data());
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_TRUE(same_double(got[i], want[i]))
+              << name << ": dim=" << dim << " n=" << n << " round=" << round << " i=" << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(KMeansPlusPlus, D2UpdateMatchesScalarLoopOnEveryBackend) {
+  check_d2_update<simd::scalar_backend>("scalar");
+#if defined(__AVX2__)
+  check_d2_update<simd::avx2_backend>("avx2");
+#endif
+#if defined(__AVX512F__)
+  check_d2_update<simd::avx512_backend>("avx512");
+#endif
+}
+
+TEST(KMeansPlusPlus, SeedingMatchesScalarSeedingAndGeneratorState) {
+  Rng data(81);
+  for (const std::size_t dim : {1u, 8u, 12u, 13u}) {
+    for (const std::size_t n : {1u, 3u, 7u, 9u, 37u, 1000u}) {
+      for (int variant = 0; variant < 3; ++variant) {
+        Points points(n, dim);
+        double* rows = points.data();
+        for (std::size_t i = 0; i < n * dim; ++i) {
+          // variant 1: every point equal (the total <= 0 branch);
+          // variant 2: few distinct values, so D² ties and zeros abound.
+          rows[i] = variant == 1 ? 1.5
+                    : variant == 2 ? static_cast<double>(data.uniform_int(0, 2))
+                                   : data.uniform(-1.0, 1.0);
+        }
+        const std::size_t k = std::min<std::size_t>(n, 8);
+        Rng rng(500 + n + dim);
+        Rng replay(500 + n + dim);
+        const Points got = kmeans_plus_plus_init(points, k, rng);
+        const Points want = reference_plus_plus_init(points, k, replay);
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t c = 0; c < got.size(); ++c) {
+          for (std::size_t d = 0; d < dim; ++d) {
+            ASSERT_EQ(got[c][d], want[c][d])
+                << "dim=" << dim << " n=" << n << " variant=" << variant << " c=" << c;
+          }
+        }
+        EXPECT_EQ(rng.next(), replay.next()) << "dim=" << dim << " n=" << n;
+      }
+    }
+  }
+}
+
+// ------------------------------------------- pair-once exact silhouette
+// kernels::silhouette_sums_pairwise computes each unordered pair once; every
+// point's per-cluster sum must still equal silhouette_sums_row's ascending
+// chain, on every backend. Sizes straddle one block (L = 2W lanes); the
+// assignments cover singleton clusters, an empty cluster id, clusters that
+// straddle blocks (and fill whole partner tiles), duplicate points, and
+// +inf/-inf/NaN coordinates, including on rows that share a block.
+
+template <typename Backend>
+void check_pairwise_sums(const char* name) {
+  constexpr std::size_t L = 2 * simd::pack<double, Backend>::width;
+  Rng rng(95);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const std::size_t n : {std::size_t{1}, std::size_t{2}, L - 1, L, L + 1,
+                              std::size_t{37}, std::size_t{1000}}) {
+    for (const std::size_t dim : {3u, 12u}) {
+      for (const std::size_t k : {1u, 4u, 9u}) {
+        for (int variant = 0; variant < 3; ++variant) {
+          if (n == 1000 && (dim != 12 || k == 1)) {
+            continue;
+          }
+          std::vector<double> pts(n * dim);
+          for (double& v : pts) {
+            v = rng.uniform(-4.0, 4.0);
+          }
+          std::vector<std::size_t> assignment(n);
+          for (std::size_t i = 0; i < n; ++i) {
+            // Cluster k - 1 stays empty when k > 2 and cluster 0 holds
+            // point 0 alone; the rest are drawn.
+            assignment[i] = k <= 2 || i == 0
+                                ? std::min<std::size_t>(i, k - 1)
+                                : 1 + static_cast<std::size_t>(rng.uniform_int(
+                                          0, static_cast<std::int64_t>(k) - 3));
+          }
+          if (variant >= 1 && n > 2) {
+            // Duplicates: every fourth point copies its predecessor.
+            for (std::size_t i = 3; i < n; i += 4) {
+              std::copy_n(pts.begin() + static_cast<std::ptrdiff_t>((i - 1) * dim), dim,
+                          pts.begin() + static_cast<std::ptrdiff_t>(i * dim));
+            }
+          }
+          if (variant == 2) {
+            pts[(n / 2) * dim] = inf;
+            pts[(n / 3) * dim + dim - 1] = -inf;
+            pts[(n - 1) * dim] = nan;
+            if (n > 1) {
+              pts[1 * dim] = inf;  // same dimension as the +inf row
+            }
+          }
+          const ClusterMembers members = members_by_cluster(assignment, k);
+          std::vector<double> gathered(n * dim);
+          for (std::size_t m = 0; m < n; ++m) {
+            std::copy_n(pts.begin() + static_cast<std::ptrdiff_t>(members.ids[m] * dim), dim,
+                        gathered.begin() + static_cast<std::ptrdiff_t>(m * dim));
+          }
+          std::vector<double> got(n * k, -1.0);
+          kernels::silhouette_sums_pairwise<Backend>(pts.data(), dim, members.offsets.data(),
+                                                     members.ids.data(), k, got.data());
+          std::vector<double> want(k);
+          for (std::size_t i = 0; i < n; ++i) {
+            kernels::silhouette_sums_row(pts.data(), dim, gathered.data(),
+                                         members.offsets.data(), members.ids.data(), k, i,
+                                         want.data());
+            for (std::size_t c = 0; c < k; ++c) {
+              ASSERT_TRUE(same_double(got[i * k + c], want[c]))
+                  << name << ": n=" << n << " dim=" << dim << " k=" << k
+                  << " variant=" << variant << " point " << i << " cluster " << c
+                  << " got " << got[i * k + c] << " want " << want[c];
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SilhouetteSimdBackends, PairOnceSumsMatchRowChainOnEveryBackend) {
+  check_pairwise_sums<simd::scalar_backend>("scalar");
+#if defined(__AVX2__)
+  check_pairwise_sums<simd::avx2_backend>("avx2");
+#endif
+#if defined(__AVX512F__)
+  check_pairwise_sums<simd::avx512_backend>("avx512");
+#endif
+}
+
 }  // namespace
