@@ -1,71 +1,32 @@
 // Fleet demo: the multi-cell scenario library end-to-end.
 //
-// With no arguments, runs all four named workloads (steady-state, flash
-// crowd, mobility churn, catalog drift) on a reduced fleet and prints
-// their summary, then walks through the flash-crowd run interval by
-// interval so the surge is visible in the aggregate demand.
-//
-// With a config-file argument it becomes config-driven: the same
-// declarative INI files the `dtmsv_sim` CLI consumes (see configs/) select
-// the workloads, scale, seeds and pipeline stages, and the per-interval
-// walkthrough covers the first job of the plan.
+// Runs all four named workloads (steady-state, flash crowd, mobility
+// churn, catalog drift) on a reduced fleet through the library API and
+// prints their summary, then walks through the flash-crowd run interval by
+// interval so the surge is visible in the aggregate demand. To run a
+// workload from a config file instead, use `dtmsv_sim configs/<name>.ini`.
 //
 //   $ ./fleet_demo
-//   $ ./fleet_demo configs/flash_crowd.ini
-#include <fstream>
 #include <iostream>
-#include <memory>
-#include <vector>
+#include <string>
 
-#include "cli/scenario_loader.hpp"
-#include "core/json_sink.hpp"
 #include "core/scenarios.hpp"
-#include "util/config.hpp"
-#include "util/error.hpp"
-#include "util/parallel.hpp"
 #include "util/table.hpp"
 
 namespace {
 
 using namespace dtmsv;
 
-/// Streaming ReportSink watching the run live: per-group reports and
-/// handover events arrive as they happen, nothing is buffered.
+/// Streaming ReportSink watching the run live: per-group reports arrive
+/// as they happen, nothing is buffered.
 struct FleetWatcher final : core::ReportSink {
   std::size_t groups_seen = 0;
-  std::size_t handovers_seen = 0;
   void on_group(const core::GroupReport&, util::IntervalId) override {
     ++groups_seen;
   }
-  void on_handover(const core::HandoverEvent&) override { ++handovers_seen; }
 };
 
-/// Fans one report stream out to two sinks (the live watcher above plus an
-/// optional NDJSON file when the config sets [run] report) — sinks compose.
-struct TeeSink final : core::ReportSink {
-  core::ReportSink* first = nullptr;
-  core::ReportSink* second = nullptr;  // may be null
-  void on_group(const core::GroupReport& g, util::IntervalId i) override {
-    first->on_group(g, i);
-    if (second != nullptr) {
-      second->on_group(g, i);
-    }
-  }
-  void on_interval(const core::EpochReport& r) override {
-    first->on_interval(r);
-    if (second != nullptr) {
-      second->on_interval(r);
-    }
-  }
-  void on_handover(const core::HandoverEvent& e) override {
-    first->on_handover(e);
-    if (second != nullptr) {
-      second->on_handover(e);
-    }
-  }
-};
-
-void print_interval_detail(const cli::SimJob& job,
+void print_interval_detail(const std::string& label,
                            const core::ScenarioResult& result) {
   util::Table detail({"interval", "users", "grouped shards", "predicted MHz",
                       "actual MHz", "fleet err", "worst cell err"});
@@ -79,63 +40,12 @@ void print_interval_detail(const cli::SimJob& job,
          predicting ? util::percent(r.radio_error, 1) : "-",
          predicting ? util::percent(r.shard_radio_error.max(), 1) : "-"});
   }
-  detail.print("per-interval fleet aggregates: " + job.label);
+  detail.print("per-interval fleet aggregates: " + label);
 }
 
-int run_from_config(const std::string& path) {
-  util::Config config = util::Config::read_file(path);
-  cli::SimPlan plan = cli::load_plan(config);
-  if (plan.threads > 0) {
-    util::set_thread_count(plan.threads);
-  }
+}  // namespace
 
-  util::Table summary({"job", "peak users", "cells", "handovers",
-                       "radio accuracy", "compute accuracy"});
-  FleetWatcher watcher;
-  // Honor the config's [run] report key like dtmsv_sim does.
-  std::ofstream report_file;
-  std::unique_ptr<core::JsonReportSink> json;
-  if (!plan.report_path.empty()) {
-    report_file.open(plan.report_path);
-    if (!report_file) {
-      throw util::RuntimeError("cannot write NDJSON report to " +
-                               plan.report_path);
-    }
-    json = std::make_unique<core::JsonReportSink>(report_file);
-  }
-  TeeSink tee;
-  tee.first = &watcher;
-  tee.second = json.get();
-  std::vector<core::ScenarioResult> results;
-  results.reserve(plan.jobs.size());
-  for (const cli::SimJob& job : plan.jobs) {
-    results.push_back(core::run_scenario(job.scenario, &tee));
-    const core::ScenarioResult& result = results.back();
-    summary.add_row({job.label, std::to_string(result.peak_users),
-                     std::to_string(job.scenario.cell_count),
-                     std::to_string(result.handovers),
-                     util::percent(result.radio_accuracy, 1),
-                     util::percent(result.compute_accuracy, 1)});
-  }
-  summary.print("dtmsv fleet demo: " + path);
-  print_interval_detail(plan.jobs.front(), results.front());
-  std::cout << "\nstreamed group reports observed by the sink: "
-            << watcher.groups_seen << "\n"
-            << "streamed handover events observed by the sink: "
-            << watcher.handovers_seen << "\n";
-  if (json != nullptr) {
-    report_file.close();
-    if (report_file.fail()) {
-      throw util::RuntimeError("I/O error while writing NDJSON report to " +
-                               plan.report_path);
-    }
-    std::cout << json->record_count() << " NDJSON records written to "
-              << plan.report_path << "\n";
-  }
-  return 0;
-}
-
-int run_builtin() {
+int main() {
   constexpr std::size_t kUsers = 240;
   constexpr std::size_t kCells = 4;
 
@@ -157,32 +67,15 @@ int run_builtin() {
   // 2. Flash crowd in detail: per-interval fleet aggregates. The surge
   //    lands in interval 2, warms up, then its demand joins the totals.
   FleetWatcher watcher;
-  cli::SimJob crowd;
-  crowd.label = "flash_crowd";
-  crowd.scenario =
+  core::ScenarioConfig crowd =
       core::make_scenario(core::ScenarioKind::kFlashCrowd, kUsers, kCells, 7);
-  crowd.scenario.intervals = 6;
-  const core::ScenarioResult result = core::run_scenario(crowd.scenario, &watcher);
-  print_interval_detail(crowd, result);
+  crowd.intervals = 6;
+  const core::ScenarioResult result = core::run_scenario(crowd, &watcher);
+  print_interval_detail("flash_crowd", result);
 
   std::cout << "\nfleet radio demand prediction accuracy: "
             << util::percent(result.radio_accuracy, 2) << "\n"
             << "streamed group reports observed by the sink: "
             << watcher.groups_seen << "\n";
   return 0;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  if (argc > 2) {
-    std::cerr << "usage: fleet_demo [config.ini]\n";
-    return 1;
-  }
-  try {
-    return argc == 2 ? run_from_config(argv[1]) : run_builtin();
-  } catch (const std::exception& error) {
-    std::cerr << "fleet_demo: " << error.what() << "\n";
-    return 1;
-  }
 }

@@ -7,40 +7,6 @@
 
 namespace dtmsv::cli {
 
-namespace {
-
-std::string join(const std::vector<std::string>& items) {
-  std::string out;
-  for (const std::string& item : items) {
-    if (!out.empty()) {
-      out += ", ";
-    }
-    out += item;
-  }
-  return out;
-}
-
-/// Non-empty stage keys must resolve in the registry *before* the run, so a
-/// config typo fails with the key list instead of N intervals in.
-void check_stage_keys(const core::SchemeConfig& base) {
-  const core::StageRegistry& registry = core::StageRegistry::instance();
-  if (!base.feature_stage.empty() && !registry.has_feature(base.feature_stage)) {
-    throw util::RuntimeError("unknown feature stage '" + base.feature_stage +
-                             "' (known: " + join(registry.feature_keys()) + ")");
-  }
-  if (!base.grouping_stage.empty() &&
-      !registry.has_grouping(base.grouping_stage)) {
-    throw util::RuntimeError("unknown grouping stage '" + base.grouping_stage +
-                             "' (known: " + join(registry.grouping_keys()) + ")");
-  }
-  if (!base.demand_stage.empty() && !registry.has_demand(base.demand_stage)) {
-    throw util::RuntimeError("unknown demand stage '" + base.demand_stage +
-                             "' (known: " + join(registry.demand_keys()) + ")");
-  }
-}
-
-}  // namespace
-
 core::ScenarioKind parse_scenario_kind(const std::string& name) {
   for (const core::ScenarioKind kind : core::all_scenarios()) {
     if (core::to_string(kind) == name) {
@@ -52,7 +18,7 @@ core::ScenarioKind parse_scenario_kind(const std::string& name) {
     known.push_back(core::to_string(kind));
   }
   throw util::RuntimeError("unknown scenario kind '" + name +
-                           "' (known: " + join(known) + ")");
+                           "' (known: " + util::join(known) + ")");
 }
 
 SimPlan load_plan(util::Config& config) {
@@ -100,6 +66,7 @@ SimPlan load_plan(util::Config& config) {
 
   const bool stage_grid =
       features.size() > 1 || groupings.size() > 1 || demands.size() > 1;
+  const core::StageRegistry& registry = core::StageRegistry::instance();
 
   for (const std::string& kind_name : kinds) {
     const core::ScenarioKind kind = parse_scenario_kind(kind_name);
@@ -178,7 +145,9 @@ SimPlan load_plan(util::Config& config) {
               base.demand_stage = demand;
             }
             base.fixed_k = config.get_size_or("stages.fixed_k", base.fixed_k);
-            check_stage_keys(base);
+            registry.require_feature(base.feature_stage);
+            registry.require_grouping(base.grouping_stage);
+            registry.require_demand(base.demand_stage);
             core::validate(cfg);
 
             SimJob job;
@@ -205,12 +174,7 @@ SimPlan load_plan(util::Config& config) {
     }
   }
 
-  const std::vector<std::string> unread = config.unread_keys();
-  if (!unread.empty()) {
-    std::string message = "unknown config keys: ";
-    message += join(unread);
-    throw util::RuntimeError(message);
-  }
+  config.reject_unread_keys();
   return plan;
 }
 

@@ -1,9 +1,9 @@
 // Declarative scenario configs -> runnable scenario jobs.
 //
-// This is the mapping layer behind the `dtmsv_sim` CLI (tools/dtmsv_sim.cpp)
-// and the config-driven examples: a util::Config parsed from an INI file is
-// turned into one or more fully validated core::ScenarioConfig jobs, so a
-// new workload variation is a 15-line config instead of a recompiled .cpp.
+// This is the mapping layer behind the `dtmsv_sim` CLI (tools/dtmsv_sim.cpp):
+// a util::Config parsed from an INI file is turned into one or more fully
+// validated core::ScenarioConfig jobs, so a new workload variation is a
+// 15-line config instead of a recompiled .cpp.
 //
 // Recognised keys (all optional unless stated; defaults come from
 // core::make_scenario's smoke-friendly base):

@@ -8,21 +8,6 @@
 
 namespace dtmsv::cli {
 
-namespace {
-
-std::string join(const std::vector<std::string>& items) {
-  std::string out;
-  for (const std::string& item : items) {
-    if (!out.empty()) {
-      out += ", ";
-    }
-    out += item;
-  }
-  return out;
-}
-
-}  // namespace
-
 core::DegradationLevel parse_ladder_level(const std::string& item) {
   core::DegradationLevel level;
   level.name = item;
@@ -67,14 +52,8 @@ ServePlan load_serve_plan(util::Config& config) {
       scheme.session.engagement.catalog.videos_per_category);
 
   const auto& registry = core::StageRegistry::instance();
-  if (!registry.has_grouping(scheme.grouping_stage)) {
-    throw util::RuntimeError("unknown grouping stage '" + scheme.grouping_stage +
-                             "' (known: " + join(registry.grouping_keys()) + ")");
-  }
-  if (!registry.has_demand(scheme.demand_stage)) {
-    throw util::RuntimeError("unknown demand stage '" + scheme.demand_stage +
-                             "' (known: " + join(registry.demand_keys()) + ")");
-  }
+  registry.require_grouping(scheme.grouping_stage);
+  registry.require_demand(scheme.demand_stage);
 
   plan.intervals = config.get_size_or("serve.intervals", plan.intervals);
   if (plan.intervals == 0) {
@@ -91,11 +70,7 @@ ServePlan load_serve_plan(util::Config& config) {
     }
   }
   for (const core::DegradationLevel& level : plan.serve.degradation.ladder) {
-    if (!registry.has_feature(level.feature_stage)) {
-      throw util::RuntimeError("serve.ladder: unknown feature stage '" +
-                               level.feature_stage +
-                               "' (known: " + join(registry.feature_keys()) + ")");
-    }
+    registry.require_feature(level.feature_stage);
   }
   plan.serve.degradation.step_down_after = config.get_size_or(
       "serve.step_down_after", plan.serve.degradation.step_down_after);
@@ -129,10 +104,7 @@ ServePlan load_serve_plan(util::Config& config) {
 
   core::validate(plan.serve);
 
-  const std::vector<std::string> unread = config.unread_keys();
-  if (!unread.empty()) {
-    throw util::RuntimeError("unknown config key(s): " + join(unread));
-  }
+  config.reject_unread_keys();
   return plan;
 }
 

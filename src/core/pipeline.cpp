@@ -15,6 +15,7 @@
 #include "nn/serialize.hpp"
 #include "predict/channel_predictor.hpp"
 #include "twin/store.hpp"
+#include "util/config.hpp"
 #include "util/error.hpp"
 
 namespace dtmsv::core {
@@ -250,16 +251,6 @@ class PerMemberDemandStage final : public DemandStage {
   predict::DemandModelConfig demand_;
 };
 
-std::string known_keys_hint(const std::vector<std::string>& keys) {
-  std::string hint = " (known keys:";
-  for (const auto& k : keys) {
-    hint += ' ';
-    hint += k;
-  }
-  hint += ')';
-  return hint;
-}
-
 }  // namespace
 
 // ----------------------------------------------------------------- registry
@@ -286,9 +277,8 @@ struct StageRegistry::Impl {
     const std::scoped_lock lock(mutex);
     const auto it = map.find(key);
     if (it == map.end()) {
-      throw util::RuntimeError(std::string("StageRegistry: unknown ") + kind +
-                               " stage key \"" + key + "\"" +
-                               known_keys_hint(keys_of(map)));
+      throw util::RuntimeError(std::string("unknown ") + kind + " stage '" + key +
+                               "' (known: " + util::join(keys_of(map)) + ")");
     }
     return it->second;
   }
@@ -396,6 +386,16 @@ bool StageRegistry::has_grouping(const std::string& key) const {
 bool StageRegistry::has_demand(const std::string& key) const {
   const std::scoped_lock lock(impl_->mutex);
   return impl_->demand.count(key) > 0;
+}
+
+void StageRegistry::require_feature(const std::string& key) const {
+  impl_->find(impl_->feature, "feature", key);
+}
+void StageRegistry::require_grouping(const std::string& key) const {
+  impl_->find(impl_->grouping, "grouping", key);
+}
+void StageRegistry::require_demand(const std::string& key) const {
+  impl_->find(impl_->demand, "demand", key);
 }
 
 std::unique_ptr<FeatureStage> StageRegistry::make_feature(const std::string& key,

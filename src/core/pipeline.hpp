@@ -339,6 +339,13 @@ class StageRegistry {
   bool has_grouping(const std::string& key) const;
   bool has_demand(const std::string& key) const;
 
+  /// Throw util::RuntimeError "unknown <kind> stage '<key>' (known: a, b)"
+  /// unless `key` is registered: config loaders check their keys before a
+  /// run, so a typo fails at load instead of intervals in.
+  void require_feature(const std::string& key) const;
+  void require_grouping(const std::string& key) const;
+  void require_demand(const std::string& key) const;
+
   std::unique_ptr<FeatureStage> make_feature(const std::string& key,
                                              const SchemeConfig& config,
                                              util::Rng& rng) const;

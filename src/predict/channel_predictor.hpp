@@ -3,8 +3,7 @@
 // interval efficiency is the minimum of its members' predictions.
 //
 // Histories arrive as twin::ChannelSeries — the zero-copy per-user view
-// over the columnar twin store (twin/columns.hpp); the query surface
-// matches the old AttributeSeries exactly.
+// over the columnar twin store (twin/columns.hpp).
 #pragma once
 
 #include <memory>

@@ -36,8 +36,8 @@ void validate_window_spec(const WindowSpec& spec) {
 
 /// The seed's per-channel resample: bin means over [from, now) with
 /// zero-order hold through empty bins (zeros before the first sample).
-/// Sums were accumulated oldest-first, so the division and hold chain
-/// reproduce the AttributeSeries-era floats bit for bit.
+/// Sums are accumulated oldest-first, so the division and hold chain give
+/// the same floats as a per-sample walk over one user's series.
 void hold_write(float* out, std::size_t channel, std::size_t bins,
                 const double* sums, const std::size_t* counts) {
   float hold = 0.0f;

@@ -4,7 +4,8 @@
 // columns.hpp) and one PreferenceEstimator per user. Batch extraction
 // into a FeatureArena extracts every user's row on the thread pool; rows
 // are extracted independently (deterministic for any DTMSV_THREADS) with
-// arithmetic bit-identical to the seed's per-twin AttributeSeries path.
+// arithmetic bit-identical to one twin's UserDigitalTwin::feature_window /
+// summary_features.
 #pragma once
 
 #include <cstddef>

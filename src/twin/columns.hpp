@@ -17,12 +17,12 @@
 // recycling (ring emptied, no allocation, nothing freed) instead of object
 // replacement.
 //
-// SeriesView<Column> adapts one user's ring back to the AttributeSeries
-// surface (size/latest/window/staleness/iteration, values materialised as
-// Stamped<T> on access), so twin consumers — channel predictors, swiping
-// aggregation, tests — read either storage through the same idioms,
-// including the eviction-truncation contract (truncated_before /
-// window_query, see twin/series.hpp).
+// SeriesView<Column> gives one user's ring a series surface (size/latest/
+// window/staleness/iteration, values materialised as Stamped<T> on access)
+// for twin consumers — channel predictors, swiping aggregation, tests —
+// including the eviction-truncation contract: a window query whose `from`
+// predates the evicted range says so (truncated_before / window_query)
+// instead of silently returning a shorter window.
 #pragma once
 
 #include <algorithm>
@@ -36,11 +36,26 @@
 #include "behavior/preference.hpp"
 #include "mobility/campus_map.hpp"
 #include "twin/observations.hpp"
-#include "twin/series.hpp"
 #include "util/clock.hpp"
 #include "util/error.hpp"
 
 namespace dtmsv::twin {
+
+/// A timestamped observation.
+template <typename T>
+struct Stamped {
+  util::SimTime time = 0.0;
+  T value{};
+};
+
+/// Window query result that reports eviction truncation: `truncated` is
+/// true when samples with time >= `from` were already evicted, i.e. the
+/// returned window is missing history the caller asked for.
+template <typename T>
+struct WindowQuery {
+  std::vector<Stamped<T>> samples;
+  bool truncated = false;
+};
 
 /// Ring bookkeeping shared by every attribute column: the time lane, the
 /// per-user {head, size} ring state, the eviction metadata backing the
@@ -423,8 +438,8 @@ class PreferenceColumn : public RingColumnBase<PreferenceColumn> {
   std::array<std::vector<double>, video::kCategoryCount> weights_;
 };
 
-/// Read view of one user's ring inside a column, with the AttributeSeries
-/// query surface. Values are materialised Stamped<T> copies — the view
+/// Read view of one user's ring inside a column, with a series query
+/// surface. Values are materialised Stamped<T> copies — the view
 /// never exposes interior pointers, so it stays valid across appends (it
 /// re-reads the ring on every call) and costs nothing to copy.
 template <typename Column>
@@ -468,7 +483,7 @@ class SeriesView {
     return out;
   }
 
-  /// Window query reporting eviction truncation (twin/series.hpp contract).
+  /// Window query reporting eviction truncation (see WindowQuery).
   WindowQuery<typename Column::value_type> window_query(util::SimTime from,
                                                         util::SimTime to) const {
     return {window(from, to), truncated_before(from)};

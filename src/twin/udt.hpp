@@ -5,13 +5,11 @@
 // Since the columnar refactor a UserDigitalTwin is a handle: the histories
 // live in a TwinColumnStore (SoA ring buffers shared by the whole cell,
 // twin/column_store.hpp) and the accessors return SeriesView adapters with
-// the familiar series surface. A standalone twin (tests, single-user
-// tooling) owns a private one-user store, so the ingestion/query API is
-// unchanged from the AttributeSeries era. Retention is not: a standalone
-// twin's fixed rings size per attribute (ColumnCapacities::scaled —
-// location/watch/preference keep 1/4-1/16 of the channel capacity,
-// matching the collector's report rates), where the deque era gave every
-// attribute the full capacity; the stores Simulation and ServeLoop build
+// a series surface (size/latest/window/staleness). A standalone twin
+// (tests, single-user tooling) owns a private one-user store whose fixed
+// rings size per attribute (ColumnCapacities::scaled — location/watch/
+// preference keep 1/4-1/16 of the channel capacity, matching the
+// collector's report rates); the stores Simulation and ServeLoop build
 // retain by time instead (RetentionSpan).
 #pragma once
 

@@ -164,6 +164,17 @@ std::uint64_t parse_uint64(const std::string& text, const std::string& what) {
   return static_cast<std::uint64_t>(parsed);
 }
 
+std::string join(const std::vector<std::string>& items) {
+  std::string out;
+  for (const std::string& item : items) {
+    if (!out.empty()) {
+      out += ", ";
+    }
+    out += item;
+  }
+  return out;
+}
+
 std::uint64_t Config::get_uint64(const std::string& key) const {
   return parse_uint64(get(key), "config key '" + key + "'");
 }
@@ -259,6 +270,13 @@ std::vector<std::string> Config::unread_keys() const {
     }
   }
   return out;
+}
+
+void Config::reject_unread_keys() const {
+  const std::vector<std::string> unread = unread_keys();
+  if (!unread.empty()) {
+    throw RuntimeError("unknown config keys: " + join(unread));
+  }
 }
 
 std::string Config::to_string() const {

@@ -36,6 +36,10 @@ namespace dtmsv::util {
 /// primitive behind Config::get_uint64, exposed for command-line values.
 std::uint64_t parse_uint64(const std::string& text, const std::string& what);
 
+/// "a, b, c": the items joined by ", ", as error messages list known or
+/// offending keys.
+std::string join(const std::vector<std::string>& items);
+
 class Config {
  public:
   /// Parses INI text; throws RuntimeError with a line number on malformed
@@ -77,6 +81,9 @@ class Config {
   /// Keys present in the file that no getter ever touched — the loader's
   /// typo guard.
   std::vector<std::string> unread_keys() const;
+  /// Throws RuntimeError listing unread_keys() unless there are none; a
+  /// loader calls it after its last getter.
+  void reject_unread_keys() const;
 
   std::size_t size() const { return values_.size(); }
 

@@ -1,26 +1,27 @@
 #include "util/parallel.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
+
+#include "util/error.hpp"
 
 namespace dtmsv::util {
 
 namespace {
 
 std::size_t default_thread_count() {
-  if (const char* env = std::getenv("DTMSV_THREADS")) {
-    const long parsed = std::strtol(env, nullptr, 10);
-    if (parsed >= 1) {
-      return static_cast<std::size_t>(parsed);
-    }
+  if (const std::size_t env = thread_count_from_env(std::getenv("DTMSV_THREADS"))) {
+    return env;
   }
   const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<std::size_t>(hw);
+  return std::clamp<std::size_t>(hw, 1, kMaxThreads);
 }
 
 std::atomic<std::size_t> g_override{0};
@@ -165,7 +166,19 @@ std::size_t thread_count() {
 }
 
 void set_thread_count(std::size_t n) {
+  DTMSV_EXPECTS_MSG(n <= kMaxThreads, "set_thread_count: at most kMaxThreads (" +
+                                          std::to_string(kMaxThreads) + ") threads");
   g_override.store(n, std::memory_order_relaxed);
+}
+
+std::size_t thread_count_from_env(const char* text) {
+  if (text == nullptr) {
+    return 0;
+  }
+  const long parsed = std::strtol(text, nullptr, 10);
+  return parsed >= 1 && static_cast<unsigned long>(parsed) <= kMaxThreads
+             ? static_cast<std::size_t>(parsed)
+             : 0;
 }
 
 void parallel_for(std::size_t begin, std::size_t end, std::size_t min_grain,

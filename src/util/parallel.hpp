@@ -11,7 +11,7 @@
 //   1. explicit set_thread_count(n) (benches use this for scaling runs),
 //   2. the DTMSV_THREADS environment variable,
 //   3. std::thread::hardware_concurrency().
-// A count of 1 (or a range below `grain`) runs inline with zero overhead.
+// Every source is capped at kMaxThreads. A count of 1 (or a range below `grain`) runs inline with zero overhead.
 #pragma once
 
 #include <cstddef>
@@ -51,12 +51,23 @@ class ChunkFn {
 /// on one thread.
 inline constexpr std::size_t kParallelMinMadds = std::size_t{1} << 20;
 
+/// Largest pool size. The pool starts its workers on demand and never stops
+/// them, so a count taken from outside input (a typo such as 100000) would
+/// otherwise start that many OS threads; 256 is well past the cores any
+/// stage here scales to.
+inline constexpr std::size_t kMaxThreads = 256;
+
 /// Number of worker threads the pool will use (see resolution order above).
 std::size_t thread_count();
 
 /// Overrides the pool size; n == 0 restores the env/hardware default.
-/// Takes effect on the next parallel_for call.
+/// Takes effect on the next parallel_for call. Requires n <= kMaxThreads.
 void set_thread_count(std::size_t n);
+
+/// The pool size a DTMSV_THREADS value asks for: its leading integer when
+/// that lies in [1, kMaxThreads], else 0 (use the hardware default). A null
+/// `text` (variable unset) gives 0.
+std::size_t thread_count_from_env(const char* text);
 
 /// Runs fn(begin_i, end_i) over disjoint contiguous chunks covering
 /// [begin, end). Chunk boundaries depend only on (begin, end, thread

@@ -1,6 +1,5 @@
-// Unit tests for dtmsv::twin — attribute-series semantics (ordering,
-// eviction, windows, staleness, truncation reporting), the columnar
-// ring-buffer store (SoA layout, slot recycling, pooled arena extraction
+// Unit tests for dtmsv::twin — series semantics (ordering, eviction,
+// windows, staleness, truncation reporting), the columnar ring-buffer store (SoA layout, slot recycling, pooled arena extraction
 // and its thread-count invariance), UDT feature extraction,
 // the twin store, and the per-attribute collector including loss/latency
 // failure injection.
@@ -19,7 +18,6 @@
 #include "predict/channel_predictor.hpp"
 #include "twin/collector.hpp"
 #include "twin/column_store.hpp"
-#include "twin/series.hpp"
 #include "twin/store.hpp"
 #include "twin/udt.hpp"
 #include "util/error.hpp"
@@ -33,98 +31,6 @@ using namespace dtmsv::twin;
 using dtmsv::util::PreconditionError;
 using dtmsv::util::Rng;
 
-// ---------------------------------------------------------- AttributeSeries
-
-TEST(AttributeSeries, RecordAndLatest) {
-  AttributeSeries<double> series(8);
-  EXPECT_TRUE(series.empty());
-  series.record(1.0, 10.0);
-  series.record(2.0, 20.0);
-  EXPECT_EQ(series.size(), 2u);
-  EXPECT_DOUBLE_EQ(series.latest().value, 20.0);
-  EXPECT_DOUBLE_EQ(series.oldest().value, 10.0);
-}
-
-TEST(AttributeSeries, RejectsTimeTravel) {
-  AttributeSeries<int> series(4);
-  series.record(5.0, 1);
-  EXPECT_THROW(series.record(4.0, 2), PreconditionError);
-  series.record(5.0, 3);  // equal timestamps allowed
-}
-
-TEST(AttributeSeries, EvictsOldestAtCapacity) {
-  AttributeSeries<int> series(3);
-  for (int i = 0; i < 5; ++i) {
-    series.record(static_cast<double>(i), i);
-  }
-  EXPECT_EQ(series.size(), 3u);
-  EXPECT_EQ(series.oldest().value, 2);
-  EXPECT_EQ(series.latest().value, 4);
-}
-
-TEST(AttributeSeries, WindowQueryHalfOpen) {
-  AttributeSeries<int> series(16);
-  for (int i = 0; i < 10; ++i) {
-    series.record(static_cast<double>(i), i);
-  }
-  const auto window = series.window(3.0, 7.0);
-  ASSERT_EQ(window.size(), 4u);  // t = 3,4,5,6
-  EXPECT_EQ(window.front().value, 3);
-  EXPECT_EQ(window.back().value, 6);
-}
-
-TEST(AttributeSeries, EmptyWindow) {
-  AttributeSeries<int> series(4);
-  series.record(10.0, 1);
-  EXPECT_TRUE(series.window(0.0, 5.0).empty());
-  EXPECT_TRUE(series.window(11.0, 20.0).empty());
-}
-
-TEST(AttributeSeries, Staleness) {
-  AttributeSeries<int> series(4);
-  EXPECT_TRUE(std::isinf(series.staleness(0.0)));
-  series.record(10.0, 1);
-  EXPECT_DOUBLE_EQ(series.staleness(15.0), 5.0);
-  EXPECT_DOUBLE_EQ(series.staleness(5.0), 0.0);  // clamped
-}
-
-TEST(AttributeSeries, EmptyAccessRejected) {
-  AttributeSeries<int> series(4);
-  EXPECT_THROW(series.latest(), PreconditionError);
-  EXPECT_THROW(series.oldest(), PreconditionError);
-}
-
-TEST(AttributeSeries, ZeroCapacityRejected) {
-  EXPECT_THROW(AttributeSeries<int>(0), PreconditionError);
-}
-
-TEST(AttributeSeries, WindowQueryReportsCapacityTruncation) {
-  AttributeSeries<int> series(3);
-  for (int i = 0; i < 6; ++i) {
-    series.record(static_cast<double>(i), i);  // retained: t=3,4,5; evicted: 0,1,2
-  }
-  // A query starting inside the evicted range must say so instead of
-  // silently returning the shorter retained window.
-  EXPECT_TRUE(series.truncated_before(0.0));
-  EXPECT_TRUE(series.truncated_before(2.0));   // t=2 was evicted
-  EXPECT_FALSE(series.truncated_before(2.5));  // everything >= 2.5 retained
-  const auto truncated = series.window_query(0.0, 10.0);
-  EXPECT_TRUE(truncated.truncated);
-  ASSERT_EQ(truncated.samples.size(), 3u);
-  EXPECT_EQ(truncated.samples.front().value, 3);
-  const auto covered = series.window_query(3.0, 10.0);
-  EXPECT_FALSE(covered.truncated);
-  EXPECT_EQ(covered.samples.size(), 3u);
-  // Before any eviction, nothing is truncated.
-  AttributeSeries<int> fresh(8);
-  fresh.record(1.0, 1);
-  EXPECT_FALSE(fresh.truncated_before(0.0));
-  EXPECT_FALSE(fresh.window_query(0.0, 2.0).truncated);
-  // clear() forgets the eviction history along with the samples.
-  series.clear();
-  EXPECT_FALSE(series.truncated_before(0.0));
-}
-
 // ------------------------------------------------------- columnar rings
 
 TEST(TwinColumnStore, RingEvictsOldestAndReportsTruncation) {
@@ -137,7 +43,8 @@ TEST(TwinColumnStore, RingEvictsOldestAndReportsTruncation) {
   EXPECT_EQ(series.capacity(), 3u);
   EXPECT_DOUBLE_EQ(series.oldest().time, 3.0);
   EXPECT_DOUBLE_EQ(series.latest().value.snr_db, 5.0);
-  // Same truncation contract as AttributeSeries.
+  // A query starting inside the evicted range must say so instead of
+  // silently returning the shorter retained window.
   EXPECT_TRUE(series.truncated_before(2.0));
   EXPECT_FALSE(series.truncated_before(3.0));
   const auto query = series.window_query(0.0, 10.0);
@@ -145,9 +52,18 @@ TEST(TwinColumnStore, RingEvictsOldestAndReportsTruncation) {
   ASSERT_EQ(query.samples.size(), 3u);
   EXPECT_DOUBLE_EQ(query.samples.front().value.snr_db, 3.0);
   EXPECT_FALSE(series.window_query(3.0, 10.0).truncated);
+  // Windows before and after the retained samples are empty.
+  EXPECT_TRUE(series.window(0.0, 3.0).empty());
+  EXPECT_TRUE(series.window(6.0, 10.0).empty());
+  EXPECT_DOUBLE_EQ(series.staleness(8.0), 3.0);
+  EXPECT_DOUBLE_EQ(series.staleness(4.0), 0.0);  // clamped
   // The neighbouring user's ring is untouched (fixed-stride slots).
-  EXPECT_TRUE(store.channel(1).empty());
-  EXPECT_FALSE(store.channel(1).truncated_before(0.0));
+  const ChannelSeries empty = store.channel(1);
+  EXPECT_TRUE(empty.empty());
+  EXPECT_FALSE(empty.truncated_before(0.0));
+  EXPECT_TRUE(std::isinf(empty.staleness(0.0)));
+  EXPECT_THROW(empty.latest(), PreconditionError);
+  EXPECT_THROW(empty.oldest(), PreconditionError);
 }
 
 TEST(TwinColumnStore, RingRejectsTimeTravelPerUser) {
@@ -901,6 +817,7 @@ TEST(RetainingRing, ZeroSpanIsAFixedRingAndBadSpansAreRejected) {
   }
   EXPECT_EQ(fixed.capacity(), 2u);
   EXPECT_EQ(fixed.size(0), 2u);
+  EXPECT_THROW(ChannelColumn(1, 0), PreconditionError);
   EXPECT_THROW(ChannelColumn(1, 2, -1.0), PreconditionError);
   EXPECT_THROW(ChannelColumn(1, 2, std::numeric_limits<double>::quiet_NaN()),
                PreconditionError);

@@ -1,6 +1,6 @@
 // Unit tests for dtmsv::util — RNG determinism and distribution moments,
 // streaming statistics, histograms, CSV round-trips, table rendering,
-// clock arithmetic, and error-check macros.
+// clock arithmetic, error-check macros, and the thread-count ceiling.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,6 +16,7 @@
 #include "util/clock.hpp"
 #include "util/csv.hpp"
 #include "util/error.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -936,6 +937,33 @@ TEST(Error, ExpectsMacroThrowsWithContext) {
 
 TEST(Error, EnsuresMacroThrowsInvariant) {
   EXPECT_THROW(DTMSV_ENSURES(false), InvariantError);
+}
+
+// ------------------------------------------------------------ thread count
+
+TEST(ThreadCount, EnvValueOutsideOneToTheCeilingFallsBackToTheDefault) {
+  using dtmsv::util::kMaxThreads;
+  using dtmsv::util::thread_count_from_env;
+  EXPECT_EQ(thread_count_from_env(nullptr), 0u);
+  EXPECT_EQ(thread_count_from_env(""), 0u);
+  EXPECT_EQ(thread_count_from_env("abc"), 0u);
+  EXPECT_EQ(thread_count_from_env("0"), 0u);
+  EXPECT_EQ(thread_count_from_env("-3"), 0u);
+  EXPECT_EQ(thread_count_from_env("1"), 1u);
+  EXPECT_EQ(thread_count_from_env("4"), 4u);
+  EXPECT_EQ(thread_count_from_env("4threads"), 4u);  // leading integer, as strtol
+  EXPECT_EQ(thread_count_from_env("256"), kMaxThreads);
+  EXPECT_EQ(thread_count_from_env("257"), 0u);
+  EXPECT_EQ(thread_count_from_env("100000"), 0u);
+  EXPECT_EQ(thread_count_from_env("99999999999999999999999"), 0u);  // overflow
+}
+
+TEST(ThreadCount, SetThreadCountRejectsCountsAboveTheCeiling) {
+  // Rejected before it is stored, so no worker ever starts for it.
+  const std::size_t before = dtmsv::util::thread_count();
+  EXPECT_THROW(dtmsv::util::set_thread_count(dtmsv::util::kMaxThreads + 1),
+               dtmsv::util::PreconditionError);
+  EXPECT_EQ(dtmsv::util::thread_count(), before);
 }
 
 }  // namespace

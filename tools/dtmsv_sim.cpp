@@ -11,124 +11,40 @@
 //   $ dtmsv_sim configs/flash_crowd.ini --out flash_crowd.ndjson
 //   $ dtmsv_sim configs/ablation_grid.ini --set scenario.total_users=96
 #include <chrono>
-#include <fstream>
 #include <iostream>
-#include <ostream>
 #include <string>
 #include <vector>
 
+#include "cli/front_end.hpp"
 #include "cli/scenario_loader.hpp"
 #include "core/json_sink.hpp"
 #include "core/pipeline.hpp"
 #include "core/scenarios.hpp"
 #include "util/config.hpp"
-#include "util/error.hpp"
-#include "util/parallel.hpp"
-#include "util/simd.hpp"
 #include "util/table.hpp"
 
 namespace {
 
-constexpr int kExitOk = 0;
-constexpr int kExitRuntime = 1;  // config/runtime failure
-constexpr int kExitUsage = 2;    // bad command line
-
-void print_usage(std::ostream& out) {
-  out << "usage: dtmsv_sim <config.ini> [options]\n"
-         "\n"
-         "Runs the scenario(s) described by an INI config file (see configs/)\n"
-         "through the multi-cell fleet, streaming NDJSON reports and printing\n"
-         "a summary table per job.\n"
-         "\n"
-         "options:\n"
-         "  --out PATH       stream NDJSON records to PATH ('-' = stdout);\n"
-         "                   overrides the config's [run] report key\n"
-         "  --set KEY=VALUE  override a config key (repeatable), e.g.\n"
-         "                   --set scenario.total_users=96\n"
-         "  --threads N      thread-pool size (overrides [run] threads;\n"
-         "                   0 = hardware default)\n"
-         "  --print-config   print the effective config after overrides, then exit\n"
-         "  --list-stages    print the registered pipeline stage keys, then exit\n"
-         "  --quiet          suppress the summary tables\n"
-         "  --help           show this text\n"
-         "\n"
-         "exit status: 0 success, 1 config/runtime error, 2 usage error\n";
-}
-
-struct Options {
-  std::string config_path;
-  std::string out_path;  // --out; empty = config's [run] report (or none)
-  bool out_path_set = false;
-  std::vector<std::string> overrides;  // KEY=VALUE
-  std::size_t threads = 0;
-  bool threads_set = false;
-  bool print_config = false;
-  bool list_stages = false;
-  bool quiet = false;
-};
-
-/// Returns false (after printing the problem) on a malformed command line.
-bool parse_args(int argc, char** argv, Options& options, bool& help) {
-  const auto value_of = [&](int& i, const std::string& flag,
-                            std::string& out) -> bool {
-    if (i + 1 >= argc) {
-      std::cerr << "dtmsv_sim: " << flag << " needs a value\n";
-      return false;
-    }
-    out = argv[++i];
-    return true;
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") {
-      help = true;
-      return true;
-    } else if (arg == "--out") {
-      if (!value_of(i, arg, options.out_path)) {
-        return false;
-      }
-      options.out_path_set = true;
-    } else if (arg == "--set") {
-      std::string pair;
-      if (!value_of(i, arg, pair)) {
-        return false;
-      }
-      if (pair.find('=') == std::string::npos) {
-        std::cerr << "dtmsv_sim: --set expects KEY=VALUE, got '" << pair << "'\n";
-        return false;
-      }
-      options.overrides.push_back(pair);
-    } else if (arg == "--threads") {
-      std::string n;
-      if (!value_of(i, arg, n)) {
-        return false;
-      }
-      try {
-        options.threads =
-            static_cast<std::size_t>(dtmsv::util::parse_uint64(n, "--threads"));
-      } catch (const dtmsv::util::RuntimeError& error) {
-        std::cerr << "dtmsv_sim: " << error.what() << "\n";
-        return false;
-      }
-      options.threads_set = true;
-    } else if (arg == "--print-config") {
-      options.print_config = true;
-    } else if (arg == "--list-stages") {
-      options.list_stages = true;
-    } else if (arg == "--quiet") {
-      options.quiet = true;
-    } else if (!arg.empty() && arg.front() == '-') {
-      std::cerr << "dtmsv_sim: unknown option '" << arg << "'\n";
-      return false;
-    } else if (options.config_path.empty()) {
-      options.config_path = arg;
-    } else {
-      std::cerr << "dtmsv_sim: unexpected argument '" << arg << "'\n";
-      return false;
-    }
-  }
-  return true;
-}
+constexpr const char* kUsage =
+    "usage: dtmsv_sim <config.ini> [options]\n"
+    "\n"
+    "Runs the scenario(s) described by an INI config file (see configs/)\n"
+    "through the multi-cell fleet, streaming NDJSON reports and printing\n"
+    "a summary table per job.\n"
+    "\n"
+    "options:\n"
+    "  --out PATH       stream NDJSON records to PATH ('-' = stdout);\n"
+    "                   overrides the config's [run] report key\n"
+    "  --set KEY=VALUE  override a config key (repeatable), e.g.\n"
+    "                   --set scenario.total_users=96\n"
+    "  --threads N      thread-pool size (overrides [run] threads;\n"
+    "                   0 = hardware default)\n"
+    "  --print-config   print the effective config after overrides, then exit\n"
+    "  --list-stages    print the registered pipeline stage keys, then exit\n"
+    "  --quiet          suppress the summary tables\n"
+    "  --help           show this text\n"
+    "\n"
+    "exit status: 0 success, 1 config/runtime error, 2 usage error\n";
 
 void list_stages() {
   const auto& registry = dtmsv::core::StageRegistry::instance();
@@ -148,24 +64,20 @@ void list_stages() {
 /// {"type":"run",...} header so every job's records are self-describing
 /// even when several grid jobs share one NDJSON file.
 void write_run_meta(dtmsv::core::JsonReportSink& sink,
-                    const dtmsv::cli::SimJob& job, std::size_t threads) {
+                    const dtmsv::cli::SimJob& job) {
   using dtmsv::core::json_string;
   const dtmsv::core::ScenarioConfig& s = job.scenario;
-  sink.meta("run",
-            {{"label", json_string(job.label)},
-             {"scenario", json_string(dtmsv::core::to_string(s.kind))},
-             {"seed", std::to_string(s.seed)},
-             {"total_users", std::to_string(s.total_users)},
-             {"cell_count", std::to_string(s.cell_count)},
-             {"intervals", std::to_string(s.intervals)},
-             {"threads", std::to_string(threads)},
-             {"simd_backend",
-              json_string(dtmsv::util::simd::active_backend_name())},
-             {"native_arch",
-              json_string(dtmsv::util::simd::native_arch_build() ? "on" : "off")},
-             {"feature_stage", json_string(feature_stage_key(s.base))},
-             {"grouping_stage", json_string(grouping_stage_key(s.base))},
-             {"demand_stage", json_string(demand_stage_key(s.base))}});
+  dtmsv::cli::write_run_meta(
+      sink,
+      {{"label", json_string(job.label)},
+       {"scenario", json_string(dtmsv::core::to_string(s.kind))},
+       {"seed", std::to_string(s.seed)},
+       {"total_users", std::to_string(s.total_users)},
+       {"cell_count", std::to_string(s.cell_count)},
+       {"intervals", std::to_string(s.intervals)}},
+      {{"feature_stage", json_string(feature_stage_key(s.base))},
+       {"grouping_stage", json_string(grouping_stage_key(s.base))},
+       {"demand_stage", json_string(demand_stage_key(s.base))}});
 }
 
 void write_summary_meta(dtmsv::core::JsonReportSink& sink,
@@ -183,127 +95,56 @@ void write_summary_meta(dtmsv::core::JsonReportSink& sink,
              {"wall_s", json_number(wall_s)}});
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+void run(dtmsv::util::Config& config, const dtmsv::cli::Options& options) {
   using namespace dtmsv;
+  cli::SimPlan plan = cli::load_plan(config);
+  cli::ReportStream report = cli::start_run(options, plan.threads, plan.report_path);
 
-  Options options;
-  bool help = false;
-  if (!parse_args(argc, argv, options, help)) {
-    std::cerr << "\n";
-    print_usage(std::cerr);
-    return kExitUsage;
-  }
-  if (help) {
-    print_usage(std::cout);
-    return kExitOk;
-  }
-  if (options.list_stages) {
-    list_stages();
-    return kExitOk;
-  }
-  if (options.config_path.empty()) {
-    std::cerr << "dtmsv_sim: missing config file\n\n";
-    print_usage(std::cerr);
-    return kExitUsage;
-  }
-
-  try {
-    util::Config config = util::Config::read_file(options.config_path);
-    for (const std::string& pair : options.overrides) {
-      const std::size_t eq = pair.find('=');
-      config.set(pair.substr(0, eq), pair.substr(eq + 1));
-    }
-    if (options.print_config) {
-      std::cout << config.to_string();
-      return kExitOk;
-    }
-
-    cli::SimPlan plan = cli::load_plan(config);
-    if (options.out_path_set) {
-      plan.report_path = options.out_path;
-    }
-    if (options.threads_set) {
-      plan.threads = options.threads;
-    }
-    if (plan.threads > 0) {
-      util::set_thread_count(plan.threads);
-    }
-
-    std::ofstream report_file;
-    std::ostream* report_stream = nullptr;
-    if (plan.report_path == "-") {
-      report_stream = &std::cout;
-    } else if (!plan.report_path.empty()) {
-      report_file.open(plan.report_path);
-      if (!report_file) {
-        throw util::RuntimeError("cannot write NDJSON report to " +
-                                 plan.report_path);
-      }
-      report_stream = &report_file;
-    }
-
-    util::Table summary({"job", "peak users", "cells", "handovers",
-                         "radio accuracy", "compute accuracy", "wall s"});
-    std::size_t records = 0;
-    for (const cli::SimJob& job : plan.jobs) {
-      const auto started = std::chrono::steady_clock::now();
-      core::ScenarioResult result;
-      if (report_stream != nullptr) {
-        core::JsonReportSink sink(*report_stream);
-        write_run_meta(sink, job, plan.threads);
-        result = core::run_scenario(job.scenario, &sink);
-        const double wall_s =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          started)
-                .count();
-        write_summary_meta(sink, job, result, wall_s);
-        records += sink.record_count();
-      } else {
-        result = core::run_scenario(job.scenario);
-      }
+  util::Table summary({"job", "peak users", "cells", "handovers",
+                       "radio accuracy", "compute accuracy", "wall s"});
+  std::size_t records = 0;
+  for (const cli::SimJob& job : plan.jobs) {
+    const auto started = std::chrono::steady_clock::now();
+    core::ScenarioResult result;
+    if (report.stream() != nullptr) {
+      core::JsonReportSink sink(*report.stream());
+      write_run_meta(sink, job);
+      result = core::run_scenario(job.scenario, &sink);
       const double wall_s =
           std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                         started)
               .count();
-      summary.add_row({job.label, std::to_string(result.peak_users),
-                       std::to_string(job.scenario.cell_count),
-                       std::to_string(result.handovers),
-                       util::percent(result.radio_accuracy, 1),
-                       util::percent(result.compute_accuracy, 1),
-                       util::fixed(wall_s, 2)});
+      write_summary_meta(sink, job, result, wall_s);
+      records += sink.record_count();
+    } else {
+      result = core::run_scenario(job.scenario);
     }
-
-    // Flush (and for files, close) before checking: a failure in the final
-    // buffer flush must not produce a truncated report with exit 0.
-    if (report_stream == &report_file && report_file.is_open()) {
-      report_file.close();
-    } else if (report_stream != nullptr) {
-      report_stream->flush();
-    }
-    if (report_stream != nullptr &&
-        (report_stream->fail() || report_stream->bad())) {
-      throw util::RuntimeError("I/O error while writing NDJSON report to " +
-                               (plan.report_path == "-" ? "stdout"
-                                                        : plan.report_path));
-    }
-    if (!options.quiet) {
-      // With records streaming to stdout the human-readable output moves to
-      // stderr so the NDJSON stays machine-parseable.
-      std::ostream& info = plan.report_path == "-" ? std::cerr : std::cout;
-      info << "\n== dtmsv_sim: " << options.config_path << " ("
-           << plan.jobs.size() << " job" << (plan.jobs.size() == 1 ? "" : "s")
-           << ") ==\n"
-           << summary.to_string();
-      if (!plan.report_path.empty()) {
-        info << "\n" << records << " NDJSON records written to "
-             << (plan.report_path == "-" ? "stdout" : plan.report_path) << "\n";
-      }
-    }
-    return kExitOk;
-  } catch (const std::exception& error) {
-    std::cerr << "dtmsv_sim: " << error.what() << "\n";
-    return kExitRuntime;
+    const double wall_s =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - started)
+            .count();
+    summary.add_row({job.label, std::to_string(result.peak_users),
+                     std::to_string(job.scenario.cell_count),
+                     std::to_string(result.handovers),
+                     util::percent(result.radio_accuracy, 1),
+                     util::percent(result.compute_accuracy, 1),
+                     util::fixed(wall_s, 2)});
   }
+  report.finish();
+
+  if (!options.quiet) {
+    std::ostream& info = report.info();
+    info << "\n== dtmsv_sim: " << options.config_path << " (" << plan.jobs.size()
+         << " job" << (plan.jobs.size() == 1 ? "" : "s") << ") ==\n"
+         << summary.to_string();
+    if (report.stream() != nullptr) {
+      info << "\n" << records << " NDJSON records written to " << report.name()
+           << "\n";
+    }
+  }
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return dtmsv::cli::run_main({"dtmsv_sim", kUsage, list_stages}, argc, argv, run);
 }
