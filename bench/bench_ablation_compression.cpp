@@ -10,7 +10,7 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "twin/udt.hpp"
+#include "twin/column_store.hpp"
 
 namespace {
 
@@ -39,7 +39,7 @@ ModeResult run_mode(const std::string& name, const std::string& stage_key,
     result.feature_dim = config.compressor.embedding_dim;
   } else if (stage_key == "raw") {
     result.feature_dim =
-        twin::UserDigitalTwin::kFeatureChannels * config.feature_timesteps;
+        twin::TwinColumnStore::kFeatureChannels * config.feature_timesteps;
   } else {
     result.feature_dim = 6 + video::kCategoryCount;
   }

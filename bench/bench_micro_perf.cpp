@@ -26,7 +26,6 @@
 #include "predict/demand.hpp"
 #include "rl/ddqn.hpp"
 #include "twin/column_store.hpp"
-#include "twin/store.hpp"
 #include "twin/udt.hpp"
 #include "util/parallel.hpp"
 #include "util/vmath.hpp"
@@ -87,9 +86,8 @@ std::vector<float> random_window_data(std::size_t n, std::size_t size,
 
 /// Populates a twin store with a paper-shaped 600 s history per user:
 /// 1 Hz channel reports, 0.2 Hz location, sparse watch/preference samples.
-void populate_store(twin::TwinStore& store, util::Rng& rng) {
-  twin::TwinColumnStore& columns = store.columns();
-  for (std::size_t u = 0; u < store.user_count(); ++u) {
+void populate_store(twin::TwinColumnStore& columns, util::Rng& rng) {
+  for (std::size_t u = 0; u < columns.user_count(); ++u) {
     for (int t = 0; t < 600; ++t) {
       columns.record_channel(u, t, {rng.uniform(0.0, 25.0), rng.uniform(0.1, 5.0), 0});
       if (t % 5 == 0) {
@@ -262,13 +260,13 @@ double populate_full_rings(twin::TwinColumnStore& columns, util::Rng& rng) {
 
 void BM_TwinSnapshotFull(benchmark::State& state) {
   const auto users = static_cast<std::size_t>(state.range(0));
-  twin::TwinStore store(users);
+  twin::TwinColumnStore columns(users, 2048);
   util::Rng rng(31);
-  populate_store(store, rng);
+  populate_store(columns, rng);
   twin::FeatureArena arena;
   const twin::WindowSpec spec{600.0, 600.0, 32, {1200.0, 1000.0, 10.0, 40.0}};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(store.columns().feature_windows(spec, arena));
+    benchmark::DoNotOptimize(columns.feature_windows(spec, arena));
   }
   state.counters["rows/iter"] = static_cast<double>(users);
 }
@@ -278,13 +276,13 @@ BENCHMARK(BM_TwinSnapshotFull)->Arg(120)->Arg(10000);
 // (2048 channel slots) at capacity, read through a 60 s window.
 void BM_TwinSummaryFullRing(benchmark::State& state) {
   const auto users = static_cast<std::size_t>(state.range(0));
-  twin::TwinStore store(users);
+  twin::TwinColumnStore columns(users, 2048);
   util::Rng rng(33);
-  const double now = populate_full_rings(store.columns(), rng) + 1.0;
+  const double now = populate_full_rings(columns, rng) + 1.0;
   twin::FeatureArena arena;
   const twin::SummarySpec spec{now, 60.0, {1200.0, 1000.0, 10.0, 40.0}};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(store.columns().summary_features(spec, arena));
+    benchmark::DoNotOptimize(columns.summary_features(spec, arena));
   }
   state.counters["rows/iter"] = static_cast<double>(users);
 }
@@ -306,29 +304,6 @@ void BM_DdqnAct(benchmark::State& state) {
       static_cast<double>(allocs) / static_cast<double>(state.iterations()));
 }
 BENCHMARK(BM_DdqnAct);
-
-void BM_DdqnActBatched(benchmark::State& state) {
-  const auto users = static_cast<std::size_t>(state.range(0));
-  rl::DdqnConfig cfg;
-  cfg.state_dim = 20;
-  cfg.action_count = 11;
-  rl::DdqnAgent agent(cfg, 8);
-  util::Rng rng(26);
-  std::vector<float> states(users * 20);
-  for (float& v : states) {
-    v = static_cast<float>(rng.uniform());
-  }
-  benchmark::DoNotOptimize(agent.greedy_actions(states, users));  // warm
-  const std::uint64_t allocs_before = g_alloc_count.load(std::memory_order_relaxed);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(agent.greedy_actions(states, users));
-  }
-  const std::uint64_t allocs = g_alloc_count.load(std::memory_order_relaxed) - allocs_before;
-  state.counters["allocs/iter"] = benchmark::Counter(
-      static_cast<double>(allocs) / static_cast<double>(state.iterations()));
-  state.counters["users/iter"] = static_cast<double>(users);
-}
-BENCHMARK(BM_DdqnActBatched)->Arg(120)->Arg(1000);
 
 void BM_DdqnTrainStep(benchmark::State& state) {
   rl::DdqnConfig cfg;
@@ -352,27 +327,30 @@ void BM_DdqnTrainStep(benchmark::State& state) {
 BENCHMARK(BM_DdqnTrainStep);
 
 void BM_UdtIngestChannelSample(benchmark::State& state) {
-  twin::UserDigitalTwin udt(0);
+  twin::TwinColumnStore columns(1, 2048);
   double t = 0.0;
   for (auto _ : state) {
-    udt.record_channel(t, {12.0, 2.5, 0});
+    columns.record_channel(0, t, {12.0, 2.5, 0});
     t += 1.0;
   }
 }
 BENCHMARK(BM_UdtIngestChannelSample);
 
 void BM_FeatureWindowExtract(benchmark::State& state) {
-  twin::UserDigitalTwin udt(0);
+  twin::TwinColumnStore columns(1, 2048);
   util::Rng rng(11);
   for (int t = 0; t < 600; ++t) {
-    udt.record_channel(t, {rng.uniform(0.0, 25.0), rng.uniform(0.0, 5.0), 0});
+    columns.record_channel(0, t, {rng.uniform(0.0, 25.0), rng.uniform(0.0, 5.0), 0});
     if (t % 5 == 0) {
-      udt.record_location(t, {rng.uniform(0.0, 1200.0), rng.uniform(0.0, 1000.0)});
+      columns.record_location(0, t, {rng.uniform(0.0, 1200.0), rng.uniform(0.0, 1000.0)});
     }
   }
-  const twin::FeatureScaling scaling{1200.0, 1000.0, 10.0, 40.0};
+  const twin::WindowSpec spec{600.0, 600.0, 32, {1200.0, 1000.0, 10.0, 40.0}};
+  std::vector<float> row(twin::TwinColumnStore::kFeatureChannels * spec.timesteps);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(udt.feature_window(600.0, 600.0, 32, scaling));
+    columns.extract_window_row(0, spec, row.data());
+    benchmark::DoNotOptimize(row.data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_FeatureWindowExtract);
@@ -455,17 +433,20 @@ BENCHMARK(BM_SimdExp);
 
 void BM_GroupChannelForecast(benchmark::State& state) {
   util::Rng rng(14);
-  std::vector<twin::UserDigitalTwin> twins;
-  std::vector<const twin::UserDigitalTwin*> ptrs;
   const auto members = static_cast<std::size_t>(state.range(0));
+  std::vector<twin::TwinColumnStore> stores;  // one one-user store per member
+  std::vector<twin::UserDigitalTwin> twins;
+  stores.reserve(members);
   twins.reserve(members);
   for (std::size_t u = 0; u < members; ++u) {
-    twins.emplace_back(u);
-  }
-  for (auto& t : twins) {
+    twin::TwinColumnStore& columns = stores.emplace_back(1, 2048);
     for (int s = 0; s < 600; ++s) {
-      t.record_channel(s, {rng.uniform(0.0, 25.0), rng.uniform(0.1, 5.0), 0});
+      columns.record_channel(0, s, {rng.uniform(0.0, 25.0), rng.uniform(0.1, 5.0), 0});
     }
+    twins.emplace_back(&columns, 0);
+  }
+  std::vector<const twin::UserDigitalTwin*> ptrs;
+  for (const twin::UserDigitalTwin& t : twins) {
     ptrs.push_back(&t);
   }
   for (auto _ : state) {
@@ -479,12 +460,17 @@ BENCHMARK(BM_GroupChannelForecast)->Arg(15)->Arg(60);
 // 60 s window (160 members: 1000 users in ~6 groups).
 void BM_GroupChannelForecastFullRing(benchmark::State& state) {
   const auto members = static_cast<std::size_t>(state.range(0));
-  twin::TwinStore store(members);
+  twin::TwinColumnStore columns(members, 2048);
   util::Rng rng(34);
-  const double now = populate_full_rings(store.columns(), rng) + 1.0;
-  std::vector<const twin::UserDigitalTwin*> ptrs;
+  const double now = populate_full_rings(columns, rng) + 1.0;
+  std::vector<twin::UserDigitalTwin> twins;
+  twins.reserve(members);
   for (std::size_t u = 0; u < members; ++u) {
-    ptrs.push_back(&store.twin(u));
+    twins.emplace_back(&columns, u);
+  }
+  std::vector<const twin::UserDigitalTwin*> ptrs;
+  for (const twin::UserDigitalTwin& t : twins) {
+    ptrs.push_back(&t);
   }
   for (auto _ : state) {
     benchmark::DoNotOptimize(predict::forecast_group_channel(ptrs, now, 60.0));

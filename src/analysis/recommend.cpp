@@ -16,10 +16,10 @@ behavior::PreferenceVector aggregate_group_preference(
     DTMSV_EXPECTS(member != nullptr);
     // Weight each member by the evidence behind its estimate so fresh twins
     // with little history do not dilute the group profile.
-    const double weight = std::max(1.0, member->preference_estimator().evidence_seconds());
-    const behavior::PreferenceVector est =
-        member->preference().empty() ? member->preference_estimator().estimate()
-                                     : member->preference().latest().value;
+    const twin::TwinColumnStore& columns = member->columns();
+    const double weight =
+        std::max(1.0, columns.estimator(member->slot()).evidence_seconds());
+    const behavior::PreferenceVector est = columns.latest_preference(member->slot());
     for (std::size_t c = 0; c < acc.size(); ++c) {
       acc[c] += weight * est[c];
     }

@@ -32,8 +32,9 @@ struct RecommenderConfig {
   double popularity_weight = 0.7;
 };
 
-/// Aggregates member preference estimates into a group preference
-/// (evidence-weighted mean of each member's twin estimate).
+/// Aggregates member preferences into a group preference: the
+/// evidence-weighted mean of each member's
+/// TwinColumnStore::latest_preference.
 behavior::PreferenceVector aggregate_group_preference(
     const std::vector<const twin::UserDigitalTwin*>& members);
 

@@ -148,7 +148,7 @@ SimPlan load_plan(util::Config& config) {
             registry.require_feature(base.feature_stage);
             registry.require_grouping(base.grouping_stage);
             registry.require_demand(base.demand_stage);
-            core::validate(cfg);
+            util::validate_input([&cfg] { core::validate(cfg); });
 
             SimJob job;
             job.label = kind_name;

@@ -64,8 +64,9 @@ core::ScenarioKind parse_scenario_kind(const std::string& name);
 
 /// Builds the run plan. Reads every recognised key from `config` and then
 /// rejects the file if any key was left unread. Stage keys are validated
-/// against core::StageRegistry; numeric values are range-checked by
-/// core::validate at Simulation construction.
+/// against core::StageRegistry and every job against core::validate; a
+/// rejected value throws util::RuntimeError carrying the check's message
+/// alone.
 SimPlan load_plan(util::Config& config);
 
 }  // namespace dtmsv::cli

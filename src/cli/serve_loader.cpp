@@ -102,7 +102,7 @@ ServePlan load_serve_plan(util::Config& config) {
     throw util::RuntimeError("workload.overload_multiplier must be finite and positive");
   }
 
-  core::validate(plan.serve);
+  util::validate_input([&plan] { core::validate(plan.serve); });
 
   config.reject_unread_keys();
   return plan;

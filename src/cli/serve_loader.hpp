@@ -36,7 +36,9 @@ struct ServePlan {
 core::DegradationLevel parse_ladder_level(const std::string& item);
 
 /// Builds the plan, validating everything (registry keys, ladder syntax,
-/// positive budgets) and throwing util::RuntimeError on unknown keys.
+/// core::validate's ranges) and throwing util::RuntimeError on unknown
+/// keys or rejected values; a range error carries core::validate's message
+/// alone.
 ServePlan load_serve_plan(util::Config& config);
 
 }  // namespace dtmsv::cli

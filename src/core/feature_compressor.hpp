@@ -25,7 +25,7 @@ namespace dtmsv::core {
 
 /// Compressor hyperparameters.
 struct CompressorConfig {
-  std::size_t channels = 11;      // twin::UserDigitalTwin::kFeatureChannels
+  std::size_t channels = 11;      // twin::TwinColumnStore::kFeatureChannels
   std::size_t timesteps = 32;     // resampled window length
   std::size_t embedding_dim = 8;  // bottleneck width
   std::size_t conv1_filters = 16;

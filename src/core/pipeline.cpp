@@ -53,7 +53,7 @@ class CnnFeatureStage final : public FeatureStage {
  public:
   CnnFeatureStage(const SchemeConfig& config, util::Rng& rng) {
     CompressorConfig cc = config.compressor;
-    cc.channels = twin::UserDigitalTwin::kFeatureChannels;
+    cc.channels = twin::TwinColumnStore::kFeatureChannels;
     cc.timesteps = config.feature_timesteps;
     compressor_ = std::make_unique<FeatureCompressor>(cc, rng.fork(6).next());
   }

@@ -199,7 +199,7 @@ struct TwinSnapshot {
   bool force_full = false;
 
   /// All users' [kFeatureChannels x timesteps] windows, flat row-major.
-  /// Requires `arena`; bit-identical to the per-twin feature_window rows.
+  /// Requires `arena`; bit-identical to TwinColumnStore::extract_window_row.
   twin::WindowBatch feature_windows() const;
   /// All users' summary-feature rows, flat row-major. Requires `arena`.
   twin::SummaryBatch summary_features() const;

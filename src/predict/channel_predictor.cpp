@@ -2,35 +2,59 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <vector>
 
 #include "util/error.hpp"
 
 namespace dtmsv::predict {
 
-double LastValuePredictor::predict(
-    const twin::ChannelSeries& history, util::SimTime now,
-    double window_s, double fallback) const {
-  const auto window = history.window(now - window_s, now);
-  if (window.empty()) {
+namespace {
+
+/// Calls fn(time, efficiency) over `user`'s channel samples with time in
+/// [now - window_s, now), oldest first.
+template <typename Fn>
+void for_each_in_window(const twin::ChannelColumn& channel, std::size_t user,
+                        util::SimTime now, double window_s, Fn&& fn) {
+  const util::SimTime from = now - window_s;
+  DTMSV_EXPECTS(user < channel.user_count());
+  DTMSV_EXPECTS(from <= now);
+  const std::vector<double>& times = channel.times();
+  const std::vector<double>& efficiency = channel.efficiency();
+  channel.for_each_slot_in(user, from, now,
+                           [&](std::size_t at) { fn(times[at], efficiency[at]); });
+}
+
+}  // namespace
+
+double LastValuePredictor::predict(const twin::ChannelColumn& channel, std::size_t user,
+                                   util::SimTime now, double window_s,
+                                   double fallback) const {
+  std::size_t count = 0;
+  double last = 0.0;
+  for_each_in_window(channel, user, now, window_s, [&](double, double efficiency) {
+    ++count;
+    last = efficiency;
+  });
+  if (count == 0) {
     return fallback;
   }
-  return std::max(0.0, window.back().value.efficiency_bps_hz);
+  return std::max(0.0, last);
 }
 
 EwmaPredictor::EwmaPredictor(double alpha) : alpha_(alpha) {
   DTMSV_EXPECTS(alpha > 0.0 && alpha <= 1.0);
 }
 
-double EwmaPredictor::predict(
-    const twin::ChannelSeries& history, util::SimTime now,
-    double window_s, double fallback) const {
-  const auto window = history.window(now - window_s, now);
-  if (window.empty()) {
+double EwmaPredictor::predict(const twin::ChannelColumn& channel, std::size_t user,
+                              util::SimTime now, double window_s, double fallback) const {
+  std::size_t count = 0;
+  double value = 0.0;
+  for_each_in_window(channel, user, now, window_s, [&](double, double efficiency) {
+    value = count++ == 0 ? efficiency : alpha_ * efficiency + (1.0 - alpha_) * value;
+  });
+  if (count == 0) {
     return fallback;
-  }
-  double value = window.front().value.efficiency_bps_hz;
-  for (std::size_t i = 1; i < window.size(); ++i) {
-    value = alpha_ * window[i].value.efficiency_bps_hz + (1.0 - alpha_) * value;
   }
   return std::max(0.0, value);
 }
@@ -39,30 +63,32 @@ LinearTrendPredictor::LinearTrendPredictor(double horizon_s) : horizon_s_(horizo
   DTMSV_EXPECTS(horizon_s >= 0.0);
 }
 
-double LinearTrendPredictor::predict(
-    const twin::ChannelSeries& history, util::SimTime now,
-    double window_s, double fallback) const {
-  const auto window = history.window(now - window_s, now);
-  if (window.empty()) {
-    return fallback;
-  }
-  if (window.size() < 3) {
-    return std::max(0.0, window.back().value.efficiency_bps_hz);
-  }
+double LinearTrendPredictor::predict(const twin::ChannelColumn& channel, std::size_t user,
+                                     util::SimTime now, double window_s,
+                                     double fallback) const {
   // OLS on (t, efficiency), times centred at `now` for conditioning.
+  std::size_t count = 0;
+  double last = 0.0;
   double sx = 0.0;
   double sy = 0.0;
   double sxx = 0.0;
   double sxy = 0.0;
-  const auto n = static_cast<double>(window.size());
-  for (const auto& s : window) {
-    const double x = s.time - now;
-    const double y = s.value.efficiency_bps_hz;
+  for_each_in_window(channel, user, now, window_s, [&](double time, double efficiency) {
+    ++count;
+    last = efficiency;
+    const double x = time - now;
     sx += x;
-    sy += y;
+    sy += efficiency;
     sxx += x * x;
-    sxy += x * y;
+    sxy += x * efficiency;
+  });
+  if (count == 0) {
+    return fallback;
   }
+  if (count < 3) {
+    return std::max(0.0, last);
+  }
+  const auto n = static_cast<double>(count);
   const double denom = n * sxx - sx * sx;
   if (std::abs(denom) < 1e-12) {
     return std::max(0.0, sy / n);
@@ -72,18 +98,18 @@ double LinearTrendPredictor::predict(
   return std::max(0.0, intercept + slope * horizon_s_);
 }
 
-double MeanPredictor::predict(
-    const twin::ChannelSeries& history, util::SimTime now,
-    double window_s, double fallback) const {
-  const auto window = history.window(now - window_s, now);
-  if (window.empty()) {
+double MeanPredictor::predict(const twin::ChannelColumn& channel, std::size_t user,
+                              util::SimTime now, double window_s, double fallback) const {
+  std::size_t count = 0;
+  double total = 0.0;
+  for_each_in_window(channel, user, now, window_s, [&](double, double efficiency) {
+    ++count;
+    total += efficiency;
+  });
+  if (count == 0) {
     return fallback;
   }
-  double total = 0.0;
-  for (const auto& s : window) {
-    total += s.value.efficiency_bps_hz;
-  }
-  return std::max(0.0, total / static_cast<double>(window.size()));
+  return std::max(0.0, total / static_cast<double>(count));
 }
 
 double predict_group_efficiency(const std::vector<const twin::UserDigitalTwin*>& members,
@@ -94,7 +120,8 @@ double predict_group_efficiency(const std::vector<const twin::UserDigitalTwin*>&
   double worst = std::numeric_limits<double>::infinity();
   for (const auto* member : members) {
     DTMSV_EXPECTS(member != nullptr);
-    worst = std::min(worst, predictor.predict(member->channel(), now, window_s));
+    worst = std::min(worst, predictor.predict(member->columns().channel_column(),
+                                              member->slot(), now, window_s));
   }
   return std::max(worst, floor);
 }
@@ -124,9 +151,8 @@ GroupChannelForecast forecast_group_channel(
   for (const auto* member : members) {
     DTMSV_EXPECTS(member != nullptr);
     std::fill(member_series.begin(), member_series.end(), kUnset);
-    // Scan the columnar history directly — the time and efficiency lanes
-    // are flat arrays, so the per-bin pass streams instead of
-    // materialising a Stamped observation per sample.
+    // The time and efficiency lanes are flat arrays: the per-bin pass
+    // streams through them.
     const twin::ChannelColumn& column = member->columns().channel_column();
     const std::vector<double>& times = column.times();
     const std::vector<double>& efficiency = column.efficiency();

@@ -2,8 +2,9 @@
 // radio-side input to group demand prediction. A multicast group's next-
 // interval efficiency is the minimum of its members' predictions.
 //
-// Histories arrive as twin::ChannelSeries — the zero-copy per-user view
-// over the columnar twin store (twin/columns.hpp).
+// Histories are read straight from the twin store's channel column
+// (twin/columns.hpp): each predictor walks one user's window of the time
+// and efficiency lanes.
 #pragma once
 
 #include <memory>
@@ -14,7 +15,7 @@
 namespace dtmsv::predict {
 
 /// Predicts a user's mean spectral efficiency over the next interval from
-/// the channel series stored in their twin.
+/// their channel history in the twin store.
 class EfficiencyPredictor {
  public:
   virtual ~EfficiencyPredictor() = default;
@@ -22,10 +23,10 @@ class EfficiencyPredictor {
   EfficiencyPredictor(const EfficiencyPredictor&) = delete;
   EfficiencyPredictor& operator=(const EfficiencyPredictor&) = delete;
 
-  /// Prediction using samples in [now - window_s, now). Returns a
-  /// non-negative efficiency; implementations fall back to `fallback`
-  /// when the window is empty.
-  virtual double predict(const twin::ChannelSeries& history,
+  /// Prediction from `user`'s samples in `channel` with time in
+  /// [now - window_s, now). Returns a non-negative efficiency;
+  /// implementations fall back to `fallback` when the window is empty.
+  virtual double predict(const twin::ChannelColumn& channel, std::size_t user,
                          util::SimTime now, double window_s,
                          double fallback = 0.5) const = 0;
 
@@ -35,8 +36,8 @@ class EfficiencyPredictor {
 /// Uses the most recent sample only.
 class LastValuePredictor final : public EfficiencyPredictor {
  public:
-  double predict(const twin::ChannelSeries& history,
-                 util::SimTime now, double window_s, double fallback) const override;
+  double predict(const twin::ChannelColumn& channel, std::size_t user, util::SimTime now,
+                 double window_s, double fallback) const override;
   std::string name() const override { return "last-value"; }
 };
 
@@ -44,8 +45,8 @@ class LastValuePredictor final : public EfficiencyPredictor {
 class EwmaPredictor final : public EfficiencyPredictor {
  public:
   explicit EwmaPredictor(double alpha = 0.3);
-  double predict(const twin::ChannelSeries& history,
-                 util::SimTime now, double window_s, double fallback) const override;
+  double predict(const twin::ChannelColumn& channel, std::size_t user, util::SimTime now,
+                 double window_s, double fallback) const override;
   std::string name() const override { return "ewma"; }
 
  private:
@@ -58,8 +59,8 @@ class LinearTrendPredictor final : public EfficiencyPredictor {
  public:
   /// `horizon_s`: how far past `now` to extrapolate.
   explicit LinearTrendPredictor(double horizon_s = 150.0);
-  double predict(const twin::ChannelSeries& history,
-                 util::SimTime now, double window_s, double fallback) const override;
+  double predict(const twin::ChannelColumn& channel, std::size_t user, util::SimTime now,
+                 double window_s, double fallback) const override;
   std::string name() const override { return "linear-trend"; }
 
  private:
@@ -69,8 +70,8 @@ class LinearTrendPredictor final : public EfficiencyPredictor {
 /// Window mean (the simplest robust predictor).
 class MeanPredictor final : public EfficiencyPredictor {
  public:
-  double predict(const twin::ChannelSeries& history,
-                 util::SimTime now, double window_s, double fallback) const override;
+  double predict(const twin::ChannelColumn& channel, std::size_t user, util::SimTime now,
+                 double window_s, double fallback) const override;
   std::string name() const override { return "mean"; }
 };
 

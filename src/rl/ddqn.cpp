@@ -86,32 +86,6 @@ std::size_t DdqnAgent::greedy_action(std::span<const float> state) {
   return best;
 }
 
-const nn::Tensor& DdqnAgent::q_values_batch(std::span<const float> states, std::size_t n) {
-  DTMSV_EXPECTS(n > 0);
-  DTMSV_EXPECTS(states.size() == n * config_.state_dim);
-  batch_state_.resize({n, config_.state_dim});
-  std::copy(states.begin(), states.end(), batch_state_.data().begin());
-  return online_->forward(batch_state_);
-}
-
-std::vector<std::size_t> DdqnAgent::greedy_actions(std::span<const float> states,
-                                                   std::size_t n) {
-  const nn::Tensor& q = q_values_batch(states, n);
-  const float* rows = q.data().data();
-  std::vector<std::size_t> actions(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const float* row = rows + i * config_.action_count;
-    std::size_t best = 0;
-    for (std::size_t a = 1; a < config_.action_count; ++a) {
-      if (row[a] > row[best]) {
-        best = a;
-      }
-    }
-    actions[i] = best;
-  }
-  return actions;
-}
-
 std::size_t DdqnAgent::act(std::span<const float> state, bool explore) {
   // Only exploring calls consume the exploration budget: evaluation
   // rollouts (explore=false) must not decay the epsilon schedule.

@@ -68,21 +68,6 @@ class DdqnAgent {
   /// Q-values for a single state.
   std::vector<float> q_values(std::span<const float> state);
 
-  /// Q-values for `n` states packed row-major (n × state_dim floats) —
-  /// one forward pass for the whole fleet batch instead of n single-row
-  /// forwards, rows staged into a reused scratch tensor. Row i of the
-  /// returned [n, action_count] tensor is bit-identical to
-  /// q_values(states[i]) (the batch and single-row matmul paths share the
-  /// same per-element accumulation chain). The result is the online
-  /// network's output buffer, valid until its next forward.
-  const nn::Tensor& q_values_batch(std::span<const float> states, std::size_t n);
-
-  /// Greedy actions for a packed batch via one forward; ties resolve to
-  /// the lowest action index, matching greedy_action. Does not touch the
-  /// epsilon schedule.
-  std::vector<std::size_t> greedy_actions(std::span<const float> states,
-                                          std::size_t n);
-
   /// Stores a transition in the replay buffer.
   void observe(Transition t);
 
@@ -113,7 +98,6 @@ class DdqnAgent {
   std::size_t action_steps_ = 0;
   std::size_t train_steps_ = 0;
   nn::Tensor single_state_;  // reused [1, state_dim] staging for act/q_values
-  nn::Tensor batch_state_;   // reused [n, state_dim] staging for batch calls
 };
 
 }  // namespace dtmsv::rl

@@ -126,15 +126,15 @@ void TwinColumnStore::record_preference(std::size_t u, util::SimTime t,
   preference_.record(u, t, estimate);
 }
 
-void TwinColumnStore::decay_preference(std::size_t u) {
-  DTMSV_EXPECTS(u < user_count());
-  estimators_[u].decay();
-}
-
 void TwinColumnStore::decay_preferences() {
   for (behavior::PreferenceEstimator& estimator : estimators_) {
     estimator.decay();
   }
+}
+
+behavior::PreferenceVector TwinColumnStore::latest_preference(std::size_t u) const {
+  return preference_.empty(u) ? estimators_[u].estimate()
+                              : preference_.get(u, preference_.size(u) - 1);
 }
 
 void TwinColumnStore::reset_user(std::size_t u) {
@@ -275,9 +275,7 @@ void TwinColumnStore::extract_summary_row(std::size_t u, const SummarySpec& spec
   out[3] = y.empty() ? 0.0 : y.mean() / scaling.pos_y_scale;
   out[4] = frac.empty() ? 0.0 : frac.mean();
   out[5] = frac.empty() ? 0.0 : frac.stddev();
-  const behavior::PreferenceVector pref =
-      preference_.empty(u) ? estimators_[u].estimate()
-                           : preference_.get(u, preference_.size(u) - 1);
+  const behavior::PreferenceVector pref = latest_preference(u);
   for (std::size_t c = 0; c < pref.size(); ++c) {
     out[6 + c] = pref[c];
   }

@@ -4,8 +4,8 @@
 // columns.hpp) and one PreferenceEstimator per user. Batch extraction
 // into a FeatureArena extracts every user's row on the thread pool; rows
 // are extracted independently (deterministic for any DTMSV_THREADS) with
-// arithmetic bit-identical to one twin's UserDigitalTwin::feature_window /
-// summary_features.
+// arithmetic bit-identical to the single-row extract_window_row /
+// extract_summary_row.
 #pragma once
 
 #include <cstddef>
@@ -18,7 +18,7 @@
 
 namespace dtmsv::twin {
 
-/// Per-attribute capacities of fixed rings (standalone twins, tests,
+/// Per-attribute capacities of fixed rings (one-user stores, tests,
 /// micro-benchmarks); the defaults are also the ceilings of rings that
 /// retain by time (RetentionSpan). The lanes are dense (capacity stride per user), so
 /// paying channel-rate capacity for every attribute would multiply memory
@@ -77,27 +77,23 @@ class TwinColumnStore {
   void record_preference(std::size_t u, util::SimTime t,
                          const behavior::PreferenceVector& estimate);
 
-  /// Applies preference forgetting to one user / every user (once per
-  /// interval).
-  void decay_preference(std::size_t u);
+  /// Applies preference forgetting to every user (once per interval).
   void decay_preferences();
 
   /// Slot recycling for handover: the user's rings empty (O(1), nothing
   /// reallocated) and the estimator resets.
   void reset_user(std::size_t u);
 
-  // --- per-user reads ---
-  ChannelSeries channel(std::size_t u) const { return {&channel_, u}; }
-  LocationSeries location(std::size_t u) const { return {&location_, u}; }
-  WatchSeries watch(std::size_t u) const { return {&watch_, u}; }
-  PreferenceSeries preference(std::size_t u) const { return {&preference_, u}; }
+  // --- reads: every reader walks a column with for_each_slot_in and reads
+  // its flat value lanes ---
   const behavior::PreferenceEstimator& estimator(std::size_t u) const {
     return estimators_[u];
   }
+  /// User `u`'s current preference: the newest snapshot in the preference
+  /// ring, or the estimator's running estimate while the ring is empty.
+  /// Summary rows and group aggregation both read it.
+  behavior::PreferenceVector latest_preference(std::size_t u) const;
 
-  // --- raw column access for scan-heavy consumers (channel forecasting,
-  // swiping aggregation, out-of-tree kernels): for_each_slot_in + the flat
-  // value lanes avoid materialising a Stamped<T> per sample ---
   const ChannelColumn& channel_column() const { return channel_; }
   const LocationColumn& location_column() const { return location_; }
   const WatchColumn& watch_column() const { return watch_; }
@@ -105,16 +101,23 @@ class TwinColumnStore {
 
   // --- batch extraction into a pooled arena ---
 
-  /// Materialises every user's [kFeatureChannels x timesteps] window
-  /// (channel-major, zero-order hold — see UserDigitalTwin::feature_window)
-  /// into `arena` and returns a view over it.
+  /// Materialises every user's [kFeatureChannels x timesteps] window ending
+  /// at spec.now and spanning spec.window_s, resampled to spec.timesteps
+  /// uniform bins (row-major, channel-major order: the layout the 1D-CNN
+  /// consumes), into `arena` and returns a view over it. Channels:
+  ///   0: normalised SNR            1: spectral efficiency / 6
+  ///   2: normalised x              3: normalised y
+  ///   4: mean watch fraction       5..: preference weight per category
+  /// Empty bins carry the previous bin's value (zero-order hold; zeros
+  /// before the first sample).
   WindowBatch feature_windows(const WindowSpec& spec, FeatureArena& arena) const;
 
-  /// Summary-feature counterpart ([kSummaryDim] per user, see
-  /// UserDigitalTwin::summary_features).
+  /// Summary-feature counterpart ([kSummaryDim] per user, for stages that
+  /// skip the CNN): mean/std normalised SNR, mean position, mean/std watch
+  /// fraction, then latest_preference().
   SummaryBatch summary_features(const SummarySpec& spec, FeatureArena& arena) const;
 
-  /// Single-row extraction (standalone twins, spot checks). `out` must
+  /// Single-row extraction (one-user stores, spot checks). `out` must
   /// hold kFeatureChannels * spec.timesteps floats / kSummaryDim doubles.
   void extract_window_row(std::size_t u, const WindowSpec& spec, float* out) const;
   void extract_summary_row(std::size_t u, const SummarySpec& spec, double* out) const;

@@ -1,28 +1,27 @@
 // Columnar twin storage: per-attribute SoA ring buffers.
 //
-// The seed kept one std::deque<Stamped<T>> per attribute per user — every
-// window scan chased deque blocks and every handover reallocated a whole
-// UserDigitalTwin. Here each attribute holds ONE contiguous time column and
-// one contiguous column per value field, spanning all users with a common
-// `capacity` stride: user u's slots live at [u*capacity, (u+1)*capacity),
-// managed as a ring (head + size, oldest evicted first). A fixed ring keeps
-// its capacity; a ring that retains by time (retain_s > 0) evicts only
-// samples older than retain_s before the newest one and doubles the stride
-// (up to a ceiling) when it fills with younger ones, so memory follows what
-// a window can read rather than a worst-case slot count. Per-user times are
-// non-decreasing and finite (push_slot enforces both), so a windowed read
-// (for_each_slot_in) binary-searches the ring for its first sample and walks
-// only the window: O(log capacity + samples in window), whatever the
-// retention. Extraction kernels scan plain double arrays; reset_user is slot
-// recycling (ring emptied, no allocation, nothing freed) instead of object
-// replacement.
+// The seed kept one std::deque of timestamped samples per attribute per
+// user — every window scan chased deque blocks and every handover
+// reallocated a whole twin object. Here each attribute holds ONE
+// contiguous time column and one contiguous column per value field,
+// spanning all users with a common `capacity` stride: user u's slots live
+// at [u*capacity, (u+1)*capacity), managed as a ring (head + size, oldest
+// evicted first). A fixed ring keeps its capacity; a ring that retains by
+// time (retain_s > 0) evicts only samples older than retain_s before the
+// newest one and doubles the stride (up to a ceiling) when it fills with
+// younger ones, so memory follows what a window can read rather than a
+// worst-case slot count. Per-user times are non-decreasing and finite
+// (push_slot enforces both), so a windowed read (for_each_slot_in)
+// binary-searches the ring for its first sample and walks only the window:
+// O(log capacity + samples in window), whatever the retention. Extraction
+// kernels scan plain double arrays; reset_user is slot recycling (ring
+// emptied, no allocation, nothing freed) instead of object replacement.
 //
-// SeriesView<Column> gives one user's ring a series surface (size/latest/
-// window/staleness/iteration, values materialised as Stamped<T> on access)
-// for twin consumers — channel predictors, swiping aggregation, tests —
-// including the eviction-truncation contract: a window query whose `from`
-// predates the evicted range says so (truncated_before / window_query)
-// instead of silently returning a shorter window.
+// Every reader walks a user's window with for_each_slot_in and reads the
+// flat value lanes (or at_slot) at each physical slot, so no sample is
+// copied out first. truncated_before carries the eviction-truncation
+// contract: it says when a window whose `from` predates the evicted range
+// is missing history, instead of letting the shorter window pass silently.
 #pragma once
 
 #include <algorithm>
@@ -40,22 +39,6 @@
 #include "util/error.hpp"
 
 namespace dtmsv::twin {
-
-/// A timestamped observation.
-template <typename T>
-struct Stamped {
-  util::SimTime time = 0.0;
-  T value{};
-};
-
-/// Window query result that reports eviction truncation: `truncated` is
-/// true when samples with time >= `from` were already evicted, i.e. the
-/// returned window is missing history the caller asked for.
-template <typename T>
-struct WindowQuery {
-  std::vector<Stamped<T>> samples;
-  bool truncated = false;
-};
 
 /// Ring bookkeeping shared by every attribute column: the time lane, the
 /// per-user {head, size} ring state, the eviction metadata backing the
@@ -437,105 +420,5 @@ class PreferenceColumn : public RingColumnBase<PreferenceColumn> {
 
   std::array<std::vector<double>, video::kCategoryCount> weights_;
 };
-
-/// Read view of one user's ring inside a column, with a series query
-/// surface. Values are materialised Stamped<T> copies — the view
-/// never exposes interior pointers, so it stays valid across appends (it
-/// re-reads the ring on every call) and costs nothing to copy.
-template <typename Column>
-class SeriesView {
- public:
-  using value_type = Stamped<typename Column::value_type>;
-
-  SeriesView(const Column* column, std::size_t user)
-      : column_(column), user_(user) {}
-
-  std::size_t size() const { return column_->size(user_); }
-  bool empty() const { return column_->empty(user_); }
-  std::size_t capacity() const { return column_->capacity(); }
-
-  value_type operator[](std::size_t i) const {
-    return {column_->time(user_, i), column_->get(user_, i)};
-  }
-
-  value_type latest() const {
-    DTMSV_EXPECTS(!empty());
-    return (*this)[size() - 1];
-  }
-
-  value_type oldest() const {
-    DTMSV_EXPECTS(!empty());
-    return (*this)[0];
-  }
-
-  bool truncated_before(util::SimTime from) const {
-    return column_->truncated_before(user_, from);
-  }
-
-  /// Samples with time in [from, to), oldest first.
-  std::vector<value_type> window(util::SimTime from, util::SimTime to) const {
-    DTMSV_EXPECTS(from <= to);
-    std::vector<value_type> out;
-    const std::vector<double>& times = column_->times();
-    column_->for_each_slot_in(user_, from, to, [&](std::size_t at) {
-      out.push_back({times[at], column_->at_slot(at)});
-    });
-    return out;
-  }
-
-  /// Window query reporting eviction truncation (see WindowQuery).
-  WindowQuery<typename Column::value_type> window_query(util::SimTime from,
-                                                        util::SimTime to) const {
-    return {window(from, to), truncated_before(from)};
-  }
-
-  /// Age of the newest sample relative to `now`; +inf when empty.
-  double staleness(util::SimTime now) const {
-    if (empty()) {
-      return std::numeric_limits<double>::infinity();
-    }
-    return std::max(0.0, now - column_->time(user_, size() - 1));
-  }
-
-  /// Forward iterator yielding Stamped<T> by value (oldest -> newest).
-  class const_iterator {
-   public:
-    using value_type = SeriesView::value_type;
-    using difference_type = std::ptrdiff_t;
-
-    const_iterator() = default;
-    const_iterator(const SeriesView* view, std::size_t i) : view_(view), i_(i) {}
-
-    value_type operator*() const { return (*view_)[i_]; }
-    const_iterator& operator++() {
-      ++i_;
-      return *this;
-    }
-    const_iterator operator++(int) {
-      const_iterator old = *this;
-      ++*this;
-      return old;
-    }
-    friend bool operator==(const const_iterator& a, const const_iterator& b) {
-      return a.i_ == b.i_;
-    }
-
-   private:
-    const SeriesView* view_ = nullptr;
-    std::size_t i_ = 0;
-  };
-
-  const_iterator begin() const { return {this, 0}; }
-  const_iterator end() const { return {this, size()}; }
-
- private:
-  const Column* column_;
-  std::size_t user_;
-};
-
-using ChannelSeries = SeriesView<ChannelColumn>;
-using LocationSeries = SeriesView<LocationColumn>;
-using WatchSeries = SeriesView<WatchColumn>;
-using PreferenceSeries = SeriesView<PreferenceColumn>;
 
 }  // namespace dtmsv::twin

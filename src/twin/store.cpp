@@ -17,18 +17,13 @@ TwinStore::TwinStore(std::unique_ptr<TwinColumnStore> columns)
   const std::size_t user_count = columns_->user_count();
   twins_.reserve(user_count);
   for (std::size_t u = 0; u < user_count; ++u) {
-    twins_.emplace_back(UserDigitalTwin(columns_.get(), u, u));
+    twins_.emplace_back(columns_.get(), u);
   }
 }
 
 void TwinStore::reset_user(std::uint64_t user_id) {
   DTMSV_EXPECTS(user_id < twins_.size());
   columns_->reset_user(static_cast<std::size_t>(user_id));
-}
-
-UserDigitalTwin& TwinStore::twin(std::uint64_t user_id) {
-  DTMSV_EXPECTS(user_id < twins_.size());
-  return twins_[static_cast<std::size_t>(user_id)];
 }
 
 const UserDigitalTwin& TwinStore::twin(std::uint64_t user_id) const {

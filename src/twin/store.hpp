@@ -2,11 +2,10 @@
 // edge server to store user status for individual user").
 //
 // Storage is columnar: one TwinColumnStore holds every user's histories as
-// SoA ring buffers, and the UserDigitalTwin objects handed out by twin()
-// are stable handles into it. reset_user is slot recycling (O(1), no
-// allocation); batch feature extraction goes through the column store's
-// pooled path (TwinColumnStore::feature_windows / summary_features via
-// core::TwinSnapshot).
+// SoA ring buffers, and ingestion, extraction and every read go through it
+// (columns()). The UserDigitalTwin handles handed out by twin() name a slot
+// in it for group analysis. reset_user is slot recycling (O(1), no
+// allocation).
 #pragma once
 
 #include <cstdint>
@@ -31,7 +30,8 @@ class TwinStore {
 
   std::size_t user_count() const { return twins_.size(); }
 
-  UserDigitalTwin& twin(std::uint64_t user_id);
+  /// The handle of one user's slot (held for the perfbench harness, which
+  /// passes group members to analysis as handles).
   const UserDigitalTwin& twin(std::uint64_t user_id) const;
 
   /// Recycles one twin slot (the slot's user was handed over; the edge
@@ -42,13 +42,9 @@ class TwinStore {
   /// Applies preference forgetting on every twin (once per interval).
   void decay_preferences();
 
-  /// The columnar engine: batch ingestion and pooled zero-copy extraction.
-  /// Batch feature extraction goes exclusively through this surface —
-  /// TwinColumnStore::feature_windows / summary_features into a
-  /// FeatureArena (or core::TwinSnapshot, which wraps them). The copying
-  /// all_feature_windows / all_summary_features bridges were removed after
-  /// one deprecation cycle; WindowBatch / SummaryBatch views are the only
-  /// supported bulk path.
+  /// The columnar engine: ingestion, per-user reads and batch extraction
+  /// (TwinColumnStore::feature_windows / summary_features into a
+  /// FeatureArena, or core::TwinSnapshot, which wraps them).
   TwinColumnStore& columns() { return *columns_; }
   const TwinColumnStore& columns() const { return *columns_; }
 

@@ -18,7 +18,8 @@ std::string format(const char* kind, const char* expr, const char* file, int lin
 
 void throw_precondition(const char* expr, const char* file, int line,
                         const std::string& msg) {
-  throw PreconditionError(format("precondition", expr, file, line, msg));
+  const std::string what = format("precondition", expr, file, line, msg);
+  throw PreconditionError(what, msg.empty() ? 0 : what.size() - msg.size());
 }
 
 void throw_invariant(const char* expr, const char* file, int line,

@@ -6,6 +6,7 @@
 // appropriate std exception or dtmsv::util::RuntimeError.
 #pragma once
 
+#include <cstddef>
 #include <stdexcept>
 #include <string>
 
@@ -15,6 +16,17 @@ namespace dtmsv::util {
 class PreconditionError : public std::logic_error {
  public:
   explicit PreconditionError(const std::string& what) : std::logic_error(what) {}
+  /// `what` describes the failed check in full and ends with the check's
+  /// own text, which starts at `message_offset`.
+  PreconditionError(const std::string& what, std::size_t message_offset)
+      : std::logic_error(what), message_offset_(message_offset) {}
+
+  /// The check's own text, without the failed expression and source
+  /// location (what() when the check gave none).
+  const char* message() const noexcept { return what() + message_offset_; }
+
+ private:
+  std::size_t message_offset_ = 0;
 };
 
 /// Thrown when a documented postcondition or internal invariant fails.
@@ -35,6 +47,19 @@ namespace detail {
 [[noreturn]] void throw_invariant(const char* expr, const char* file, int line,
                                   const std::string& msg);
 }  // namespace detail
+
+/// Runs `check`, a validation of outside input (a config file, a command
+/// line), and rethrows a failed precondition as a RuntimeError carrying
+/// the check's message alone: the expression and source location help a
+/// developer, not whoever wrote the input.
+template <typename Check>
+void validate_input(Check&& check) {
+  try {
+    check();
+  } catch (const PreconditionError& error) {
+    throw RuntimeError(error.message());
+  }
+}
 
 }  // namespace dtmsv::util
 

@@ -7,6 +7,7 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <set>
 #include <unordered_map>
 #include <utility>
@@ -15,6 +16,7 @@
 #include "analysis/popularity.hpp"
 #include "analysis/recommend.hpp"
 #include "analysis/swiping.hpp"
+#include "twin/column_store.hpp"
 #include "util/error.hpp"
 
 namespace {
@@ -119,14 +121,16 @@ TEST(SwipingDistribution, ObservationValidation) {
 }
 
 TEST(BuildGroupSwiping, AggregatesMemberHistories) {
-  dtmsv::twin::UserDigitalTwin a(0);
-  dtmsv::twin::UserDigitalTwin b(1);
+  dtmsv::twin::TwinColumnStore store_a(1, 2048);
+  dtmsv::twin::TwinColumnStore store_b(1, 2048);
+  const dtmsv::twin::UserDigitalTwin a(&store_a, 0);
+  const dtmsv::twin::UserDigitalTwin b(&store_b, 0);
   dtmsv::twin::WatchObservation w;
   w.category = Category::kNews;
   w.watch_fraction = 0.9;
-  a.record_watch(10.0, w);
+  store_a.record_watch(0, 10.0, w);
   w.watch_fraction = 0.1;
-  b.record_watch(20.0, w);
+  store_b.record_watch(0, 20.0, w);
 
   const auto dist = build_group_swiping({&a, &b}, 30.0, 30.0);
   EXPECT_NEAR(dist.expected_watch_fraction(Category::kNews), 0.5, 0.06);
@@ -134,13 +138,14 @@ TEST(BuildGroupSwiping, AggregatesMemberHistories) {
 }
 
 TEST(BuildGroupSwiping, WindowExcludesOldEvents) {
-  dtmsv::twin::UserDigitalTwin a(0);
+  dtmsv::twin::TwinColumnStore store(1, 2048);
+  const dtmsv::twin::UserDigitalTwin a(&store, 0);
   dtmsv::twin::WatchObservation w;
   w.category = Category::kNews;
   w.watch_fraction = 0.9;
-  a.record_watch(10.0, w);   // old
+  store.record_watch(0, 10.0, w);   // old
   w.watch_fraction = 0.2;
-  a.record_watch(100.0, w);  // recent
+  store.record_watch(0, 100.0, w);  // recent
 
   const auto dist = build_group_swiping({&a}, 110.0, 30.0);
   EXPECT_DOUBLE_EQ(dist.mass(Category::kNews), 1.0);
@@ -379,22 +384,87 @@ TEST(Recommender, NoDuplicateVideos) {
 }
 
 TEST(AggregateGroupPreference, EvidenceWeighted) {
-  dtmsv::twin::UserDigitalTwin heavy(0);
-  dtmsv::twin::UserDigitalTwin light(1);
+  dtmsv::twin::TwinColumnStore heavy_store(1, 2048);
+  dtmsv::twin::TwinColumnStore light_store(1, 2048);
+  const dtmsv::twin::UserDigitalTwin heavy(&heavy_store, 0);
+  const dtmsv::twin::UserDigitalTwin light(&light_store, 0);
   dtmsv::twin::WatchObservation w;
   w.category = Category::kNews;
   w.watch_seconds = 1000.0;
-  heavy.record_watch(1.0, w);
-  heavy.record_preference(2.0, heavy.preference_estimator().estimate());
+  heavy_store.record_watch(0, 1.0, w);
+  heavy_store.record_preference(0, 2.0, heavy_store.estimator(0).estimate());
 
   w.category = Category::kGame;
   w.watch_seconds = 10.0;
-  light.record_watch(1.0, w);
-  light.record_preference(2.0, light.preference_estimator().estimate());
+  light_store.record_watch(0, 1.0, w);
+  light_store.record_preference(0, 2.0, light_store.estimator(0).estimate());
 
   const PreferenceVector pref = aggregate_group_preference({&heavy, &light});
   // Heavy user's News taste dominates the group profile.
   EXPECT_GT(pref[static_cast<std::size_t>(Category::kNews)], 0.8);
+}
+
+/// The aggregation formula, copied verbatim, over member preferences read
+/// from summary rows instead of from the store.
+PreferenceVector aggregate_from_summary_rows(const dtmsv::twin::TwinColumnStore& store,
+                                             const std::vector<std::size_t>& members,
+                                             double now) {
+  PreferenceVector acc{};
+  double total_weight = 0.0;
+  for (const std::size_t u : members) {
+    std::vector<double> row(dtmsv::twin::TwinColumnStore::kSummaryDim);
+    store.extract_summary_row(u, {now, 60.0, dtmsv::twin::FeatureScaling{}}, row.data());
+    const double weight = std::max(1.0, store.estimator(u).evidence_seconds());
+    for (std::size_t c = 0; c < acc.size(); ++c) {
+      acc[c] += weight * row[6 + c];
+    }
+    total_weight += weight;
+  }
+  for (double& v : acc) {
+    v /= total_weight;
+  }
+  return dtmsv::behavior::normalized(acc);
+}
+
+TEST(AggregateGroupPreference, ReadsTheSummaryRowsPreference) {
+  // User 0 has watch evidence but no preference snapshot (the estimator's
+  // estimate is its preference); user 1's newest snapshot differs from its
+  // running estimate, which has moved on since.
+  dtmsv::twin::TwinColumnStore store(2, 2048);
+  dtmsv::twin::WatchObservation w;
+  w.category = Category::kNews;
+  w.watch_seconds = 40.0;
+  store.record_watch(0, 1.0, w);
+  w.category = Category::kGame;
+  w.watch_seconds = 25.0;
+  store.record_watch(1, 1.0, w);
+  store.record_preference(1, 2.0, store.estimator(1).estimate());
+  store.record_preference(1, 3.0, store.estimator(1).estimate());
+  w.category = Category::kMusic;
+  w.watch_seconds = 90.0;
+  store.record_watch(1, 4.0, w);
+  ASSERT_NE(store.estimator(1).estimate(), store.latest_preference(1));
+
+  const dtmsv::twin::UserDigitalTwin empty_ring(&store, 0);
+  const dtmsv::twin::UserDigitalTwin with_rows(&store, 1);
+  for (const std::size_t u : {0u, 1u}) {
+    std::vector<double> row(dtmsv::twin::TwinColumnStore::kSummaryDim);
+    store.extract_summary_row(u, {5.0, 60.0, dtmsv::twin::FeatureScaling{}}, row.data());
+    const PreferenceVector expected =
+        u == 0 ? store.estimator(0).estimate()
+               : store.preference_column().get(1, store.preference_column().size(1) - 1);
+    EXPECT_EQ(std::memcmp(row.data() + 6, expected.data(), sizeof(expected)), 0)
+        << "summary row of user " << u;
+  }
+  const std::vector<std::pair<std::vector<const dtmsv::twin::UserDigitalTwin*>,
+                              std::vector<std::size_t>>>
+      groups = {{{&empty_ring}, {0}}, {{&with_rows}, {1}}, {{&empty_ring, &with_rows}, {0, 1}}};
+  for (const auto& [members, slots] : groups) {
+    const PreferenceVector got = aggregate_group_preference(members);
+    const PreferenceVector want = aggregate_from_summary_rows(store, slots, 5.0);
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), sizeof(got)), 0)
+        << "group of " << slots.size() << " from slot " << slots.front();
+  }
 }
 
 TEST(AggregateGroupPreference, EmptyGroupUniform) {

@@ -184,7 +184,7 @@ TEST(SimulationFleet, ChurnSwapsAffinitiesAndResetsTwins) {
       after.insert(after.end(), aff.begin(), aff.end());
     }
     for (std::size_t u = 0; u < sim.config().user_count; ++u) {
-      if (sim.twins().twin(u).channel().empty()) {
+      if (sim.twins().columns().channel_column().empty(u)) {
         ++reset_twins;  // newcomer: twin history wiped by the handover
       }
     }
@@ -239,7 +239,7 @@ TEST(SimulationFleet, ChurnRecyclingNeverLeaksHistoryIntoSnapshots) {
           EXPECT_EQ(v, 0.0f) << "shard " << s << " slot " << u
                              << " leaked history through a handover";
         }
-        EXPECT_TRUE(sim.twins().twin(u).channel().empty());
+        EXPECT_TRUE(sim.twins().columns().channel_column().empty(u));
       } else {
         for (std::size_t i = 0; i < row.size(); ++i) {
           EXPECT_EQ(row[i], before[s][u * batch.window_size() + i]);

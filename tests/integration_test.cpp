@@ -173,19 +173,20 @@ TEST(Simulation, TwinsHoldFreshData) {
   Simulation sim(fast_config(15));
   core::ReportSink discard;
   sim.run(2, discard);
-  const auto& twins = sim.twins();
+  const auto& columns = sim.twins().columns();
+  const auto& channel = columns.channel_column();
   std::size_t with_channel = 0;
   std::size_t with_watch = 0;
-  for (std::size_t u = 0; u < twins.user_count(); ++u) {
-    if (twins.twin(u).channel().staleness(sim.now()) < 5.0) {
+  for (std::size_t u = 0; u < columns.user_count(); ++u) {
+    if (!channel.empty(u) && sim.now() - channel.time(u, channel.size(u) - 1) < 5.0) {
       ++with_channel;
     }
-    if (!twins.twin(u).watch().empty()) {
+    if (!columns.watch_column().empty(u)) {
       ++with_watch;
     }
   }
-  EXPECT_EQ(with_channel, twins.user_count());
-  EXPECT_GT(with_watch, twins.user_count() / 2);
+  EXPECT_EQ(with_channel, columns.user_count());
+  EXPECT_GT(with_watch, columns.user_count() / 2);
 }
 
 TEST(Simulation, SwipingDistributionsAreProper) {
@@ -518,13 +519,13 @@ TEST(Simulation, FadingCorrelationFollowsTickSpacing) {
   const double rho = std::exp(-0.2 * M_PI * cfg.radio.doppler_hz * cfg.tick_s);
   util::RunningStats lag1;
   for (std::size_t u = 0; u < cfg.user_count; ++u) {
-    const auto series = sim.twins().twin(u).channel();
-    ASSERT_EQ(series.size(), 120u);  // one report per tick
+    const auto& channel = sim.twins().columns().channel_column();
+    ASSERT_EQ(channel.size(u), 120u);  // one report per tick
     std::vector<double> now;
     std::vector<double> next;
-    for (std::size_t i = 0; i + 1 < series.size(); ++i) {
-      now.push_back(std::pow(10.0, series[i].value.snr_db / 10.0));
-      next.push_back(std::pow(10.0, series[i + 1].value.snr_db / 10.0));
+    for (std::size_t i = 0; i + 1 < channel.size(u); ++i) {
+      now.push_back(std::pow(10.0, channel.get(u, i).snr_db / 10.0));
+      next.push_back(std::pow(10.0, channel.get(u, i + 1).snr_db / 10.0));
     }
     lag1.add(util::pearson(now, next));
   }

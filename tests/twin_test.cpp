@@ -1,8 +1,8 @@
-// Unit tests for dtmsv::twin — series semantics (ordering, eviction,
-// windows, staleness, truncation reporting), the columnar ring-buffer store (SoA layout, slot recycling, pooled arena extraction
-// and its thread-count invariance), UDT feature extraction,
-// the twin store, and the per-attribute collector including loss/latency
-// failure injection.
+// Unit tests for dtmsv::twin — ring semantics (ordering, eviction,
+// windows, truncation reporting), the columnar ring-buffer store (SoA
+// layout, slot recycling, pooled arena extraction and its thread-count
+// invariance), one-user feature extraction, the twin store, and the
+// per-attribute collector including loss/latency failure injection.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -33,37 +33,39 @@ using dtmsv::util::Rng;
 
 // ------------------------------------------------------- columnar rings
 
+/// Physical slots of user `u`'s samples with time in [from, to).
+template <typename Column>
+std::vector<std::size_t> windowed_walk(const Column& column, std::size_t u, double from,
+                                       double to) {
+  std::vector<std::size_t> out;
+  column.for_each_slot_in(u, from, to, [&](std::size_t at) { out.push_back(at); });
+  return out;
+}
+
 TEST(TwinColumnStore, RingEvictsOldestAndReportsTruncation) {
   TwinColumnStore store(2, /*history_capacity=*/3);
   for (int i = 0; i < 6; ++i) {
     store.record_channel(0, static_cast<double>(i), {static_cast<double>(i), 2.0, 0});
   }
-  const ChannelSeries series = store.channel(0);
-  EXPECT_EQ(series.size(), 3u);
-  EXPECT_EQ(series.capacity(), 3u);
-  EXPECT_DOUBLE_EQ(series.oldest().time, 3.0);
-  EXPECT_DOUBLE_EQ(series.latest().value.snr_db, 5.0);
-  // A query starting inside the evicted range must say so instead of
+  const ChannelColumn& channel = store.channel_column();
+  EXPECT_EQ(channel.size(0), 3u);
+  EXPECT_EQ(channel.capacity(), 3u);
+  EXPECT_DOUBLE_EQ(channel.time(0, 0), 3.0);
+  EXPECT_DOUBLE_EQ(channel.get(0, 2).snr_db, 5.0);
+  // A read starting inside the evicted range must say so instead of
   // silently returning the shorter retained window.
-  EXPECT_TRUE(series.truncated_before(2.0));
-  EXPECT_FALSE(series.truncated_before(3.0));
-  const auto query = series.window_query(0.0, 10.0);
-  EXPECT_TRUE(query.truncated);
-  ASSERT_EQ(query.samples.size(), 3u);
-  EXPECT_DOUBLE_EQ(query.samples.front().value.snr_db, 3.0);
-  EXPECT_FALSE(series.window_query(3.0, 10.0).truncated);
+  EXPECT_TRUE(channel.truncated_before(0, 2.0));
+  EXPECT_FALSE(channel.truncated_before(0, 3.0));
+  const std::vector<std::size_t> all = windowed_walk(channel, 0, 0.0, 10.0);
+  ASSERT_EQ(all.size(), 3u);
+  EXPECT_DOUBLE_EQ(channel.at_slot(all.front()).snr_db, 3.0);
   // Windows before and after the retained samples are empty.
-  EXPECT_TRUE(series.window(0.0, 3.0).empty());
-  EXPECT_TRUE(series.window(6.0, 10.0).empty());
-  EXPECT_DOUBLE_EQ(series.staleness(8.0), 3.0);
-  EXPECT_DOUBLE_EQ(series.staleness(4.0), 0.0);  // clamped
+  EXPECT_TRUE(windowed_walk(channel, 0, 0.0, 3.0).empty());
+  EXPECT_TRUE(windowed_walk(channel, 0, 6.0, 10.0).empty());
   // The neighbouring user's ring is untouched (fixed-stride slots).
-  const ChannelSeries empty = store.channel(1);
-  EXPECT_TRUE(empty.empty());
-  EXPECT_FALSE(empty.truncated_before(0.0));
-  EXPECT_TRUE(std::isinf(empty.staleness(0.0)));
-  EXPECT_THROW(empty.latest(), PreconditionError);
-  EXPECT_THROW(empty.oldest(), PreconditionError);
+  EXPECT_TRUE(channel.empty(1));
+  EXPECT_FALSE(channel.truncated_before(1, 0.0));
+  EXPECT_TRUE(windowed_walk(channel, 1, 0.0, 10.0).empty());
 }
 
 TEST(TwinColumnStore, RingRejectsTimeTravelPerUser) {
@@ -78,33 +80,33 @@ TEST(TwinColumnStore, NonFiniteTimestampsRejectedOnEveryRecordPath) {
   constexpr double kBad[] = {std::numeric_limits<double>::quiet_NaN(),
                              std::numeric_limits<double>::infinity(),
                              -std::numeric_limits<double>::infinity()};
-  UserDigitalTwin twin(0);
+  TwinColumnStore twin(1, 2048);
   WatchObservation w;
   w.watch_seconds = 4.0;
   w.watch_fraction = 0.5;
-  const auto pref = twin.preference_estimator().estimate();
+  const auto pref = twin.estimator(0).estimate();
   const auto record_all = [&](double t) {
-    twin.record_channel(t, {12.0, 2.0, 0});
-    twin.record_location(t, {10.0, 20.0});
-    twin.record_watch(t, w);
-    twin.record_preference(t, pref);
+    twin.record_channel(0, t, {12.0, 2.0, 0});
+    twin.record_location(0, t, {10.0, 20.0});
+    twin.record_watch(0, t, w);
+    twin.record_preference(0, t, pref);
   };
   // Empty rings used to accept any time, and a NaN there made every later
   // record fail the non-decreasing check (t >= NaN is false).
   for (int round = 0; round < 2; ++round) {
     for (const double bad : kBad) {
-      EXPECT_THROW(twin.record_channel(bad, {12.0, 2.0, 0}), PreconditionError);
-      EXPECT_THROW(twin.record_location(bad, {10.0, 20.0}), PreconditionError);
-      EXPECT_THROW(twin.record_watch(bad, w), PreconditionError);
-      EXPECT_THROW(twin.record_preference(bad, pref), PreconditionError);
+      EXPECT_THROW(twin.record_channel(0, bad, {12.0, 2.0, 0}), PreconditionError);
+      EXPECT_THROW(twin.record_location(0, bad, {10.0, 20.0}), PreconditionError);
+      EXPECT_THROW(twin.record_watch(0, bad, w), PreconditionError);
+      EXPECT_THROW(twin.record_preference(0, bad, pref), PreconditionError);
     }
     record_all(1.0 + round);
   }
-  EXPECT_EQ(twin.channel().size(), 2u);
-  EXPECT_EQ(twin.location().size(), 2u);
-  EXPECT_EQ(twin.watch().size(), 2u);
-  EXPECT_EQ(twin.preference().size(), 2u);
-  EXPECT_DOUBLE_EQ(twin.channel().latest().time, 2.0);
+  EXPECT_EQ(twin.channel_column().size(0), 2u);
+  EXPECT_EQ(twin.location_column().size(0), 2u);
+  EXPECT_EQ(twin.watch_column().size(0), 2u);
+  EXPECT_EQ(twin.preference_column().size(0), 2u);
+  EXPECT_DOUBLE_EQ(twin.channel_column().time(0, 1), 2.0);
 }
 
 // --------------------------------------------- windowed ring walk oracles
@@ -124,14 +126,6 @@ std::vector<std::size_t> full_ring_filter(const Column& column, std::size_t u,
     }
     out.push_back(at);
   }
-  return out;
-}
-
-template <typename Column>
-std::vector<std::size_t> windowed_walk(const Column& column, std::size_t u, double from,
-                                       double to) {
-  std::vector<std::size_t> out;
-  column.for_each_slot_in(u, from, to, [&](std::size_t at) { out.push_back(at); });
   return out;
 }
 
@@ -227,7 +221,7 @@ TEST(RingWalk, PreferenceColumnMatchesFullRingFilter) {
   expect_walk_matches_filter_on_all_shapes<PreferenceColumn>();
 }
 
-TEST(RingWalk, SeriesWindowReadsTheWalkedSlots) {
+TEST(RingWalk, WalkedSlotsReadTheirSamples) {
   TwinColumnStore store(1, 8);
   for (int i = 0; i < 13; ++i) {
     store.record_channel(0, static_cast<double>(i / 2),
@@ -235,14 +229,14 @@ TEST(RingWalk, SeriesWindowReadsTheWalkedSlots) {
   }
   // Retained: samples 5..12 at times 2, 3, 3, 4, 4, 5, 5, 6 (the ring has
   // wrapped, and sample 4 at t=2 was evicted).
-  const auto window = store.channel(0).window(2.0, 5.0);
+  const ChannelColumn& channel = store.channel_column();
+  const std::vector<std::size_t> window = windowed_walk(channel, 0, 2.0, 5.0);
   ASSERT_EQ(window.size(), 5u);
   for (std::size_t k = 0; k < window.size(); ++k) {
-    EXPECT_DOUBLE_EQ(window[k].time, static_cast<double>((k + 5) / 2));
-    EXPECT_DOUBLE_EQ(window[k].value.snr_db, static_cast<double>(k + 5));
-    EXPECT_EQ(window[k].value.serving_bs, k + 5);
+    EXPECT_DOUBLE_EQ(channel.times()[window[k]], static_cast<double>((k + 5) / 2));
+    EXPECT_DOUBLE_EQ(channel.at_slot(window[k]).snr_db, static_cast<double>(k + 5));
+    EXPECT_EQ(channel.at_slot(window[k]).serving_bs, k + 5);
   }
-  EXPECT_THROW(store.channel(0).window(5.0, 2.0), PreconditionError);
 }
 
 // Verbatim copies of the full-ring extraction loops that preceded the
@@ -516,10 +510,10 @@ TEST(RingWalk, ExtractionMatchesFullRingLoopsOnWrappedRings) {
   const TwinStore store = wrapped_store(5, 128);
   const TwinColumnStore& columns = store.columns();
   for (std::size_t u = 0; u < 5; ++u) {
-    ASSERT_TRUE(columns.channel(u).truncated_before(0.0)) << "user " << u;
-    ASSERT_TRUE(columns.location(u).truncated_before(0.0)) << "user " << u;
-    ASSERT_TRUE(columns.watch(u).truncated_before(0.0)) << "user " << u;
-    ASSERT_TRUE(columns.preference(u).truncated_before(0.0)) << "user " << u;
+    ASSERT_TRUE(columns.channel_column().truncated_before(u, 0.0)) << "user " << u;
+    ASSERT_TRUE(columns.location_column().truncated_before(u, 0.0)) << "user " << u;
+    ASSERT_TRUE(columns.watch_column().truncated_before(u, 0.0)) << "user " << u;
+    ASSERT_TRUE(columns.preference_column().truncated_before(u, 0.0)) << "user " << u;
   }
   const FeatureScaling scaling{1200.0, 1000.0, 10.0, 40.0};
   for (const double now : {1000.0, 987.25, 920.5, 500.0}) {
@@ -575,37 +569,52 @@ TEST(RingWalk, NonFiniteNowRejected) {
                PreconditionError);
 }
 
-TEST(TwinColumnStore, BatchRowsMatchPerTwinExtraction) {
-  TwinStore store(3);
+/// User `u`'s feature-window row, extracted on its own.
+std::vector<float> window_row(const TwinColumnStore& store, std::size_t u,
+                              const WindowSpec& spec) {
+  std::vector<float> row(TwinColumnStore::kFeatureChannels * spec.timesteps);
+  store.extract_window_row(u, spec, row.data());
+  return row;
+}
+
+/// User `u`'s summary row, extracted on its own.
+std::vector<double> summary_row(const TwinColumnStore& store, std::size_t u,
+                                const SummarySpec& spec) {
+  std::vector<double> row(TwinColumnStore::kSummaryDim);
+  store.extract_summary_row(u, spec, row.data());
+  return row;
+}
+
+TEST(TwinColumnStore, BatchRowsMatchSingleRowExtraction) {
+  TwinColumnStore store(3, 2048);
   const FeatureScaling scaling{100.0, 100.0, 10.0, 40.0};
   for (int t = 0; t < 30; ++t) {
-    store.twin(0).record_channel(t, {10.0 + t, 2.0, 0});
+    store.record_channel(0, t, {10.0 + t, 2.0, 0});
     if (t % 3 == 0) {
-      store.twin(1).record_location(t, {50.0, 25.0});
+      store.record_location(1, t, {50.0, 25.0});
     }
   }
   WatchObservation w;
   w.category = dtmsv::video::Category::kMusic;
   w.watch_seconds = 12.0;
   w.watch_fraction = 0.6;
-  store.twin(2).record_watch(5.0, w);
+  store.record_watch(2, 5.0, w);
 
   FeatureArena arena;
   const WindowSpec spec{30.0, 30.0, 8, scaling};
-  const WindowBatch windows = store.columns().feature_windows(spec, arena);
-  const SummaryBatch summaries =
-      store.columns().summary_features({30.0, 30.0, scaling}, arena);
+  const WindowBatch windows = store.feature_windows(spec, arena);
+  const SummaryBatch summaries = store.summary_features({30.0, 30.0, scaling}, arena);
   ASSERT_EQ(windows.size(), 3u);
   ASSERT_EQ(summaries.size(), 3u);
   for (std::size_t u = 0; u < 3; ++u) {
     const auto row = windows.row(u);
-    const auto single = store.twin(u).feature_window(30.0, 30.0, 8, scaling);
+    const auto single = window_row(store, u, spec);
     ASSERT_EQ(row.size(), single.size());
     for (std::size_t i = 0; i < single.size(); ++i) {
       EXPECT_EQ(row[i], single[i]) << "user " << u << " element " << i;
     }
     const auto srow = summaries.row(u);
-    const auto ssingle = store.twin(u).summary_features(30.0, 30.0, scaling);
+    const auto ssingle = summary_row(store, u, {30.0, 30.0, scaling});
     ASSERT_EQ(srow.size(), ssingle.size());
     for (std::size_t i = 0; i < ssingle.size(); ++i) {
       EXPECT_EQ(srow[i], ssingle[i]) << "user " << u << " element " << i;
@@ -670,16 +679,17 @@ TEST(TwinColumnStore, BatchSummaryRejectsBadSpecBeforeThePoolRuns) {
 
 TEST(TwinColumnStore, HandoverSlotRecyclingLeavesNoHistoryBehind) {
   TwinStore store(3);
+  TwinColumnStore& columns = store.columns();
   const FeatureScaling scaling{100.0, 100.0, 10.0, 40.0};
   for (int t = 0; t < 40; ++t) {
-    store.twin(1).record_channel(t, {25.0, 4.0, 0});
+    columns.record_channel(1, t, {25.0, 4.0, 0});
   }
   WatchObservation w;
   w.category = dtmsv::video::Category::kGame;
   w.watch_seconds = 30.0;
   w.watch_fraction = 0.9;
-  store.twin(1).record_watch(10.0, w);
-  store.twin(1).record_preference(20.0, store.twin(1).preference_estimator().estimate());
+  columns.record_watch(1, 10.0, w);
+  columns.record_preference(1, 20.0, columns.estimator(1).estimate());
 
   FeatureArena arena;
   const WindowSpec spec{40.0, 40.0, 8, scaling};
@@ -695,11 +705,11 @@ TEST(TwinColumnStore, HandoverSlotRecyclingLeavesNoHistoryBehind) {
   // Handover: the slot is recycled in place — no history, no estimator
   // evidence, no stale truncation flag.
   store.reset_user(1);
-  EXPECT_TRUE(store.twin(1).channel().empty());
-  EXPECT_TRUE(store.twin(1).watch().empty());
-  EXPECT_TRUE(store.twin(1).preference().empty());
-  EXPECT_DOUBLE_EQ(store.twin(1).preference_estimator().evidence_seconds(), 0.0);
-  EXPECT_FALSE(store.twin(1).channel().truncated_before(0.0));
+  EXPECT_TRUE(columns.channel_column().empty(1));
+  EXPECT_TRUE(columns.watch_column().empty(1));
+  EXPECT_TRUE(columns.preference_column().empty(1));
+  EXPECT_DOUBLE_EQ(columns.estimator(1).evidence_seconds(), 0.0);
+  EXPECT_FALSE(columns.channel_column().truncated_before(1, 0.0));
 
   // The next snapshot through the same arena must not leak the previous
   // user's rows: the recycled slot is all-zero, the other rows unchanged.
@@ -714,8 +724,8 @@ TEST(TwinColumnStore, HandoverSlotRecyclingLeavesNoHistoryBehind) {
         << "user " << u;
   }
   // Recording for the newcomer restarts cleanly from an empty ring.
-  store.twin(1).record_channel(41.0, {12.0, 2.0, 0});
-  EXPECT_EQ(store.twin(1).channel().size(), 1u);
+  columns.record_channel(1, 41.0, {12.0, 2.0, 0});
+  EXPECT_EQ(columns.channel_column().size(1), 1u);
 }
 
 TEST(TwinColumnStore, ExtractionThreadCountInvariant) {
@@ -726,8 +736,8 @@ TEST(TwinColumnStore, ExtractionThreadCountInvariant) {
     TwinStore store(64);
     for (std::size_t u = 0; u < 64; ++u) {
       for (int t = 0; t < 60; ++t) {
-        store.twin(u).record_channel(
-            t, {5.0 + 0.1 * static_cast<double>(u * 60 + t), 2.0, 0});
+        store.columns().record_channel(
+            u, t, {5.0 + 0.1 * static_cast<double>(u * 60 + t), 2.0, 0});
       }
     }
     FeatureArena arena;
@@ -843,16 +853,20 @@ bool same_value(const dtmsv::behavior::PreferenceVector& a,
   return a == b;
 }
 
-template <typename Series>
-void expect_same_latest(const Series& windowed, const Series& fixed, const char* what) {
-  ASSERT_EQ(windowed.empty(), fixed.empty()) << what;
-  if (fixed.empty()) {
+/// User `u`'s newest sample is the same in both columns, time and value.
+template <typename Column>
+void expect_same_latest(const Column& windowed, const Column& fixed, std::size_t u,
+                        const char* what) {
+  ASSERT_EQ(windowed.empty(u), fixed.empty(u)) << what;
+  if (fixed.empty(u)) {
     return;
   }
-  const auto a = windowed.latest();
-  const auto b = fixed.latest();
-  EXPECT_EQ(std::memcmp(&a.time, &b.time, sizeof(double)), 0) << what;
-  EXPECT_TRUE(same_value(a.value, b.value)) << what;
+  const double a = windowed.time(u, windowed.size(u) - 1);
+  const double b = fixed.time(u, fixed.size(u) - 1);
+  EXPECT_EQ(std::memcmp(&a, &b, sizeof(double)), 0) << what;
+  EXPECT_TRUE(same_value(windowed.get(u, windowed.size(u) - 1),
+                         fixed.get(u, fixed.size(u) - 1)))
+      << what;
 }
 
 void expect_same_bits(const std::vector<double>& a, const std::vector<double>& b,
@@ -925,8 +939,8 @@ TEST(RetainingRing, WindowedStoreReadsLikeANeverEvictingStore) {
     const std::size_t capacity_before = windowed.columns().channel_column().capacity();
     bool evicted_before = false;
     for (std::size_t u = 0; u < kUsers; ++u) {
-      evicted_before = evicted_before || windowed.columns().channel(u).size() <
-                                             fixed.columns().channel(u).size();
+      evicted_before = evicted_before || windowed.columns().channel_column().size(u) <
+                                             fixed.columns().channel_column().size(u);
     }
     if (tick == 150 || tick == 260) {
       const std::size_t u = tick == 150 ? 2 : 0;
@@ -994,15 +1008,15 @@ TEST(RetainingRing, WindowedStoreReadsLikeANeverEvictingStore) {
       expect_same_bits(a.summaries, b.summaries, "summary rows");
       expect_same_bits(a.forecast, b.forecast, "group channel forecast");
       expect_same_bits(a.swiping, b.swiping, "group swiping");
+      const TwinColumnStore& w = windowed.columns();
+      const TwinColumnStore& f = fixed.columns();
       for (std::size_t u = 0; u < kUsers; ++u) {
-        expect_same_latest(windowed.twin(u).channel(), fixed.twin(u).channel(), "channel");
-        expect_same_latest(windowed.twin(u).location(), fixed.twin(u).location(),
-                           "location");
-        expect_same_latest(windowed.twin(u).watch(), fixed.twin(u).watch(), "watch");
-        expect_same_latest(windowed.twin(u).preference(), fixed.twin(u).preference(),
-                           "preference");
-        EXPECT_FALSE(windowed.twin(u).channel().truncated_before(now - kWindow));
-        EXPECT_FALSE(windowed.twin(u).watch().truncated_before(now - kWindow));
+        expect_same_latest(w.channel_column(), f.channel_column(), u, "channel");
+        expect_same_latest(w.location_column(), f.location_column(), u, "location");
+        expect_same_latest(w.watch_column(), f.watch_column(), u, "watch");
+        expect_same_latest(w.preference_column(), f.preference_column(), u, "preference");
+        EXPECT_FALSE(w.channel_column().truncated_before(u, now - kWindow));
+        EXPECT_FALSE(w.watch_column().truncated_before(u, now - kWindow));
       }
       ++reads;
     }
@@ -1011,50 +1025,65 @@ TEST(RetainingRing, WindowedStoreReadsLikeANeverEvictingStore) {
   EXPECT_TRUE(grew_wrapped);
   // The windowed store kept far less than the fixed one and did evict.
   EXPECT_LT(windowed.columns().bytes() * 8, fixed.columns().bytes());
-  EXPECT_LT(windowed.columns().channel(1).size(), fixed.columns().channel(1).size());
+  EXPECT_LT(windowed.columns().channel_column().size(1),
+            fixed.columns().channel_column().size(1));
 }
 
-// -------------------------------------------------------------------- UDT
+// ------------------------------------------------------- one-user store
 
-TEST(UserDigitalTwin, RecordsAllFourAttributes) {
-  UserDigitalTwin twin(3);
-  EXPECT_EQ(twin.user_id(), 3u);
-  twin.record_channel(1.0, {12.0, 2.5, 0});
-  twin.record_location(1.0, {100.0, 200.0});
+TEST(OneUserStore, RecordsAllFourAttributes) {
+  TwinColumnStore twin(1, 2048);
+  twin.record_channel(0, 1.0, {12.0, 2.5, 0});
+  twin.record_location(0, 1.0, {100.0, 200.0});
   WatchObservation w;
   w.category = dtmsv::video::Category::kNews;
   w.watch_seconds = 10.0;
   w.watch_fraction = 0.5;
   w.duration_s = 20.0;
-  twin.record_watch(2.0, w);
-  twin.record_preference(3.0, twin.preference_estimator().estimate());
+  twin.record_watch(0, 2.0, w);
+  twin.record_preference(0, 3.0, twin.estimator(0).estimate());
 
-  EXPECT_EQ(twin.channel().size(), 1u);
-  EXPECT_EQ(twin.location().size(), 1u);
-  EXPECT_EQ(twin.watch().size(), 1u);
-  EXPECT_EQ(twin.preference().size(), 1u);
+  EXPECT_EQ(twin.channel_column().size(0), 1u);
+  EXPECT_EQ(twin.location_column().size(0), 1u);
+  EXPECT_EQ(twin.watch_column().size(0), 1u);
+  EXPECT_EQ(twin.preference_column().size(0), 1u);
 }
 
-TEST(UserDigitalTwin, WatchIngestionFeedsPreferenceEstimator) {
-  UserDigitalTwin twin(0);
+TEST(OneUserStore, WatchIngestionFeedsPreferenceEstimator) {
+  TwinColumnStore twin(1, 2048);
   WatchObservation w;
   w.category = dtmsv::video::Category::kMusic;
   w.watch_seconds = 42.0;
-  twin.record_watch(1.0, w);
-  const auto est = twin.preference_estimator().estimate();
+  twin.record_watch(0, 1.0, w);
+  const auto est = twin.estimator(0).estimate();
   EXPECT_GT(est[static_cast<std::size_t>(dtmsv::video::Category::kMusic)], 0.5);
-  EXPECT_DOUBLE_EQ(twin.preference_estimator().evidence_seconds(), 42.0);
+  EXPECT_DOUBLE_EQ(twin.estimator(0).evidence_seconds(), 42.0);
 }
 
-TEST(UserDigitalTwin, FeatureWindowShapeAndRange) {
-  UserDigitalTwin twin(0);
+TEST(OneUserStore, LatestPreferenceIsTheNewestSnapshotElseTheEstimate) {
+  TwinColumnStore twin(1, 2048);
+  WatchObservation w;
+  w.category = dtmsv::video::Category::kGame;
+  w.watch_seconds = 30.0;
+  twin.record_watch(0, 1.0, w);
+  EXPECT_EQ(twin.latest_preference(0), twin.estimator(0).estimate());
+  dtmsv::behavior::PreferenceVector snapshot{};
+  snapshot[0] = 1.0;
+  twin.record_preference(0, 2.0, snapshot);
+  EXPECT_EQ(twin.latest_preference(0), snapshot);  // not the estimate
+  twin.reset_user(0);
+  EXPECT_EQ(twin.latest_preference(0), dtmsv::behavior::PreferenceEstimator{}.estimate());
+}
+
+TEST(OneUserStore, FeatureWindowShapeAndRange) {
+  TwinColumnStore twin(1, 2048);
   const FeatureScaling scaling{1200.0, 1000.0, 10.0, 40.0};
   for (int t = 0; t < 60; ++t) {
-    twin.record_channel(static_cast<double>(t), {15.0, 3.0, 0});
-    twin.record_location(static_cast<double>(t), {600.0, 500.0});
+    twin.record_channel(0, static_cast<double>(t), {15.0, 3.0, 0});
+    twin.record_location(0, static_cast<double>(t), {600.0, 500.0});
   }
-  const auto window = twin.feature_window(60.0, 60.0, 16, scaling);
-  ASSERT_EQ(window.size(), UserDigitalTwin::kFeatureChannels * 16);
+  const auto window = window_row(twin, 0, {60.0, 60.0, 16, scaling});
+  ASSERT_EQ(window.size(), TwinColumnStore::kFeatureChannels * 16);
   for (const float v : window) {
     EXPECT_TRUE(std::isfinite(v));
     EXPECT_GE(v, -0.01f);
@@ -1070,35 +1099,35 @@ TEST(UserDigitalTwin, FeatureWindowShapeAndRange) {
   }
 }
 
-TEST(UserDigitalTwin, FeatureWindowZeroOrderHold) {
-  UserDigitalTwin twin(0);
+TEST(OneUserStore, FeatureWindowZeroOrderHold) {
+  TwinColumnStore twin(1, 2048);
   const FeatureScaling scaling{100.0, 100.0, 10.0, 40.0};
   // One sample early in the window; later bins must hold its value.
-  twin.record_channel(1.0, {10.0, 2.0, 0});
-  const auto window = twin.feature_window(32.0, 32.0, 8, scaling);
+  twin.record_channel(0, 1.0, {10.0, 2.0, 0});
+  const auto window = window_row(twin, 0, {32.0, 32.0, 8, scaling});
   const float expected = (10.0f + 10.0f) / 40.0f;
   EXPECT_NEAR(window[0], expected, 1e-5);
   EXPECT_NEAR(window[7], expected, 1e-5);  // held forward
 }
 
-TEST(UserDigitalTwin, FeatureWindowEmptyTwinAllZero) {
-  UserDigitalTwin twin(0);
+TEST(OneUserStore, FeatureWindowEmptyTwinAllZero) {
+  const TwinColumnStore twin(1, 2048);
   const FeatureScaling scaling{100.0, 100.0, 10.0, 40.0};
-  const auto window = twin.feature_window(100.0, 50.0, 8, scaling);
+  const auto window = window_row(twin, 0, {100.0, 50.0, 8, scaling});
   // Preference channels hold zeros too (no snapshots yet).
   for (const float v : window) {
     EXPECT_EQ(v, 0.0f);
   }
 }
 
-TEST(UserDigitalTwin, SummaryFeaturesContent) {
-  UserDigitalTwin twin(0);
+TEST(OneUserStore, SummaryFeaturesContent) {
+  TwinColumnStore twin(1, 2048);
   const FeatureScaling scaling{1000.0, 1000.0, 10.0, 40.0};
   for (int t = 0; t < 10; ++t) {
-    twin.record_channel(static_cast<double>(t), {10.0, 2.0, 0});
-    twin.record_location(static_cast<double>(t), {500.0, 250.0});
+    twin.record_channel(0, static_cast<double>(t), {10.0, 2.0, 0});
+    twin.record_location(0, static_cast<double>(t), {500.0, 250.0});
   }
-  const auto features = twin.summary_features(10.0, 10.0, scaling);
+  const auto features = summary_row(twin, 0, {10.0, 10.0, scaling});
   ASSERT_EQ(features.size(), 6u + dtmsv::video::kCategoryCount);
   EXPECT_NEAR(features[0], 0.5, 1e-9);   // mean snr normalised
   EXPECT_NEAR(features[1], 0.0, 1e-9);   // snr stddev
@@ -1108,29 +1137,32 @@ TEST(UserDigitalTwin, SummaryFeaturesContent) {
 
 // ------------------------------------------------------------------- Store
 
-TEST(TwinStore, OwnsOneTwinPerUser) {
+TEST(TwinStore, OwnsOneTwinHandlePerUser) {
   TwinStore store(5);
   EXPECT_EQ(store.user_count(), 5u);
   for (std::uint64_t u = 0; u < 5; ++u) {
-    EXPECT_EQ(store.twin(u).user_id(), u);
+    EXPECT_EQ(store.twin(u).slot(), u);
+    EXPECT_EQ(&store.twin(u).columns(), &store.columns());
   }
   EXPECT_THROW(store.twin(5), PreconditionError);
+  EXPECT_THROW(UserDigitalTwin(&store.columns(), 5), PreconditionError);
+  EXPECT_THROW(UserDigitalTwin(nullptr, 0), PreconditionError);
 }
 
 TEST(TwinStore, BulkFeatureExtraction) {
   TwinStore store(3);
   const FeatureScaling scaling{100.0, 100.0, 10.0, 40.0};
-  store.twin(0).record_channel(1.0, {20.0, 4.0, 0});
+  store.columns().record_channel(0, 1.0, {20.0, 4.0, 0});
   // The WindowBatch/SummaryBatch views are the only bulk surface; their
-  // rows must be bit-identical to the per-twin single-row extraction.
+  // rows must be bit-identical to the single-row extraction.
   FeatureArena arena;
-  const WindowBatch batch =
-      store.columns().feature_windows({10.0, 10.0, 8, scaling}, arena);
+  const WindowSpec spec{10.0, 10.0, 8, scaling};
+  const WindowBatch batch = store.columns().feature_windows(spec, arena);
   ASSERT_EQ(batch.size(), 3u);
   for (std::size_t u = 0; u < 3; ++u) {
     const auto row = batch.row(u);
-    ASSERT_EQ(row.size(), UserDigitalTwin::kFeatureChannels * 8);
-    const std::vector<float> single = store.twin(u).feature_window(10.0, 10.0, 8, scaling);
+    ASSERT_EQ(row.size(), TwinColumnStore::kFeatureChannels * 8);
+    const std::vector<float> single = window_row(store.columns(), u, spec);
     ASSERT_EQ(single.size(), row.size());
     for (std::size_t i = 0; i < row.size(); ++i) {
       EXPECT_EQ(single[i], row[i]);
@@ -1141,7 +1173,7 @@ TEST(TwinStore, BulkFeatureExtraction) {
   ASSERT_EQ(summaries.size(), 3u);
   for (std::size_t u = 0; u < 3; ++u) {
     const auto row = summaries.row(u);
-    const std::vector<double> single = store.twin(u).summary_features(10.0, 10.0, scaling);
+    const std::vector<double> single = summary_row(store.columns(), u, {10.0, 10.0, scaling});
     ASSERT_EQ(single.size(), row.size());
     for (std::size_t i = 0; i < row.size(); ++i) {
       EXPECT_EQ(single[i], row[i]);
@@ -1151,15 +1183,16 @@ TEST(TwinStore, BulkFeatureExtraction) {
 
 TEST(TwinStore, DecayPreferencesAcrossAllTwins) {
   TwinStore store(2);
+  TwinColumnStore& columns = store.columns();
   WatchObservation w;
   w.category = dtmsv::video::Category::kGame;
   w.watch_seconds = 100.0;
-  store.twin(0).record_watch(1.0, w);
-  store.twin(1).record_watch(1.0, w);
-  const double before = store.twin(0).preference_estimator().evidence_seconds();
+  columns.record_watch(0, 1.0, w);
+  columns.record_watch(1, 1.0, w);
+  const double before = columns.estimator(0).evidence_seconds();
   store.decay_preferences();
-  EXPECT_LT(store.twin(0).preference_estimator().evidence_seconds(), before);
-  EXPECT_LT(store.twin(1).preference_estimator().evidence_seconds(), before);
+  EXPECT_LT(columns.estimator(0).evidence_seconds(), before);
+  EXPECT_LT(columns.estimator(1).evidence_seconds(), before);
 }
 
 // --------------------------------------------------------------- Collector
@@ -1198,7 +1231,7 @@ TEST(StatusCollector, RespectsPerAttributePeriods) {
   // Location fires at t=1 (first due) then every 5 s: t=1,5,10,15,20 → 5.
   EXPECT_EQ(stats.location_reports, 5u * fx.users);
   EXPECT_EQ(stats.dropped_reports, 0u);
-  EXPECT_EQ(fx.store.twin(0).channel().size(), 20u);
+  EXPECT_EQ(fx.store.columns().channel_column().size(0), 20u);
 }
 
 TEST(StatusCollector, ReportLossDropsShare) {
@@ -1216,8 +1249,8 @@ TEST(StatusCollector, ReportLossDropsShare) {
       static_cast<double>(delivered + stats.dropped_reports);
   EXPECT_NEAR(loss_rate, 0.5, 0.1);
   // Twins still usable, just sparser.
-  EXPECT_GT(fx.store.twin(0).channel().size(), 20u);
-  EXPECT_LT(fx.store.twin(0).channel().size(), 80u);
+  EXPECT_GT(fx.store.columns().channel_column().size(0), 20u);
+  EXPECT_LT(fx.store.columns().channel_column().size(0), 80u);
 }
 
 TEST(StatusCollector, LatencyShiftsVisibility) {
@@ -1227,8 +1260,9 @@ TEST(StatusCollector, LatencyShiftsVisibility) {
   StatusCollector collector(policy, fx.users, Rng(3));
   fx.run(collector, 5);
   // Measurements at t=1..5 are stamped 11..15: not visible in [0, 6).
-  EXPECT_TRUE(fx.store.twin(0).channel().window(0.0, 6.0).empty());
-  EXPECT_EQ(fx.store.twin(0).channel().window(0.0, 16.0).size(), 5u);
+  const ChannelColumn& channel = fx.store.columns().channel_column();
+  EXPECT_TRUE(windowed_walk(channel, 0, 0.0, 6.0).empty());
+  EXPECT_EQ(windowed_walk(channel, 0, 0.0, 16.0).size(), 5u);
 }
 
 TEST(StatusCollector, WatchEventsAreEventDriven) {
@@ -1249,12 +1283,13 @@ TEST(StatusCollector, WatchEventsAreEventDriven) {
   collector.tick(1.0, 1.0, fx.store, fx.channel, fx.field, {ev});
 
   EXPECT_EQ(collector.stats().watch_reports, 1u);
-  ASSERT_EQ(fx.store.twin(2).watch().size(), 1u);
-  const auto& obs = fx.store.twin(2).watch().latest().value;
+  const WatchColumn& watch = fx.store.columns().watch_column();
+  ASSERT_EQ(watch.size(2), 1u);
+  const WatchObservation obs = watch.get(2, 0);
   EXPECT_EQ(obs.video_id, 17u);
   EXPECT_DOUBLE_EQ(obs.watch_fraction, 0.5);
   // Other twins untouched.
-  EXPECT_EQ(fx.store.twin(0).watch().size(), 0u);
+  EXPECT_EQ(watch.size(0), 0u);
 }
 
 TEST(StatusCollector, InvalidPolicyRejected) {

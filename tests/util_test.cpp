@@ -11,6 +11,7 @@
 #include <functional>
 #include <limits>
 #include <numeric>
+#include <stdexcept>
 
 #include "stats_check.hpp"
 #include "util/clock.hpp"
@@ -933,6 +934,30 @@ TEST(Error, ExpectsMacroThrowsWithContext) {
     EXPECT_NE(what.find("1 == 2"), std::string::npos);
     EXPECT_NE(what.find("math broke"), std::string::npos);
   }
+}
+
+TEST(Error, ValidateInputKeepsOnlyTheCheckMessage) {
+  const auto check = [](int value) {
+    DTMSV_EXPECTS_MSG(value > 0, "Config: value must be positive");
+    DTMSV_EXPECTS(value < 10);
+  };
+  dtmsv::util::validate_input([&] { check(5); });  // passes through
+  try {
+    dtmsv::util::validate_input([&] { check(-1); });
+    FAIL() << "should have thrown";
+  } catch (const dtmsv::util::RuntimeError& e) {
+    EXPECT_STREQ(e.what(), "Config: value must be positive");
+  }
+  // A check without a message keeps its full description.
+  try {
+    check(12);
+    FAIL() << "should have thrown";
+  } catch (const PreconditionError& e) {
+    EXPECT_STREQ(e.message(), e.what());
+  }
+  // Other exceptions pass through unchanged.
+  EXPECT_THROW(dtmsv::util::validate_input([] { throw std::out_of_range("x"); }),
+               std::out_of_range);
 }
 
 TEST(Error, EnsuresMacroThrowsInvariant) {
