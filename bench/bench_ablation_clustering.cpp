@@ -1,7 +1,7 @@
-// ABL-CLU — ablation of design choice 2 (DESIGN.md §4): how the grouping
-// number K is chosen. Compares the paper's DDQN-empowered selection against
-// fixed K, the elbow heuristic, a uniform-random K, and the slow
-// silhouette-sweep oracle, all running the identical end-to-end pipeline.
+// ABL-CLU — ablation of how the grouping number K is chosen. Compares the
+// paper's DDQN-empowered selection against fixed K, the elbow heuristic, a
+// uniform-random K, and the slow silhouette-sweep oracle, all running the
+// identical end-to-end pipeline.
 //
 // Shape to reproduce: DDQN approaches the sweep oracle's clustering quality
 // and demand accuracy at a fraction of the oracle's clustering cost, and

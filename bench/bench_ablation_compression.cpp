@@ -1,7 +1,7 @@
-// ABL-CMP — ablation of design choice 1 (DESIGN.md §4): how the UDT
-// time-series windows are turned into clustering features. Compares the
-// paper's 1D-CNN autoencoder embedding against clustering the raw flattened
-// windows and hand-rolled summary statistics.
+// ABL-CMP — ablation of how the UDT time-series windows are turned into
+// clustering features. Compares the paper's 1D-CNN autoencoder embedding
+// against clustering the raw flattened windows and hand-rolled summary
+// statistics.
 //
 // Shape to reproduce: the CNN embedding clusters as well as (or better
 // than) the raw window at a fraction of the feature dimensionality, and

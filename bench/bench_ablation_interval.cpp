@@ -1,10 +1,9 @@
-// ABL-INT — ablation of design choice 5 (DESIGN.md §4): the resource
-// reservation interval. The paper fixes it at 5 minutes; this bench sweeps
-// it and reports prediction accuracy plus the provisioning consequences
-// (how much spectrum a planner reserving prediction + 10% headroom wastes
-// or misses), and the per-stage wall-time breakdown of the interval loop
-// (compression vs. grouping vs. demand prediction vs. environment
-// simulation).
+// ABL-INT — ablation of the resource reservation interval. The paper
+// fixes it at 5 minutes; this bench sweeps it and reports prediction
+// accuracy plus the provisioning consequences (how much spectrum a planner
+// reserving prediction + 10% headroom wastes or misses), and the per-stage
+// wall-time breakdown of the interval loop (compression vs. grouping vs.
+// demand prediction vs. environment simulation).
 //
 // Shape to reproduce: short intervals track the system closely but are
 // noisy (few videos per interval); very long intervals average nicely but

@@ -86,17 +86,6 @@ SimPlan load_plan(util::Config& config) {
                 config.get_double_or("scenario.surge_fraction", cfg.surge_fraction);
             cfg.churn_fraction =
                 config.get_double_or("scenario.churn_fraction", cfg.churn_fraction);
-            cfg.drift_rate =
-                config.get_double_or("scenario.drift_rate", cfg.drift_rate);
-            cfg.drift_popularity_forgetting = config.get_double_or(
-                "scenario.drift_popularity_forgetting",
-                cfg.drift_popularity_forgetting);
-            if (kind == core::ScenarioKind::kCatalogDrift) {
-              // make_scenario folded its own defaults into the base; the
-              // config-supplied rates must land there too.
-              cfg.base.affinity_drift_rate = cfg.drift_rate;
-              cfg.base.popularity_forgetting = cfg.drift_popularity_forgetting;
-            }
 
             core::SchemeConfig& base = cfg.base;
             base.interval_s = config.get_double_or("scheme.interval_s", base.interval_s);

@@ -11,7 +11,7 @@
 //   [scenario] kind (required unless [grid] scenario is set) |
 //              total_users | cell_count | intervals | seed |
 //              surge_interval | surge_cell | surge_fraction |
-//              churn_fraction | drift_rate | drift_popularity_forgetting
+//              churn_fraction
 //   [run]      threads (0 = hardware default) | report (NDJSON output path)
 //   [stages]   feature | grouping | demand  (StageRegistry keys; validated
 //              against the registry, unknown keys list the known ones) |

@@ -102,7 +102,10 @@ ServePlan load_serve_plan(util::Config& config) {
     throw util::RuntimeError("workload.overload_multiplier must be finite and positive");
   }
 
-  util::validate_input([&plan] { core::validate(plan.serve); });
+  util::validate_input([&plan] {
+    core::validate(plan.serve);
+    core::validate(plan.workload);
+  });
 
   config.reject_unread_keys();
   return plan;

@@ -202,51 +202,4 @@ double inertia(const Points& points, const Points& centroids,
   return total;
 }
 
-double calinski_harabasz(const Points& points, const std::vector<std::size_t>& assignment) {
-  DTMSV_EXPECTS(points.size() == assignment.size());
-  const std::size_t n = points.size();
-  if (n == 0) {
-    return 0.0;
-  }
-  const std::size_t k = cluster_count_of(assignment);
-  std::vector<std::size_t> counts;
-  const Points centroids = centroids_of(points, assignment, k, counts);
-  const auto live = static_cast<std::size_t>(
-      std::count_if(counts.begin(), counts.end(), [](std::size_t c) { return c > 0; }));
-  if (live < 2 || live >= n) {
-    return 0.0;
-  }
-
-  const std::size_t dim = points.dim();
-  const double* pts = points.data();
-  std::vector<double> global(dim, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double* prow = pts + i * dim;
-    for (std::size_t d = 0; d < dim; ++d) {
-      global[d] += prow[d];
-    }
-  }
-  for (double& v : global) {
-    v /= static_cast<double>(n);
-  }
-
-  double between = 0.0;
-  for (std::size_t c = 0; c < k; ++c) {
-    if (counts[c] == 0) {
-      continue;
-    }
-    between += static_cast<double>(counts[c]) *
-               squared_distance(centroids[c], std::span<const double>(global));
-  }
-  double within = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    within += squared_distance(points[i], centroids[assignment[i]]);
-  }
-  if (within <= 0.0) {
-    return 0.0;
-  }
-  return (between / static_cast<double>(live - 1)) /
-         (within / static_cast<double>(n - live));
-}
-
 }  // namespace dtmsv::clustering

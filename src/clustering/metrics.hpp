@@ -45,8 +45,4 @@ double davies_bouldin(const Points& points, const std::vector<std::size_t>& assi
 double inertia(const Points& points, const Points& centroids,
                const std::vector<std::size_t>& assignment);
 
-/// Calinski–Harabasz score (>= 0; higher is better). Returns 0 when not
-/// defined (k < 2 or k >= n).
-double calinski_harabasz(const Points& points, const std::vector<std::size_t>& assignment);
-
 }  // namespace dtmsv::clustering

@@ -201,15 +201,6 @@ FleetReport SimulationFleet::run_interval(ReportSink* sink) {
   return report;
 }
 
-std::vector<FleetReport> SimulationFleet::run(std::size_t n) {
-  std::vector<FleetReport> reports;
-  reports.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    reports.push_back(run_interval());
-  }
-  return reports;
-}
-
 std::size_t SimulationFleet::churn(double fraction, ReportSink* sink) {
   DTMSV_EXPECTS(fraction >= 0.0 && fraction <= 1.0);
   if (shards_.size() < 2) {

@@ -105,9 +105,6 @@ class SimulationFleet {
   /// contract.
   FleetReport run_interval(ReportSink* sink = nullptr);
 
-  /// Runs `n` intervals, returning all fleet reports.
-  std::vector<FleetReport> run(std::size_t n);
-
   /// Flash crowd: `users` fresh arrivals surge into `cell`, modeled as a
   /// co-located shard that starts its own warm-up mid-run (newcomers have
   /// no twin history, so their pipeline must warm up like any cold cell).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "clustering/metrics.hpp"
 #include "util/error.hpp"
@@ -81,8 +82,8 @@ void GroupConstructor::report_outcome(double prediction_error) {
   last_reported_error_ = std::min(prediction_error, 2.0);
 }
 
-GroupingDecision GroupConstructor::construct(const clustering::Points& embeddings,
-                                             util::Rng& rng) {
+GroupingOutcome GroupConstructor::construct(const clustering::Points& embeddings,
+                                            util::Rng& rng) {
   DTMSV_EXPECTS_MSG(!embeddings.empty(), "GroupConstructor: no users to cluster");
 
   const std::vector<float> state = encode_state(embeddings, previous_k_);
@@ -100,22 +101,20 @@ GroupingDecision GroupConstructor::construct(const clustering::Points& embedding
     }
   }
 
-  GroupingDecision decision;
+  GroupingOutcome decision;
   decision.epsilon = agent_->current_epsilon();
   const std::size_t action = agent_->act(state);
-  decision.explored = agent_->replay_size() < agent_->config().min_replay_before_train;
 
   std::size_t k = config_.k_min + action;
   k = std::clamp<std::size_t>(k, 1, embeddings.size());
   decision.k = k;
 
-  const auto result = clustering::k_means(embeddings, k, rng, config_.kmeans);
-  decision.assignment = result.assignment;
-  decision.centroids = result.centroids;
+  clustering::KMeansResult result = clustering::k_means(embeddings, k, rng, config_.kmeans);
   // Sampled silhouette keeps the per-interval reward O(n) beyond ~2k
   // users; below the cap it is exact and consumes no rng draws.
   decision.silhouette = clustering::silhouette_sampled(
       embeddings, result.assignment, config_.silhouette_sample_cap, rng);
+  decision.assignment = std::move(result.assignment);
 
   const double k_span =
       std::max<double>(1.0, static_cast<double>(config_.k_max - config_.k_min));

@@ -14,6 +14,7 @@
 
 #include "clustering/kmeans.hpp"
 #include "clustering/selectors.hpp"
+#include "core/pipeline.hpp"
 #include "rl/ddqn.hpp"
 
 namespace dtmsv::core {
@@ -59,16 +60,6 @@ struct GroupConstructorConfig {
   }
 };
 
-/// One grouping decision.
-struct GroupingDecision {
-  std::size_t k = 0;
-  std::vector<std::size_t> assignment;
-  clustering::Points centroids;
-  double silhouette = 0.0;
-  double epsilon = 0.0;         // exploration rate when the action was taken
-  bool explored = false;        // decision made while replay was still cold
-};
-
 /// DDQN-empowered K-means++ group constructor with online learning across
 /// reservation intervals.
 class GroupConstructor {
@@ -76,8 +67,9 @@ class GroupConstructor {
   GroupConstructor(const GroupConstructorConfig& config, std::uint64_t seed);
 
   /// Chooses K for the given embeddings, clusters, learns from the previous
-  /// decision, and returns the grouping. Requires non-empty embeddings.
-  GroupingDecision construct(const clustering::Points& embeddings, util::Rng& rng);
+  /// decision, and returns the grouping (`epsilon` is the exploration rate
+  /// when the action was taken). Requires non-empty embeddings.
+  GroupingOutcome construct(const clustering::Points& embeddings, util::Rng& rng);
 
   /// Reports the normalised demand-prediction error of the interval
   /// governed by the previous construct() decision (in [0, ~1]); feeds the

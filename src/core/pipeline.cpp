@@ -126,13 +126,7 @@ class DdqnGroupingStage final : public GroupingStage {
 
   GroupingOutcome group(const clustering::Points& features,
                         util::Rng& rng) override {
-    const GroupingDecision decision = constructor_->construct(features, rng);
-    GroupingOutcome out;
-    out.k = decision.k;
-    out.assignment = decision.assignment;
-    out.silhouette = decision.silhouette;
-    out.epsilon = decision.epsilon;
-    return out;
+    return constructor_->construct(features, rng);
   }
 
   void report_outcome(double prediction_error) override {

@@ -62,8 +62,10 @@ ScenarioConfig make_scenario(ScenarioKind kind, std::size_t total_users,
     case ScenarioKind::kMobilityChurn:
       break;
     case ScenarioKind::kCatalogDrift:
-      base.affinity_drift_rate = cfg.drift_rate;
-      base.popularity_forgetting = cfg.drift_popularity_forgetting;
+      // Per-interval taste drift and the aggressive popularity forgetting
+      // that stresses recommendation stability.
+      base.affinity_drift_rate = 0.25;
+      base.popularity_forgetting = 0.45;
       break;
   }
   return cfg;

@@ -48,11 +48,6 @@ struct ScenarioConfig {
   // (after the first, so cold twins exist to disturb).
   double churn_fraction = 0.08;
 
-  // Catalog drift: per-interval taste drift rate and the aggressive
-  // popularity forgetting that stresses recommendation stability.
-  double drift_rate = 0.25;
-  double drift_popularity_forgetting = 0.45;
-
   /// Per-cell scheme; make_scenario() fills a smoke-friendly base and the
   /// kind-specific knobs, callers may tweak afterwards.
   SchemeConfig base{};

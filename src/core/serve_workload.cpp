@@ -24,17 +24,27 @@ double efficiency_from_snr(double snr_db) {
 
 }  // namespace
 
+void validate(const ServeWorkloadConfig& config) {
+  DTMSV_EXPECTS_MSG(config.user_count > 0,
+                    "ServeWorkloadConfig: user_count must be positive");
+  DTMSV_EXPECTS_MSG(config.channel_period_s > 0.0,
+                    "ServeWorkloadConfig: channel_period_s must be positive");
+  DTMSV_EXPECTS_MSG(config.location_period_s > 0.0,
+                    "ServeWorkloadConfig: location_period_s must be positive");
+  DTMSV_EXPECTS_MSG(config.watch_period_s > 0.0,
+                    "ServeWorkloadConfig: watch_period_s must be positive");
+  DTMSV_EXPECTS_MSG(config.extent_x > 0.0 && config.extent_y > 0.0,
+                    "ServeWorkloadConfig: walk extent must be positive");
+  DTMSV_EXPECTS_MSG(std::isfinite(config.affinity_concentration) &&
+                        config.affinity_concentration > 0.0,
+                    "ServeWorkloadConfig: affinity_concentration must be finite and "
+                    "positive");
+}
+
 ServeWorkload::ServeWorkload(const ServeWorkloadConfig& config,
                              const video::Catalog& catalog)
     : config_(config), catalog_(&catalog) {
-  DTMSV_EXPECTS_MSG(config.user_count > 0,
-                    "ServeWorkload: user_count must be positive");
-  DTMSV_EXPECTS_MSG(config.channel_period_s > 0.0 &&
-                        config.location_period_s > 0.0 &&
-                        config.watch_period_s > 0.0,
-                    "ServeWorkload: report periods must be positive");
-  DTMSV_EXPECTS_MSG(config.extent_x > 0.0 && config.extent_y > 0.0,
-                    "ServeWorkload: walk extent must be positive");
+  validate(config);
   DTMSV_EXPECTS_MSG(catalog.size() > 0, "ServeWorkload: catalog is empty");
 
   util::Rng root(config.seed);

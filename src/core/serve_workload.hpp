@@ -43,6 +43,12 @@ struct ServeWorkloadConfig {
   double extent_y = 1000.0;
 };
 
+/// Throws util::PreconditionError naming the offending field: positive
+/// user count, report periods and walk extent, and a finite positive
+/// affinity_concentration. Called by the ServeWorkload constructor; the
+/// serve loader calls it too, so a bad key fails at load.
+void validate(const ServeWorkloadConfig& config);
+
 class ServeWorkload {
  public:
   /// `catalog` must outlive the workload (watch reports sample video ids

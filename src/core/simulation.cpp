@@ -39,6 +39,11 @@ void validate(const SchemeConfig& config) {
   DTMSV_EXPECTS_MSG(
       config.affinity_drift_rate >= 0.0 && config.affinity_drift_rate <= 1.0,
       "SchemeConfig: affinity_drift_rate must be in [0, 1]");
+  DTMSV_EXPECTS_MSG(std::isfinite(config.affinity_concentration) &&
+                        config.affinity_concentration > 0.0,
+                    "SchemeConfig: affinity_concentration must be finite and > 0");
+  DTMSV_EXPECTS_MSG(config.session.engagement.catalog.videos_per_category > 0,
+                    "SchemeConfig: videos_per_category must be > 0");
   DTMSV_EXPECTS_MSG(config.grouping.k_min >= 1,
                     "SchemeConfig: grouping.k_min must be >= 1");
   DTMSV_EXPECTS_MSG(config.grouping.k_min <= config.grouping.k_max,

@@ -1,7 +1,5 @@
 #include "nn/activations.hpp"
 
-#include <cmath>
-
 namespace dtmsv::nn {
 
 namespace {
@@ -45,27 +43,6 @@ const Tensor& ReLU::backward(const Tensor& grad_output) {
   // gradient under a clamped unit still yields NaN and a negative one -0.
   return scale_into(grad_output, output_, grad_input_,
                     [](float y) { return y > 0.0f ? 1.0f : 0.0f; });
-}
-
-const Tensor& Tanh::forward(const Tensor& input) {
-  return map_into(input, output_, [](float v) { return std::tanh(v); });
-}
-
-const Tensor& Tanh::backward(const Tensor& grad_output) {
-  DTMSV_EXPECTS_MSG(!output_.empty(), "Tanh: backward before forward");
-  return scale_into(grad_output, output_, grad_input_,
-                    [](float y) { return 1.0f - y * y; });
-}
-
-const Tensor& Sigmoid::forward(const Tensor& input) {
-  return map_into(input, output_,
-                  [](float v) { return 1.0f / (1.0f + std::exp(-v)); });
-}
-
-const Tensor& Sigmoid::backward(const Tensor& grad_output) {
-  DTMSV_EXPECTS_MSG(!output_.empty(), "Sigmoid: backward before forward");
-  return scale_into(grad_output, output_, grad_input_,
-                    [](float y) { return y * (1.0f - y); });
 }
 
 }  // namespace dtmsv::nn

@@ -1,4 +1,4 @@
-// Elementwise activation layers (shape preserving).
+// The ReLU activation layer (elementwise, shape preserving).
 #pragma once
 
 #include "nn/layer.hpp"
@@ -14,30 +14,6 @@ class ReLU final : public Layer {
 
  private:
   Tensor output_;  // last forward output; > 0 exactly where the input was
-  Tensor grad_input_;
-};
-
-/// Hyperbolic tangent.
-class Tanh final : public Layer {
- public:
-  const Tensor& forward(const Tensor& input) override;
-  const Tensor& backward(const Tensor& grad_output) override;
-  std::string name() const override { return "Tanh"; }
-
- private:
-  Tensor output_;
-  Tensor grad_input_;
-};
-
-/// Logistic sigmoid.
-class Sigmoid final : public Layer {
- public:
-  const Tensor& forward(const Tensor& input) override;
-  const Tensor& backward(const Tensor& grad_output) override;
-  std::string name() const override { return "Sigmoid"; }
-
- private:
-  Tensor output_;
   Tensor grad_input_;
 };
 

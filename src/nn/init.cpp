@@ -13,12 +13,4 @@ void xavier_uniform(Tensor& weights, std::size_t fan_in, std::size_t fan_out,
   }
 }
 
-void kaiming_normal(Tensor& weights, std::size_t fan_in, util::Rng& rng) {
-  DTMSV_EXPECTS(fan_in > 0);
-  const double sigma = std::sqrt(2.0 / static_cast<double>(fan_in));
-  for (float& w : weights.data()) {
-    w = static_cast<float>(rng.normal(0.0, sigma));
-  }
-}
-
 }  // namespace dtmsv::nn

@@ -1,4 +1,4 @@
-// Weight initialisation schemes.
+// Weight initialisation.
 #pragma once
 
 #include "nn/tensor.hpp"
@@ -9,8 +9,5 @@ namespace dtmsv::nn {
 /// Xavier/Glorot uniform: U(-a, a) with a = sqrt(6 / (fan_in + fan_out)).
 void xavier_uniform(Tensor& weights, std::size_t fan_in, std::size_t fan_out,
                     util::Rng& rng);
-
-/// Kaiming/He normal for ReLU fan-in: N(0, sqrt(2 / fan_in)).
-void kaiming_normal(Tensor& weights, std::size_t fan_in, util::Rng& rng);
 
 }  // namespace dtmsv::nn

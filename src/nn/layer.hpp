@@ -55,7 +55,7 @@ class Layer {
 
   /// Zeroes all parameter gradients. Builds the parameters() list, so a
   /// training loop zeroes through its optimiser's list instead
-  /// (Optimizer::zero_grad).
+  /// (Adam::zero_grad).
   void zero_grad();
 
   virtual std::string name() const = 0;

@@ -22,18 +22,10 @@ LossResult mse_loss(const Tensor& prediction, const Tensor& target);
 /// order, so a training loop passes its input batch without reshaping it.
 float mse_loss(const Tensor& prediction, std::span<const float> target, Tensor& grad);
 
-/// Huber (smooth-L1) loss averaged over all elements; quadratic within
-/// |err| <= delta, linear outside. The standard DQN training loss.
-LossResult huber_loss(const Tensor& prediction, const Tensor& target,
-                      float delta = 1.0f);
-
-/// MSE restricted to elements where mask != 0 (used by DDQN to train only
-/// the Q-value of the action actually taken). The average is over the
-/// masked element count.
-LossResult masked_mse_loss(const Tensor& prediction, const Tensor& target,
-                           const Tensor& mask);
-
-/// Huber restricted to masked elements.
+/// Huber (smooth-L1) loss restricted to elements where mask != 0 and
+/// averaged over the masked element count: quadratic within |err| <= delta,
+/// linear outside. DDQN trains only the Q-value of the action actually taken
+/// with it.
 LossResult masked_huber_loss(const Tensor& prediction, const Tensor& target,
                              const Tensor& mask, float delta = 1.0f);
 

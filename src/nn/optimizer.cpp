@@ -6,13 +6,13 @@
 
 namespace dtmsv::nn {
 
-void Optimizer::zero_grad() {
+void Adam::zero_grad() {
   for (auto& p : params_) {
     p.grad->zero();
   }
 }
 
-double Optimizer::clip_grad_norm(double max_norm) {
+double Adam::clip_grad_norm(double max_norm) {
   DTMSV_EXPECTS(max_norm > 0.0);
   // Decide with a lane-order sum first. Each g² is exact in double and
   // both this sum and the sequential chain below are within (n - 1)·2^-53
@@ -44,36 +44,9 @@ double Optimizer::clip_grad_norm(double max_norm) {
   return norm;
 }
 
-Sgd::Sgd(std::vector<ParamRef> params, double learning_rate, double momentum)
-    : Optimizer(std::move(params)), lr_(learning_rate), momentum_(momentum) {
-  DTMSV_EXPECTS(learning_rate > 0.0);
-  DTMSV_EXPECTS(momentum >= 0.0 && momentum < 1.0);
-  velocity_.reserve(params_.size());
-  for (const auto& p : params_) {
-    velocity_.emplace_back(p.value->shape());
-  }
-}
-
-void Sgd::set_learning_rate(double lr) {
-  DTMSV_EXPECTS(lr > 0.0);
-  lr_ = lr;
-}
-
-void Sgd::step() {
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    auto value = params_[i].value->data();
-    const auto grad = params_[i].grad->data();
-    auto vel = velocity_[i].data();
-    for (std::size_t j = 0; j < value.size(); ++j) {
-      vel[j] = static_cast<float>(momentum_) * vel[j] - static_cast<float>(lr_) * grad[j];
-      value[j] += vel[j];
-    }
-  }
-}
-
 Adam::Adam(std::vector<ParamRef> params, double learning_rate, double beta1,
            double beta2, double epsilon)
-    : Optimizer(std::move(params)),
+    : params_(std::move(params)),
       lr_(learning_rate),
       beta1_(beta1),
       beta2_(beta2),

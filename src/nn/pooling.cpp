@@ -143,21 +143,4 @@ const Tensor& GlobalAvgPool1D::backward(const Tensor& grad_output) {
   return grad_input_;
 }
 
-const Tensor& Flatten::forward(const Tensor& input) {
-  DTMSV_EXPECTS_MSG(input.rank() >= 2, "Flatten: input must be batched");
-  input_shape_ = input.shape();
-  output_.resize({input_shape_[0], input.size() / input_shape_[0]});
-  std::copy(input.data().begin(), input.data().end(), output_.data().begin());
-  return output_;
-}
-
-const Tensor& Flatten::backward(const Tensor& grad_output) {
-  DTMSV_EXPECTS_MSG(!input_shape_.empty(), "Flatten: backward before forward");
-  DTMSV_EXPECTS(grad_output.size() == output_.size());
-  grad_input_.resize(input_shape_);
-  std::copy(grad_output.data().begin(), grad_output.data().end(),
-            grad_input_.data().begin());
-  return grad_input_;
-}
-
 }  // namespace dtmsv::nn

@@ -1,4 +1,4 @@
-// Pooling and reshaping layers for the 1D-CNN stack.
+// Pooling layers for the 1D-CNN stack.
 #pragma once
 
 #include <cstdint>
@@ -38,19 +38,6 @@ class GlobalAvgPool1D final : public Layer {
  private:
   Shape input_shape_;
   Tensor output_;
-  Tensor grad_input_;
-};
-
-/// Flattens all trailing axes: [N, ...] -> [N, prod(...)].
-class Flatten final : public Layer {
- public:
-  const Tensor& forward(const Tensor& input) override;
-  const Tensor& backward(const Tensor& grad_output) override;
-  std::string name() const override { return "Flatten"; }
-
- private:
-  Shape input_shape_;
-  Tensor output_;  // the input's elements under the flat shape
   Tensor grad_input_;
 };
 

@@ -1,7 +1,7 @@
 #include "nn/serialize.hpp"
 
-#include <fstream>
 #include <sstream>
+#include <string>
 
 #include "util/error.hpp"
 
@@ -29,14 +29,6 @@ void save_parameters(Layer& model, std::ostream& os) {
   if (!os) {
     throw util::RuntimeError("save_parameters: stream write failed");
   }
-}
-
-void save_parameters(Layer& model, const std::string& path) {
-  std::ofstream os(path);
-  if (!os) {
-    throw util::RuntimeError("save_parameters: cannot open " + path);
-  }
-  save_parameters(model, os);
 }
 
 void load_parameters(Layer& model, std::istream& is) {
@@ -77,14 +69,6 @@ void load_parameters(Layer& model, std::istream& is) {
   }
 }
 
-void load_parameters(Layer& model, const std::string& path) {
-  std::ifstream is(path);
-  if (!is) {
-    throw util::RuntimeError("load_parameters: cannot open " + path);
-  }
-  load_parameters(model, is);
-}
-
 void copy_parameters(Layer& src, Layer& dst) {
   const auto from = src.parameters();
   auto to = dst.parameters();
@@ -93,22 +77,6 @@ void copy_parameters(Layer& src, Layer& dst) {
     DTMSV_EXPECTS_MSG(same_shape(*from[i].value, *to[i].value),
                       "copy_parameters: shape mismatch");
     *to[i].value = *from[i].value;
-  }
-}
-
-void soft_update(Layer& src, Layer& dst, double tau) {
-  DTMSV_EXPECTS(tau >= 0.0 && tau <= 1.0);
-  const auto from = src.parameters();
-  auto to = dst.parameters();
-  DTMSV_EXPECTS_MSG(from.size() == to.size(), "soft_update: layout mismatch");
-  for (std::size_t i = 0; i < from.size(); ++i) {
-    DTMSV_EXPECTS_MSG(same_shape(*from[i].value, *to[i].value),
-                      "soft_update: shape mismatch");
-    auto dst_data = to[i].value->data();
-    const auto src_data = from[i].value->data();
-    for (std::size_t j = 0; j < dst_data.size(); ++j) {
-      dst_data[j] = static_cast<float>(tau * src_data[j] + (1.0 - tau) * dst_data[j]);
-    }
   }
 }
 

@@ -4,7 +4,6 @@
 #pragma once
 
 #include <iosfwd>
-#include <string>
 
 #include "nn/layer.hpp"
 
@@ -12,18 +11,13 @@ namespace dtmsv::nn {
 
 /// Writes all parameters of `model` to the stream.
 void save_parameters(Layer& model, std::ostream& os);
-void save_parameters(Layer& model, const std::string& path);
 
 /// Loads parameters into `model`; shapes must match exactly, otherwise
 /// util::RuntimeError is thrown.
 void load_parameters(Layer& model, std::istream& is);
-void load_parameters(Layer& model, const std::string& path);
 
 /// Copies parameter values from `src` into `dst` (shapes must match).
 /// Used for target-network synchronisation in DDQN.
 void copy_parameters(Layer& src, Layer& dst);
-
-/// Polyak/soft update: dst = tau*src + (1-tau)*dst.
-void soft_update(Layer& src, Layer& dst, double tau);
 
 }  // namespace dtmsv::nn

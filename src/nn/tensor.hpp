@@ -52,7 +52,6 @@ class Tensor {
   static Tensor from_rows(std::initializer_list<std::initializer_list<float>> rows);
   /// Shape-matching tensor filled with a constant.
   static Tensor full(Shape shape, float value);
-  static Tensor zeros_like(const Tensor& other) { return Tensor(other.shape()); }
 
   const Shape& shape() const { return shape_; }
   std::size_t rank() const { return shape_.size(); }

@@ -198,10 +198,4 @@ GroupChannelForecast forecast_group_channel(
   return forecast;
 }
 
-double predict_group_efficiency_joint(
-    const std::vector<const twin::UserDigitalTwin*>& members, util::SimTime now,
-    double window_s, double floor, double bin_s) {
-  return forecast_group_channel(members, now, window_s, floor, bin_s).efficiency;
-}
-
 }  // namespace dtmsv::predict

@@ -102,10 +102,4 @@ GroupChannelForecast forecast_group_channel(
     const std::vector<const twin::UserDigitalTwin*>& members, util::SimTime now,
     double window_s, double floor = 0.05, double bin_s = 1.0);
 
-/// Convenience: harmonic-mean group efficiency only (see
-/// forecast_group_channel).
-double predict_group_efficiency_joint(
-    const std::vector<const twin::UserDigitalTwin*>& members, util::SimTime now,
-    double window_s, double floor = 0.05, double bin_s = 1.0);
-
 }  // namespace dtmsv::predict

@@ -2,7 +2,7 @@
 // prediction from the abstracted group information (swiping probability
 // distribution, recommended videos, predicted channel efficiency).
 //
-// Structural model (see DESIGN.md §4/§5):
+// Structural model:
 //   * every member watches the group's multicast feed continuously;
 //   * each distinct video is multicast once, staying on air until its last
 //     viewer swipes (expected max watch fraction from the swiping CDF);

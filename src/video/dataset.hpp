@@ -6,7 +6,6 @@
 //   * clip durations 5–60 s (log-uniform, skewing short),
 //   * heavy-tailed watch fractions whose mean rises with the viewer's
 //     affinity for the clip's category (early-swipe spike + finishers).
-// See DESIGN.md §2 for the substitution argument.
 #pragma once
 
 #include <array>

@@ -1,6 +1,6 @@
 // Large-scale propagation: log-distance path loss with log-normal shadowing,
-// the standard 3GPP-style urban model (see DESIGN.md §2 for why this stands
-// in for the authors' campus measurements). The log10 and exp here are
+// the standard 3GPP-style urban model, standing in for the authors' campus
+// measurements. The log10 and exp here are
 // util/vmath.hpp's scalar forms: ChannelModel runs the same kernel 8 users
 // per vector, so these per-link definitions and its loop agree bit for bit.
 #pragma once

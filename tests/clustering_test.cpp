@@ -318,15 +318,6 @@ TEST(SilhouetteSampled, DegenerateSingleClusterIsZero) {
   EXPECT_DOUBLE_EQ(silhouette_sampled(points, assignment, 2, sample_rng), 0.0);
 }
 
-TEST(CalinskiHarabasz, HigherForSeparatedData) {
-  Rng rng(18);
-  const Points good = gaussian_blobs({{0.0, 0.0}, {50.0, 0.0}}, 20, 0.5, rng);
-  const Points bad = gaussian_blobs({{0.0, 0.0}, {1.0, 0.0}}, 20, 3.0, rng);
-  std::vector<std::size_t> assignment(40, 0);
-  std::fill(assignment.begin() + 20, assignment.end(), 1);
-  EXPECT_GT(calinski_harabasz(good, assignment), calinski_harabasz(bad, assignment));
-}
-
 // ---------------------------------------------------------------- selectors
 
 TEST(FixedKSelector, ClampsToPointCount) {

@@ -190,16 +190,36 @@ TEST(ScenarioLoader, GridExpandsCrossProductWithUniqueLabels) {
   EXPECT_EQ(plan.jobs.front().label, "steady_state/seed=1/default+ddqn+default");
 }
 
-TEST(ScenarioLoader, CatalogDriftRatesReachTheSchemeBase) {
+TEST(ScenarioLoader, CatalogDriftRatesComeFromTheSchemeKeys) {
+  // catalog_drift's own rates stand unless the [scheme] keys override them.
+  Config defaults = Config::parse("[scenario]\nkind = catalog_drift\n");
+  const cli::SimPlan plain = cli::load_plan(defaults);
+  ASSERT_EQ(plain.jobs.size(), 1u);
+  EXPECT_DOUBLE_EQ(plain.jobs.front().scenario.base.affinity_drift_rate, 0.25);
+  EXPECT_DOUBLE_EQ(plain.jobs.front().scenario.base.popularity_forgetting, 0.45);
+
   Config c = Config::parse(
       "[scenario]\n"
       "kind = catalog_drift\n"
-      "drift_rate = 0.5\n"
-      "drift_popularity_forgetting = 0.3\n");
+      "[scheme]\n"
+      "affinity_drift_rate = 0.5\n"
+      "popularity_forgetting = 0.3\n");
   const cli::SimPlan plan = cli::load_plan(c);
   ASSERT_EQ(plan.jobs.size(), 1u);
   EXPECT_DOUBLE_EQ(plan.jobs.front().scenario.base.affinity_drift_rate, 0.5);
   EXPECT_DOUBLE_EQ(plan.jobs.front().scenario.base.popularity_forgetting, 0.3);
+
+  // The [scenario] spelling that shadowed the drift rate is gone: unknown.
+  Config old = Config::parse(
+      "[scenario]\nkind = catalog_drift\ndrift_rate = 0.5\n");
+  try {
+    cli::load_plan(old);
+    FAIL() << "expected RuntimeError";
+  } catch (const util::RuntimeError& error) {
+    EXPECT_NE(std::string(error.what()).find("unknown config keys: scenario.drift_rate"),
+              std::string::npos)
+        << error.what();
+  }
 }
 
 TEST(ScenarioLoader, RejectsUnknownScenarioStageAndTypoKeys) {

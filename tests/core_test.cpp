@@ -346,7 +346,7 @@ TEST(GroupConstructor, DecisionWithinConfiguredRange) {
   Rng rng(3);
   const Points points = blob_points(3, 10, 8.0, rng);
   for (int i = 0; i < 10; ++i) {
-    const GroupingDecision d = ctor.construct(points, rng);
+    const GroupingOutcome d = ctor.construct(points, rng);
     EXPECT_GE(d.k, 2u);
     EXPECT_LE(d.k, 6u);
     ASSERT_EQ(d.assignment.size(), points.size());
@@ -365,7 +365,7 @@ TEST(GroupConstructor, ClampsKToPointCount) {
   GroupConstructor ctor(cfg, 4);
   Rng rng(4);
   const Points tiny = blob_points(1, 3, 1.0, rng);  // 3 points
-  const GroupingDecision d = ctor.construct(tiny, rng);
+  const GroupingOutcome d = ctor.construct(tiny, rng);
   EXPECT_LE(d.k, 3u);
 }
 

@@ -1,12 +1,8 @@
 // Second-wave edge-case tests across modules: boundary geometries, extreme
-// configurations, serialisation to disk, and behaviours the first-wave unit
-// tests did not pin down.
+// configurations, and behaviours the first-wave unit tests did not pin down.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <limits>
 
 #include "analysis/recommend.hpp"
@@ -17,11 +13,8 @@
 #include "core/fleet.hpp"
 #include "core/group_constructor.hpp"
 #include "core/scenarios.hpp"
+#include "core/serve_workload.hpp"
 #include "core/simulation.hpp"
-#include "nn/activations.hpp"
-#include "nn/linear.hpp"
-#include "nn/sequential.hpp"
-#include "nn/serialize.hpp"
 #include "twin/arena.hpp"
 #include "twin/column_store.hpp"
 #include "util/error.hpp"
@@ -37,43 +30,6 @@ namespace {
 using namespace dtmsv;
 using util::PreconditionError;
 using util::Rng;
-
-// ------------------------------------------------------------ nn to disk
-
-TEST(SerializeFile, RoundTripThroughFilesystem) {
-  Rng rng(1);
-  nn::Sequential net;
-  net.emplace<nn::Linear>(4, 4, rng);
-  net.emplace<nn::ReLU>();
-  net.emplace<nn::Linear>(4, 2, rng);
-
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "dtmsv_params_test.txt").string();
-  nn::save_parameters(net, path);
-
-  Rng rng2(2);
-  nn::Sequential other;
-  other.emplace<nn::Linear>(4, 4, rng2);
-  other.emplace<nn::ReLU>();
-  other.emplace<nn::Linear>(4, 2, rng2);
-  nn::load_parameters(other, path);
-
-  nn::Tensor x({1, 4}, {0.1f, -0.2f, 0.3f, -0.4f});
-  const nn::Tensor ya = net.forward(x);
-  const nn::Tensor yb = other.forward(x);
-  for (std::size_t i = 0; i < ya.size(); ++i) {
-    EXPECT_NEAR(ya[i], yb[i], 1e-5);
-  }
-  std::remove(path.c_str());
-}
-
-TEST(SerializeFile, MissingFileThrows) {
-  Rng rng(3);
-  nn::Sequential net;
-  net.emplace<nn::Linear>(2, 2, rng);
-  EXPECT_THROW(nn::load_parameters(net, "/nonexistent/params.txt"),
-               util::RuntimeError);
-}
 
 // ------------------------------------------------------- fading dynamics
 
@@ -481,6 +437,46 @@ TEST(ConfigValidation, SchemeConfigRejectsDegenerateValues) {
   cfg = good;
   cfg.popularity_forgetting = 0.0;
   EXPECT_THROW(core::Simulation{cfg}, PreconditionError);
+
+  // The affinity sampler and the catalog generator reject these too, but
+  // only once a Simulation is half built; validate names the field first.
+  for (const double bad : {0.0, -1.0, inf, nan}) {
+    cfg = good;
+    cfg.affinity_concentration = bad;
+    EXPECT_THROW(core::validate(cfg), PreconditionError);
+  }
+  cfg = good;
+  cfg.session.engagement.catalog.videos_per_category = 0;
+  EXPECT_THROW(core::validate(cfg), PreconditionError);
+}
+
+TEST(ConfigValidation, ServeWorkloadConfigRejectsDegenerateValues) {
+  const core::ServeWorkloadConfig good;
+  EXPECT_NO_THROW(core::validate(good));
+
+  core::ServeWorkloadConfig cfg = good;
+  cfg.user_count = 0;
+  EXPECT_THROW(core::validate(cfg), PreconditionError);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double bad : {0.0, -1.0, nan}) {
+    cfg = good;
+    cfg.channel_period_s = bad;
+    EXPECT_THROW(core::validate(cfg), PreconditionError);
+    cfg = good;
+    cfg.location_period_s = bad;
+    EXPECT_THROW(core::validate(cfg), PreconditionError);
+    cfg = good;
+    cfg.watch_period_s = bad;
+    EXPECT_THROW(core::validate(cfg), PreconditionError);
+    cfg = good;
+    cfg.extent_x = bad;
+    EXPECT_THROW(core::validate(cfg), PreconditionError);
+  }
+  for (const double bad : {0.0, std::numeric_limits<double>::infinity(), nan}) {
+    cfg = good;
+    cfg.affinity_concentration = bad;
+    EXPECT_THROW(core::validate(cfg), PreconditionError);
+  }
 }
 
 TEST(ConfigValidation, FleetConfigRejectsDegenerateValues) {

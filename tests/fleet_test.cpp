@@ -65,7 +65,10 @@ TEST(SimulationFleet, ShardSeedsDiffer) {
 
 TEST(SimulationFleet, AggregatesMatchShardReports) {
   SimulationFleet fleet(fast_fleet());
-  const std::vector<FleetReport> reports = fleet.run(3);
+  std::vector<FleetReport> reports;
+  for (int i = 0; i < 3; ++i) {
+    reports.push_back(fleet.run_interval());
+  }
   for (const FleetReport& r : reports) {
     ASSERT_EQ(r.shards.size(), fleet.shard_count());
     double pred = 0.0;
@@ -105,7 +108,10 @@ TEST(SimulationFleet, BitIdenticalAcrossThreadCounts) {
   for (const std::size_t threads : {std::size_t{1}, std::size_t{3}, std::size_t{8}}) {
     util::set_thread_count(threads);
     SimulationFleet fleet(fast_fleet(36, 3, 7));
-    runs.push_back(fleet.run(3));
+    std::vector<FleetReport>& reports = runs.emplace_back();
+    for (int i = 0; i < 3; ++i) {
+      reports.push_back(fleet.run_interval());
+    }
   }
   util::set_thread_count(0);  // restore env/hardware default
 
@@ -139,7 +145,9 @@ TEST(SimulationFleet, BitIdenticalAcrossThreadCounts) {
 
 TEST(SimulationFleet, SurgeShardJoinsItsCell) {
   SimulationFleet fleet(fast_fleet(30, 3));
-  fleet.run(2);
+  for (int i = 0; i < 2; ++i) {
+    fleet.run_interval();
+  }
   const std::size_t before = fleet.user_count();
   fleet.add_surge_shard(/*cell=*/1, /*users=*/15);
   EXPECT_EQ(fleet.shard_count(), 4u);
@@ -159,7 +167,9 @@ TEST(SimulationFleet, SurgeShardJoinsItsCell) {
 
 TEST(SimulationFleet, ChurnSwapsAffinitiesAndResetsTwins) {
   SimulationFleet fleet(fast_fleet(24, 2, 11));
-  fleet.run(2);  // build twin history first
+  for (int i = 0; i < 2; ++i) {  // build twin history first
+    fleet.run_interval();
+  }
 
   // Collect the multiset of affinity vectors before the handovers.
   std::vector<double> before;
@@ -205,7 +215,9 @@ TEST(SimulationFleet, ChurnRecyclingNeverLeaksHistoryIntoSnapshots) {
   // must give the recycled slots all-zero windows and every untouched user
   // the same bytes as before.
   SimulationFleet fleet(fast_fleet(24, 2, 11));
-  fleet.run(2);  // build twin history first
+  for (int i = 0; i < 2; ++i) {  // build twin history first
+    fleet.run_interval();
+  }
 
   const dtmsv::twin::FeatureScaling scaling{1200.0, 1000.0, 10.0, 40.0};
   std::vector<dtmsv::twin::FeatureArena> arenas(fleet.shard_count());
@@ -294,7 +306,9 @@ TEST(SimulationFleet, SteadyStateTwinsKeepOnlyWhatTheWindowReads) {
   cfg.total_users = scenario.total_users;
   cfg.seed = scenario.seed;
   SimulationFleet fleet(cfg);
-  fleet.run(4);  // past warm-up, with windows full of history
+  for (int i = 0; i < 4; ++i) {  // past warm-up, with windows full of history
+    fleet.run_interval();
+  }
   for (std::size_t s = 0; s < fleet.shard_count(); ++s) {
     const core::Simulation& sim = fleet.shard(s);
     const twin::TwinColumnStore& columns = sim.twins().columns();

@@ -134,23 +134,13 @@ INSTANTIATE_TEST_SUITE_P(Windows, MaxPoolSweep, ::testing::Values(1, 2, 3, 5, 13
 
 // --------------------------------------------- optimizer convergence sweep
 
-struct OptCase {
-  bool adam;
-  double lr;
-};
-
-class OptimizerSweep : public ::testing::TestWithParam<OptCase> {};
+class OptimizerSweep : public ::testing::TestWithParam<double> {};
 
 TEST_P(OptimizerSweep, FitsLinearRegression) {
-  const OptCase c = GetParam();
+  const double lr = GetParam();
   Rng rng(9);
   Linear layer(2, 1, rng);
-  std::unique_ptr<Optimizer> opt;
-  if (c.adam) {
-    opt = std::make_unique<Adam>(layer.parameters(), c.lr);
-  } else {
-    opt = std::make_unique<Sgd>(layer.parameters(), c.lr, 0.9);
-  }
+  Adam opt(layer.parameters(), lr);
 
   // Ground truth: y = 2 x0 - 3 x1 + 0.5.
   const auto target_fn = [](float x0, float x1) { return 2.0f * x0 - 3.0f * x1 + 0.5f; };
@@ -169,18 +159,15 @@ TEST_P(OptimizerSweep, FitsLinearRegression) {
     loss_value = loss.value;
     layer.zero_grad();
     layer.backward(loss.grad);
-    opt->step();
+    opt.step();
   }
-  EXPECT_LT(loss_value, 1e-3f) << (c.adam ? "adam" : "sgd") << " lr=" << c.lr;
+  EXPECT_LT(loss_value, 1e-3f) << "lr=" << lr;
   EXPECT_NEAR(layer.weights()[0], 2.0f, 0.05f);
   EXPECT_NEAR(layer.weights()[1], -3.0f, 0.05f);
   EXPECT_NEAR(layer.bias()[0], 0.5f, 0.05f);
 }
 
-INSTANTIATE_TEST_SUITE_P(Cases, OptimizerSweep,
-                         ::testing::Values(OptCase{true, 1e-2}, OptCase{true, 3e-2},
-                                           OptCase{false, 1e-2},
-                                           OptCase{false, 3e-2}));
+INSTANTIATE_TEST_SUITE_P(Cases, OptimizerSweep, ::testing::Values(1e-2, 3e-2));
 
 // --------------------------------------------- loss identities
 
@@ -196,7 +183,7 @@ TEST_P(LossIdentitySweep, HuberEqualsMseInsideDelta) {
     pred[i] = target[i] + static_cast<float>(rng.uniform(-0.9, 0.9));
   }
   const auto mse = mse_loss(pred, target);
-  const auto huber = huber_loss(pred, target, 1.0f);
+  const auto huber = masked_huber_loss(pred, target, Tensor::full({16}, 1.0f), 1.0f);
   EXPECT_NEAR(huber.value, 0.5f * mse.value, 1e-5);
   for (std::size_t i = 0; i < 16; ++i) {
     EXPECT_NEAR(huber.grad[i], 0.5f * mse.grad[i], 1e-6);
@@ -219,10 +206,12 @@ TEST_P(LossIdentitySweep, MaskedLossMatchesSubsetLoss) {
       sub_target.push_back(target[i]);
     }
   }
-  const auto masked = masked_mse_loss(pred, target, mask);
+  // A delta past every error keeps the Huber loss quadratic: half the MSE
+  // of the masked subset.
+  const auto masked = masked_huber_loss(pred, target, mask, 100.0f);
   const auto subset =
       mse_loss(Tensor::from_vector(sub_pred), Tensor::from_vector(sub_target));
-  EXPECT_NEAR(masked.value, subset.value, 1e-5);
+  EXPECT_NEAR(masked.value, 0.5f * subset.value, 1e-5);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LossIdentitySweep, ::testing::Values(1, 2, 3, 4));
@@ -242,18 +231,6 @@ TEST_P(ActivationRangeSweep, OutputsInCanonicalRanges) {
   const Tensor yr = relu.forward(x);
   for (const float v : yr.data()) {
     EXPECT_GE(v, 0.0f);
-  }
-  Tanh tanh_layer;
-  const Tensor yt = tanh_layer.forward(x);
-  for (const float v : yt.data()) {
-    EXPECT_GE(v, -1.0f);
-    EXPECT_LE(v, 1.0f);
-  }
-  Sigmoid sigmoid;
-  const Tensor ys = sigmoid.forward(x);
-  for (const float v : ys.data()) {
-    EXPECT_GE(v, 0.0f);
-    EXPECT_LE(v, 1.0f);
   }
 }
 

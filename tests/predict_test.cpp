@@ -355,7 +355,7 @@ TEST(GroupEfficiencyJoint, ConstantMembersGiveMin) {
   const auto b = twin_with_efficiency_ramp(1.5, 0.0, 10);
   const UserDigitalTwin a_twin(&a, 0);
   const UserDigitalTwin b_twin(&b, 0);
-  const double eff = predict_group_efficiency_joint({&a_twin, &b_twin}, 10.0, 10.0, 0.05);
+  const double eff = forecast_group_channel({&a_twin, &b_twin}, 10.0, 10.0, 0.05).efficiency;
   EXPECT_NEAR(eff, 1.5, 1e-9);
 }
 
@@ -368,7 +368,7 @@ TEST(GroupEfficiencyJoint, HarmonicMeanOfAlternatingSeries) {
     store.record_channel(0, static_cast<double>(t), obs);
   }
   const UserDigitalTwin twin(&store, 0);
-  const double eff = predict_group_efficiency_joint({&twin}, 10.0, 10.0, 0.05);
+  const double eff = forecast_group_channel({&twin}, 10.0, 10.0, 0.05).efficiency;
   EXPECT_NEAR(eff, 1.5, 1e-9);
 }
 
@@ -386,7 +386,7 @@ TEST(GroupEfficiencyJoint, BelowMinOfMeansForFluctuatingMembers) {
   }
   const UserDigitalTwin a(&store, 0);
   const UserDigitalTwin b(&store, 1);
-  const double joint = predict_group_efficiency_joint({&a, &b}, 10.0, 10.0, 0.05);
+  const double joint = forecast_group_channel({&a, &b}, 10.0, 10.0, 0.05).efficiency;
   EXPECT_NEAR(joint, 1.0, 1e-9);
   MeanPredictor pred;
   const double naive = predict_group_efficiency({&a, &b}, pred, 10.0, 10.0, 0.05);
@@ -401,14 +401,14 @@ TEST(GroupEfficiencyJoint, HoldsThroughMissingSamples) {
   obs.efficiency_bps_hz = 2.0;
   store.record_channel(0, 1.0, obs);  // only one report in a 10-s window
   const UserDigitalTwin twin(&store, 0);
-  const double eff = predict_group_efficiency_joint({&twin}, 10.0, 10.0, 0.05);
+  const double eff = forecast_group_channel({&twin}, 10.0, 10.0, 0.05).efficiency;
   EXPECT_NEAR(eff, 2.0, 1e-9);
 }
 
 TEST(GroupEfficiencyJoint, EmptyHistoryFallsToFloor) {
   const TwinColumnStore store(1, 2048);
   const UserDigitalTwin twin(&store, 0);
-  const double eff = predict_group_efficiency_joint({&twin}, 10.0, 10.0, 0.05);
+  const double eff = forecast_group_channel({&twin}, 10.0, 10.0, 0.05).efficiency;
   EXPECT_DOUBLE_EQ(eff, 0.05);
 }
 
