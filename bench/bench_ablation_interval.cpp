@@ -11,6 +11,7 @@
 #include <iostream>
 
 #include "bench_common.hpp"
+#include "predict/planner.hpp"
 
 namespace {
 
@@ -41,26 +42,16 @@ IntervalResult run_interval_config(double interval_s, double total_sim_s) {
   result.series = bench::run_series(sim, intervals - warmup);
   result.timings = sim.stage_timings();
 
-  // Provisioning outcome for a planner reserving prediction x 1.1.
-  double reserved_hz_s = 0.0;
-  double actual_hz_s = 0.0;
-  double waste = 0.0;
-  double unmet = 0.0;
+  // Provisioning outcome for a planner reserving prediction + 10%. Every
+  // interval lasts interval_s, so the fractions of Hz equal those of Hz·s.
+  predict::ReservationPolicy policy;
+  policy.headroom = 0.10;
+  predict::CapacityPlanner planner(policy);
   for (std::size_t i = 0; i < result.series.size(); ++i) {
-    const double reserved = result.series.predicted_radio[i] * 1.1;
-    const double actual = result.series.actual_radio[i];
-    reserved_hz_s += reserved * interval_s;
-    actual_hz_s += actual * interval_s;
-    if (reserved >= actual) {
-      waste += (reserved - actual) * interval_s;
-    } else {
-      unmet += (actual - reserved) * interval_s;
-    }
+    planner.step(result.series.predicted_radio[i], result.series.actual_radio[i]);
   }
-  if (actual_hz_s > 0.0) {
-    result.waste_frac = waste / actual_hz_s;
-    result.unmet_frac = unmet / actual_hz_s;
-  }
+  result.waste_frac = planner.outcome().waste_fraction();
+  result.unmet_frac = planner.outcome().unmet_fraction();
   return result;
 }
 

@@ -31,12 +31,20 @@ double PopularityAnalyzer::score(std::uint64_t video_id) const {
   return it == scores_.end() ? 0.0 : it->second;
 }
 
-namespace {
-using Entry = std::pair<std::uint64_t, double>;
-
-/// The first n of `entries` by score descending, ties by id ascending. The
-/// order is total, so ranking any subset equals filtering the full ranking.
-std::vector<std::uint64_t> top_n(std::vector<Entry>& entries, std::size_t n) {
+std::vector<std::uint64_t> PopularityAnalyzer::top_videos_in_category(
+    std::size_t n, video::Category category, const video::Catalog& catalog) const {
+  if (n == 0) {
+    return {};
+  }
+  using Entry = std::pair<std::uint64_t, double>;
+  std::vector<Entry> entries;
+  for (const auto& [id, score] : scores_) {
+    if (catalog.video(id).category == category) {
+      entries.emplace_back(id, score);
+    }
+  }
+  // Score descending, ties by id ascending: the order is total, so ranking
+  // one category equals filtering the full ranking.
   n = std::min(n, entries.size());
   std::partial_sort(entries.begin(), entries.begin() + static_cast<std::ptrdiff_t>(n),
                     entries.end(), [](const Entry& a, const Entry& b) {
@@ -50,26 +58,6 @@ std::vector<std::uint64_t> top_n(std::vector<Entry>& entries, std::size_t n) {
     out[i] = entries[i].first;
   }
   return out;
-}
-}  // namespace
-
-std::vector<std::uint64_t> PopularityAnalyzer::top_videos(std::size_t n) const {
-  std::vector<Entry> entries(scores_.begin(), scores_.end());
-  return top_n(entries, n);
-}
-
-std::vector<std::uint64_t> PopularityAnalyzer::top_videos_in_category(
-    std::size_t n, video::Category category, const video::Catalog& catalog) const {
-  if (n == 0) {
-    return {};
-  }
-  std::vector<Entry> entries;
-  for (const auto& [id, score] : scores_) {
-    if (catalog.video(id).category == category) {
-      entries.emplace_back(id, score);
-    }
-  }
-  return top_n(entries, n);
 }
 
 }  // namespace dtmsv::analysis

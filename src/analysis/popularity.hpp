@@ -26,10 +26,8 @@ class PopularityAnalyzer {
   /// Current score of a video (0 for never-seen).
   double score(std::uint64_t video_id) const;
 
-  /// Top-n videos by score, descending; ties broken by id for determinism.
-  std::vector<std::uint64_t> top_videos(std::size_t n) const;
-
-  /// Top-n within one category (requires the catalog for category lookup).
+  /// Top-n videos of one category by score, descending; ties broken by id
+  /// for determinism (requires the catalog for category lookup).
   std::vector<std::uint64_t> top_videos_in_category(std::size_t n,
                                                     video::Category category,
                                                     const video::Catalog& catalog) const;

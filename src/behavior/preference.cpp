@@ -1,7 +1,6 @@
 #include "behavior/preference.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/error.hpp"
 
@@ -21,17 +20,6 @@ PreferenceVector normalized(const PreferenceVector& v) {
     out[i] = v[i] / total;
   }
   return out;
-}
-
-double entropy(const PreferenceVector& v) {
-  const PreferenceVector p = normalized(v);
-  double h = 0.0;
-  for (const double x : p) {
-    if (x > 0.0) {
-      h -= x * std::log(x);
-    }
-  }
-  return h;
 }
 
 std::size_t top_category(const PreferenceVector& v) {

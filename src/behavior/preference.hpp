@@ -20,9 +20,6 @@ using PreferenceVector = std::array<double, video::kCategoryCount>;
 /// the sum is zero.
 PreferenceVector normalized(const PreferenceVector& v);
 
-/// Entropy (nats) of a preference vector — a dispersion feature for UDTs.
-double entropy(const PreferenceVector& v);
-
 /// Index of the strongest category.
 std::size_t top_category(const PreferenceVector& v);
 

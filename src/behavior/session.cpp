@@ -24,7 +24,7 @@ void ViewingSession::set_affinity(PreferenceVector affinity) {
 
 void ViewingSession::start_next_video(util::SimTime now) {
   // The feed serves taste-matched content most of the time, exploring
-  // uniformly otherwise — the same mix the dataset generator uses.
+  // uniformly otherwise; feed_affinity_bias sets the mix.
   std::size_t cat_idx = 0;
   if (rng_.bernoulli(config_.feed_affinity_bias)) {
     const PreferenceVector p = normalized(affinity_);

@@ -27,13 +27,12 @@ struct ViewEvent {
   bool completed = false;         // watched to the end (no swipe)
 };
 
-/// Feed/engagement parameters shared with the offline dataset generator so
-/// live behaviour and trace statistics match by construction.
+/// Feed mix and engagement model of a live viewing session.
 struct SessionConfig {
   /// Probability the feed serves the user's taste vs. uniform exploration.
   double feed_affinity_bias = 0.8;
   /// Engagement model (instant-swipe spike, affinity->watch mapping).
-  video::DatasetConfig engagement;
+  video::EngagementConfig engagement;
 };
 
 /// One user's never-ending short-video session.

@@ -1,11 +1,24 @@
 #include "cli/scenario_loader.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "core/pipeline.hpp"
 #include "util/error.hpp"
 
 namespace dtmsv::cli {
+
+namespace {
+
+/// [scenario] keys that only one scenario kind reads.
+constexpr std::pair<const char*, core::ScenarioKind> kKindSpecificKeys[] = {
+    {"scenario.surge_interval", core::ScenarioKind::kFlashCrowd},
+    {"scenario.surge_cell", core::ScenarioKind::kFlashCrowd},
+    {"scenario.surge_fraction", core::ScenarioKind::kFlashCrowd},
+    {"scenario.churn_fraction", core::ScenarioKind::kMobilityChurn},
+};
+
+}  // namespace
 
 core::ScenarioKind parse_scenario_kind(const std::string& name) {
   for (const core::ScenarioKind kind : core::all_scenarios()) {
@@ -78,14 +91,17 @@ SimPlan load_plan(util::Config& config) {
             core::ScenarioConfig cfg =
                 core::make_scenario(kind, total_users, cell_count, seed);
             cfg.intervals = config.get_size_or("scenario.intervals", cfg.intervals);
-            cfg.surge_interval =
-                config.get_size_or("scenario.surge_interval", cfg.surge_interval);
-            cfg.surge_cell =
-                config.get_size_or("scenario.surge_cell", cfg.surge_cell);
-            cfg.surge_fraction =
-                config.get_double_or("scenario.surge_fraction", cfg.surge_fraction);
-            cfg.churn_fraction =
-                config.get_double_or("scenario.churn_fraction", cfg.churn_fraction);
+            if (kind == core::ScenarioKind::kFlashCrowd) {
+              cfg.surge_interval =
+                  config.get_size_or("scenario.surge_interval", cfg.surge_interval);
+              cfg.surge_cell = config.get_size_or("scenario.surge_cell", cfg.surge_cell);
+              cfg.surge_fraction =
+                  config.get_double_or("scenario.surge_fraction", cfg.surge_fraction);
+            }
+            if (kind == core::ScenarioKind::kMobilityChurn) {
+              cfg.churn_fraction =
+                  config.get_double_or("scenario.churn_fraction", cfg.churn_fraction);
+            }
 
             core::SchemeConfig& base = cfg.base;
             base.interval_s = config.get_double_or("scheme.interval_s", base.interval_s);
@@ -163,6 +179,15 @@ SimPlan load_plan(util::Config& config) {
     }
   }
 
+  // A kind-specific key that no job read would be silently ignored; name
+  // the kind that reads it instead of calling it unknown.
+  const std::vector<std::string> unread = config.unread_keys();
+  for (const auto& [key, kind] : kKindSpecificKeys) {
+    if (std::find(unread.begin(), unread.end(), key) != unread.end()) {
+      throw util::RuntimeError("'" + std::string(key) + "' is read only by scenario kind " +
+                               core::to_string(kind) + ", which the plan does not run");
+    }
+  }
   config.reject_unread_keys();
   return plan;
 }

@@ -10,8 +10,9 @@
 //
 //   [scenario] kind (required unless [grid] scenario is set) |
 //              total_users | cell_count | intervals | seed |
-//              surge_interval | surge_cell | surge_fraction |
-//              churn_fraction
+//              surge_interval | surge_cell | surge_fraction (flash_crowd
+//              only) | churn_fraction (mobility_churn only); a kind-specific
+//              key in a plan without that kind is an error
 //   [run]      threads (0 = hardware default) | report (NDJSON output path)
 //   [stages]   feature | grouping | demand  (StageRegistry keys; validated
 //              against the registry, unknown keys list the known ones) |

@@ -202,8 +202,6 @@ class ServeLoop {
   std::size_t queue_size() const { return queue_.size(); }
   /// Event time the loop has advanced to.
   util::SimTime now() const { return now_; }
-  /// Index of the next interval boundary to fire.
-  util::IntervalId next_interval() const { return interval_; }
 
   /// Admission control: enqueues one twin report (bounded queue,
   /// shed-oldest under overload). Events must carry nondecreasing

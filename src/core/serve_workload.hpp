@@ -36,7 +36,7 @@ struct ServeWorkloadConfig {
   /// Dirichlet concentration of each user's category taste.
   double affinity_concentration = 0.35;
   /// Engagement model for watch fractions (shared with the behaviour sim).
-  video::DatasetConfig engagement{};
+  video::EngagementConfig engagement{};
   /// Position bounds: users random-walk inside [0, extent_x] x [0, extent_y]
   /// (defaults match the default campus and twin::FeatureScaling).
   double extent_x = 1200.0;

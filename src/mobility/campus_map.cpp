@@ -143,20 +143,6 @@ Position CampusMap::random_position(util::Rng& rng) const {
   return {rng.uniform(0.0, width_), rng.uniform(0.0, height_)};
 }
 
-std::size_t CampusMap::nearest_waypoint(const Position& p) const {
-  DTMSV_EXPECTS(!waypoints_.empty());
-  std::size_t best = 0;
-  double best_d = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < waypoints_.size(); ++i) {
-    const double d = distance(p, waypoints_[i].position);
-    if (d < best_d) {
-      best_d = d;
-      best = i;
-    }
-  }
-  return best;
-}
-
 std::vector<std::size_t> CampusMap::shortest_path(std::size_t from, std::size_t to) const {
   DTMSV_EXPECTS(from < waypoints_.size() && to < waypoints_.size());
   const double inf = std::numeric_limits<double>::infinity();

@@ -54,9 +54,6 @@ class CampusMap {
   /// Uniformly random position within the bounding box.
   Position random_position(util::Rng& rng) const;
 
-  /// Index of the waypoint nearest to `p`.
-  std::size_t nearest_waypoint(const Position& p) const;
-
   /// Shortest path (by edge length) between waypoints, inclusive of both
   /// endpoints; empty when disconnected. Dijkstra over the waypoint graph.
   std::vector<std::size_t> shortest_path(std::size_t from, std::size_t to) const;

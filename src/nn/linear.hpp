@@ -18,9 +18,6 @@ class Linear final : public Layer {
   std::vector<ParamRef> parameters() override;
   std::string name() const override { return "Linear"; }
 
-  std::size_t in_features() const { return in_features_; }
-  std::size_t out_features() const { return out_features_; }
-
   /// Direct parameter access (used by serialisation and tests).
   Tensor& weights() { return w_; }
   Tensor& bias() { return b_; }

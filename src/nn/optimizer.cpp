@@ -63,11 +63,6 @@ Adam::Adam(std::vector<ParamRef> params, double learning_rate, double beta1,
   }
 }
 
-void Adam::set_learning_rate(double lr) {
-  DTMSV_EXPECTS(lr > 0.0);
-  lr_ = lr;
-}
-
 void Adam::step() {
   ++t_;
   const kernels::AdamCoefficients c{

@@ -30,8 +30,6 @@ class Adam {
   /// gradients as they are.
   double clip_grad_norm(double max_norm);
 
-  double learning_rate() const { return lr_; }
-  void set_learning_rate(double lr);
   std::size_t step_count() const { return t_; }
 
  private:

@@ -47,16 +47,6 @@ ContentStats ContentStats::from_catalog(const video::Catalog& catalog) {
   return stats;
 }
 
-double expected_distinct(double views, double playlist) {
-  DTMSV_EXPECTS(views >= 0.0);
-  DTMSV_EXPECTS(playlist >= 0.0);
-  if (playlist < 1.0 || views <= 0.0) {
-    return std::min(views, playlist);
-  }
-  // E[distinct] = R (1 - (1 - 1/R)^N)
-  return playlist * (1.0 - std::pow(1.0 - 1.0 / playlist, views));
-}
-
 ResourceDemand predict_group_demand(
     std::size_t member_count, const behavior::PreferenceVector& group_preference,
     const analysis::SwipingDistribution& swiping, double predicted_efficiency,

@@ -65,11 +65,6 @@ struct DemandModelConfig {
   video::TranscodeModel transcode{};
 };
 
-/// Expected number of distinct items hit by `views` uniform draws over
-/// `playlist` items (birthday-style collision count). Returns min(views,
-/// playlist) at the extremes. Utility for unicast-baseline analysis.
-double expected_distinct(double views, double playlist);
-
 /// Predicts one group's next-interval demand from abstracted group state,
 /// mirroring the group-feed multicast mechanics the simulator executes:
 /// the group plays recommended videos back-to-back; every member watches

@@ -13,14 +13,4 @@ using SimTime = double;
 /// Index of a resource reservation interval (0-based).
 using IntervalId = std::int64_t;
 
-/// Converts a time to the interval containing it.
-constexpr IntervalId interval_of(SimTime t, double interval_seconds) {
-  return static_cast<IntervalId>(t / interval_seconds);
-}
-
-/// Start time of an interval.
-constexpr SimTime interval_start(IntervalId id, double interval_seconds) {
-  return static_cast<SimTime>(id) * interval_seconds;
-}
-
 }  // namespace dtmsv::util

@@ -1,9 +1,7 @@
 #include "util/csv.hpp"
 
-#include <charconv>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 
 namespace dtmsv::util {
 
@@ -88,120 +86,6 @@ void CsvWriter::write_file(const std::string& path) const {
   if (!os) {
     throw RuntimeError("write failed: " + path);
   }
-}
-
-CsvReader CsvReader::parse(const std::string& text, bool has_header) {
-  std::vector<std::vector<std::string>> rows;
-  std::vector<std::string> current;
-  std::string cell;
-  bool in_quotes = false;
-  bool row_started = false;
-
-  const auto end_cell = [&] {
-    current.push_back(std::move(cell));
-    cell.clear();
-  };
-  const auto end_row = [&] {
-    end_cell();
-    rows.push_back(std::move(current));
-    current.clear();
-    row_started = false;
-  };
-
-  for (std::size_t i = 0; i < text.size(); ++i) {
-    const char c = text[i];
-    if (in_quotes) {
-      if (c == '"') {
-        if (i + 1 < text.size() && text[i + 1] == '"') {
-          cell += '"';
-          ++i;
-        } else {
-          in_quotes = false;
-        }
-      } else {
-        cell += c;
-      }
-      continue;
-    }
-    switch (c) {
-      case '"':
-        in_quotes = true;
-        row_started = true;
-        break;
-      case ',':
-        end_cell();
-        row_started = true;
-        break;
-      case '\r':
-        break;  // tolerate CRLF
-      case '\n':
-        if (row_started || !cell.empty() || !current.empty()) {
-          end_row();
-        }
-        break;
-      default:
-        cell += c;
-        row_started = true;
-        break;
-    }
-  }
-  if (in_quotes) {
-    throw RuntimeError("CSV parse error: unterminated quoted field");
-  }
-  if (row_started || !cell.empty() || !current.empty()) {
-    end_row();
-  }
-
-  CsvReader reader;
-  if (has_header) {
-    if (rows.empty()) {
-      throw RuntimeError("CSV parse error: expected header row");
-    }
-    reader.header_ = std::move(rows.front());
-    rows.erase(rows.begin());
-  }
-  reader.rows_ = std::move(rows);
-  return reader;
-}
-
-CsvReader CsvReader::read_file(const std::string& path, bool has_header) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is) {
-    throw RuntimeError("cannot open for read: " + path);
-  }
-  std::ostringstream buffer;
-  buffer << is.rdbuf();
-  return parse(buffer.str(), has_header);
-}
-
-const std::vector<std::string>& CsvReader::row(std::size_t i) const {
-  DTMSV_EXPECTS(i < rows_.size());
-  return rows_[i];
-}
-
-std::size_t CsvReader::column(const std::string& name) const {
-  for (std::size_t i = 0; i < header_.size(); ++i) {
-    if (header_[i] == name) {
-      return i;
-    }
-  }
-  throw RuntimeError("CSV: no such column: " + name);
-}
-
-const std::string& CsvReader::cell(std::size_t row_idx, std::size_t col) const {
-  const auto& r = row(row_idx);
-  DTMSV_EXPECTS(col < r.size());
-  return r[col];
-}
-
-double CsvReader::cell_double(std::size_t row_idx, std::size_t col) const {
-  const std::string& s = cell(row_idx, col);
-  double value = 0.0;
-  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), value);
-  if (ec != std::errc{} || ptr != s.data() + s.size()) {
-    throw RuntimeError("CSV: not a number: '" + s + "'");
-  }
-  return value;
 }
 
 }  // namespace dtmsv::util

@@ -1,6 +1,7 @@
-// Minimal CSV writer/reader used by examples and bench harnesses to export
+// Minimal CSV writer used by examples and bench harnesses to export
 // experiment series. Values are quoted only when needed (comma, quote, or
-// newline present); numbers are written with full round-trip precision.
+// newline present); numbers are written with full round-trip precision by
+// format_double, which the NDJSON sink shares.
 #pragma once
 
 #include <initializer_list>
@@ -37,30 +38,6 @@ class CsvWriter {
 
   /// Writes to a file; throws RuntimeError on I/O failure.
   void write_file(const std::string& path) const;
-
- private:
-  std::vector<std::string> header_;
-  std::vector<std::vector<std::string>> rows_;
-};
-
-/// Parsed CSV document with optional header.
-class CsvReader {
- public:
-  /// Parses CSV text. Handles quoted fields with embedded commas/quotes/newlines.
-  static CsvReader parse(const std::string& text, bool has_header = true);
-  /// Reads and parses a file; throws RuntimeError if it cannot be opened.
-  static CsvReader read_file(const std::string& path, bool has_header = true);
-
-  const std::vector<std::string>& header() const { return header_; }
-  std::size_t row_count() const { return rows_.size(); }
-  const std::vector<std::string>& row(std::size_t i) const;
-
-  /// Column index by name; throws RuntimeError when missing.
-  std::size_t column(const std::string& name) const;
-
-  /// Typed cell access.
-  const std::string& cell(std::size_t row, std::size_t col) const;
-  double cell_double(std::size_t row, std::size_t col) const;
 
  private:
   std::vector<std::string> header_;

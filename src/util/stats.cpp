@@ -87,11 +87,6 @@ void Histogram::reset() {
   total_ = 0;
 }
 
-std::size_t Histogram::count_at(std::size_t bin) const {
-  DTMSV_EXPECTS(bin < counts_.size());
-  return counts_[bin];
-}
-
 double Histogram::density(std::size_t bin) const {
   DTMSV_EXPECTS(bin < counts_.size());
   if (total_ == 0) {
@@ -110,16 +105,6 @@ std::vector<double> Histogram::densities() const {
     out[i] = static_cast<double>(counts_[i]) / static_cast<double>(total_);
   }
   return out;
-}
-
-double Histogram::bin_lo(std::size_t bin) const {
-  DTMSV_EXPECTS(bin < counts_.size());
-  return lo_ + width_ * static_cast<double>(bin);
-}
-
-double Histogram::bin_hi(std::size_t bin) const {
-  DTMSV_EXPECTS(bin < counts_.size());
-  return lo_ + width_ * static_cast<double>(bin + 1);
 }
 
 Ewma::Ewma(double alpha) : alpha_(alpha) {

@@ -49,13 +49,10 @@ class Histogram {
 
   std::size_t bin_count() const { return counts_.size(); }
   std::size_t total() const { return total_; }
-  std::size_t count_at(std::size_t bin) const;
   /// Fraction of samples in `bin` (0 when empty).
   double density(std::size_t bin) const;
   /// All bin densities as a probability vector (uniform when empty).
   std::vector<double> densities() const;
-  double bin_lo(std::size_t bin) const;
-  double bin_hi(std::size_t bin) const;
 
  private:
   double lo_;

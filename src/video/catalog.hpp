@@ -1,7 +1,8 @@
 // Short-video content model: categories, bitrate ladders, and a popularity-
 // weighted catalog. Mirrors the structure of the public short-video-
 // streaming-challenge dataset (5-rung ladders, 5–60 s clips) that the paper
-// evaluates on; video/dataset.hpp describes the synthetic stand-in.
+// evaluates on; video/dataset.hpp holds the synthetic
+// stand-in for its swiping behaviour.
 #pragma once
 
 #include <array>
@@ -43,7 +44,6 @@ class BitrateLadder {
 
   std::size_t rung_count() const { return kbps_.size(); }
   double kbps(std::size_t rung) const;
-  double top_kbps() const { return kbps_.back(); }
   double bottom_kbps() const { return kbps_.front(); }
   const std::vector<double>& rungs() const { return kbps_; }
 
@@ -79,8 +79,7 @@ struct CatalogConfig {
 /// Immutable set of videos with Zipf popularity inside each category.
 class Catalog {
  public:
-  /// Empty catalog; fill via generate(). Kept public so aggregates holding a
-  /// Catalog (e.g. Dataset) can default-construct before generation.
+  /// Empty catalog; generate() starts from one.
   Catalog() = default;
 
   static Catalog generate(const CatalogConfig& config, util::Rng& rng);

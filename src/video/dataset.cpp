@@ -3,12 +3,11 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/csv.hpp"
 #include "util/error.hpp"
 
 namespace dtmsv::video {
 
-double sample_watch_fraction(double affinity, const DatasetConfig& config,
+double sample_watch_fraction(double affinity, const EngagementConfig& config,
                              util::Rng& rng) {
   DTMSV_EXPECTS(affinity >= 0.0 && affinity <= 1.0);
   // Instant-swipe spike.
@@ -25,127 +24,6 @@ double sample_watch_fraction(double affinity, const DatasetConfig& config,
   const double frac = rng.beta(a, b);
   // Viewers very close to the end almost always finish.
   return frac > 0.93 ? 1.0 : frac;
-}
-
-Dataset Dataset::generate(const DatasetConfig& config, util::Rng& rng) {
-  DTMSV_EXPECTS(config.user_count > 0);
-  DTMSV_EXPECTS(config.sessions_per_user > 0);
-  DTMSV_EXPECTS(config.affinity_concentration > 0.0);
-  DTMSV_EXPECTS(config.instant_swipe_prob >= 0.0 && config.instant_swipe_prob <= 1.0);
-
-  Dataset ds;
-  ds.user_count_ = config.user_count;
-  ds.catalog_ = Catalog::generate(config.catalog, rng);
-
-  // Per-user category affinity (ground truth of user taste).
-  const std::vector<double> alpha(kCategoryCount, config.affinity_concentration);
-  ds.affinities_.reserve(config.user_count);
-  for (std::size_t u = 0; u < config.user_count; ++u) {
-    const auto sample = rng.dirichlet(alpha);
-    std::array<double, kCategoryCount> aff{};
-    std::copy(sample.begin(), sample.end(), aff.begin());
-    ds.affinities_.push_back(aff);
-  }
-
-  ds.records_.reserve(config.user_count * config.sessions_per_user);
-  for (std::size_t u = 0; u < config.user_count; ++u) {
-    const auto& aff = ds.affinities_[u];
-    for (std::size_t s = 0; s < config.sessions_per_user; ++s) {
-      // The feed mixes recommendation (affinity-weighted) with exploration.
-      std::size_t cat_idx = 0;
-      if (rng.bernoulli(0.8)) {
-        cat_idx = rng.categorical(std::span<const double>(aff.data(), aff.size()));
-      } else {
-        cat_idx = static_cast<std::size_t>(
-            rng.uniform_int(0, static_cast<std::int64_t>(kCategoryCount) - 1));
-      }
-      const Category cat = all_categories()[cat_idx];
-      const Video& v = ds.catalog_.sample_from_category(cat, rng);
-
-      SwipeRecord rec;
-      rec.user_id = u;
-      rec.video_id = v.id;
-      rec.category = cat;
-      rec.duration_s = v.duration_s;
-      rec.watch_fraction = sample_watch_fraction(aff[cat_idx], config, rng);
-      rec.watch_seconds = rec.watch_fraction * v.duration_s;
-      ds.records_.push_back(rec);
-    }
-  }
-  return ds;
-}
-
-std::array<double, kCategoryCount> Dataset::mean_watch_fraction_by_category() const {
-  std::array<double, kCategoryCount> sum{};
-  std::array<std::size_t, kCategoryCount> count{};
-  for (const auto& rec : records_) {
-    const auto c = static_cast<std::size_t>(rec.category);
-    sum[c] += rec.watch_fraction;
-    ++count[c];
-  }
-  for (std::size_t c = 0; c < kCategoryCount; ++c) {
-    if (count[c] > 0) {
-      sum[c] /= static_cast<double>(count[c]);
-    }
-  }
-  return sum;
-}
-
-std::vector<const SwipeRecord*> Dataset::records_of(std::uint64_t user_id) const {
-  std::vector<const SwipeRecord*> out;
-  for (const auto& rec : records_) {
-    if (rec.user_id == user_id) {
-      out.push_back(&rec);
-    }
-  }
-  return out;
-}
-
-std::string Dataset::trace_to_csv() const {
-  util::CsvWriter writer;
-  writer.set_header({"user_id", "video_id", "category", "duration_s",
-                     "watch_fraction", "watch_seconds"});
-  for (const auto& rec : records_) {
-    writer.add_row({std::to_string(rec.user_id), std::to_string(rec.video_id),
-                    to_string(rec.category), util::format_double(rec.duration_s),
-                    util::format_double(rec.watch_fraction),
-                    util::format_double(rec.watch_seconds)});
-  }
-  return writer.to_string();
-}
-
-std::vector<SwipeRecord> Dataset::trace_from_csv(const std::string& csv_text) {
-  const auto reader = util::CsvReader::parse(csv_text);
-  const std::size_t user_col = reader.column("user_id");
-  const std::size_t video_col = reader.column("video_id");
-  const std::size_t cat_col = reader.column("category");
-  const std::size_t dur_col = reader.column("duration_s");
-  const std::size_t frac_col = reader.column("watch_fraction");
-
-  std::vector<SwipeRecord> records;
-  records.reserve(reader.row_count());
-  for (std::size_t i = 0; i < reader.row_count(); ++i) {
-    SwipeRecord rec;
-    rec.user_id = static_cast<std::uint64_t>(reader.cell_double(i, user_col));
-    rec.video_id = static_cast<std::uint64_t>(reader.cell_double(i, video_col));
-    const std::string& cat_name = reader.cell(i, cat_col);
-    bool found = false;
-    for (const Category c : all_categories()) {
-      if (to_string(c) == cat_name) {
-        rec.category = c;
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
-      throw util::RuntimeError("dataset CSV: unknown category '" + cat_name + "'");
-    }
-    rec.duration_s = reader.cell_double(i, dur_col);
-    rec.watch_fraction = reader.cell_double(i, frac_col);
-    rec.watch_seconds = rec.watch_fraction * rec.duration_s;
-    records.push_back(rec);
-  }
-  return records;
 }
 
 }  // namespace dtmsv::video

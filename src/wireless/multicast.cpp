@@ -1,7 +1,6 @@
 #include "wireless/multicast.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/error.hpp"
 
@@ -26,12 +25,6 @@ double MulticastPhy::required_bandwidth_hz(double bitrate_kbps, double efficienc
   DTMSV_EXPECTS(bitrate_kbps >= 0.0);
   DTMSV_EXPECTS(efficiency > 0.0);
   return bitrate_kbps * 1e3 / efficiency;
-}
-
-std::size_t MulticastPhy::required_resource_blocks(double bitrate_kbps,
-                                                   double efficiency) const {
-  const double hz = required_bandwidth_hz(bitrate_kbps, efficiency);
-  return static_cast<std::size_t>(std::ceil(hz / kResourceBlockHz));
 }
 
 std::size_t MulticastPhy::sustainable_rung(std::span<const double> ladder_kbps,

@@ -12,9 +12,6 @@
 
 namespace dtmsv::wireless {
 
-/// LTE-style resource block: 180 kHz of bandwidth.
-inline constexpr double kResourceBlockHz = 180e3;
-
 /// Multicast rate/resource calculator.
 class MulticastPhy {
  public:
@@ -29,9 +26,6 @@ class MulticastPhy {
 
   /// Bandwidth in Hz needed to multicast `bitrate_kbps` at `efficiency`.
   double required_bandwidth_hz(double bitrate_kbps, double efficiency) const;
-
-  /// Same, in resource blocks (ceiling).
-  std::size_t required_resource_blocks(double bitrate_kbps, double efficiency) const;
 
   /// Highest ladder rung sustainable within `bandwidth_budget_hz` for a
   /// group at `efficiency`; returns the rung index (0 = lowest).

@@ -1,4 +1,4 @@
-// Unit tests for dtmsv::behavior — preference normalisation/entropy, the
+// Unit tests for dtmsv::behavior — preference normalisation, the
 // engagement-driven preference estimator, affinity sampling, and viewing-
 // session event generation.
 #include <gtest/gtest.h>
@@ -38,16 +38,6 @@ TEST(Preference, NormalizedZeroVectorIsUniform) {
   for (const double x : p) {
     EXPECT_DOUBLE_EQ(x, 1.0 / kCategoryCount);
   }
-}
-
-TEST(Preference, EntropyExtremes) {
-  PreferenceVector uniform{};
-  uniform.fill(1.0);
-  EXPECT_NEAR(entropy(uniform), std::log(static_cast<double>(kCategoryCount)), 1e-9);
-
-  PreferenceVector point{};
-  point[2] = 5.0;
-  EXPECT_NEAR(entropy(point), 0.0, 1e-12);
 }
 
 TEST(Preference, TopCategory) {

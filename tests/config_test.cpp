@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cli/scenario_loader.hpp"
@@ -219,6 +220,37 @@ TEST(ScenarioLoader, CatalogDriftRatesComeFromTheSchemeKeys) {
     EXPECT_NE(std::string(error.what()).find("unknown config keys: scenario.drift_rate"),
               std::string::npos)
         << error.what();
+  }
+}
+
+TEST(ScenarioLoader, KindSpecificKeysNeedAJobOfTheirKind) {
+  // A grid with a flash_crowd job reads the surge key for that job only.
+  Config grid = Config::parse(
+      "[scenario]\nsurge_fraction = 0.25\n"
+      "[grid]\nscenario = steady_state, flash_crowd\n");
+  const cli::SimPlan plan = cli::load_plan(grid);
+  ASSERT_EQ(plan.jobs.size(), 2u);
+  EXPECT_DOUBLE_EQ(plan.jobs[0].scenario.surge_fraction,
+                   core::make_scenario(core::ScenarioKind::kSteadyState, 240, 4)
+                       .surge_fraction);
+  EXPECT_DOUBLE_EQ(plan.jobs[1].scenario.surge_fraction, 0.25);
+
+  // A plan without the reading kind rejects the key and names that kind.
+  const std::pair<const char*, const char*> cases[] = {
+      {"surge_interval = 1", "'scenario.surge_interval' is read only by scenario kind flash_crowd"},
+      {"surge_cell = 1", "'scenario.surge_cell' is read only by scenario kind flash_crowd"},
+      {"surge_fraction = 0.9", "'scenario.surge_fraction' is read only by scenario kind flash_crowd"},
+      {"churn_fraction = 0.9",
+       "'scenario.churn_fraction' is read only by scenario kind mobility_churn"},
+  };
+  for (const auto& [line, message] : cases) {
+    Config c = Config::parse(std::string("[scenario]\nkind = steady_state\n") + line + "\n");
+    try {
+      cli::load_plan(c);
+      ADD_FAILURE() << "expected RuntimeError for " << line;
+    } catch (const util::RuntimeError& error) {
+      EXPECT_NE(std::string(error.what()).find(message), std::string::npos) << error.what();
+    }
   }
 }
 

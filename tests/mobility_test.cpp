@@ -55,14 +55,6 @@ TEST(CampusMap, GridRejectsDegenerate) {
   EXPECT_THROW(CampusMap::grid(3, 3, 0.0), PreconditionError);
 }
 
-TEST(CampusMap, NearestWaypoint) {
-  const CampusMap map = CampusMap::grid(3, 3, 100.0);
-  // Waypoint 0 sits at (50, 50).
-  EXPECT_EQ(map.nearest_waypoint({40.0, 60.0}), 0u);
-  // Waypoint 8 sits at (250, 250).
-  EXPECT_EQ(map.nearest_waypoint({260.0, 240.0}), 8u);
-}
-
 TEST(CampusMap, ShortestPathOnGrid) {
   const CampusMap map = CampusMap::grid(3, 3, 100.0);
   // 0 -> 8 needs 4 hops (Manhattan), path has 5 nodes.

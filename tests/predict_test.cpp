@@ -428,21 +428,6 @@ TEST(ContentStats, FromCatalogMeans) {
   EXPECT_EQ(stats.ladder_kbps.size(), 5u);
 }
 
-// --------------------------------------------------------- expected_distinct
-
-TEST(ExpectedDistinct, Extremes) {
-  EXPECT_DOUBLE_EQ(expected_distinct(0.0, 10.0), 0.0);
-  EXPECT_NEAR(expected_distinct(1.0, 10.0), 1.0, 1e-9);
-  // Far more views than items → all items hit.
-  EXPECT_NEAR(expected_distinct(10000.0, 10.0), 10.0, 1e-6);
-}
-
-TEST(ExpectedDistinct, BirthdayFormula) {
-  // E[distinct] = R(1-(1-1/R)^N), R=20, N=20 → 20(1-0.95^20) ≈ 12.83.
-  EXPECT_NEAR(expected_distinct(20.0, 20.0), 20.0 * (1.0 - std::pow(0.95, 20.0)),
-              1e-9);
-}
-
 // ------------------------------------------------------ predict_group_demand
 
 struct DemandFixture {

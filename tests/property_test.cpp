@@ -13,7 +13,6 @@
 #include "predict/demand.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
-#include "video/dataset.hpp"
 #include "wireless/channel.hpp"
 #include "wireless/multicast.hpp"
 
@@ -242,42 +241,6 @@ TEST_P(PhySweep, BandwidthScalesLinearlyWithBitrate) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PhySweep, ::testing::Values(11, 22, 33));
-
-// ----------------------------------------------- dataset statistical shape
-
-class DatasetSweep : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(DatasetSweep, WatchFractionsLawful) {
-  Rng rng(GetParam());
-  video::DatasetConfig cfg;
-  cfg.catalog.videos_per_category = 20;
-  cfg.user_count = 20;
-  cfg.sessions_per_user = 30;
-  const auto ds = video::Dataset::generate(cfg, rng);
-  for (const auto& rec : ds.records()) {
-    ASSERT_GE(rec.watch_fraction, 0.0);
-    ASSERT_LE(rec.watch_fraction, 1.0);
-    ASSERT_GT(rec.duration_s, 0.0);
-    ASSERT_LT(rec.video_id, ds.catalog().size());
-  }
-}
-
-TEST_P(DatasetSweep, CsvRoundTripLossless) {
-  Rng rng(GetParam());
-  video::DatasetConfig cfg;
-  cfg.catalog.videos_per_category = 10;
-  cfg.user_count = 8;
-  cfg.sessions_per_user = 10;
-  const auto ds = video::Dataset::generate(cfg, rng);
-  const auto parsed = video::Dataset::trace_from_csv(ds.trace_to_csv());
-  ASSERT_EQ(parsed.size(), ds.records().size());
-  for (std::size_t i = 0; i < parsed.size(); ++i) {
-    ASSERT_EQ(parsed[i].video_id, ds.records()[i].video_id);
-    ASSERT_DOUBLE_EQ(parsed[i].watch_fraction, ds.records()[i].watch_fraction);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, DatasetSweep, ::testing::Values(5, 50, 500));
 
 // ----------------------------------------------- channel model invariants
 

@@ -1,6 +1,6 @@
 // Unit tests for dtmsv::util — RNG determinism and distribution moments,
-// streaming statistics, histograms, CSV round-trips, table rendering,
-// clock arithmetic, error-check macros, and the thread-count ceiling.
+// streaming statistics, histograms, CSV writing, table rendering,
+// error-check macros, and the thread-count ceiling.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,13 +8,13 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <functional>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
 
 #include "stats_check.hpp"
-#include "util/clock.hpp"
 #include "util/csv.hpp"
 #include "util/error.hpp"
 #include "util/parallel.hpp"
@@ -656,9 +656,9 @@ TEST(Histogram, BinningAndClamping) {
   h.add(10.0);   // clamps into bin 4
   h.add(99.0);   // clamps into bin 4
   EXPECT_EQ(h.total(), 6u);
-  EXPECT_EQ(h.count_at(0), 2u);
-  EXPECT_EQ(h.count_at(2), 1u);
-  EXPECT_EQ(h.count_at(4), 3u);
+  EXPECT_NEAR(h.density(0), 2.0 / 6.0, 1e-12);
+  EXPECT_NEAR(h.density(1), 0.0, 1e-12);
+  EXPECT_NEAR(h.density(2), 1.0 / 6.0, 1e-12);
   EXPECT_NEAR(h.density(4), 0.5, 1e-12);
 }
 
@@ -678,14 +678,6 @@ TEST(Histogram, EmptyDensitiesUniform) {
   for (const double v : d) {
     EXPECT_DOUBLE_EQ(v, 0.25);
   }
-}
-
-TEST(Histogram, BinEdges) {
-  Histogram h(0.0, 10.0, 5);
-  EXPECT_DOUBLE_EQ(h.bin_lo(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(0), 2.0);
-  EXPECT_DOUBLE_EQ(h.bin_lo(4), 8.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(4), 10.0);
 }
 
 TEST(Ewma, FirstValueInitialises) {
@@ -814,71 +806,35 @@ TEST(FreeStats, RmseKnownValue) {
 
 // --------------------------------------------------------------------- CSV
 
-TEST(Csv, WriteReadRoundTrip) {
+TEST(Csv, QuotesOnlyCellsThatNeedIt) {
   CsvWriter writer;
   writer.set_header({"a", "b", "c"});
   writer.add_row({"1", "hello", "2.5"});
   writer.add_row({"2", "with,comma", "3.5"});
   writer.add_row({"3", "with \"quotes\"", "4.5"});
-
-  const auto reader = CsvReader::parse(writer.to_string());
-  ASSERT_EQ(reader.row_count(), 3u);
-  EXPECT_EQ(reader.header().at(1), "b");
-  EXPECT_EQ(reader.cell(1, 1), "with,comma");
-  EXPECT_EQ(reader.cell(2, 1), "with \"quotes\"");
-  EXPECT_DOUBLE_EQ(reader.cell_double(0, 2), 2.5);
+  EXPECT_EQ(writer.row_count(), 3u);
+  EXPECT_EQ(writer.to_string(),
+            "a,b,c\n"
+            "1,hello,2.5\n"
+            "2,\"with,comma\",3.5\n"
+            "3,\"with \"\"quotes\"\"\",4.5\n");
 }
 
 TEST(Csv, DoubleRowsRoundTripPrecision) {
+  const double values[] = {1.0 / 3.0, 2.718281828459045, -1e-300, 6.02214076e23};
+  for (const double v : values) {
+    EXPECT_EQ(std::strtod(format_double(v).c_str(), nullptr), v) << format_double(v);
+  }
   CsvWriter writer;
   writer.set_header({"x", "y"});
-  writer.add_row(std::vector<double>{1.0 / 3.0, 2.718281828459045});
-  const auto reader = CsvReader::parse(writer.to_string());
-  EXPECT_DOUBLE_EQ(reader.cell_double(0, 0), 1.0 / 3.0);
-  EXPECT_DOUBLE_EQ(reader.cell_double(0, 1), 2.718281828459045);
-}
-
-TEST(Csv, ColumnLookup) {
-  CsvWriter writer;
-  writer.set_header({"alpha", "beta"});
-  writer.add_row({"1", "2"});
-  const auto reader = CsvReader::parse(writer.to_string());
-  EXPECT_EQ(reader.column("beta"), 1u);
-  EXPECT_THROW(reader.column("gamma"), RuntimeError);
-}
-
-TEST(Csv, QuotedNewlinesSurvive) {
-  const std::string text = "h1,h2\n\"line1\nline2\",x\n";
-  const auto reader = CsvReader::parse(text);
-  ASSERT_EQ(reader.row_count(), 1u);
-  EXPECT_EQ(reader.cell(0, 0), "line1\nline2");
-}
-
-TEST(Csv, CrlfTolerated) {
-  const std::string text = "a,b\r\n1,2\r\n";
-  const auto reader = CsvReader::parse(text);
-  ASSERT_EQ(reader.row_count(), 1u);
-  EXPECT_EQ(reader.cell(0, 1), "2");
-}
-
-TEST(Csv, UnterminatedQuoteThrows) {
-  EXPECT_THROW(CsvReader::parse("a\n\"broken"), RuntimeError);
-}
-
-TEST(Csv, NonNumericCellThrows) {
-  const auto reader = CsvReader::parse("a\nxyz\n");
-  EXPECT_THROW(reader.cell_double(0, 0), RuntimeError);
+  writer.add_row(std::vector<double>{1.0 / 3.0, 0.5});
+  EXPECT_EQ(writer.to_string(), "x,y\n" + format_double(1.0 / 3.0) + ",0.5\n");
 }
 
 TEST(Csv, RowWidthMismatchThrows) {
   CsvWriter writer;
   writer.set_header({"a", "b"});
   EXPECT_THROW(writer.add_row({"only-one"}), PreconditionError);
-}
-
-TEST(Csv, MissingFileThrows) {
-  EXPECT_THROW(CsvReader::read_file("/nonexistent/definitely/missing.csv"),
-               RuntimeError);
 }
 
 // -------------------------------------------------------------------- Table
@@ -912,15 +868,6 @@ TEST(Table, FixedAndPercentFormatting) {
   EXPECT_EQ(fixed(3.14159, 2), "3.14");
   EXPECT_EQ(percent(0.9504, 2), "95.04%");
   EXPECT_EQ(percent(1.0, 0), "100%");
-}
-
-// -------------------------------------------------------------------- Clock
-
-TEST(Clock, IntervalArithmetic) {
-  EXPECT_EQ(interval_of(0.0, 300.0), 0);
-  EXPECT_EQ(interval_of(299.9, 300.0), 0);
-  EXPECT_EQ(interval_of(300.0, 300.0), 1);
-  EXPECT_DOUBLE_EQ(interval_start(2, 300.0), 600.0);
 }
 
 // -------------------------------------------------------------------- Error

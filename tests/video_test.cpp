@@ -1,12 +1,14 @@
 // Unit tests for dtmsv::video — bitrate ladders, catalog generation with
-// Zipf popularity, the synthetic dataset generator's statistical shape, CSV
-// round-trips, and the transcoding cost model.
+// Zipf popularity, the engagement model's watch-fraction shape, and the
+// transcoding cost model.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <vector>
 
+#include "stats_check.hpp"
 #include "util/error.hpp"
 #include "util/stats.hpp"
 #include "video/catalog.hpp"
@@ -38,7 +40,7 @@ TEST(BitrateLadder, StandardFiveRungs) {
   const BitrateLadder ladder = BitrateLadder::standard();
   EXPECT_EQ(ladder.rung_count(), 5u);
   EXPECT_DOUBLE_EQ(ladder.bottom_kbps(), 750.0);
-  EXPECT_DOUBLE_EQ(ladder.top_kbps(), 4300.0);
+  EXPECT_DOUBLE_EQ(ladder.kbps(4), 4300.0);
 }
 
 TEST(BitrateLadder, RejectsNonAscending) {
@@ -114,7 +116,7 @@ TEST(Catalog, LadderJitterPreservesShape) {
   for (const auto& v : cat.videos()) {
     ASSERT_EQ(v.ladder.rung_count(), 5u);
     // Jitter is a common scale: rung ratios match the standard ladder.
-    const double ratio = v.ladder.top_kbps() / v.ladder.bottom_kbps();
+    const double ratio = v.ladder.rungs().back() / v.ladder.bottom_kbps();
     EXPECT_NEAR(ratio, 4300.0 / 750.0, 1e-9);
   }
 }
@@ -154,108 +156,38 @@ TEST(Catalog, DeterministicGivenSeed) {
   }
 }
 
-// ----------------------------------------------------------------- Dataset
+// ---------------------------------------------------- SampleWatchFraction
 
-DatasetConfig small_dataset() {
-  DatasetConfig cfg;
-  cfg.catalog.videos_per_category = 40;
-  cfg.user_count = 30;
-  cfg.sessions_per_user = 40;
-  return cfg;
-}
-
-TEST(Dataset, GeneratesExpectedTraceSize) {
-  Rng rng(9);
-  const Dataset ds = Dataset::generate(small_dataset(), rng);
-  EXPECT_EQ(ds.records().size(), 30u * 40u);
-  EXPECT_EQ(ds.user_count(), 30u);
-  EXPECT_EQ(ds.affinities().size(), 30u);
-}
-
-TEST(Dataset, WatchFractionsInUnitInterval) {
+TEST(SampleWatchFraction, FractionsInUnitInterval) {
+  EngagementConfig cfg;
   Rng rng(10);
-  const Dataset ds = Dataset::generate(small_dataset(), rng);
-  for (const auto& rec : ds.records()) {
-    EXPECT_GE(rec.watch_fraction, 0.0);
-    EXPECT_LE(rec.watch_fraction, 1.0);
-    EXPECT_NEAR(rec.watch_seconds, rec.watch_fraction * rec.duration_s, 1e-9);
-  }
-}
-
-TEST(Dataset, AffinityDrivesEngagement) {
-  // A user's favourite category must show a higher mean watch fraction than
-  // their least favourite, across the population.
-  Rng rng(11);
-  DatasetConfig cfg = small_dataset();
-  cfg.user_count = 60;
-  cfg.sessions_per_user = 120;
-  const Dataset ds = Dataset::generate(cfg, rng);
-
-  double fav_sum = 0.0;
-  std::size_t fav_n = 0;
-  double least_sum = 0.0;
-  std::size_t least_n = 0;
-  for (std::uint64_t u = 0; u < ds.user_count(); ++u) {
-    const auto& aff = ds.affinities()[u];
-    const auto fav = static_cast<Category>(
-        std::distance(aff.begin(), std::max_element(aff.begin(), aff.end())));
-    const auto least = static_cast<Category>(
-        std::distance(aff.begin(), std::min_element(aff.begin(), aff.end())));
-    for (const auto* rec : ds.records_of(u)) {
-      if (rec->category == fav) {
-        fav_sum += rec->watch_fraction;
-        ++fav_n;
-      } else if (rec->category == least) {
-        least_sum += rec->watch_fraction;
-        ++least_n;
-      }
+  for (const double affinity : {0.0, 0.05, 0.3, 0.8, 1.0}) {
+    for (int i = 0; i < 2000; ++i) {
+      const double frac = sample_watch_fraction(affinity, cfg, rng);
+      ASSERT_GE(frac, 0.0);
+      ASSERT_LE(frac, 1.0);
     }
   }
-  ASSERT_GT(fav_n, 0u);
-  ASSERT_GT(least_n, 0u);
-  EXPECT_GT(fav_sum / fav_n, least_sum / least_n + 0.15);
 }
 
-TEST(Dataset, InstantSwipeSpikeExists) {
-  Rng rng(12);
-  DatasetConfig cfg = small_dataset();
+TEST(SampleWatchFraction, InstantSwipeSpikeExists) {
+  // Even a fan (affinity 0.9, mean watch fraction clamped at 0.98) swipes
+  // within the first 8% of the clip about instant_swipe_prob of the time.
+  EngagementConfig cfg;
   cfg.instant_swipe_prob = 0.3;
-  cfg.user_count = 50;
-  cfg.sessions_per_user = 100;
-  const Dataset ds = Dataset::generate(cfg, rng);
-  std::size_t early = 0;
-  for (const auto& rec : ds.records()) {
-    if (rec.watch_fraction < 0.08) {
+  Rng rng(12);
+  const int n = 20000;
+  int early = 0;
+  for (int i = 0; i < n; ++i) {
+    if (sample_watch_fraction(0.9, cfg, rng) < 0.08) {
       ++early;
     }
   }
-  const double early_rate = static_cast<double>(early) / ds.records().size();
-  EXPECT_GT(early_rate, 0.2);
-}
-
-TEST(Dataset, CsvRoundTrip) {
-  Rng rng(13);
-  const Dataset ds = Dataset::generate(small_dataset(), rng);
-  const std::string csv = ds.trace_to_csv();
-  const auto parsed = Dataset::trace_from_csv(csv);
-  ASSERT_EQ(parsed.size(), ds.records().size());
-  for (std::size_t i = 0; i < parsed.size(); ++i) {
-    EXPECT_EQ(parsed[i].user_id, ds.records()[i].user_id);
-    EXPECT_EQ(parsed[i].video_id, ds.records()[i].video_id);
-    EXPECT_EQ(parsed[i].category, ds.records()[i].category);
-    EXPECT_DOUBLE_EQ(parsed[i].watch_fraction, ds.records()[i].watch_fraction);
-  }
-}
-
-TEST(Dataset, CsvUnknownCategoryRejected) {
-  const std::string bad =
-      "user_id,video_id,category,duration_s,watch_fraction,watch_seconds\n"
-      "0,0,Nonsense,10,0.5,5\n";
-  EXPECT_THROW(Dataset::trace_from_csv(bad), dtmsv::util::RuntimeError);
+  EXPECT_GT(static_cast<double>(early) / n, 0.28);
 }
 
 TEST(SampleWatchFraction, MeanIncreasesWithAffinity) {
-  DatasetConfig cfg;
+  EngagementConfig cfg;
   cfg.instant_swipe_prob = 0.1;
   Rng rng(14);
   const auto mean_for = [&](double affinity) {
@@ -273,8 +205,94 @@ TEST(SampleWatchFraction, MeanIncreasesWithAffinity) {
   EXPECT_LT(mid, high);
 }
 
+// With engagement_gain = 0 the Beta part has a closed form, so the whole
+// mixture can be checked: below the 0.93 finish threshold its CDF is
+// p·min(x/0.08, 1) + (1−p)·F_Beta(x), and the rest is an atom at 1 of mass
+// (1−p)·(1 − F_Beta(0.93)).
+struct ClosedFormEngagement {
+  double engagement_base;
+  double affinity;
+  double (*beta_cdf)(double);
+};
+
+// At gain 0 the Beta has mean engagement_base and concentration
+// 1.5 + 2·affinity: base 0.5 at affinity 0.25 is Beta(1, 1), base 2/3 at
+// affinity 0.75 is Beta(2, 1) with CDF x².
+constexpr ClosedFormEngagement kClosedFormCases[] = {
+    {0.5, 0.25, [](double x) { return x; }},
+    {2.0 / 3.0, 0.75, [](double x) { return x * x; }},
+};
+
+constexpr double kFinishThreshold = 0.93;
+
+struct MixtureFit {
+  double ks_p = 0.0;        // K-S p-value of the part below the threshold
+  double atom_sigmas = 0.0;  // |observed − expected| mass at 1, in binomial SEs
+};
+
+// Draws `n` fractions with `sampled` and checks them against the mixture
+// that `expected` states.
+MixtureFit fit_mixture(const ClosedFormEngagement& c, const EngagementConfig& sampled,
+                       const EngagementConfig& expected, std::size_t n, Rng& rng) {
+  std::vector<double> below;
+  std::size_t finished = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double frac = sample_watch_fraction(c.affinity, sampled, rng);
+    if (frac > kFinishThreshold) {
+      ++finished;
+    } else {
+      below.push_back(frac);
+    }
+  }
+  const double p = expected.instant_swipe_prob;
+  const auto cdf = [&](double x) {
+    return p * std::min(x / 0.08, 1.0) + (1.0 - p) * c.beta_cdf(x);
+  };
+  const double atom = (1.0 - p) * (1.0 - c.beta_cdf(kFinishThreshold));
+  const double mass_below = 1.0 - atom;
+
+  MixtureFit fit;
+  fit.ks_p = dtmsv::testing::ks::one_sample(
+                 below, [&](double x) { return cdf(x) / mass_below; })
+                 .p;
+  const double se = std::sqrt(atom * (1.0 - atom) / static_cast<double>(n));
+  fit.atom_sigmas =
+      std::abs(static_cast<double>(finished) / static_cast<double>(n) - atom) / se;
+  return fit;
+}
+
+EngagementConfig closed_form_config(const ClosedFormEngagement& c) {
+  EngagementConfig cfg;
+  cfg.engagement_base = c.engagement_base;
+  cfg.engagement_gain = 0.0;
+  return cfg;
+}
+
+TEST(SampleWatchFraction, MatchesClosedFormMixture) {
+  Rng rng(16);
+  for (const ClosedFormEngagement& c : kClosedFormCases) {
+    const EngagementConfig cfg = closed_form_config(c);
+    const MixtureFit fit = fit_mixture(c, cfg, cfg, 200'000, rng);
+    EXPECT_GT(fit.ks_p, 1e-3) << "base " << c.engagement_base;
+    EXPECT_LT(fit.atom_sigmas, 5.0) << "base " << c.engagement_base;
+  }
+}
+
+TEST(SampleWatchFraction, ClosedFormCheckRejectsAnotherSwipeProbability) {
+  // Negative control: the same check must reject a sample drawn with
+  // instant_swipe_prob 0.20 instead of the stated 0.18.
+  Rng rng(17);
+  for (const ClosedFormEngagement& c : kClosedFormCases) {
+    const EngagementConfig expected = closed_form_config(c);
+    EngagementConfig sampled = expected;
+    sampled.instant_swipe_prob = 0.20;
+    const MixtureFit fit = fit_mixture(c, sampled, expected, 200'000, rng);
+    EXPECT_LT(fit.ks_p, 1e-6) << "base " << c.engagement_base;
+  }
+}
+
 TEST(SampleWatchFraction, RejectsOutOfRangeAffinity) {
-  DatasetConfig cfg;
+  EngagementConfig cfg;
   Rng rng(15);
   EXPECT_THROW(sample_watch_fraction(-0.1, cfg, rng), PreconditionError);
   EXPECT_THROW(sample_watch_fraction(1.1, cfg, rng), PreconditionError);

@@ -1,6 +1,6 @@
 // Parameterized sweeps over the radio substrate: analytic path-loss grid,
 // per-entry CQI table verification against 3GPP efficiencies, noise-floor
-// arithmetic across bandwidths, and multicast resource-block accounting.
+// arithmetic across bandwidths, and end-to-end SNR plausibility.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -8,7 +8,6 @@
 #include "util/rng.hpp"
 #include "wireless/channel.hpp"
 #include "wireless/cqi.hpp"
-#include "wireless/multicast.hpp"
 #include "wireless/pathloss.hpp"
 
 namespace {
@@ -82,34 +81,6 @@ TEST_P(NoiseSweep, ScalesWithLogBandwidth) {
 
 INSTANTIATE_TEST_SUITE_P(Bandwidths, NoiseSweep,
                          ::testing::Values(180e3, 1.4e6, 5e6, 10e6, 20e6));
-
-// --------------------------------------------- RB accounting sweep
-
-struct RbCase {
-  double bitrate_kbps;
-  double efficiency;
-};
-
-class ResourceBlockSweep : public ::testing::TestWithParam<RbCase> {};
-
-TEST_P(ResourceBlockSweep, CeilingAndConsistency) {
-  const auto c = GetParam();
-  MulticastPhy phy;
-  const double hz = phy.required_bandwidth_hz(c.bitrate_kbps, c.efficiency);
-  const std::size_t rbs = phy.required_resource_blocks(c.bitrate_kbps, c.efficiency);
-  EXPECT_NEAR(hz, c.bitrate_kbps * 1e3 / c.efficiency, 1e-6 * hz);
-  // RB count is the exact ceiling.
-  EXPECT_EQ(rbs, static_cast<std::size_t>(std::ceil(hz / kResourceBlockHz)));
-  // RBs always cover the requirement, never by more than one block.
-  EXPECT_GE(static_cast<double>(rbs) * kResourceBlockHz, hz - 1e-6);
-  EXPECT_LT(static_cast<double>(rbs) * kResourceBlockHz, hz + kResourceBlockHz);
-}
-
-INSTANTIATE_TEST_SUITE_P(Cases, ResourceBlockSweep,
-                         ::testing::Values(RbCase{750.0, 0.5}, RbCase{1200.0, 1.0},
-                                           RbCase{1850.0, 2.4}, RbCase{2850.0, 3.3},
-                                           RbCase{4300.0, 5.55},
-                                           RbCase{180.0, 1.0}));
 
 // --------------------------------------------- end-to-end SNR plausibility
 

@@ -475,14 +475,6 @@ TEST(MulticastPhy, BandwidthFormula) {
   EXPECT_DOUBLE_EQ(phy.required_bandwidth_hz(2000.0, 2.0), 1e6);
 }
 
-TEST(MulticastPhy, ResourceBlockCeiling) {
-  MulticastPhy phy;
-  // 1 MHz / 180 kHz = 5.55… → 6 RBs.
-  EXPECT_EQ(phy.required_resource_blocks(2000.0, 2.0), 6u);
-  // Exactly one RB.
-  EXPECT_EQ(phy.required_resource_blocks(180.0, 1.0), 1u);
-}
-
 TEST(MulticastPhy, SustainableRungSelection) {
   MulticastPhy phy;
   const std::vector<double> ladder = {750.0, 1200.0, 1850.0, 2850.0, 4300.0};
