@@ -28,7 +28,6 @@ struct IntervalResult {
 IntervalResult run_interval_config(double interval_s, double total_sim_s) {
   core::SchemeConfig config = bench::sweep_config(/*seed=*/5);
   config.interval_s = interval_s;
-  config.demand.interval_s = interval_s;
   config.feature_window_s = 2.0 * interval_s;
   const auto intervals = static_cast<std::size_t>(total_sim_s / interval_s);
 

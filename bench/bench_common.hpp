@@ -20,7 +20,6 @@ inline core::SchemeConfig paper_config(std::uint64_t seed = 2023) {
   config.seed = seed;
   config.user_count = 120;
   config.interval_s = 300.0;
-  config.demand.interval_s = config.interval_s;
   return config;
 }
 
@@ -30,7 +29,6 @@ inline core::SchemeConfig sweep_config(std::uint64_t seed = 2023) {
   core::SchemeConfig config = paper_config(seed);
   config.user_count = 80;
   config.interval_s = 180.0;
-  config.demand.interval_s = config.interval_s;
   config.feature_window_s = 360.0;
   return config;
 }

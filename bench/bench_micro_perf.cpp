@@ -534,7 +534,7 @@ void BM_PredictGroupDemand(benchmark::State& state) {
   forecast.min_series.assign(600, 2.0);
   for (auto _ : state) {
     benchmark::DoNotOptimize(predict::predict_group_demand(
-        15, mix, dist, forecast, playlist, content, config));
+        15, mix, dist, forecast, playlist, content, 300.0, config));
   }
 }
 BENCHMARK(BM_PredictGroupDemand);

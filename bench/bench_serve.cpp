@@ -36,7 +36,6 @@ core::ServeConfig bench_config() {
   cfg.scheme.seed = 42;
   cfg.scheme.user_count = 120;
   cfg.scheme.interval_s = 10.0;
-  cfg.scheme.demand.interval_s = 10.0;
   cfg.scheme.warmup_intervals = 0;
   cfg.scheme.feature_window_s = 60.0;
   cfg.scheme.feature_timesteps = 16;

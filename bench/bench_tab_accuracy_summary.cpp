@@ -9,7 +9,7 @@
 // Shape to reproduce: the proposed scheme attains ≈95 % radio accuracy and
 // beats every series baseline; degrading twin freshness hurts.
 #include <iostream>
-#include <memory>
+#include <span>
 
 #include "bench_common.hpp"
 #include "predict/baselines.hpp"
@@ -23,17 +23,15 @@ struct SeriesScore {
   std::vector<double> actual;
 };
 
-/// Feeds a series predictor with the realized totals, forecasting one
-/// interval ahead (same information timing as the proposed scheme).
-SeriesScore score_series_baseline(predict::SeriesPredictor& predictor,
-                                  const std::vector<double>& realized) {
+/// Scores a series forecast over the realized totals, forecasting each
+/// interval from the ones before it (same information timing as the
+/// proposed scheme); the first interval has no history and is skipped.
+template <typename Forecast>
+SeriesScore score_series_baseline(Forecast forecast, const std::vector<double>& realized) {
   SeriesScore score;
-  for (std::size_t i = 0; i < realized.size(); ++i) {
-    if (i > 0) {  // first interval has no forecast history
-      score.predicted.push_back(predictor.forecast(realized[i]));
-      score.actual.push_back(realized[i]);
-    }
-    predictor.observe(realized[i]);
+  for (std::size_t i = 1; i < realized.size(); ++i) {
+    score.predicted.push_back(forecast(std::span(realized).first(i)));
+    score.actual.push_back(realized[i]);
   }
   return score;
 }
@@ -83,23 +81,22 @@ int main() {
        util::percent(proposed.compute_accuracy(), 2)});
 
   // Series baselines on the same realized series.
-  predict::LastValueSeries lv_r;
-  predict::LastValueSeries lv_c;
-  add_series_row("last-value", score_series_baseline(lv_r, proposed.actual_radio),
-                 score_series_baseline(lv_c, proposed.actual_compute));
-  predict::EwmaSeries ew_r(0.4);
-  predict::EwmaSeries ew_c(0.4);
-  add_series_row("ewma(0.4)", score_series_baseline(ew_r, proposed.actual_radio),
-                 score_series_baseline(ew_c, proposed.actual_compute));
-  predict::MovingAverageSeries ma_r(4);
-  predict::MovingAverageSeries ma_c(4);
-  add_series_row("moving-average(4)",
-                 score_series_baseline(ma_r, proposed.actual_radio),
-                 score_series_baseline(ma_c, proposed.actual_compute));
-  predict::Ar1Series ar_r(12);
-  predict::Ar1Series ar_c(12);
-  add_series_row("ar1(12)", score_series_baseline(ar_r, proposed.actual_radio),
-                 score_series_baseline(ar_c, proposed.actual_compute));
+  const auto add_baseline_row = [&](const std::string& name, const auto& forecast) {
+    add_series_row(name, score_series_baseline(forecast, proposed.actual_radio),
+                   score_series_baseline(forecast, proposed.actual_compute));
+  };
+  add_baseline_row("last-value", [](std::span<const double> history) {
+    return predict::last_value_forecast(history);
+  });
+  add_baseline_row("ewma(0.4)", [](std::span<const double> history) {
+    return predict::ewma_forecast(history, 0.4);
+  });
+  add_baseline_row("moving-average(4)", [](std::span<const double> history) {
+    return predict::moving_average_forecast(history, 4);
+  });
+  add_baseline_row("ar1(12)", [](std::span<const double> history) {
+    return predict::ar1_forecast(history, 12);
+  });
 
   // Degraded-DT variant.
   table.add_row(

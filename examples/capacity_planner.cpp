@@ -9,6 +9,7 @@
 //   $ ./capacity_planner [intervals] [headroom_percent]
 #include <cstdlib>
 #include <iostream>
+#include <vector>
 
 #include "core/simulation.hpp"
 #include "predict/baselines.hpp"
@@ -30,7 +31,6 @@ int main(int argc, char** argv) {
   config.seed = 31;
   config.user_count = 100;
   config.interval_s = 120.0;  // shortened so the example runs in seconds
-  config.demand.interval_s = config.interval_s;
   config.feature_window_s = 240.0;
 
   core::Simulation sim(config);
@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
         : dt_planner(policy), naive_planner(policy) {}
     predict::CapacityPlanner dt_planner;
     predict::CapacityPlanner naive_planner;
-    predict::LastValueSeries last_value;
+    std::vector<double> realized;
 
     void on_interval(const core::EpochReport& r) override {
       if (!r.has_prediction) {
@@ -54,9 +54,9 @@ int main(int argc, char** argv) {
       // DT-assisted reservation: model prediction + headroom.
       dt_planner.step(r.predicted_radio_hz_total, r.actual_radio_hz_total);
       // Baseline: last interval's realized demand + the same headroom.
-      naive_planner.step(last_value.forecast(r.actual_radio_hz_total),
+      naive_planner.step(predict::last_value_forecast(realized, r.actual_radio_hz_total),
                          r.actual_radio_hz_total);
-      last_value.observe(r.actual_radio_hz_total);
+      realized.push_back(r.actual_radio_hz_total);
     }
   } sink(policy);
   sim.run(static_cast<std::size_t>(intervals), sink);

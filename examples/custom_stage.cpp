@@ -6,7 +6,8 @@
 // selected by a string key through the process-wide StageRegistry, so a new
 // backend is (1) a class implementing the stage interface, (2) one
 // registration call from any translation unit, (3) a SchemeConfig naming
-// the key. This example plugs in a taste-quantile grouping stage — it
+// the key. The key is the stage's only name: the interface has no name()
+// to override. This example plugs in a taste-quantile grouping stage — it
 // ignores the feature geometry entirely and splits users into K equal
 // buckets by their first feature coordinate — and compares it against the
 // paper's DDQN-empowered K-means++ on the same workload.
@@ -49,8 +50,6 @@ class QuantileGroupingStage final : public core::GroupingStage {
     return out;
   }
 
-  std::string name() const override { return "taste_quantile"; }
-
  private:
   std::size_t k_;
 };
@@ -74,7 +73,6 @@ int main() {
     config.seed = 17;
     config.user_count = 60;
     config.interval_s = 120.0;
-    config.demand.interval_s = config.interval_s;
     config.warmup_intervals = 1;
     config.feature_window_s = 240.0;
     config.fixed_k = 4;

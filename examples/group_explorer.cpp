@@ -8,6 +8,7 @@
 //   $ ./group_explorer [users] [warm_intervals]
 #include <cstdlib>
 #include <iostream>
+#include <string>
 
 #include "behavior/preference.hpp"
 #include "clustering/metrics.hpp"
@@ -29,7 +30,6 @@ int main(int argc, char** argv) {
   config.seed = 99;
   config.user_count = static_cast<std::size_t>(users);
   config.interval_s = 120.0;
-  config.demand.interval_s = config.interval_s;
   config.feature_window_s = 240.0;
 
   core::Simulation sim(config);
@@ -63,22 +63,18 @@ int main(int argc, char** argv) {
 
   util::Rng rng(1234);
   util::Table compare({"strategy", "K", "silhouette", "Davies-Bouldin"});
-  const auto evaluate = [&](clustering::KSelector& selector) {
-    const std::size_t k = selector.select_k(summaries, rng);
+  const auto evaluate = [&](const std::string& strategy, std::size_t k) {
     const auto result = clustering::k_means(summaries, k, rng);
-    compare.add_row({selector.name(), std::to_string(k),
+    compare.add_row({strategy, std::to_string(k),
                      util::fixed(clustering::silhouette(summaries, result.assignment), 3),
                      util::fixed(clustering::davies_bouldin(summaries, result.assignment), 3)});
   };
-  clustering::FixedKSelector fixed4(4);
-  clustering::ElbowKSelector elbow(config.grouping.k_min, config.grouping.k_max);
-  clustering::SilhouetteSweepSelector sweep(config.grouping.k_min,
-                                            config.grouping.k_max);
-  clustering::RandomKSelector random(config.grouping.k_min, config.grouping.k_max);
-  evaluate(fixed4);
-  evaluate(elbow);
-  evaluate(sweep);
-  evaluate(random);
+  const std::size_t k_min = config.grouping.k_min;
+  const std::size_t k_max = config.grouping.k_max;
+  evaluate("fixed-4", clustering::fixed_k(summaries, 4));
+  evaluate("elbow", clustering::elbow_k(summaries, k_min, k_max, rng));
+  evaluate("silhouette-sweep", clustering::silhouette_sweep_k(summaries, k_min, k_max, rng));
+  evaluate("random", clustering::random_k(summaries, k_min, k_max, rng));
   compare.add_row({"ddqn (pipeline)", std::to_string(sim.group_count()), "see above",
                    "-"});
   compare.print("K-selection strategies on the current user embedding cloud");

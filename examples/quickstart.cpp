@@ -21,7 +21,6 @@ int main() {
   config.seed = 7;
   config.user_count = 60;
   config.interval_s = 120.0;           // shortened for the demo
-  config.demand.interval_s = config.interval_s;
   config.warmup_intervals = 1;
   config.feature_window_s = 240.0;
 

@@ -105,7 +105,6 @@ SimPlan load_plan(util::Config& config) {
 
             core::SchemeConfig& base = cfg.base;
             base.interval_s = config.get_double_or("scheme.interval_s", base.interval_s);
-            base.demand.interval_s = base.interval_s;
             base.tick_s = config.get_double_or("scheme.tick_s", base.tick_s);
             base.warmup_intervals =
                 config.get_size_or("scheme.warmup_intervals", base.warmup_intervals);

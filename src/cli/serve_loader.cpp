@@ -35,7 +35,6 @@ ServePlan load_serve_plan(util::Config& config) {
   scheme.seed = config.get_uint64_or("serve.seed", scheme.seed);
   scheme.user_count = config.get_size_or("serve.user_count", 240);
   scheme.interval_s = config.get_double_or("serve.interval_s", 10.0);
-  scheme.demand.interval_s = scheme.interval_s;
   // The serve loop never runs the tick simulator, but scheme validation
   // requires tick_s <= interval_s; keep it consistent for short intervals.
   scheme.tick_s = std::min(scheme.tick_s, scheme.interval_s);

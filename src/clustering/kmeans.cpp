@@ -44,14 +44,6 @@ ClusterMembers members_by_cluster(const std::vector<std::size_t>& assignment,
   return out;
 }
 
-std::vector<std::size_t> KMeansResult::cluster_sizes() const {
-  std::vector<std::size_t> sizes(centroids.size(), 0);
-  for (const std::size_t a : assignment) {
-    ++sizes[a];
-  }
-  return sizes;
-}
-
 namespace {
 
 // All k-means-internal distance users share the kernel-layer madd chain

@@ -30,8 +30,6 @@ struct KMeansResult {
   bool converged = false;              // true when assignments stabilised
 
   std::size_t cluster_count() const { return centroids.size(); }
-  /// Sizes of all clusters.
-  std::vector<std::size_t> cluster_sizes() const;
 };
 
 /// Point indices grouped cluster by cluster: cluster c's points are

@@ -3,29 +3,22 @@
 #include <algorithm>
 #include <limits>
 
-#include "clustering/metrics.hpp"
 #include "util/error.hpp"
 
 namespace dtmsv::clustering {
 
-FixedKSelector::FixedKSelector(std::size_t k) : k_(k) { DTMSV_EXPECTS(k >= 1); }
-
-std::size_t FixedKSelector::select_k(const Points& points, util::Rng& /*rng*/) {
+std::size_t fixed_k(const Points& points, std::size_t k) {
+  DTMSV_EXPECTS(k >= 1);
   DTMSV_EXPECTS(!points.empty());
-  return std::min(k_, points.size());
+  return std::min(k, points.size());
 }
 
-std::string FixedKSelector::name() const { return "fixed-" + std::to_string(k_); }
-
-ElbowKSelector::ElbowKSelector(std::size_t k_min, std::size_t k_max)
-    : k_min_(k_min), k_max_(k_max) {
+std::size_t elbow_k(const Points& points, std::size_t k_min, std::size_t k_max,
+                    util::Rng& rng) {
   DTMSV_EXPECTS(k_min >= 1 && k_min <= k_max);
-}
-
-std::size_t ElbowKSelector::select_k(const Points& points, util::Rng& rng) {
   DTMSV_EXPECTS(!points.empty());
-  const std::size_t lo = std::min(k_min_, points.size());
-  const std::size_t hi = std::min(k_max_, points.size());
+  const std::size_t lo = std::min(k_min, points.size());
+  const std::size_t hi = std::min(k_max, points.size());
   if (hi - lo < 2) {
     return lo;
   }
@@ -49,17 +42,14 @@ std::size_t ElbowKSelector::select_k(const Points& points, util::Rng& rng) {
   return best_k;
 }
 
-SilhouetteSweepSelector::SilhouetteSweepSelector(std::size_t k_min, std::size_t k_max,
-                                                 std::size_t sample_cap)
-    : k_min_(k_min), k_max_(k_max), sample_cap_(sample_cap) {
+std::size_t silhouette_sweep_k(const Points& points, std::size_t k_min,
+                               std::size_t k_max, util::Rng& rng,
+                               std::size_t sample_cap) {
   DTMSV_EXPECTS(k_min >= 1 && k_min <= k_max);
   DTMSV_EXPECTS(sample_cap >= 1);
-}
-
-std::size_t SilhouetteSweepSelector::select_k(const Points& points, util::Rng& rng) {
   DTMSV_EXPECTS(!points.empty());
-  const std::size_t lo = std::max<std::size_t>(2, std::min(k_min_, points.size()));
-  const std::size_t hi = std::min(k_max_, points.size());
+  const std::size_t lo = std::max<std::size_t>(2, std::min(k_min, points.size()));
+  const std::size_t hi = std::min(k_max, points.size());
   if (lo >= hi) {
     return std::min(lo, points.size());
   }
@@ -71,8 +61,7 @@ std::size_t SilhouetteSweepSelector::select_k(const Points& points, util::Rng& r
     const auto result = k_means(points, k, rng, opts);
     // Sampled silhouette keeps the sweep sub-quadratic on large clouds;
     // below the cap it is the exact metric and draws nothing from rng.
-    const double score =
-        silhouette_sampled(points, result.assignment, sample_cap_, rng);
+    const double score = silhouette_sampled(points, result.assignment, sample_cap, rng);
     if (score > best_score) {
       best_score = score;
       best_k = k;
@@ -81,15 +70,12 @@ std::size_t SilhouetteSweepSelector::select_k(const Points& points, util::Rng& r
   return best_k;
 }
 
-RandomKSelector::RandomKSelector(std::size_t k_min, std::size_t k_max)
-    : k_min_(k_min), k_max_(k_max) {
+std::size_t random_k(const Points& points, std::size_t k_min, std::size_t k_max,
+                     util::Rng& rng) {
   DTMSV_EXPECTS(k_min >= 1 && k_min <= k_max);
-}
-
-std::size_t RandomKSelector::select_k(const Points& points, util::Rng& rng) {
   DTMSV_EXPECTS(!points.empty());
-  const std::size_t lo = std::min(k_min_, points.size());
-  const std::size_t hi = std::min(k_max_, points.size());
+  const std::size_t lo = std::min(k_min, points.size());
+  const std::size_t hi = std::min(k_max, points.size());
   return static_cast<std::size_t>(
       rng.uniform_int(static_cast<std::int64_t>(lo), static_cast<std::int64_t>(hi)));
 }

@@ -1,80 +1,38 @@
-// Grouping-number (K) selection strategies. The paper's contribution uses a
-// DDQN (see core/group_constructor.hpp); the strategies here are the
-// baselines the ablation bench compares against, behind one interface.
+// Grouping-number (K) selection baselines. The paper's contribution uses a
+// DDQN (see core/group_constructor.hpp); these functions are the baselines
+// the ablation compares against. Each backs one grouping stage key in
+// core/pipeline.cpp ("fixed", "elbow", "silhouette", "random"): the stage
+// chooses K with it, then clusters with K-means++.
 #pragma once
 
-#include <memory>
-#include <string>
+#include <cstddef>
 
 #include "clustering/kmeans.hpp"
 #include "clustering/metrics.hpp"
 
 namespace dtmsv::clustering {
 
-/// Strategy interface: given the points to cluster, choose K.
-class KSelector {
- public:
-  virtual ~KSelector() = default;
-  KSelector() = default;
-  KSelector(const KSelector&) = delete;
-  KSelector& operator=(const KSelector&) = delete;
+/// Returns `k` clamped to the point count. Requires k >= 1 and non-empty
+/// points; draws nothing.
+std::size_t fixed_k(const Points& points, std::size_t k);
 
-  /// Chooses a grouping number in [1, points.size()].
-  virtual std::size_t select_k(const Points& points, util::Rng& rng) = 0;
-  virtual std::string name() const = 0;
-};
+/// Classic elbow heuristic: runs K-means for each K in [k_min, k_max]
+/// (clamped to the point count) and picks the K with the largest second
+/// difference ("knee") of inertia.
+std::size_t elbow_k(const Points& points, std::size_t k_min, std::size_t k_max,
+                    util::Rng& rng);
 
-/// Always returns the configured K (clamped to the point count).
-class FixedKSelector final : public KSelector {
- public:
-  explicit FixedKSelector(std::size_t k);
-  std::size_t select_k(const Points& points, util::Rng& rng) override;
-  std::string name() const override;
+/// Silhouette sweep: picks the K in [max(2, k_min), k_max] with the best
+/// silhouette. The "slow oracle" the DDQN approximates; beyond
+/// `sample_cap` points the silhouette is estimated from a sample so the
+/// sweep stays O(range · cap · n) instead of O(range · n²).
+std::size_t silhouette_sweep_k(const Points& points, std::size_t k_min,
+                               std::size_t k_max, util::Rng& rng,
+                               std::size_t sample_cap = kDefaultSilhouetteSampleCap);
 
- private:
-  std::size_t k_;
-};
-
-/// Classic elbow heuristic: runs K-means for each K in [k_min, k_max] and
-/// picks the K with the largest second difference ("knee") of inertia.
-class ElbowKSelector final : public KSelector {
- public:
-  ElbowKSelector(std::size_t k_min, std::size_t k_max);
-  std::size_t select_k(const Points& points, util::Rng& rng) override;
-  std::string name() const override { return "elbow"; }
-
- private:
-  std::size_t k_min_;
-  std::size_t k_max_;
-};
-
-/// Silhouette sweep: picks the K in [k_min, k_max] with best silhouette.
-/// The "slow oracle" the DDQN approximates; beyond `sample_cap` points
-/// the silhouette is estimated from a sample so the sweep stays
-/// O(range · cap · n) instead of O(range · n²).
-class SilhouetteSweepSelector final : public KSelector {
- public:
-  SilhouetteSweepSelector(std::size_t k_min, std::size_t k_max,
-                          std::size_t sample_cap = kDefaultSilhouetteSampleCap);
-  std::size_t select_k(const Points& points, util::Rng& rng) override;
-  std::string name() const override { return "silhouette-sweep"; }
-
- private:
-  std::size_t k_min_;
-  std::size_t k_max_;
-  std::size_t sample_cap_;
-};
-
-/// Uniform-random K in [k_min, k_max] (lower-bound baseline).
-class RandomKSelector final : public KSelector {
- public:
-  RandomKSelector(std::size_t k_min, std::size_t k_max);
-  std::size_t select_k(const Points& points, util::Rng& rng) override;
-  std::string name() const override { return "random"; }
-
- private:
-  std::size_t k_min_;
-  std::size_t k_max_;
-};
+/// Uniform-random K in [k_min, k_max], clamped to the point count
+/// (lower-bound baseline).
+std::size_t random_k(const Points& points, std::size_t k_min, std::size_t k_max,
+                     util::Rng& rng);
 
 }  // namespace dtmsv::clustering

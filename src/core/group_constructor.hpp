@@ -13,7 +13,7 @@
 #include <optional>
 
 #include "clustering/kmeans.hpp"
-#include "clustering/selectors.hpp"
+#include "clustering/metrics.hpp"
 #include "core/pipeline.hpp"
 #include "rl/ddqn.hpp"
 

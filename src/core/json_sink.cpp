@@ -91,7 +91,7 @@ void JsonReportSink::on_group(const GroupReport& g, util::IntervalId interval) {
   field(line, "unicast_radio_hz", g.unicast_radio_hz);
   field(line, "videos_played", g.videos_played);
   out_ << line << "}\n";
-  ++group_records_;
+  ++records_;
 }
 
 void JsonReportSink::on_interval(const EpochReport& r) {
@@ -112,7 +112,7 @@ void JsonReportSink::on_interval(const EpochReport& r) {
   field(line, "radio_error", r.radio_error);
   field(line, "compute_error", r.compute_error);
   out_ << line << "}\n";
-  ++interval_records_;
+  ++records_;
 }
 
 void JsonReportSink::on_handover(const HandoverEvent& e) {
@@ -124,7 +124,7 @@ void JsonReportSink::on_handover(const HandoverEvent& e) {
   field(line, "slot_a", e.slot_a);
   field(line, "slot_b", e.slot_b);
   out_ << line << "}\n";
-  ++handover_records_;
+  ++records_;
 }
 
 void JsonReportSink::on_degradation(const DegradationEvent& e) {
@@ -139,7 +139,7 @@ void JsonReportSink::on_degradation(const DegradationEvent& e) {
   field(line, "deadline_ms", e.deadline_ms);
   field(line, "recovering", e.recovering);
   out_ << line << "}\n";
-  ++degradation_records_;
+  ++records_;
 }
 
 void JsonReportSink::on_drop(const DropEvent& e) {
@@ -150,7 +150,7 @@ void JsonReportSink::on_drop(const DropEvent& e) {
   field(line, "queue_capacity", e.queue_capacity);
   field(line, "queue_size", e.queue_size);
   out_ << line << "}\n";
-  ++drop_records_;
+  ++records_;
 }
 
 void JsonReportSink::meta(
@@ -162,7 +162,7 @@ void JsonReportSink::meta(
     field(line, key.c_str(), value);
   }
   out_ << line << "}\n";
-  ++meta_records_;
+  ++records_;
 }
 
 }  // namespace dtmsv::core

@@ -63,24 +63,12 @@ class JsonReportSink final : public ReportSink {
   void meta(const std::string& meta_type,
             const std::vector<std::pair<std::string, std::string>>& fields);
 
-  std::size_t group_records() const { return group_records_; }
-  std::size_t interval_records() const { return interval_records_; }
-  std::size_t handover_records() const { return handover_records_; }
-  std::size_t degradation_records() const { return degradation_records_; }
-  std::size_t drop_records() const { return drop_records_; }
-  std::size_t record_count() const {
-    return group_records_ + interval_records_ + handover_records_ +
-           degradation_records_ + drop_records_ + meta_records_;
-  }
+  /// Records written so far, of every type.
+  std::size_t record_count() const { return records_; }
 
  private:
   std::ostream& out_;
-  std::size_t group_records_ = 0;
-  std::size_t interval_records_ = 0;
-  std::size_t handover_records_ = 0;
-  std::size_t degradation_records_ = 0;
-  std::size_t drop_records_ = 0;
-  std::size_t meta_records_ = 0;
+  std::size_t records_ = 0;
 };
 
 /// JSON string literal with the mandatory escapes (quote, backslash,

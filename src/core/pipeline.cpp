@@ -66,7 +66,6 @@ class CnnFeatureStage final : public FeatureStage {
     return out;
   }
 
-  std::string name() const override { return "cnn"; }
   bool has_learned_state() const override { return true; }
   void save_state(std::ostream& os) const override {
     nn::save_parameters(compressor_->encoder(), os);
@@ -100,7 +99,6 @@ class RawWindowFeatureStage final : public FeatureStage {
     out.points = std::move(points);
     return out;
   }
-  std::string name() const override { return "raw"; }
 };
 
 /// Ablation: hand-rolled summary statistics per user.
@@ -111,7 +109,6 @@ class SummaryStatsFeatureStage final : public FeatureStage {
     out.points = to_points(snapshot.summary_features());
     return out;
   }
-  std::string name() const override { return "summary"; }
 };
 
 // --------------------------------------------------- built-in GroupingStages
@@ -133,7 +130,6 @@ class DdqnGroupingStage final : public GroupingStage {
     constructor_->report_outcome(prediction_error);
   }
 
-  std::string name() const override { return "ddqn"; }
   bool has_learned_state() const override { return true; }
   void save_state(std::ostream& os) const override {
     nn::save_parameters(constructor_->agent().online_network(), os);
@@ -148,22 +144,22 @@ class DdqnGroupingStage final : public GroupingStage {
   std::unique_ptr<GroupConstructor> constructor_;
 };
 
-/// Baseline stages: a clustering::KSelector chooses K, then K-means++ and a
-/// sampled silhouette — the ablation arms of ABL-CLU behind one adapter.
+/// Baseline stages: a K selector (clustering/selectors.hpp) chooses K, then
+/// K-means++ and a sampled silhouette — the ablation arms of ABL-CLU behind
+/// one adapter.
 class SelectorGroupingStage final : public GroupingStage {
  public:
-  SelectorGroupingStage(std::string key,
-                        std::unique_ptr<clustering::KSelector> selector,
-                        const SchemeConfig& config)
-      : key_(std::move(key)),
-        selector_(std::move(selector)),
+  using SelectK = std::function<std::size_t(const clustering::Points&, util::Rng&)>;
+
+  SelectorGroupingStage(SelectK select_k, const SchemeConfig& config)
+      : select_k_(std::move(select_k)),
         kmeans_(config.grouping.kmeans),
         silhouette_sample_cap_(config.grouping.silhouette_sample_cap) {}
 
   GroupingOutcome group(const clustering::Points& features,
                         util::Rng& rng) override {
     GroupingOutcome out;
-    std::size_t k = selector_->select_k(features, rng);
+    std::size_t k = select_k_(features, rng);
     k = std::clamp<std::size_t>(k, 1, features.size());
     const auto result = clustering::k_means(features, k, rng, kmeans_);
     out.k = k;
@@ -173,11 +169,8 @@ class SelectorGroupingStage final : public GroupingStage {
     return out;
   }
 
-  std::string name() const override { return key_; }
-
  private:
-  std::string key_;
-  std::unique_ptr<clustering::KSelector> selector_;
+  SelectK select_k_;
   clustering::KMeansOptions kmeans_;
   std::size_t silhouette_sample_cap_;
 };
@@ -190,7 +183,9 @@ class SelectorGroupingStage final : public GroupingStage {
 class JointDemandStage final : public DemandStage {
  public:
   explicit JointDemandStage(const SchemeConfig& config)
-      : window_s_(config.feature_window_s), demand_(config.demand) {}
+      : window_s_(config.feature_window_s),
+        interval_s_(config.interval_s),
+        demand_(config.demand) {}
 
   GroupDemandForecast predict(const GroupDemandContext& context) override {
     const predict::GroupChannelForecast forecast = predict::forecast_group_channel(
@@ -199,49 +194,45 @@ class JointDemandStage final : public DemandStage {
     out.efficiency = forecast.efficiency;
     out.demand = predict::predict_group_demand(
         context.members->size(), *context.preference, *context.swiping, forecast,
-        *context.playlist_per_category, *context.content, demand_);
+        *context.playlist_per_category, *context.content, interval_s_, demand_);
     return out;
   }
 
-  std::string name() const override { return "joint"; }
-
  private:
   double window_s_;
+  double interval_s_;
   predict::DemandModelConfig demand_;
 };
 
-/// Ablation: min over per-member forecasts from one EfficiencyPredictor
-/// (optimistically biased — min(E[X_i]) >= E[min X_i]).
+/// Ablation: min over per-member forecasts from one predictor
+/// (predict/channel_predictor.hpp; optimistically biased —
+/// min(E[X_i]) >= E[min X_i]).
 class PerMemberDemandStage final : public DemandStage {
  public:
-  PerMemberDemandStage(std::string key,
-                       std::unique_ptr<predict::EfficiencyPredictor> predictor,
-                       const SchemeConfig& config)
-      : key_(std::move(key)),
-        predictor_(std::move(predictor)),
+  PerMemberDemandStage(predict::MemberPredictor predictor, const SchemeConfig& config)
+      : predictor_(predictor),
         window_s_(config.feature_window_s),
+        interval_s_(config.interval_s),
         demand_(config.demand) {}
 
   GroupDemandForecast predict(const GroupDemandContext& context) override {
     predict::GroupChannelForecast forecast;
     forecast.efficiency = predict::predict_group_efficiency(
-        *context.members, *predictor_, context.now, window_s_,
+        *context.members, predictor_, context.now, window_s_,
         demand_.efficiency_floor);
     forecast.min_series = {forecast.efficiency};
     GroupDemandForecast out;
     out.efficiency = forecast.efficiency;
     out.demand = predict::predict_group_demand(
         context.members->size(), *context.preference, *context.swiping, forecast,
-        *context.playlist_per_category, *context.content, demand_);
+        *context.playlist_per_category, *context.content, interval_s_, demand_);
     return out;
   }
 
-  std::string name() const override { return key_; }
-
  private:
-  std::string key_;
-  std::unique_ptr<predict::EfficiencyPredictor> predictor_;
+  predict::MemberPredictor predictor_;
   double window_s_;
+  double interval_s_;
   predict::DemandModelConfig demand_;
 };
 
@@ -308,52 +299,58 @@ StageRegistry& StageRegistry::instance() {
       return std::make_unique<DdqnGroupingStage>(config, rng);
     });
     r.register_grouping("fixed", [](const SchemeConfig& config, util::Rng&) {
+      DTMSV_EXPECTS(config.fixed_k >= 1);
       return std::make_unique<SelectorGroupingStage>(
-          "fixed", std::make_unique<clustering::FixedKSelector>(config.fixed_k),
+          [k = config.fixed_k](const clustering::Points& points, util::Rng&) {
+            return clustering::fixed_k(points, k);
+          },
           config);
     });
     r.register_grouping("elbow", [](const SchemeConfig& config, util::Rng&) {
       return std::make_unique<SelectorGroupingStage>(
-          "elbow",
-          std::make_unique<clustering::ElbowKSelector>(config.grouping.k_min,
-                                                       config.grouping.k_max),
+          [lo = config.grouping.k_min, hi = config.grouping.k_max](
+              const clustering::Points& points, util::Rng& rng) {
+            return clustering::elbow_k(points, lo, hi, rng);
+          },
           config);
     });
     r.register_grouping("random", [](const SchemeConfig& config, util::Rng&) {
       return std::make_unique<SelectorGroupingStage>(
-          "random",
-          std::make_unique<clustering::RandomKSelector>(config.grouping.k_min,
-                                                        config.grouping.k_max),
+          [lo = config.grouping.k_min, hi = config.grouping.k_max](
+              const clustering::Points& points, util::Rng& rng) {
+            return clustering::random_k(points, lo, hi, rng);
+          },
           config);
     });
     r.register_grouping("silhouette", [](const SchemeConfig& config, util::Rng&) {
       return std::make_unique<SelectorGroupingStage>(
-          "silhouette",
-          std::make_unique<clustering::SilhouetteSweepSelector>(
-              config.grouping.k_min, config.grouping.k_max),
+          [lo = config.grouping.k_min, hi = config.grouping.k_max](
+              const clustering::Points& points, util::Rng& rng) {
+            return clustering::silhouette_sweep_k(points, lo, hi, rng);
+          },
           config);
     });
 
     r.register_demand("joint", [](const SchemeConfig& config, util::Rng&) {
       return std::make_unique<JointDemandStage>(config);
     });
-    r.register_demand("last_value", [](const SchemeConfig& config, util::Rng&) {
-      return std::make_unique<PerMemberDemandStage>(
-          "last_value", std::make_unique<predict::LastValuePredictor>(), config);
-    });
-    r.register_demand("ewma", [](const SchemeConfig& config, util::Rng&) {
-      return std::make_unique<PerMemberDemandStage>(
-          "ewma", std::make_unique<predict::EwmaPredictor>(), config);
-    });
-    r.register_demand("linear_trend", [](const SchemeConfig& config, util::Rng&) {
-      return std::make_unique<PerMemberDemandStage>(
-          "linear_trend", std::make_unique<predict::LinearTrendPredictor>(),
-          config);
-    });
-    r.register_demand("mean", [](const SchemeConfig& config, util::Rng&) {
-      return std::make_unique<PerMemberDemandStage>(
-          "mean", std::make_unique<predict::MeanPredictor>(), config);
-    });
+    // The per-member predictors run at their default tuning (EWMA alpha
+    // 0.3, trend horizon 150 s).
+    const auto per_member = [](predict::MemberPredictor predictor) {
+      return [predictor](const SchemeConfig& config, util::Rng&) {
+        return std::make_unique<PerMemberDemandStage>(predictor, config);
+      };
+    };
+    r.register_demand("last_value", per_member(&predict::last_value_efficiency));
+    r.register_demand("ewma", per_member([](const twin::ChannelColumn& channel,
+                                            auto... args) {
+      return predict::ewma_efficiency(channel, args...);
+    }));
+    r.register_demand("linear_trend", per_member([](const twin::ChannelColumn& channel,
+                                                    auto... args) {
+      return predict::linear_trend_efficiency(channel, args...);
+    }));
+    r.register_demand("mean", per_member(&predict::mean_efficiency));
     return r;
   }();
   return registry;

@@ -12,8 +12,10 @@
 // so alternative backends (the ablation baselines here, or out-of-tree
 // research variants) plug in without touching core::Simulation. The keys on
 // SchemeConfig (feature_stage / grouping_stage / demand_stage) are the only
-// selection mechanism; the pre-PR-3 enum aliases are gone (see
-// simulation.hpp for the migration note).
+// selection mechanism, and a stage is named by its key alone. A baseline
+// stage is a plain function behind its key: the K selectors in
+// clustering/selectors.hpp and the per-member efficiency predictors in
+// predict/channel_predictor.hpp.
 //
 // predict_interval() chains the three stages for one interval; the batch
 // Simulation and the serve loop both call it, so they share one prediction
@@ -227,7 +229,6 @@ class FeatureStage {
   FeatureStage& operator=(const FeatureStage&) = delete;
 
   virtual FeatureOutput extract(const TwinSnapshot& snapshot) = 0;
-  virtual std::string name() const = 0;
 
   /// Stages with learned parameters participate in Simulation::save_models /
   /// load_models through these hooks.
@@ -261,7 +262,6 @@ class GroupingStage {
   /// Normalised demand-prediction error of the interval governed by the
   /// previous group() decision. Optional feedback; default no-op.
   virtual void report_outcome(double prediction_error) { (void)prediction_error; }
-  virtual std::string name() const = 0;
 
   virtual bool has_learned_state() const { return false; }
   virtual void save_state(std::ostream& os) const { (void)os; }
@@ -298,7 +298,6 @@ class DemandStage {
   DemandStage& operator=(const DemandStage&) = delete;
 
   virtual GroupDemandForecast predict(const GroupDemandContext& context) = 0;
-  virtual std::string name() const = 0;
 };
 
 // ----------------------------------------------------------------- registry

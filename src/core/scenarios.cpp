@@ -53,7 +53,6 @@ ScenarioConfig make_scenario(ScenarioKind kind, std::size_t total_users,
   base.grouping.k_max = 8;
   base.grouping.ddqn.hidden = {32};
   base.grouping.kmeans.restarts = 2;
-  base.demand.interval_s = base.interval_s;
   base.recommender.playlist_size = 24;
 
   switch (kind) {

@@ -48,8 +48,6 @@ void validate(const SchemeConfig& config) {
                     "SchemeConfig: grouping.k_min must be >= 1");
   DTMSV_EXPECTS_MSG(config.grouping.k_min <= config.grouping.k_max,
                     "SchemeConfig: grouping.k_min must be <= k_max");
-  DTMSV_EXPECTS_MSG(config.demand.interval_s > 0.0,
-                    "SchemeConfig: demand.interval_s must be > 0");
 }
 
 Simulation::Simulation(const SchemeConfig& config)

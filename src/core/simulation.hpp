@@ -41,17 +41,6 @@
 
 namespace dtmsv::core {
 
-// NOTE for out-of-tree code: the pre-PR-3 stage-selection enums
-// (core::FeatureMode, core::KSelectionMode, core::ChannelPredictorKind) and
-// the SchemeConfig fields that carried them (feature_mode, k_mode,
-// channel_predictor, joint_group_efficiency) were removed after one
-// deprecation cycle. Stage selection is registry-keys-only now: set
-// SchemeConfig::feature_stage = "cnn" | "raw" | "summary",
-// grouping_stage = "ddqn" | "fixed" | "elbow" | "random" | "silhouette",
-// demand_stage = "joint" | "last_value" | "ewma" | "linear_trend" | "mean"
-// (joint_group_efficiency=false used to mean demand_stage=channel_predictor
-// key; =true meant "joint"). See core/pipeline.hpp for the StageRegistry.
-
 /// Full scheme configuration (defaults reproduce the paper's setup).
 struct SchemeConfig {
   std::uint64_t seed = 42;
@@ -83,12 +72,12 @@ struct SchemeConfig {
   double affinity_drift_rate = 0.0;
 
   /// StageRegistry keys selecting the pipeline backends (the only stage
-  /// selection mechanism; see core/pipeline.hpp and the migration note at
-  /// the top of this header). Defaults reproduce the paper: "cnn" 1D-CNN
-  /// autoencoder features, "ddqn" DDQN-empowered K selection, and the
-  /// "joint" min-over-members demand forecast (unbiased for the multicast
-  /// accounting; the per-member "last_value"/"ewma"/"linear_trend"/"mean"
-  /// stages are the optimistically-biased ablation baselines).
+  /// selection mechanism; see core/pipeline.hpp). Defaults reproduce the
+  /// paper: "cnn" 1D-CNN autoencoder features, "ddqn" DDQN-empowered K
+  /// selection, and the "joint" min-over-members demand forecast (unbiased
+  /// for the multicast accounting; the per-member "last_value"/"ewma"/
+  /// "linear_trend"/"mean" stages are the optimistically-biased ablation
+  /// baselines).
   std::string feature_stage = "cnn";
   std::string grouping_stage = "ddqn";
   std::string demand_stage = "joint";
@@ -146,11 +135,6 @@ class Simulation {
   const video::Catalog& catalog() const { return catalog_; }
   const twin::TwinStore& twins() const { return *twins_; }
   const twin::CollectorStats& collector_stats() const;
-
-  /// The active pipeline stages (names, learned-state queries).
-  const FeatureStage& feature_stage() const { return *feature_stage_; }
-  const GroupingStage& grouping_stage() const { return *grouping_stage_; }
-  const DemandStage& demand_stage() const { return *demand_stage_; }
 
   /// Cumulative wall-time breakdown of the interval loop since construction
   /// (or the last reset), attributing cost to simulate vs. stages.

@@ -10,7 +10,6 @@ class ReLU final : public Layer {
  public:
   const Tensor& forward(const Tensor& input) override;
   const Tensor& backward(const Tensor& grad_output) override;
-  std::string name() const override { return "ReLU"; }
 
  private:
   Tensor output_;  // last forward output; > 0 exactly where the input was

@@ -21,7 +21,6 @@ class Conv1D final : public Layer {
   const Tensor& backward(const Tensor& grad_output) override;
   void backward_params(const Tensor& grad_output) override;
   std::vector<ParamRef> parameters() override;
-  std::string name() const override { return "Conv1D"; }
 
   std::size_t in_channels() const { return in_channels_; }
   std::size_t out_channels() const { return out_channels_; }

@@ -57,8 +57,6 @@ class Layer {
   /// training loop zeroes through its optimiser's list instead
   /// (Adam::zero_grad).
   void zero_grad();
-
-  virtual std::string name() const = 0;
 };
 
 inline void Layer::zero_grad() {

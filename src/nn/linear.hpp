@@ -16,7 +16,6 @@ class Linear final : public Layer {
   const Tensor& backward(const Tensor& grad_output) override;
   void backward_params(const Tensor& grad_output) override;
   std::vector<ParamRef> parameters() override;
-  std::string name() const override { return "Linear"; }
 
   /// Direct parameter access (used by serialisation and tests).
   Tensor& weights() { return w_; }

@@ -15,7 +15,6 @@ class MaxPool1D final : public Layer {
 
   const Tensor& forward(const Tensor& input) override;
   const Tensor& backward(const Tensor& grad_output) override;
-  std::string name() const override { return "MaxPool1D"; }
 
   std::size_t window() const { return window_; }
   std::size_t output_length(std::size_t input_length) const;
@@ -33,7 +32,6 @@ class GlobalAvgPool1D final : public Layer {
  public:
   const Tensor& forward(const Tensor& input) override;
   const Tensor& backward(const Tensor& grad_output) override;
-  std::string name() const override { return "GlobalAvgPool1D"; }
 
  private:
   Shape input_shape_;

@@ -31,7 +31,6 @@ class Sequential final : public Layer {
   /// skipped (Layer::backward_params) — the training step's form.
   void backward_params(const Tensor& grad_output) override;
   std::vector<ParamRef> parameters() override;
-  std::string name() const override { return "Sequential"; }
 
   std::size_t layer_count() const { return layers_.size(); }
   Layer& layer(std::size_t i);

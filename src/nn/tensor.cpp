@@ -90,12 +90,6 @@ float Tensor::at3(std::size_t n, std::size_t c, std::size_t l) const {
   return const_cast<Tensor*>(this)->at3(n, c, l);
 }
 
-Tensor Tensor::reshaped(Shape new_shape) const {
-  DTMSV_EXPECTS_MSG(element_count(new_shape) == data_.size(),
-                    "reshape must preserve element count");
-  return Tensor(std::move(new_shape), data_);
-}
-
 void Tensor::resize(std::span<const std::size_t> shape) {
   std::size_t n = 1;
   for (const std::size_t d : shape) {
@@ -140,13 +134,6 @@ float Tensor::mean() const {
   return sum() / static_cast<float>(data_.size());
 }
 
-float Tensor::abs_max() const {
-  float m = 0.0f;
-  for (const float v : data_) {
-    m = std::max(m, std::abs(v));
-  }
-  return m;
-}
 
 namespace {
 

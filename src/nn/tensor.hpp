@@ -75,9 +75,6 @@ class Tensor {
   float& at3(std::size_t n, std::size_t c, std::size_t l);
   float at3(std::size_t n, std::size_t c, std::size_t l) const;
 
-  /// Reinterprets the buffer with a new shape of identical element count.
-  Tensor reshaped(Shape new_shape) const;
-
   /// Gives the tensor `shape` in place, reusing its storage: it allocates
   /// only when the rank or element count outgrows every earlier shape.
   /// Elements that were there keep their values and new ones are zero, so
@@ -105,8 +102,6 @@ class Tensor {
   float sum() const;
   /// Mean of all elements; requires non-empty.
   float mean() const;
-  /// Maximum absolute element (0 for empty).
-  float abs_max() const;
 
   /// Matrix product: (m×k) · (k×n) -> (m×n). Requires rank 2 operands.
   static Tensor matmul(const Tensor& a, const Tensor& b);

@@ -1,96 +1,76 @@
 #include "predict/baselines.hpp"
 
+#include <algorithm>
 #include <cmath>
+
+#include "util/error.hpp"
+#include "util/simd.hpp"
 
 namespace dtmsv::predict {
 
-void LastValueSeries::observe(double realized) {
-  last_ = realized;
-  has_ = true;
+double last_value_forecast(std::span<const double> history, double fallback) {
+  return history.empty() ? fallback : history.back();
 }
 
-double LastValueSeries::forecast(double fallback) const {
-  return has_ ? last_ : fallback;
-}
-
-EwmaSeries::EwmaSeries(double alpha) : alpha_(alpha) {
+double ewma_forecast(std::span<const double> history, double alpha, double fallback) {
   DTMSV_EXPECTS(alpha > 0.0 && alpha <= 1.0);
-}
-
-void EwmaSeries::observe(double realized) {
-  if (!has_) {
-    value_ = realized;
-    has_ = true;
-  } else {
-    value_ = alpha_ * realized + (1.0 - alpha_) * value_;
-  }
-}
-
-double EwmaSeries::forecast(double fallback) const {
-  return has_ ? value_ : fallback;
-}
-
-MovingAverageSeries::MovingAverageSeries(std::size_t window) : window_(window) {
-  DTMSV_EXPECTS(window > 0);
-}
-
-void MovingAverageSeries::observe(double realized) {
-  values_.push_back(realized);
-  if (values_.size() > window_) {
-    values_.pop_front();
-  }
-}
-
-double MovingAverageSeries::forecast(double fallback) const {
-  if (values_.empty()) {
+  if (history.empty()) {
     return fallback;
   }
+  double value = history.front();
+  for (const double realized : history.subspan(1)) {
+    value = alpha * realized + (1.0 - alpha) * value;
+  }
+  return value;
+}
+
+double moving_average_forecast(std::span<const double> history, std::size_t window,
+                               double fallback) {
+  DTMSV_EXPECTS(window > 0);
+  if (history.empty()) {
+    return fallback;
+  }
+  const std::span<const double> values = history.last(std::min(window, history.size()));
   double total = 0.0;
-  for (const double v : values_) {
+  for (const double v : values) {
     total += v;
   }
-  return total / static_cast<double>(values_.size());
+  return total / static_cast<double>(values.size());
 }
 
-Ar1Series::Ar1Series(std::size_t window) : window_(window) {
+double ar1_forecast(std::span<const double> history, std::size_t window, double fallback) {
   DTMSV_EXPECTS(window >= 3);
-}
-
-void Ar1Series::observe(double realized) {
-  values_.push_back(realized);
-  if (values_.size() > window_) {
-    values_.pop_front();
-  }
-}
-
-double Ar1Series::forecast(double fallback) const {
-  if (values_.empty()) {
+  if (history.empty()) {
     return fallback;
   }
-  if (values_.size() < 3) {
-    return values_.back();
+  const std::span<const double> values = history.last(std::min(window, history.size()));
+  if (values.size() < 3) {
+    return values.back();
   }
-  // OLS of x_{t+1} on x_t over the window.
+  // OLS of x_{t+1} on x_t over the window. The products accumulate through
+  // util::simd::madd, so they fuse exactly when a scalar loop would: over a
+  // contiguous span the compiler may vectorise the sums, rounding each
+  // product before it is added.
   double sx = 0.0;
   double sy = 0.0;
   double sxx = 0.0;
   double sxy = 0.0;
-  const auto n = static_cast<double>(values_.size() - 1);
-  for (std::size_t i = 0; i + 1 < values_.size(); ++i) {
-    const double x = values_[i];
-    const double y = values_[i + 1];
+  const auto n = static_cast<double>(values.size() - 1);
+  for (std::size_t i = 0; i + 1 < values.size(); ++i) {
+    const double x = values[i];
+    const double y = values[i + 1];
     sx += x;
     sy += y;
-    sxx += x * x;
-    sxy += x * y;
+    sxx = util::simd::madd(x, x, sxx);
+    sxy = util::simd::madd(x, y, sxy);
   }
   const double denom = n * sxx - sx * sx;
   if (std::abs(denom) < 1e-12) {
-    return values_.back();
+    return values.back();
   }
   const double phi = (n * sxy - sx * sy) / denom;
   const double c = (sy - phi * sx) / n;
-  const double pred = c + phi * values_.back();
+  const double pred = c + phi * values.back();
   return pred < 0.0 ? 0.0 : pred;
 }
 

@@ -1,80 +1,32 @@
-// Baseline demand predictors that operate directly on the realized demand
+// Baseline demand forecasts that operate directly on the realized demand
 // time series (no digital-twin state). These are the comparators for the
-// accuracy table bench (bench/bench_tab_accuracy_summary.cpp).
+// accuracy table bench (bench/bench_tab_accuracy_summary.cpp) and the
+// capacity planner example. Each forecasts the next interval from the
+// realized history so far, oldest first, and returns `fallback` when the
+// history is empty.
 #pragma once
 
-#include <deque>
-#include <string>
-
-#include "util/error.hpp"
+#include <cstddef>
+#include <span>
 
 namespace dtmsv::predict {
 
-/// Interface: observe the realized demand of each interval, then forecast
-/// the next one.
-class SeriesPredictor {
- public:
-  virtual ~SeriesPredictor() = default;
-  SeriesPredictor() = default;
-  SeriesPredictor(const SeriesPredictor&) = delete;
-  SeriesPredictor& operator=(const SeriesPredictor&) = delete;
+/// The previous interval's value.
+double last_value_forecast(std::span<const double> history, double fallback = 0.0);
 
-  virtual void observe(double realized) = 0;
-  /// Forecast for the next interval; `fallback` before any observation.
-  virtual double forecast(double fallback = 0.0) const = 0;
-  virtual std::string name() const = 0;
-};
+/// Exponentially weighted moving average seeded with the first value;
+/// `alpha` in (0, 1] weighs each new value.
+double ewma_forecast(std::span<const double> history, double alpha = 0.4,
+                     double fallback = 0.0);
 
-/// Predicts the previous interval's value.
-class LastValueSeries final : public SeriesPredictor {
- public:
-  void observe(double realized) override;
-  double forecast(double fallback) const override;
-  std::string name() const override { return "last-value"; }
+/// Mean of the last `window` (> 0) values.
+double moving_average_forecast(std::span<const double> history, std::size_t window = 4,
+                               double fallback = 0.0);
 
- private:
-  double last_ = 0.0;
-  bool has_ = false;
-};
-
-/// Exponentially weighted moving average.
-class EwmaSeries final : public SeriesPredictor {
- public:
-  explicit EwmaSeries(double alpha = 0.4);
-  void observe(double realized) override;
-  double forecast(double fallback) const override;
-  std::string name() const override { return "ewma"; }
-
- private:
-  double alpha_;
-  double value_ = 0.0;
-  bool has_ = false;
-};
-
-/// Sliding-window mean.
-class MovingAverageSeries final : public SeriesPredictor {
- public:
-  explicit MovingAverageSeries(std::size_t window = 4);
-  void observe(double realized) override;
-  double forecast(double fallback) const override;
-  std::string name() const override { return "moving-average"; }
-
- private:
-  std::size_t window_;
-  std::deque<double> values_;
-};
-
-/// AR(1) fitted online over a sliding window: x̂_{n+1} = c + φ·x_n.
-class Ar1Series final : public SeriesPredictor {
- public:
-  explicit Ar1Series(std::size_t window = 12);
-  void observe(double realized) override;
-  double forecast(double fallback) const override;
-  std::string name() const override { return "ar1"; }
-
- private:
-  std::size_t window_;
-  std::deque<double> values_;
-};
+/// AR(1) fitted by least squares over the last `window` (>= 3) values,
+/// x̂_{n+1} = c + φ·x_n, clamped to be non-negative; the last value while
+/// fewer than 3 values (or a flat window) leave φ undetermined.
+double ar1_forecast(std::span<const double> history, std::size_t window = 12,
+                    double fallback = 0.0);
 
 }  // namespace dtmsv::predict

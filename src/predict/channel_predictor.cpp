@@ -27,9 +27,8 @@ void for_each_in_window(const twin::ChannelColumn& channel, std::size_t user,
 
 }  // namespace
 
-double LastValuePredictor::predict(const twin::ChannelColumn& channel, std::size_t user,
-                                   util::SimTime now, double window_s,
-                                   double fallback) const {
+double last_value_efficiency(const twin::ChannelColumn& channel, std::size_t user,
+                             util::SimTime now, double window_s, double fallback) {
   std::size_t count = 0;
   double last = 0.0;
   for_each_in_window(channel, user, now, window_s, [&](double, double efficiency) {
@@ -42,16 +41,13 @@ double LastValuePredictor::predict(const twin::ChannelColumn& channel, std::size
   return std::max(0.0, last);
 }
 
-EwmaPredictor::EwmaPredictor(double alpha) : alpha_(alpha) {
+double ewma_efficiency(const twin::ChannelColumn& channel, std::size_t user,
+                       util::SimTime now, double window_s, double fallback, double alpha) {
   DTMSV_EXPECTS(alpha > 0.0 && alpha <= 1.0);
-}
-
-double EwmaPredictor::predict(const twin::ChannelColumn& channel, std::size_t user,
-                              util::SimTime now, double window_s, double fallback) const {
   std::size_t count = 0;
   double value = 0.0;
   for_each_in_window(channel, user, now, window_s, [&](double, double efficiency) {
-    value = count++ == 0 ? efficiency : alpha_ * efficiency + (1.0 - alpha_) * value;
+    value = count++ == 0 ? efficiency : alpha * efficiency + (1.0 - alpha) * value;
   });
   if (count == 0) {
     return fallback;
@@ -59,13 +55,10 @@ double EwmaPredictor::predict(const twin::ChannelColumn& channel, std::size_t us
   return std::max(0.0, value);
 }
 
-LinearTrendPredictor::LinearTrendPredictor(double horizon_s) : horizon_s_(horizon_s) {
+double linear_trend_efficiency(const twin::ChannelColumn& channel, std::size_t user,
+                               util::SimTime now, double window_s, double fallback,
+                               double horizon_s) {
   DTMSV_EXPECTS(horizon_s >= 0.0);
-}
-
-double LinearTrendPredictor::predict(const twin::ChannelColumn& channel, std::size_t user,
-                                     util::SimTime now, double window_s,
-                                     double fallback) const {
   // OLS on (t, efficiency), times centred at `now` for conditioning.
   std::size_t count = 0;
   double last = 0.0;
@@ -95,11 +88,11 @@ double LinearTrendPredictor::predict(const twin::ChannelColumn& channel, std::si
   }
   const double slope = (n * sxy - sx * sy) / denom;
   const double intercept = (sy - slope * sx) / n;
-  return std::max(0.0, intercept + slope * horizon_s_);
+  return std::max(0.0, intercept + slope * horizon_s);
 }
 
-double MeanPredictor::predict(const twin::ChannelColumn& channel, std::size_t user,
-                              util::SimTime now, double window_s, double fallback) const {
+double mean_efficiency(const twin::ChannelColumn& channel, std::size_t user,
+                       util::SimTime now, double window_s, double fallback) {
   std::size_t count = 0;
   double total = 0.0;
   for_each_in_window(channel, user, now, window_s, [&](double, double efficiency) {
@@ -113,15 +106,15 @@ double MeanPredictor::predict(const twin::ChannelColumn& channel, std::size_t us
 }
 
 double predict_group_efficiency(const std::vector<const twin::UserDigitalTwin*>& members,
-                                const EfficiencyPredictor& predictor,
-                                util::SimTime now, double window_s, double floor) {
+                                MemberPredictor predictor, util::SimTime now,
+                                double window_s, double floor) {
   DTMSV_EXPECTS_MSG(!members.empty(), "predict_group_efficiency: empty group");
   DTMSV_EXPECTS(floor > 0.0);
   double worst = std::numeric_limits<double>::infinity();
   for (const auto* member : members) {
     DTMSV_EXPECTS(member != nullptr);
-    worst = std::min(worst, predictor.predict(member->columns().channel_column(),
-                                              member->slot(), now, window_s));
+    worst = std::min(worst, predictor(member->columns().channel_column(), member->slot(),
+                                      now, window_s, 0.5));
   }
   return std::max(worst, floor);
 }

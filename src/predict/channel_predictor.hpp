@@ -1,87 +1,62 @@
-// Per-user spectral-efficiency prediction from UDT channel history: the
-// radio-side input to group demand prediction. A multicast group's next-
-// interval efficiency is the minimum of its members' predictions.
+// Group channel-efficiency forecasts from UDT channel history: the
+// radio-side input to group demand prediction. The paper's joint forecast
+// (forecast_group_channel) reconstructs the group's min-over-members
+// series; the per-member baselines predict each member alone and take the
+// minimum (predict_group_efficiency).
 //
 // Histories are read straight from the twin store's channel column
 // (twin/columns.hpp): each predictor walks one user's window of the time
 // and efficiency lanes.
 #pragma once
 
-#include <memory>
-#include <string>
+#include <cstddef>
+#include <vector>
 
 #include "twin/udt.hpp"
 
 namespace dtmsv::predict {
 
-/// Predicts a user's mean spectral efficiency over the next interval from
-/// their channel history in the twin store.
-class EfficiencyPredictor {
- public:
-  virtual ~EfficiencyPredictor() = default;
-  EfficiencyPredictor() = default;
-  EfficiencyPredictor(const EfficiencyPredictor&) = delete;
-  EfficiencyPredictor& operator=(const EfficiencyPredictor&) = delete;
+// Per-member efficiency predictors. Each returns `user`'s predicted mean
+// spectral efficiency over the next interval from their samples in
+// `channel` with time in [now - window_s, now): non-negative, or
+// `fallback` when that window is empty. They back the per-member demand
+// stage keys in core/pipeline.cpp ("last_value", "ewma", "linear_trend",
+// "mean").
 
-  /// Prediction from `user`'s samples in `channel` with time in
-  /// [now - window_s, now). Returns a non-negative efficiency;
-  /// implementations fall back to `fallback` when the window is empty.
-  virtual double predict(const twin::ChannelColumn& channel, std::size_t user,
-                         util::SimTime now, double window_s,
-                         double fallback = 0.5) const = 0;
+/// A per-member predictor as predict_group_efficiency takes it. The EWMA
+/// and trend predictors take one more tuning argument, so a caller wraps
+/// them at a fixed tuning.
+using MemberPredictor = double (*)(const twin::ChannelColumn& channel, std::size_t user,
+                                   util::SimTime now, double window_s, double fallback);
 
-  virtual std::string name() const = 0;
-};
+/// The most recent sample only.
+double last_value_efficiency(const twin::ChannelColumn& channel, std::size_t user,
+                             util::SimTime now, double window_s, double fallback = 0.5);
 
-/// Uses the most recent sample only.
-class LastValuePredictor final : public EfficiencyPredictor {
- public:
-  double predict(const twin::ChannelColumn& channel, std::size_t user, util::SimTime now,
-                 double window_s, double fallback) const override;
-  std::string name() const override { return "last-value"; }
-};
+/// Exponentially weighted mean over the window, newest weighted most
+/// (`alpha` in (0, 1] weighs each new sample).
+double ewma_efficiency(const twin::ChannelColumn& channel, std::size_t user,
+                       util::SimTime now, double window_s, double fallback = 0.5,
+                       double alpha = 0.3);
 
-/// Exponentially weighted mean over the window (newest weighted most).
-class EwmaPredictor final : public EfficiencyPredictor {
- public:
-  explicit EwmaPredictor(double alpha = 0.3);
-  double predict(const twin::ChannelColumn& channel, std::size_t user, util::SimTime now,
-                 double window_s, double fallback) const override;
-  std::string name() const override { return "ewma"; }
-
- private:
-  double alpha_;
-};
-
-/// Ordinary-least-squares line over the window extrapolated to the middle
-/// of the next interval (clamped to be non-negative).
-class LinearTrendPredictor final : public EfficiencyPredictor {
- public:
-  /// `horizon_s`: how far past `now` to extrapolate.
-  explicit LinearTrendPredictor(double horizon_s = 150.0);
-  double predict(const twin::ChannelColumn& channel, std::size_t user, util::SimTime now,
-                 double window_s, double fallback) const override;
-  std::string name() const override { return "linear-trend"; }
-
- private:
-  double horizon_s_;
-};
+/// Ordinary-least-squares line over the window extrapolated `horizon_s`
+/// (>= 0) past `now`, the middle of the next interval (clamped to be
+/// non-negative).
+double linear_trend_efficiency(const twin::ChannelColumn& channel, std::size_t user,
+                               util::SimTime now, double window_s,
+                               double fallback = 0.5, double horizon_s = 150.0);
 
 /// Window mean (the simplest robust predictor).
-class MeanPredictor final : public EfficiencyPredictor {
- public:
-  double predict(const twin::ChannelColumn& channel, std::size_t user, util::SimTime now,
-                 double window_s, double fallback) const override;
-  std::string name() const override { return "mean"; }
-};
+double mean_efficiency(const twin::ChannelColumn& channel, std::size_t user,
+                       util::SimTime now, double window_s, double fallback = 0.5);
 
-/// Group efficiency: the minimum over members' predictions, floored at
-/// `floor` (multicast must serve the worst member). Simple composition —
-/// biased optimistic for large groups because min(E[X_i]) ≥ E[min X_i].
+/// Group efficiency: the minimum over members' `predictor` forecasts (each
+/// with fallback 0.5), floored at `floor` (multicast must serve the worst
+/// member). Simple composition — biased optimistic for large groups because
+/// min(E[X_i]) ≥ E[min X_i].
 double predict_group_efficiency(const std::vector<const twin::UserDigitalTwin*>& members,
-                                const EfficiencyPredictor& predictor,
-                                util::SimTime now, double window_s,
-                                double floor = 0.05);
+                                MemberPredictor predictor, util::SimTime now,
+                                double window_s, double floor = 0.05);
 
 /// Joint forecast of a group's multicast channel: the reconstructed
 /// per-second min-over-members efficiency series and its harmonic mean.

@@ -51,12 +51,12 @@ ResourceDemand predict_group_demand(
     std::size_t member_count, const behavior::PreferenceVector& group_preference,
     const analysis::SwipingDistribution& swiping, double predicted_efficiency,
     const std::array<std::size_t, video::kCategoryCount>& playlist_per_category,
-    const ContentStats& content, const DemandModelConfig& config) {
+    const ContentStats& content, double interval_s, const DemandModelConfig& config) {
   GroupChannelForecast channel;
   channel.efficiency = std::max(predicted_efficiency, config.efficiency_floor);
   channel.min_series = {channel.efficiency};
   return predict_group_demand(member_count, group_preference, swiping, channel,
-                              playlist_per_category, content, config);
+                              playlist_per_category, content, interval_s, config);
 }
 
 ResourceDemand predict_group_demand(
@@ -64,9 +64,9 @@ ResourceDemand predict_group_demand(
     const analysis::SwipingDistribution& swiping,
     const GroupChannelForecast& channel,
     const std::array<std::size_t, video::kCategoryCount>& playlist_per_category,
-    const ContentStats& content, const DemandModelConfig& config) {
+    const ContentStats& content, double interval_s, const DemandModelConfig& config) {
   DTMSV_EXPECTS(member_count > 0);
-  DTMSV_EXPECTS(config.interval_s > 0.0);
+  DTMSV_EXPECTS(interval_s > 0.0);
   DTMSV_EXPECTS(!content.ladder_kbps.empty());
   DTMSV_EXPECTS_MSG(!channel.min_series.empty(),
                     "predict_group_demand: empty channel forecast");
@@ -141,7 +141,7 @@ ResourceDemand predict_group_demand(
   mean_cycle_s = std::max(mean_cycle_s, 0.5);
 
   // Clips played back-to-back over the interval.
-  const double videos_played = config.interval_s / mean_cycle_s;
+  const double videos_played = interval_s / mean_cycle_s;
 
   ResourceDemand demand;
   demand.rung = static_cast<std::size_t>(std::distance(
@@ -160,7 +160,7 @@ ResourceDemand predict_group_demand(
   demand.transmitted_bits = on_air_total_s * mean_bitrate_kbps * 1e3;
   demand.compute_cycles = on_air_total_s * mean_transcode_bitrate * 1e3 *
                           config.transcode.cycles_per_bit;
-  demand.radio_hz = on_air_total_s * mean_bitrate_over_eff * 1e3 / config.interval_s;
+  demand.radio_hz = on_air_total_s * mean_bitrate_over_eff * 1e3 / interval_s;
   return demand;
 }
 

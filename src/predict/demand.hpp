@@ -52,7 +52,6 @@ struct ContentStats {
 
 /// Tunables of the demand model.
 struct DemandModelConfig {
-  double interval_s = 300.0;         // paper: 5-minute reservation interval
   double prefetch_s = 2.0;           // segments buffered ahead of playback
   double swipe_gap_s = 0.6;          // dwell between consecutive clips
   /// Per-group multicast bandwidth cap driving rung selection. 0.7 MHz of
@@ -75,12 +74,13 @@ struct DemandModelConfig {
 /// (fallback when the playlist quota is empty); `swiping`: the group's
 /// swiping distribution; `predicted_efficiency`: worst-member spectral
 /// efficiency forecast (bits/s/Hz); `playlist_per_category`: recommender
-/// quota per category (defines the played category mix).
+/// quota per category (defines the played category mix); `interval_s`: the
+/// reservation interval the forecast covers (SchemeConfig::interval_s).
 ResourceDemand predict_group_demand(
     std::size_t member_count, const behavior::PreferenceVector& group_preference,
     const analysis::SwipingDistribution& swiping, double predicted_efficiency,
     const std::array<std::size_t, video::kCategoryCount>& playlist_per_category,
-    const ContentStats& content, const DemandModelConfig& config);
+    const ContentStats& content, double interval_s, const DemandModelConfig& config);
 
 /// Channel-distribution-aware variant: instead of one scalar efficiency it
 /// consumes the group's forecast min-series and averages the per-operating-
@@ -93,6 +93,6 @@ ResourceDemand predict_group_demand(
     const analysis::SwipingDistribution& swiping,
     const GroupChannelForecast& channel,
     const std::array<std::size_t, video::kCategoryCount>& playlist_per_category,
-    const ContentStats& content, const DemandModelConfig& config);
+    const ContentStats& content, double interval_s, const DemandModelConfig& config);
 
 }  // namespace dtmsv::predict

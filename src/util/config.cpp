@@ -245,22 +245,6 @@ std::vector<std::string> Config::keys() const {
   return out;
 }
 
-std::vector<std::string> Config::keys_in(const std::string& section) const {
-  const std::string prefix = section.empty() ? "" : section + ".";
-  std::vector<std::string> out;
-  for (const auto& [key, value] : values_) {
-    (void)value;
-    if (key.rfind(prefix, 0) != 0) {
-      continue;
-    }
-    const std::string rest = key.substr(prefix.size());
-    if (!rest.empty() && rest.find('.') == std::string::npos) {
-      out.push_back(rest);
-    }
-  }
-  return out;
-}
-
 std::vector<std::string> Config::unread_keys() const {
   std::vector<std::string> out;
   for (const auto& [key, value] : values_) {

@@ -76,8 +76,6 @@ class Config {
 
   /// All keys, sorted.
   std::vector<std::string> keys() const;
-  /// Keys of one section ("" = root), sorted, returned without the prefix.
-  std::vector<std::string> keys_in(const std::string& section) const;
   /// Keys present in the file that no getter ever touched — the loader's
   /// typo guard.
   std::vector<std::string> unread_keys() const;

@@ -133,10 +133,4 @@ std::size_t Catalog::popularity_rank(std::uint64_t id) const {
   return rank_[static_cast<std::size_t>(id)];
 }
 
-double Catalog::popularity_probability(std::uint64_t id) const {
-  DTMSV_EXPECTS(id < videos_.size());
-  const auto category = static_cast<std::size_t>(videos_[static_cast<std::size_t>(id)].category);
-  return popularity_[category].pmf(popularity_rank(id));
-}
-
 }  // namespace dtmsv::video

@@ -97,9 +97,6 @@ class Catalog {
   /// Popularity rank of a video within its category (0 = most popular).
   std::size_t popularity_rank(std::uint64_t id) const;
 
-  /// P(video | its category) under the Zipf popularity model.
-  double popularity_probability(std::uint64_t id) const;
-
  private:
   std::vector<Video> videos_;
   std::array<std::vector<std::uint64_t>, kCategoryCount> by_category_;

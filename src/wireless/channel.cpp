@@ -184,8 +184,7 @@ void ChannelModel::advance_block(std::size_t first, std::size_t count) {
       ChannelSample& sample = last_samples_[first + i + l];
       sample.serving_bs = static_cast<std::size_t>(serving_lanes[l]);
       sample.snr_db = snr_lanes[l];
-      sample.efficiency_bps_hz =
-          config_.use_cqi_table ? efficiency_lanes[l] : truncated_shannon(snr_lanes[l]);
+      sample.efficiency_bps_hz = efficiency_lanes[l];
     }
   }
 }

@@ -31,8 +31,6 @@ struct RadioConfig {
   double shadowing_sigma_db = 6.0;
   double shadowing_decorrelation_m = 50.0;
   double doppler_hz = 10.0;          // pedestrian at 2.6 GHz ≈ 10 Hz
-  /// Spectral efficiency model: true -> CQI table, false -> truncated Shannon.
-  bool use_cqi_table = true;
 };
 
 /// Thermal noise power in dBm over `bandwidth_hz` with the given noise figure.

@@ -50,13 +50,6 @@ const CqiEntry& CqiTable::entry(std::size_t cqi) const {
   return entries_[cqi - 1];
 }
 
-double truncated_shannon(double snr_db, double alpha, double eff_max) {
-  DTMSV_EXPECTS(alpha > 0.0);
-  DTMSV_EXPECTS(eff_max > 0.0);
-  const double snr = db_to_linear(snr_db);
-  return std::min(eff_max, alpha * std::log2(1.0 + snr));
-}
-
 double db_to_linear(double db) { return std::pow(10.0, db / 10.0); }
 
 double linear_to_db(double linear) {

@@ -1,5 +1,5 @@
 // Link adaptation: SNR -> spectral efficiency, via the 15-level LTE CQI/MCS
-// table or truncated Shannon capacity.
+// table.
 #pragma once
 
 #include <cstddef>
@@ -33,10 +33,6 @@ class CqiTable {
  private:
   std::vector<CqiEntry> entries_;  // index 0 <-> CQI 1
 };
-
-/// Truncated Shannon bound: eff = min(eff_max, alpha·log2(1 + snr)), with
-/// snr linear. alpha models implementation loss.
-double truncated_shannon(double snr_db, double alpha = 0.75, double eff_max = 5.55);
 
 /// dB <-> linear helpers.
 double db_to_linear(double db);

@@ -18,7 +18,6 @@ core::SchemeConfig tiny_config(std::uint64_t seed) {
   cfg.seed = seed;
   cfg.user_count = 30;
   cfg.interval_s = 60.0;
-  cfg.demand.interval_s = cfg.interval_s;
   cfg.warmup_intervals = 1;
   cfg.feature_window_s = 120.0;
   cfg.feature_timesteps = 16;
@@ -137,5 +136,29 @@ TEST_P(AccountingSweep, WatchEventsRespectOnAirCap) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AccountingSweep, ::testing::Values(1, 2, 3));
+
+TEST(DemandModel, ComputeForecastFollowsTheSchemeInterval) {
+  // The demand model scales played clips, bits and transcode cycles with
+  // the reservation interval it forecasts. Setting the scheme's interval
+  // alone must carry through to it: predicted compute then tracks the
+  // realized compute. A model left on a 300 s interval forecasts 5x the
+  // cycles at 60 s, which the online bias correction can at most halve.
+  core::SchemeConfig cfg;
+  cfg.interval_s = 60.0;
+  core::Simulation sim(cfg);
+  core::CollectingSink sink;
+  sim.run(5, sink);
+  double predicted = 0.0;
+  double actual = 0.0;
+  for (const core::EpochReport& r : sink.reports) {
+    if (r.has_prediction) {
+      predicted += r.predicted_compute_total;
+      actual += r.actual_compute_total;
+    }
+  }
+  ASSERT_GT(actual, 0.0);
+  EXPECT_GT(predicted / actual, 0.67);
+  EXPECT_LT(predicted / actual, 1.5);
+}
 
 }  // namespace

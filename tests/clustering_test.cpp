@@ -120,9 +120,9 @@ TEST(KMeans, RecoversWellSeparatedBlobs) {
     EXPECT_LT(best, 1.0);
   }
   // All 100 points partitioned into 4 clusters of 25.
-  const auto sizes = result.cluster_sizes();
-  for (const std::size_t s : sizes) {
-    EXPECT_EQ(s, 25u);
+  const ClusterMembers members = members_by_cluster(result.assignment, 4);
+  for (std::size_t c = 0; c < 4; ++c) {
+    EXPECT_EQ(members.of(c).size(), 25u);
   }
 }
 
@@ -320,46 +320,42 @@ TEST(SilhouetteSampled, DegenerateSingleClusterIsZero) {
 
 // ---------------------------------------------------------------- selectors
 
-TEST(FixedKSelector, ClampsToPointCount) {
-  FixedKSelector sel(10);
-  Rng rng(19);
+TEST(FixedK, ClampsToPointCount) {
   Points points = {{0.0}, {1.0}, {2.0}};
-  EXPECT_EQ(sel.select_k(points, rng), 3u);
-  EXPECT_EQ(sel.name(), "fixed-10");
+  EXPECT_EQ(fixed_k(points, 10), 3u);
 }
 
-TEST(ElbowKSelector, FindsKneeOnSeparatedBlobs) {
+TEST(ElbowK, FindsKneeOnSeparatedBlobs) {
   Rng rng(20);
   const Points points = gaussian_blobs(kFarCenters, 20, 0.4, rng);
-  ElbowKSelector sel(2, 8);
-  const std::size_t k = sel.select_k(points, rng);
+  const std::size_t k = elbow_k(points, 2, 8, rng);
   // The knee of 4 well-separated blobs is at or adjacent to 4.
   EXPECT_GE(k, 3u);
   EXPECT_LE(k, 5u);
 }
 
-TEST(SilhouetteSweepSelector, FindsTrueKOnSeparatedBlobs) {
+TEST(SilhouetteSweepK, FindsTrueKOnSeparatedBlobs) {
   Rng rng(21);
   const Points points = gaussian_blobs(kFarCenters, 15, 0.4, rng);
-  SilhouetteSweepSelector sel(2, 8);
-  EXPECT_EQ(sel.select_k(points, rng), 4u);
+  EXPECT_EQ(silhouette_sweep_k(points, 2, 8, rng), 4u);
 }
 
-TEST(RandomKSelector, StaysWithinRange) {
+TEST(RandomK, StaysWithinRange) {
   Rng rng(22);
   const Points points = gaussian_blobs(kFarCenters, 10, 1.0, rng);
-  RandomKSelector sel(3, 7);
   for (int i = 0; i < 50; ++i) {
-    const std::size_t k = sel.select_k(points, rng);
+    const std::size_t k = random_k(points, 3, 7, rng);
     EXPECT_GE(k, 3u);
     EXPECT_LE(k, 7u);
   }
 }
 
 TEST(Selectors, InvalidRangesRejected) {
-  EXPECT_THROW(FixedKSelector(0), PreconditionError);
-  EXPECT_THROW(ElbowKSelector(5, 2), PreconditionError);
-  EXPECT_THROW(RandomKSelector(0, 3), PreconditionError);
+  Rng rng(23);
+  const Points points = {{0.0}, {1.0}, {2.0}};
+  EXPECT_THROW(fixed_k(points, 0), PreconditionError);
+  EXPECT_THROW(elbow_k(points, 5, 2, rng), PreconditionError);
+  EXPECT_THROW(random_k(points, 0, 3, rng), PreconditionError);
 }
 
 // ------------------------------------------------- parameterized properties

@@ -124,12 +124,6 @@ TEST(Config, SetOverridesAndUnreadTracking) {
   EXPECT_EQ(unread.front(), "s.typo_key");
 }
 
-TEST(Config, KeysInSectionExcludesNestedSections) {
-  Config c = Config::parse("[a]\nx = 1\n[a.b]\ny = 2\n");
-  EXPECT_EQ(c.keys_in("a"), std::vector<std::string>{"x"});
-  EXPECT_EQ(c.keys_in("a.b"), std::vector<std::string>{"y"});
-}
-
 // ------------------------------------------------------------- plan loading
 
 TEST(ScenarioLoader, LoadsSingleScenarioWithOverrides) {
@@ -170,8 +164,6 @@ TEST(ScenarioLoader, LoadsSingleScenarioWithOverrides) {
   EXPECT_EQ(job.scenario.base.grouping_stage, "elbow");
   EXPECT_EQ(job.scenario.base.demand_stage, "mean");
   EXPECT_DOUBLE_EQ(job.scenario.base.interval_s, 30.0);
-  // demand model must track the overridden reservation interval
-  EXPECT_DOUBLE_EQ(job.scenario.base.demand.interval_s, 30.0);
   EXPECT_EQ(job.scenario.base.grouping.k_max, 5u);
 }
 

@@ -282,7 +282,6 @@ TEST(GroupPlaybackCorners, SubPointTwoSecondClipsPlayCleanly) {
   cfg.grouping.k_max = 4;
   cfg.grouping.ddqn.hidden = {16};
   cfg.grouping.kmeans.restarts = 2;
-  cfg.demand.interval_s = cfg.interval_s;
   cfg.recommender.playlist_size = 16;
 
   core::Simulation sim(cfg);
@@ -321,7 +320,6 @@ core::SchemeConfig tiny_sim_config(std::uint64_t seed) {
   cfg.grouping.k_max = 3;
   cfg.grouping.ddqn.hidden = {8};
   cfg.grouping.kmeans.restarts = 1;
-  cfg.demand.interval_s = cfg.interval_s;
   cfg.recommender.playlist_size = 8;
   return cfg;
 }

@@ -40,7 +40,6 @@ FleetConfig fast_fleet(std::size_t users = 48, std::size_t cells = 3,
   base.grouping.k_max = 4;
   base.grouping.ddqn.hidden = {16};
   base.grouping.kmeans.restarts = 2;
-  base.demand.interval_s = base.interval_s;
   base.recommender.playlist_size = 16;
   return cfg;
 }

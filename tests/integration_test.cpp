@@ -34,7 +34,6 @@ SchemeConfig fast_config(std::uint64_t seed = 42) {
   cfg.grouping.k_max = 6;
   cfg.grouping.ddqn.hidden = {32};
   cfg.grouping.kmeans.restarts = 2;
-  cfg.demand.interval_s = cfg.interval_s;
   cfg.recommender.playlist_size = 24;
   return cfg;
 }
@@ -295,14 +294,18 @@ TEST(SimulationVariants, RandomKStage) {
   EXPECT_LE(sink.reports[2].k, cfg.grouping.k_max);
 }
 
-TEST(SimulationVariants, ElbowKStage) {
-  SchemeConfig cfg = fast_config(33);
-  cfg.grouping_stage = "elbow";
-  cfg.user_count = 24;  // keep the elbow sweep cheap
-  Simulation sim(cfg);
-  core::CollectingSink sink;
-  sim.run(3, sink);
-  EXPECT_TRUE(sink.reports[2].grouped);
+TEST(SimulationVariants, SweepKStages) {
+  for (const std::string key : {"elbow", "silhouette"}) {
+    SchemeConfig cfg = fast_config(33);
+    cfg.grouping_stage = key;
+    cfg.user_count = 24;  // keep the K sweeps cheap
+    Simulation sim(cfg);
+    core::CollectingSink sink;
+    sim.run(3, sink);
+    EXPECT_TRUE(sink.reports[2].grouped) << key;
+    EXPECT_GE(sink.reports[2].k, cfg.grouping.k_min) << key;
+    EXPECT_LE(sink.reports[2].k, cfg.grouping.k_max) << key;
+  }
 }
 
 TEST(SimulationVariants, PerMemberDemandStages) {

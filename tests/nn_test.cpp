@@ -3,6 +3,7 @@
 // training convergence test), and parameter serialisation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -90,13 +91,6 @@ TEST(Tensor, ElementAccess3D) {
   EXPECT_THROW(t.at3(2, 0, 0), PreconditionError);
 }
 
-TEST(Tensor, ReshapePreservesData) {
-  Tensor t({2, 3}, {1, 2, 3, 4, 5, 6});
-  const Tensor r = t.reshaped({3, 2});
-  EXPECT_EQ(r.at2(2, 1), 6.0f);
-  EXPECT_THROW(t.reshaped({4, 2}), PreconditionError);
-}
-
 TEST(Tensor, ElementwiseOps) {
   Tensor a({2}, {1.0f, 2.0f});
   const Tensor b({2}, {3.0f, 4.0f});
@@ -118,7 +112,6 @@ TEST(Tensor, Reductions) {
   const Tensor t({4}, {1.0f, -5.0f, 2.0f, 2.0f});
   EXPECT_EQ(t.sum(), 0.0f);
   EXPECT_EQ(t.mean(), 0.0f);
-  EXPECT_EQ(t.abs_max(), 5.0f);
 }
 
 TEST(Tensor, MatmulKnownValues) {
@@ -180,7 +173,8 @@ TEST(Init, XavierWithinBound) {
   for (const float v : w.data()) {
     EXPECT_LE(std::abs(v), bound + 1e-6);
   }
-  EXPECT_GT(w.abs_max(), 0.0f);
+  EXPECT_TRUE(std::any_of(w.data().begin(), w.data().end(),
+                          [](float v) { return v != 0.0f; }));
 }
 
 // ------------------------------------------------------------------ Linear
@@ -1036,7 +1030,7 @@ TEST(Training, CnnAutoencoderReducesLoss) {
       x.at3(n, 1, t) = static_cast<float>(amp * std::cos(arg));
     }
   }
-  const Tensor target = x.reshaped({16, 16});
+  const Tensor target({16, 16}, std::vector<float>(x.data().begin(), x.data().end()));
 
   float first_loss = 0.0f;
   float last_loss = 0.0f;

@@ -40,7 +40,6 @@ SchemeConfig golden_config(std::uint64_t seed = 42) {
   cfg.grouping.k_max = 6;
   cfg.grouping.ddqn.hidden = {32};
   cfg.grouping.kmeans.restarts = 2;
-  cfg.demand.interval_s = cfg.interval_s;
   cfg.recommender.playlist_size = 24;
   return cfg;
 }
@@ -252,7 +251,6 @@ TEST(ReportStreaming, FleetSinkMatchesAggregates) {
   core::FleetConfig cfg;
   cfg.base = golden_config(11);
   cfg.base.interval_s = 30.0;
-  cfg.base.demand.interval_s = 30.0;
   cfg.base.feature_window_s = 60.0;
   cfg.cell_count = 3;
   cfg.total_users = 36;
@@ -302,7 +300,6 @@ class RoundRobinGroupingStage final : public core::GroupingStage {
     last_error = prediction_error;
     ++outcomes_reported;
   }
-  std::string name() const override { return "test_round_robin"; }
 
   double last_error = -1.0;
   std::size_t outcomes_reported = 0;
@@ -337,7 +334,6 @@ TEST(CustomStage, OutOfTreeGroupingStageRunsFullInterval) {
   cfg.grouping_stage = "test_round_robin";
   cfg.fixed_k = 3;
   Simulation sim(cfg);
-  EXPECT_EQ(sim.grouping_stage().name(), "test_round_robin");
 
   core::CollectingSink sink;
   sim.run(3, sink);

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstring>
 #include <deque>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -42,65 +43,61 @@ TwinColumnStore twin_with_efficiency_ramp(double start, double step, int samples
   return twin;
 }
 
-double predict_one(const EfficiencyPredictor& pred, const TwinColumnStore& twin,
-                   double now, double window_s, double fallback) {
-  return pred.predict(twin.channel_column(), 0, now, window_s, fallback);
-}
-
 // -------------------------------------------------------- channel predictors
 
-TEST(LastValuePredictor, ReturnsNewestSample) {
+TEST(LastValueEfficiency, ReturnsNewestSample) {
   const auto twin = twin_with_efficiency_ramp(1.0, 0.1, 10);
-  LastValuePredictor pred;
-  EXPECT_NEAR(predict_one(pred, twin, 10.0, 10.0, 0.5), 1.9, 1e-9);
+  EXPECT_NEAR(last_value_efficiency(twin.channel_column(), 0, 10.0, 10.0, 0.5), 1.9, 1e-9);
 }
 
-TEST(LastValuePredictor, FallbackWhenEmpty) {
+TEST(LastValueEfficiency, FallbackWhenEmpty) {
   const TwinColumnStore twin(1, 2048);
-  LastValuePredictor pred;
-  EXPECT_DOUBLE_EQ(predict_one(pred, twin, 10.0, 10.0, 0.7), 0.7);
+  EXPECT_DOUBLE_EQ(last_value_efficiency(twin.channel_column(), 0, 10.0, 10.0, 0.7), 0.7);
 }
 
-TEST(EwmaPredictor, WeighsRecentMore) {
+TEST(EwmaEfficiency, WeighsRecentMore) {
   const auto twin = twin_with_efficiency_ramp(1.0, 0.1, 10);
-  EwmaPredictor pred(0.5);
-  const double p = predict_one(pred, twin, 10.0, 10.0, 0.5);
+  const double p = ewma_efficiency(twin.channel_column(), 0, 10.0, 10.0, 0.5, 0.5);
   // Between the window mean (1.45) and the last value (1.9), nearer the last.
   EXPECT_GT(p, 1.45);
   EXPECT_LT(p, 1.9);
 }
 
-TEST(EwmaPredictor, ConstantSeriesExact) {
+TEST(EwmaEfficiency, ConstantSeriesExact) {
   const auto twin = twin_with_efficiency_ramp(2.5, 0.0, 20);
-  EwmaPredictor pred(0.3);
-  EXPECT_NEAR(predict_one(pred, twin, 20.0, 20.0, 0.5), 2.5, 1e-9);
+  EXPECT_NEAR(ewma_efficiency(twin.channel_column(), 0, 20.0, 20.0, 0.5, 0.3), 2.5, 1e-9);
 }
 
-TEST(LinearTrendPredictor, ExtrapolatesRamp) {
+TEST(LinearTrendEfficiency, ExtrapolatesRamp) {
   // efficiency(t) = 1 + 0.1 t; horizon is measured from `now` = 10, so the
   // forecast lands at t = 15 → 1 + 0.1·15 = 2.5.
   const auto twin = twin_with_efficiency_ramp(1.0, 0.1, 10);
-  LinearTrendPredictor pred(5.0);
-  EXPECT_NEAR(predict_one(pred, twin, 10.0, 10.0, 0.5), 2.5, 0.05);
+  EXPECT_NEAR(linear_trend_efficiency(twin.channel_column(), 0, 10.0, 10.0, 0.5, 5.0), 2.5,
+              0.05);
 }
 
-TEST(LinearTrendPredictor, ClampsNegativeForecast) {
+TEST(LinearTrendEfficiency, ClampsNegativeForecast) {
   const auto twin = twin_with_efficiency_ramp(1.0, -0.2, 10);
-  LinearTrendPredictor pred(100.0);
-  EXPECT_GE(predict_one(pred, twin, 10.0, 10.0, 0.5), 0.0);
+  EXPECT_GE(linear_trend_efficiency(twin.channel_column(), 0, 10.0, 10.0, 0.5, 100.0), 0.0);
 }
 
-TEST(MeanPredictor, WindowAverage) {
+TEST(MeanEfficiency, WindowAverage) {
   const auto twin = twin_with_efficiency_ramp(1.0, 0.1, 10);
-  MeanPredictor pred;
-  EXPECT_NEAR(predict_one(pred, twin, 10.0, 10.0, 0.5), 1.45, 1e-9);
+  EXPECT_NEAR(mean_efficiency(twin.channel_column(), 0, 10.0, 10.0, 0.5), 1.45, 1e-9);
 }
 
-TEST(MeanPredictor, WindowRestriction) {
+TEST(MeanEfficiency, WindowRestriction) {
   const auto twin = twin_with_efficiency_ramp(1.0, 0.1, 10);
-  MeanPredictor pred;
   // Only samples t in [7, 10): 1.7, 1.8, 1.9.
-  EXPECT_NEAR(predict_one(pred, twin, 10.0, 3.0, 0.5), 1.8, 1e-9);
+  EXPECT_NEAR(mean_efficiency(twin.channel_column(), 0, 10.0, 3.0, 0.5), 1.8, 1e-9);
+}
+
+TEST(PerMemberPredictors, InvalidTuningRejected) {
+  const auto twin = twin_with_efficiency_ramp(1.0, 0.1, 10);
+  EXPECT_THROW(ewma_efficiency(twin.channel_column(), 0, 10.0, 10.0, 0.5, 0.0),
+               PreconditionError);
+  EXPECT_THROW(linear_trend_efficiency(twin.channel_column(), 0, 10.0, 10.0, 0.5, -1.0),
+               PreconditionError);
 }
 
 // Verbatim copies of the per-member predictors as they read a materialised
@@ -205,12 +202,6 @@ bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof(double)) 
 /// zero-length window) to one covering the whole ring. Returns how many
 /// windows held 0, 1-2 and >= 3 samples.
 std::array<std::size_t, 3> expect_predictors_match_oracles(const ChannelColumn& column) {
-  const LastValuePredictor last_value;
-  const EwmaPredictor ewma_default;
-  const EwmaPredictor ewma_half(0.5);
-  const LinearTrendPredictor trend_default;
-  const LinearTrendPredictor trend_short(5.0);
-  const MeanPredictor mean;
   constexpr double kFallback = 0.625;
   std::array<std::size_t, 3> shapes{};
   std::vector<double> nows;
@@ -224,17 +215,18 @@ std::array<std::size_t, 3> expect_predictors_match_oracles(const ChannelColumn& 
       SCOPED_TRACE("now " + std::to_string(now) + " window " + std::to_string(window_s));
       const auto window = window_of(column, 1, now - window_s, now);
       ++shapes[window.empty() ? 0 : window.size() < 3 ? 1 : 2];
-      const auto predict = [&](const EfficiencyPredictor& p) {
-        return p.predict(column, 1, now, window_s, kFallback);
-      };
-      EXPECT_TRUE(same_bits(predict(last_value), oracle_last_value(window, kFallback)));
-      EXPECT_TRUE(same_bits(predict(ewma_default), oracle_ewma(window, 0.3, kFallback)));
-      EXPECT_TRUE(same_bits(predict(ewma_half), oracle_ewma(window, 0.5, kFallback)));
-      EXPECT_TRUE(same_bits(predict(trend_default),
+      EXPECT_TRUE(same_bits(last_value_efficiency(column, 1, now, window_s, kFallback),
+                            oracle_last_value(window, kFallback)));
+      EXPECT_TRUE(same_bits(ewma_efficiency(column, 1, now, window_s, kFallback),
+                            oracle_ewma(window, 0.3, kFallback)));
+      EXPECT_TRUE(same_bits(ewma_efficiency(column, 1, now, window_s, kFallback, 0.5),
+                            oracle_ewma(window, 0.5, kFallback)));
+      EXPECT_TRUE(same_bits(linear_trend_efficiency(column, 1, now, window_s, kFallback),
                             oracle_linear_trend(window, now, 150.0, kFallback)));
-      EXPECT_TRUE(same_bits(predict(trend_short),
+      EXPECT_TRUE(same_bits(linear_trend_efficiency(column, 1, now, window_s, kFallback, 5.0),
                             oracle_linear_trend(window, now, 5.0, kFallback)));
-      EXPECT_TRUE(same_bits(predict(mean), oracle_mean(window, kFallback)));
+      EXPECT_TRUE(same_bits(mean_efficiency(column, 1, now, window_s, kFallback),
+                            oracle_mean(window, kFallback)));
     }
   }
   return shapes;
@@ -305,13 +297,12 @@ TEST(PerMemberPredictors, TrendOverAVectorDiffersOnlyInTheLastBits) {
     times.push_back(0.5 * i);
   }
   record_channel_stream(column, times);
-  const LinearTrendPredictor trend;
   for (const double now : {3.0, 7.25, 12.5, 30.0}) {
     for (const double window_s : {2.0, 5.5, 9.0, 30.0}) {
       const auto window =
           window_of<std::vector<WindowSample>>(column, 1, now - window_s, now);
       const double want = oracle_linear_trend(window, now, 150.0, 0.625);
-      EXPECT_NEAR(trend.predict(column, 1, now, window_s, 0.625), want,
+      EXPECT_NEAR(linear_trend_efficiency(column, 1, now, window_s, 0.625), want,
                   1e-12 * std::max(1.0, std::abs(want)))
           << "now " << now << " window " << window_s;
     }
@@ -320,9 +311,8 @@ TEST(PerMemberPredictors, TrendOverAVectorDiffersOnlyInTheLastBits) {
 
 TEST(PerMemberPredictors, RejectNegativeWindowAndForeignUser) {
   const auto twin = twin_with_efficiency_ramp(1.0, 0.1, 10);
-  const MeanPredictor pred;
-  EXPECT_THROW(predict_one(pred, twin, 10.0, -1.0, 0.5), PreconditionError);
-  EXPECT_THROW(pred.predict(twin.channel_column(), 1, 10.0, 5.0, 0.5), PreconditionError);
+  EXPECT_THROW(mean_efficiency(twin.channel_column(), 0, 10.0, -1.0, 0.5), PreconditionError);
+  EXPECT_THROW(mean_efficiency(twin.channel_column(), 1, 10.0, 5.0, 0.5), PreconditionError);
 }
 
 TEST(GroupEfficiency, TakesWorstMember) {
@@ -330,23 +320,21 @@ TEST(GroupEfficiency, TakesWorstMember) {
   const auto weak = twin_with_efficiency_ramp(0.8, 0.0, 5);
   const UserDigitalTwin strong_twin(&strong, 0);
   const UserDigitalTwin weak_twin(&weak, 0);
-  MeanPredictor pred;
   const double eff =
-      predict_group_efficiency({&strong_twin, &weak_twin}, pred, 5.0, 5.0, 0.05);
+      predict_group_efficiency({&strong_twin, &weak_twin}, mean_efficiency, 5.0, 5.0, 0.05);
   EXPECT_NEAR(eff, 0.8, 1e-9);
 }
 
 TEST(GroupEfficiency, FloorApplied) {
   const auto outage = twin_with_efficiency_ramp(0.0, 0.0, 5);
   const UserDigitalTwin outage_twin(&outage, 0);
-  MeanPredictor pred;
-  const double eff = predict_group_efficiency({&outage_twin}, pred, 5.0, 5.0, 0.05);
+  const double eff =
+      predict_group_efficiency({&outage_twin}, mean_efficiency, 5.0, 5.0, 0.05);
   EXPECT_DOUBLE_EQ(eff, 0.05);
 }
 
 TEST(GroupEfficiency, EmptyGroupRejected) {
-  MeanPredictor pred;
-  EXPECT_THROW(predict_group_efficiency({}, pred, 5.0, 5.0, 0.05),
+  EXPECT_THROW(predict_group_efficiency({}, mean_efficiency, 5.0, 5.0, 0.05),
                PreconditionError);
 }
 
@@ -388,8 +376,7 @@ TEST(GroupEfficiencyJoint, BelowMinOfMeansForFluctuatingMembers) {
   const UserDigitalTwin b(&store, 1);
   const double joint = forecast_group_channel({&a, &b}, 10.0, 10.0, 0.05).efficiency;
   EXPECT_NEAR(joint, 1.0, 1e-9);
-  MeanPredictor pred;
-  const double naive = predict_group_efficiency({&a, &b}, pred, 10.0, 10.0, 0.05);
+  const double naive = predict_group_efficiency({&a, &b}, mean_efficiency, 10.0, 10.0, 0.05);
   EXPECT_NEAR(naive, 2.0, 1e-9);
   EXPECT_LT(joint, naive);
 }
@@ -433,6 +420,7 @@ TEST(ContentStats, FromCatalogMeans) {
 struct DemandFixture {
   dtmsv::analysis::SwipingDistribution swiping;
   ContentStats content;
+  double interval_s = 300.0;
   DemandModelConfig config;
   PreferenceVector mix{};
   std::array<std::size_t, kCategoryCount> playlist{};
@@ -455,7 +443,7 @@ struct DemandFixture {
 TEST(PredictGroupDemand, PositiveAndFinite) {
   DemandFixture fx;
   const ResourceDemand d = predict_group_demand(10, fx.mix, fx.swiping, 2.0,
-                                                fx.playlist, fx.content, fx.config);
+                                                fx.playlist, fx.content, fx.interval_s, fx.config);
   EXPECT_GT(d.radio_hz, 0.0);
   EXPECT_TRUE(std::isfinite(d.radio_hz));
   EXPECT_GT(d.transmitted_bits, 0.0);
@@ -466,9 +454,9 @@ TEST(PredictGroupDemand, PositiveAndFinite) {
 TEST(PredictGroupDemand, RadioDemandDecreasesWithEfficiency) {
   DemandFixture fx;
   const ResourceDemand lo = predict_group_demand(10, fx.mix, fx.swiping, 0.5,
-                                                 fx.playlist, fx.content, fx.config);
+                                                 fx.playlist, fx.content, fx.interval_s, fx.config);
   const ResourceDemand hi = predict_group_demand(10, fx.mix, fx.swiping, 4.0,
-                                                 fx.playlist, fx.content, fx.config);
+                                                 fx.playlist, fx.content, fx.interval_s, fx.config);
   // Higher efficiency → either same bits over more capacity, or a higher
   // rung; per-Hz demand must not increase.
   EXPECT_LT(hi.radio_hz, lo.radio_hz * 1.5);
@@ -480,11 +468,11 @@ TEST(PredictGroupDemand, RungSelectionFollowsBudget) {
   fx.config.group_bandwidth_budget_hz = 1e6;
   // 0.5 b/s/Hz on 1 MHz → 500 kbps budget → rung 0.
   const ResourceDemand low = predict_group_demand(5, fx.mix, fx.swiping, 0.5,
-                                                  fx.playlist, fx.content, fx.config);
+                                                  fx.playlist, fx.content, fx.interval_s, fx.config);
   EXPECT_EQ(low.rung, 0u);
   // 5 b/s/Hz on 1 MHz → 5000 kbps → top rung.
   const ResourceDemand high = predict_group_demand(5, fx.mix, fx.swiping, 5.0,
-                                                   fx.playlist, fx.content, fx.config);
+                                                   fx.playlist, fx.content, fx.interval_s, fx.config);
   EXPECT_EQ(high.rung, 4u);
 }
 
@@ -492,22 +480,22 @@ TEST(PredictGroupDemand, TopRungNeedsNoTranscode) {
   DemandFixture fx;
   fx.config.group_bandwidth_budget_hz = 100e6;
   const ResourceDemand d = predict_group_demand(5, fx.mix, fx.swiping, 5.0,
-                                                fx.playlist, fx.content, fx.config);
+                                                fx.playlist, fx.content, fx.interval_s, fx.config);
   EXPECT_EQ(d.rung, 4u);
   EXPECT_DOUBLE_EQ(d.compute_cycles, 0.0);
 
   fx.config.group_bandwidth_budget_hz = 1e6;
   const ResourceDemand low = predict_group_demand(5, fx.mix, fx.swiping, 0.5,
-                                                  fx.playlist, fx.content, fx.config);
+                                                  fx.playlist, fx.content, fx.interval_s, fx.config);
   EXPECT_GT(low.compute_cycles, 0.0);
 }
 
 TEST(PredictGroupDemand, OnAirTimeGrowsWithGroupSize) {
   DemandFixture fx;
   const ResourceDemand small = predict_group_demand(2, fx.mix, fx.swiping, 2.0,
-                                                    fx.playlist, fx.content, fx.config);
+                                                    fx.playlist, fx.content, fx.interval_s, fx.config);
   const ResourceDemand large = predict_group_demand(50, fx.mix, fx.swiping, 2.0,
-                                                    fx.playlist, fx.content, fx.config);
+                                                    fx.playlist, fx.content, fx.interval_s, fx.config);
   // Larger groups keep clips on air longer (E[max watch] grows), so fewer
   // clips play but each transmits longer; total bits must grow.
   EXPECT_GT(large.transmitted_bits, small.transmitted_bits * 0.99);
@@ -520,14 +508,14 @@ TEST(PredictGroupDemand, MixFallsBackToPreferenceWhenPlaylistEmpty) {
   PreferenceVector news{};
   news[static_cast<std::size_t>(Category::kNews)] = 1.0;
   const ResourceDemand d = predict_group_demand(5, news, fx.swiping, 2.0,
-                                                fx.playlist, fx.content, fx.config);
+                                                fx.playlist, fx.content, fx.interval_s, fx.config);
   EXPECT_GT(d.radio_hz, 0.0);
 }
 
 TEST(PredictGroupDemand, InvalidInputsRejected) {
   DemandFixture fx;
   EXPECT_THROW(predict_group_demand(0, fx.mix, fx.swiping, 2.0, fx.playlist,
-                                    fx.content, fx.config),
+                                    fx.content, fx.interval_s, fx.config),
                PreconditionError);
 }
 
@@ -537,9 +525,9 @@ TEST(PredictGroupDemand, ForecastOverloadMatchesScalarForSingleBin) {
   forecast.efficiency = 2.0;
   forecast.min_series = {2.0};
   const ResourceDemand via_forecast = predict_group_demand(
-      10, fx.mix, fx.swiping, forecast, fx.playlist, fx.content, fx.config);
+      10, fx.mix, fx.swiping, forecast, fx.playlist, fx.content, fx.interval_s, fx.config);
   const ResourceDemand via_scalar = predict_group_demand(
-      10, fx.mix, fx.swiping, 2.0, fx.playlist, fx.content, fx.config);
+      10, fx.mix, fx.swiping, 2.0, fx.playlist, fx.content, fx.interval_s, fx.config);
   EXPECT_DOUBLE_EQ(via_forecast.radio_hz, via_scalar.radio_hz);
   EXPECT_DOUBLE_EQ(via_forecast.compute_cycles, via_scalar.compute_cycles);
   EXPECT_EQ(via_forecast.rung, via_scalar.rung);
@@ -555,7 +543,7 @@ TEST(PredictGroupDemand, RungMixturePredictsPartialTranscode) {
   mixed.min_series = {5.0, 5.0, 2.0, 2.0};
   mixed.efficiency = 4.0 / (1.0 / 5.0 + 1.0 / 5.0 + 1.0 / 2.0 + 1.0 / 2.0);
   const ResourceDemand d = predict_group_demand(10, fx.mix, fx.swiping, mixed,
-                                                fx.playlist, fx.content, fx.config);
+                                                fx.playlist, fx.content, fx.interval_s, fx.config);
   EXPECT_GT(d.compute_cycles, 0.0);
   // Pure top-rung forecast has zero compute; pure low has full. Mixed sits
   // strictly between.
@@ -566,9 +554,9 @@ TEST(PredictGroupDemand, RungMixturePredictsPartialTranscode) {
   low.min_series = {2.0, 2.0};
   low.efficiency = 2.0;
   const ResourceDemand d_top = predict_group_demand(10, fx.mix, fx.swiping, top,
-                                                    fx.playlist, fx.content, fx.config);
+                                                    fx.playlist, fx.content, fx.interval_s, fx.config);
   const ResourceDemand d_low = predict_group_demand(10, fx.mix, fx.swiping, low,
-                                                    fx.playlist, fx.content, fx.config);
+                                                    fx.playlist, fx.content, fx.interval_s, fx.config);
   EXPECT_DOUBLE_EQ(d_top.compute_cycles, 0.0);
   EXPECT_GT(d_low.compute_cycles, d.compute_cycles);
 }
@@ -584,10 +572,10 @@ TEST(PredictGroupDemand, LadderScaleQuantilesSoftenRungBoundaries) {
   forecast.efficiency = 4.3;
   fx.content.ladder_scale_quantiles = {1.0};
   const ResourceDemand sharp = predict_group_demand(10, fx.mix, fx.swiping, forecast,
-                                                    fx.playlist, fx.content, fx.config);
+                                                    fx.playlist, fx.content, fx.interval_s, fx.config);
   fx.content.ladder_scale_quantiles = {0.9, 1.0, 1.1};
   const ResourceDemand soft = predict_group_demand(10, fx.mix, fx.swiping, forecast,
-                                                   fx.playlist, fx.content, fx.config);
+                                                   fx.playlist, fx.content, fx.interval_s, fx.config);
   EXPECT_DOUBLE_EQ(sharp.compute_cycles, 0.0);
   EXPECT_GT(soft.compute_cycles, 0.0);
 }
@@ -597,7 +585,7 @@ TEST(PredictGroupDemand, EmptyForecastRejected) {
   GroupChannelForecast empty;
   empty.min_series.clear();
   EXPECT_THROW(predict_group_demand(10, fx.mix, fx.swiping, empty, fx.playlist,
-                                    fx.content, fx.config),
+                                    fx.content, fx.interval_s, fx.config),
                PreconditionError);
 }
 
@@ -618,60 +606,48 @@ TEST(ResourceDemand, AccumulationOperator) {
 
 // ----------------------------------------------------------- series baselines
 
-TEST(LastValueSeries, ForecastsPrevious) {
-  LastValueSeries s;
-  EXPECT_DOUBLE_EQ(s.forecast(3.0), 3.0);
-  s.observe(10.0);
-  EXPECT_DOUBLE_EQ(s.forecast(0.0), 10.0);
-  s.observe(20.0);
-  EXPECT_DOUBLE_EQ(s.forecast(0.0), 20.0);
+TEST(LastValueForecast, ForecastsPrevious) {
+  EXPECT_DOUBLE_EQ(last_value_forecast({}, 3.0), 3.0);
+  const std::vector<double> history = {10.0, 20.0};
+  EXPECT_DOUBLE_EQ(last_value_forecast(std::span(history).first(1), 0.0), 10.0);
+  EXPECT_DOUBLE_EQ(last_value_forecast(history, 0.0), 20.0);
 }
 
-TEST(EwmaSeries, Smooths) {
-  EwmaSeries s(0.5);
-  s.observe(0.0);
-  s.observe(10.0);
-  EXPECT_DOUBLE_EQ(s.forecast(0.0), 5.0);
+TEST(EwmaForecast, Smooths) {
+  const std::vector<double> history = {0.0, 10.0};
+  EXPECT_DOUBLE_EQ(ewma_forecast(history, 0.5, 0.0), 5.0);
 }
 
-TEST(MovingAverageSeries, SlidingWindow) {
-  MovingAverageSeries s(3);
-  s.observe(1.0);
-  s.observe(2.0);
-  s.observe(3.0);
-  EXPECT_DOUBLE_EQ(s.forecast(0.0), 2.0);
-  s.observe(7.0);  // window now {2,3,7}
-  EXPECT_DOUBLE_EQ(s.forecast(0.0), 4.0);
+TEST(MovingAverageForecast, SlidingWindow) {
+  const std::vector<double> history = {1.0, 2.0, 3.0, 7.0};
+  EXPECT_DOUBLE_EQ(moving_average_forecast(std::span(history).first(3), 3, 0.0), 2.0);
+  // window now {2,3,7}
+  EXPECT_DOUBLE_EQ(moving_average_forecast(history, 3, 0.0), 4.0);
 }
 
-TEST(Ar1Series, LearnsLinearRecursion) {
+TEST(Ar1Forecast, LearnsLinearRecursion) {
   // x_{t+1} = 0.8 x_t + 2; fixed point 10.
-  Ar1Series s(12);
+  std::vector<double> history;
   double x = 0.0;
   for (int i = 0; i < 12; ++i) {
-    s.observe(x);
+    history.push_back(x);
     x = 0.8 * x + 2.0;
   }
-  const double forecast = s.forecast(0.0);
+  const double forecast = ar1_forecast(history, 12, 0.0);
   EXPECT_NEAR(forecast, x, 0.2);
 }
 
-TEST(Ar1Series, ShortHistoryFallsBackToLast) {
-  Ar1Series s(10);
-  s.observe(5.0);
-  EXPECT_DOUBLE_EQ(s.forecast(0.0), 5.0);
-  s.observe(6.0);
-  EXPECT_DOUBLE_EQ(s.forecast(0.0), 6.0);
+TEST(Ar1Forecast, ShortHistoryFallsBackToLast) {
+  const std::vector<double> history = {5.0, 6.0};
+  EXPECT_DOUBLE_EQ(ar1_forecast(std::span(history).first(1), 10, 0.0), 5.0);
+  EXPECT_DOUBLE_EQ(ar1_forecast(history, 10, 0.0), 6.0);
 }
 
-TEST(SeriesBaselines, NamesDistinct) {
-  LastValueSeries a;
-  EwmaSeries b;
-  MovingAverageSeries c;
-  Ar1Series d;
-  EXPECT_NE(a.name(), b.name());
-  EXPECT_NE(b.name(), c.name());
-  EXPECT_NE(c.name(), d.name());
+TEST(SeriesBaselines, InvalidTuningRejected) {
+  const std::vector<double> history = {1.0, 2.0, 3.0};
+  EXPECT_THROW(ewma_forecast(history, 0.0), PreconditionError);
+  EXPECT_THROW(moving_average_forecast(history, 0), PreconditionError);
+  EXPECT_THROW(ar1_forecast(history, 2), PreconditionError);
 }
 
 }  // namespace

@@ -137,6 +137,9 @@ struct DemandParam {
 
 class DemandSweep : public ::testing::TestWithParam<DemandParam> {};
 
+/// The reservation interval every demand sweep forecasts (the paper's 5 min).
+constexpr double kIntervalS = 300.0;
+
 predict::ContentStats flat_content() {
   predict::ContentStats content;
   content.mean_duration_s.fill(15.0);
@@ -161,14 +164,14 @@ TEST_P(DemandSweep, DemandNonNegativeAndConsistent) {
 
   const auto d = predict::predict_group_demand(param.members, mix, swiping,
                                                param.efficiency, playlist,
-                                               flat_content(), config);
+                                               flat_content(), kIntervalS, config);
   ASSERT_GE(d.radio_hz, 0.0);
   ASSERT_GE(d.compute_cycles, 0.0);
   ASSERT_GE(d.transmitted_bits, 0.0);
   // radio_hz must equal bits / efficiency / interval with the floored
   // efficiency.
   const double eff = std::max(param.efficiency, config.efficiency_floor);
-  EXPECT_NEAR(d.radio_hz, d.transmitted_bits / eff / config.interval_s,
+  EXPECT_NEAR(d.radio_hz, d.transmitted_bits / eff / kIntervalS,
               1e-6 * std::max(1.0, d.radio_hz));
 }
 
@@ -191,7 +194,7 @@ TEST_P(DemandSweep, BitsMonotoneInMembersAtFixedEfficiency) {
   double prev_on_air_share = 0.0;
   for (const std::size_t m : {1u, 2u, 4u, 16u, 64u}) {
     const auto d = predict::predict_group_demand(m, mix, swiping, param.efficiency,
-                                                 playlist, content, config);
+                                                 playlist, content, kIntervalS, config);
     // Per-video on-air time (bits / bitrate / videos) grows with group size.
     const double per_video_s =
         d.transmitted_bits /

@@ -21,7 +21,6 @@ ScenarioConfig smoke(ScenarioKind kind, std::uint64_t seed = 42) {
                                            /*cell_count=*/2, seed);
   cfg.intervals = 4;
   cfg.base.interval_s = 30.0;
-  cfg.base.demand.interval_s = cfg.base.interval_s;
   cfg.base.feature_window_s = 60.0;
   cfg.base.session.engagement.catalog.videos_per_category = 30;
   cfg.base.grouping.k_max = 4;

@@ -191,7 +191,6 @@ core::ServeConfig small_serve(std::size_t users = 12) {
   cfg.scheme.seed = 11;
   cfg.scheme.user_count = users;
   cfg.scheme.interval_s = 10.0;
-  cfg.scheme.demand.interval_s = 10.0;
   cfg.scheme.warmup_intervals = 0;
   cfg.scheme.feature_window_s = 30.0;
   cfg.scheme.feature_timesteps = 8;
@@ -592,7 +591,6 @@ core::CollectingSink serve_forecast_stream(const std::vector<std::string>& ladde
   cfg.scheme.seed = 23;
   cfg.scheme.user_count = 60;
   cfg.scheme.interval_s = 10.0;
-  cfg.scheme.demand.interval_s = 10.0;
   cfg.scheme.warmup_intervals = 0;
   cfg.scheme.feature_window_s = 30.0;
   cfg.scheme.feature_timesteps = 16;
@@ -844,7 +842,6 @@ TEST(ServeLoader, ParsesFullPlan) {
   const cli::ServePlan plan = cli::load_serve_plan(config);
   EXPECT_EQ(plan.serve.scheme.user_count, 24u);
   EXPECT_DOUBLE_EQ(plan.serve.scheme.interval_s, 10.0);
-  EXPECT_DOUBLE_EQ(plan.serve.scheme.demand.interval_s, 10.0);
   EXPECT_EQ(plan.intervals, 6u);
   EXPECT_DOUBLE_EQ(plan.serve.deadline_ms, 25.0);
   EXPECT_EQ(plan.serve.queue_capacity, 512u);

@@ -135,16 +135,6 @@ TEST(Catalog, ZipfSamplingPrefersLowRanks) {
   EXPECT_LT(mean_rank, 18.0);
 }
 
-TEST(Catalog, PopularityProbabilitiesSumToOne) {
-  Rng rng(7);
-  const Catalog cat = Catalog::generate(small_catalog(), rng);
-  double total = 0.0;
-  for (const std::uint64_t id : cat.category_videos(Category::kMusic)) {
-    total += cat.popularity_probability(id);
-  }
-  EXPECT_NEAR(total, 1.0, 1e-9);
-}
-
 TEST(Catalog, DeterministicGivenSeed) {
   Rng a(8);
   Rng b(8);

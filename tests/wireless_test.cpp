@@ -206,12 +206,6 @@ TEST(Cqi, EntryRangeChecked) {
   EXPECT_THROW(table.entry(16), PreconditionError);
 }
 
-TEST(TruncatedShannon, CapsAtMax) {
-  EXPECT_NEAR(truncated_shannon(100.0), 5.55, 0.01);
-  EXPECT_NEAR(truncated_shannon(0.0, 0.75, 5.55), 0.75 * std::log2(2.0), 1e-9);
-  EXPECT_LT(truncated_shannon(-10.0), 0.2);
-}
-
 TEST(DbLinear, RoundTrip) {
   EXPECT_NEAR(db_to_linear(10.0), 10.0, 1e-12);
   EXPECT_NEAR(db_to_linear(0.0), 1.0, 1e-12);
@@ -257,7 +251,6 @@ TEST(ChannelModel, EfficiencyConsistentWithCqi) {
   const auto map = dtmsv::mobility::CampusMap::waterloo_campus();
   Rng rng(10);
   RadioConfig cfg = quiet_radio();
-  cfg.use_cqi_table = true;
   ChannelModel channel(map, cfg, 1, 1.0, rng);
   channel.step({{600.0, 500.0}});
   const auto& s = channel.sample_of(0);
@@ -378,11 +371,11 @@ TEST(ChannelModel, MatchesPerLinkReference) {
 TEST(ChannelModel, MatchesPerLinkReferenceAcrossBlocks) {
   // The loop steps users in blocks of 64 and 8-user packs: at 150 users the
   // last block and its last pack are partial. Every user, a handover in the
-  // third block and the truncated-Shannon link adaptation must still match
-  // the per-link definitions bit for bit.
+  // third block and the CQI link adaptation must still match the per-link
+  // definitions bit for bit.
   const auto map = dtmsv::mobility::CampusMap::waterloo_campus();
-  RadioConfig cfg;
-  cfg.use_cqi_table = false;
+  const RadioConfig cfg;
+  const CqiTable cqi;
   const std::size_t users = 150;
   const std::size_t sites = map.base_stations().size();
   const double tick_s = 1.0;
@@ -444,7 +437,7 @@ TEST(ChannelModel, MatchesPerLinkReferenceAcrossBlocks) {
       const ChannelSample& s = channel.sample_of(u);
       ASSERT_EQ(s.serving_bs, best_bs) << "user " << u << " tick " << tick;
       ASSERT_EQ(s.snr_db, snr_db) << "user " << u << " tick " << tick;
-      ASSERT_EQ(s.efficiency_bps_hz, truncated_shannon(snr_db)) << "user " << u;
+      ASSERT_EQ(s.efficiency_bps_hz, cqi.efficiency(snr_db)) << "user " << u;
     }
     last = positions;
   }
