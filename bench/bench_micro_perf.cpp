@@ -224,10 +224,11 @@ void BM_CnnFitEpoch(benchmark::State& state) {
 }
 BENCHMARK(BM_CnnFitEpoch)->ArgsProduct({{120, 625}, {1, 4}});
 
-/// Fills every ring of `columns` to capacity at the serve workload's report
-/// rates (channel 1 Hz, location every 5 s, a watch event every 18 s, a
-/// preference snapshot per 10 s interval) and returns the last report time.
-/// Reads then use a short window, so the retained history dwarfs it.
+/// Reports 4668 s of history per user at the serve workload's report rates
+/// (channel 1 Hz, location every 5 s, a watch event every 18 s, a
+/// preference snapshot per 10 s interval) and returns the last report time:
+/// fixed rings fill to capacity, so the retained history dwarfs a short
+/// read window, and rings that retain by time wrap past their span.
 double populate_full_rings(twin::TwinColumnStore& columns, util::Rng& rng) {
   const int seconds = 18 * 256 + 60;  // the sparsest lane (watch) wraps too
   for (std::size_t u = 0; u < columns.user_count(); ++u) {
@@ -272,11 +273,12 @@ void BM_TwinSnapshotFull(benchmark::State& state) {
 }
 BENCHMARK(BM_TwinSnapshotFull)->Arg(120)->Arg(10000);
 
-// The summary rung's snapshot as serve takes it: default-capacity rings
-// (2048 channel slots) at capacity, read through a 60 s window.
+// The summary rung's snapshot as serve takes it: rings that retain the 60 s
+// feature window plus one 1 s tick (ServeLoop's RetentionSpan), wrapped
+// after long use, read through a 60 s window.
 void BM_TwinSummaryFullRing(benchmark::State& state) {
   const auto users = static_cast<std::size_t>(state.range(0));
-  twin::TwinColumnStore columns(users, 2048);
+  twin::TwinColumnStore columns(users, twin::RetentionSpan{61.0});
   util::Rng rng(33);
   const double now = populate_full_rings(columns, rng) + 1.0;
   twin::FeatureArena arena;

@@ -1,11 +1,12 @@
 #include "twin/column_store.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "util/error.hpp"
 #include "util/parallel.hpp"
-#include "util/stats.hpp"
+#include "util/simd.hpp"
 
 namespace dtmsv::twin {
 
@@ -46,6 +47,106 @@ void hold_write(float* out, std::size_t channel, std::size_t bins,
       hold = static_cast<float>(sums[b] / static_cast<double>(counts[b]));
     }
     out[channel * bins + b] = hold;
+  }
+}
+
+constexpr std::size_t kSummaryLanes = TwinColumnStore::kSummaryLanes;
+// The recurrence is latency-bound: two 4-wide packs per block keep two
+// divide chains in flight, where one 8-wide pack would be a single chain
+// with a slower divide (BM_TwinSummaryFullRing read ~187 us with 4-wide and
+// ~215 us with 8-wide packs, on one thread of a 4-vCPU AVX-512 Xeon VM).
+#if defined(__AVX2__)
+using LanePack = util::simd::pack<double, util::simd::avx2_backend>;
+#else
+using LanePack = util::simd::pack<double, util::simd::scalar_backend>;
+#endif
+static_assert(kSummaryLanes % LanePack::width == 0);
+
+/// Count, mean and sum of squared deviations (util::RunningStats' state) of
+/// each lane of a block.
+struct LaneMoments {
+  std::array<std::size_t, kSummaryLanes> count{};
+  std::array<double, kSummaryLanes> mean{};
+  std::array<double, kSummaryLanes> m2{};
+
+  bool empty(std::size_t l) const { return count[l] == 0; }
+  /// util::RunningStats::stddev(): sqrt of the unbiased sample variance.
+  double stddev(std::size_t l) const {
+    return std::sqrt(count[l] < 2 ? 0.0 : m2[l] / static_cast<double>(count[l] - 1));
+  }
+};
+
+/// Copies the samples of users [first, first + lanes) with time in
+/// [from, to) into `blocks`, sample-major (lane l's i-th sample, oldest
+/// first, at i * kSummaryLanes + l): copy(out, position, slot) copies each
+/// value lane the walk reads into its block's data `out[k]`. Sets each
+/// lane's count. The blocks (all of one size) grow to what the longest
+/// window needs, in multiples of kSummaryLanes, so welford_lanes' loads of
+/// whole sample rows stay inside them.
+template <std::size_t N, typename Column, typename Copy>
+void gather_lanes(const Column& column, std::size_t first, std::size_t lanes,
+                  util::SimTime from, util::SimTime to, LaneMoments& moments,
+                  const std::array<std::vector<double>*, N>& blocks, const Copy& copy) {
+  std::size_t size = blocks[0]->size();
+  std::array<double*, N> out;
+  for (std::size_t k = 0; k < N; ++k) {
+    out[k] = blocks[k]->data();
+  }
+  for (std::size_t l = 0; l < lanes; ++l) {
+    std::size_t at = l;
+    column.for_each_slot_in(first + l, from, to, [&](std::size_t slot) {
+      if (at >= size) [[unlikely]] {
+        size = std::max(2 * size, 64 * kSummaryLanes);
+        for (std::size_t k = 0; k < N; ++k) {
+          blocks[k]->resize(size);
+          out[k] = blocks[k]->data();
+        }
+      }
+      copy(out, at, slot);
+      at += kSummaryLanes;
+    });
+    moments.count[l] = at / kSummaryLanes;
+  }
+}
+
+/// util::RunningStats::add's mean and m2 updates over the samples `block`
+/// holds for lanes [0, lanes), each lane on its own samples in order, so
+/// every lane ends bit-identical to a RunningStats fed them. All lanes step
+/// together as packs up to the shortest lane's count, then each finishes
+/// its own tail. Lanes past `lanes` compute on stale values and are never
+/// read.
+void welford_lanes(const double* block, std::size_t lanes, LaneMoments& moments) {
+  constexpr std::size_t kPacks = kSummaryLanes / LanePack::width;
+  const std::size_t shortest =
+      *std::min_element(moments.count.begin(), moments.count.begin() + lanes);
+  LanePack mean[kPacks];
+  LanePack m2[kPacks];
+  for (std::size_t p = 0; p < kPacks; ++p) {
+    mean[p] = LanePack::zero();
+    m2[p] = LanePack::zero();
+  }
+  for (std::size_t i = 0; i < shortest; ++i) {
+    const LanePack n = LanePack::broadcast(static_cast<double>(i + 1));
+    for (std::size_t p = 0; p < kPacks; ++p) {
+      const LanePack x = LanePack::load(block + i * kSummaryLanes + p * LanePack::width);
+      const LanePack delta = x - mean[p];
+      mean[p] = mean[p] + delta / n;
+      m2[p] = m2[p] + LanePack::madd(delta, x - mean[p], LanePack::zero());
+    }
+  }
+  for (std::size_t p = 0; p < kPacks; ++p) {
+    mean[p].store(moments.mean.data() + p * LanePack::width);
+    m2[p].store(moments.m2.data() + p * LanePack::width);
+  }
+  for (std::size_t l = 0; l < lanes; ++l) {
+    double& lane_mean = moments.mean[l];
+    double& lane_m2 = moments.m2[l];
+    for (std::size_t i = shortest; i < moments.count[l]; ++i) {
+      const double x = block[i * kSummaryLanes + l];
+      const double delta = x - lane_mean;
+      lane_mean += delta / static_cast<double>(i + 1);
+      lane_m2 += util::simd::madd(delta, x - lane_mean, 0.0);
+    }
   }
 }
 
@@ -236,67 +337,97 @@ void TwinColumnStore::extract_window_row(std::size_t u, const WindowSpec& spec,
   extract_window_row(u, spec, out, scratch);
 }
 
+/// Gather blocks of extract_summary_rows (sample-major, see gather_lanes),
+/// one set per worker chunk and call. Kept across calls in thread-local
+/// storage, these ~16 KB raised serve_degraded_1k's peak RSS by ~0.6 MB
+/// (perfbench, 10/10 runs on a 4-vCPU Xeon VM), while four small
+/// allocations per call cost nothing measurable.
+struct TwinColumnStore::SummaryScratch {
+  std::vector<double> snr;
+  std::vector<double> x;
+  std::vector<double> y;
+  std::vector<double> frac;
+};
+
+void TwinColumnStore::extract_summary_rows(std::size_t first, std::size_t lanes,
+                                           const SummarySpec& spec, double* out,
+                                           SummaryScratch& scratch) const {
+  const util::SimTime from = spec.now - spec.window_s;
+
+  LaneMoments snr;
+  {
+    const std::vector<double>& vals = channel_.snr();
+    gather_lanes<1>(channel_, first, lanes, from, spec.now, snr, {&scratch.snr},
+                    [&](const auto& out, std::size_t at, std::size_t slot) {
+                      out[0][at] = vals[slot];
+                    });
+    welford_lanes(scratch.snr.data(), lanes, snr);
+  }
+  LaneMoments x;
+  LaneMoments y;
+  {
+    const std::vector<double>& xs = location_.x();
+    const std::vector<double>& ys = location_.y();
+    gather_lanes<2>(location_, first, lanes, from, spec.now, x, {&scratch.x, &scratch.y},
+                    [&](const auto& out, std::size_t at, std::size_t slot) {
+                      out[0][at] = xs[slot];
+                      out[1][at] = ys[slot];
+                    });
+    y.count = x.count;
+    welford_lanes(scratch.x.data(), lanes, x);
+    welford_lanes(scratch.y.data(), lanes, y);
+  }
+  LaneMoments frac;
+  {
+    const std::vector<double>& vals = watch_.watch_fraction();
+    gather_lanes<1>(watch_, first, lanes, from, spec.now, frac, {&scratch.frac},
+                    [&](const auto& out, std::size_t at, std::size_t slot) {
+                      out[0][at] = vals[slot];
+                    });
+    welford_lanes(scratch.frac.data(), lanes, frac);
+  }
+
+  const FeatureScaling& scaling = spec.scaling;
+  for (std::size_t l = 0; l < lanes; ++l) {
+    double* row = out + l * kSummaryDim;
+    row[0] = snr.empty(l) ? 0.0
+                          : std::clamp((snr.mean[l] + scaling.snr_offset_db) /
+                                           scaling.snr_scale_db,
+                                       0.0, 1.5);
+    row[1] = snr.empty(l) ? 0.0 : snr.stddev(l) / scaling.snr_scale_db;
+    row[2] = x.empty(l) ? 0.0 : x.mean[l] / scaling.pos_x_scale;
+    row[3] = y.empty(l) ? 0.0 : y.mean[l] / scaling.pos_y_scale;
+    row[4] = frac.empty(l) ? 0.0 : frac.mean[l];
+    row[5] = frac.empty(l) ? 0.0 : frac.stddev(l);
+    const behavior::PreferenceVector pref = latest_preference(first + l);
+    for (std::size_t c = 0; c < pref.size(); ++c) {
+      row[6 + c] = pref[c];
+    }
+  }
+}
+
 void TwinColumnStore::extract_summary_row(std::size_t u, const SummarySpec& spec,
                                           double* out) const {
   DTMSV_EXPECTS(u < user_count());
   validate_summary_spec(spec);
-  const util::SimTime from = spec.now - spec.window_s;
-
-  util::RunningStats snr;
-  {
-    const std::vector<double>& vals = channel_.snr();
-    channel_.for_each_slot_in(u, from, spec.now,
-                              [&](std::size_t at) { snr.add(vals[at]); });
-  }
-  util::RunningStats x;
-  util::RunningStats y;
-  {
-    const std::vector<double>& xs = location_.x();
-    const std::vector<double>& ys = location_.y();
-    location_.for_each_slot_in(u, from, spec.now, [&](std::size_t at) {
-      x.add(xs[at]);
-      y.add(ys[at]);
-    });
-  }
-  util::RunningStats frac;
-  {
-    const std::vector<double>& vals = watch_.watch_fraction();
-    watch_.for_each_slot_in(u, from, spec.now,
-                            [&](std::size_t at) { frac.add(vals[at]); });
-  }
-
-  const FeatureScaling& scaling = spec.scaling;
-  out[0] = snr.empty()
-               ? 0.0
-               : std::clamp((snr.mean() + scaling.snr_offset_db) / scaling.snr_scale_db,
-                            0.0, 1.5);
-  out[1] = snr.empty() ? 0.0 : snr.stddev() / scaling.snr_scale_db;
-  out[2] = x.empty() ? 0.0 : x.mean() / scaling.pos_x_scale;
-  out[3] = y.empty() ? 0.0 : y.mean() / scaling.pos_y_scale;
-  out[4] = frac.empty() ? 0.0 : frac.mean();
-  out[5] = frac.empty() ? 0.0 : frac.stddev();
-  const behavior::PreferenceVector pref = latest_preference(u);
-  for (std::size_t c = 0; c < pref.size(); ++c) {
-    out[6 + c] = pref[c];
-  }
+  SummaryScratch scratch;
+  extract_summary_rows(u, 1, spec, out, scratch);
 }
 
 namespace {
 
 /// Extracts every row of a batch into `buffer` on the pool (disjoint rows —
-/// bit-identical for any thread count). `make_row_fn()` is invoked once
-/// per worker chunk so row extractors can carry per-chunk scratch. Specs
-/// are validated before this runs: pool jobs must not throw.
-template <typename Value, typename MakeRowFn>
+/// bit-identical for any thread count): extract_chunk(begin, end, data)
+/// writes rows [begin, end) of `data`, once per worker chunk, so extractors
+/// can carry per-chunk scratch. Specs are validated before this runs: pool
+/// jobs must not throw.
+template <typename Value, typename ExtractChunk>
 void extract_rows(std::size_t users, std::size_t width, std::vector<Value>& buffer,
-                  ExtractStats& stats, const MakeRowFn& make_row_fn) {
+                  ExtractStats& stats, const ExtractChunk& extract_chunk) {
   buffer.resize(users * width);
   Value* data = buffer.data();
   util::parallel_for(0, users, kExtractGrain, [&](std::size_t begin, std::size_t end) {
-    auto extract_row = make_row_fn();
-    for (std::size_t u = begin; u < end; ++u) {
-      extract_row(u, data + u * width);
-    }
+    extract_chunk(begin, end, data);
   });
   stats = {users, 0};
 }
@@ -307,22 +438,27 @@ WindowBatch TwinColumnStore::feature_windows(const WindowSpec& spec,
                                              FeatureArena& arena) const {
   validate_window_spec(spec);
   const std::size_t width = kFeatureChannels * spec.timesteps;
-  extract_rows(user_count(), width, arena.windows_, arena.window_stats_, [&] {
-    return [this, &spec, scratch = RowScratch{}](std::size_t u, float* out) mutable {
-      extract_window_row(u, spec, out, scratch);
-    };
-  });
+  extract_rows(user_count(), width, arena.windows_, arena.window_stats_,
+               [&](std::size_t begin, std::size_t end, float* data) {
+                 RowScratch scratch;
+                 for (std::size_t u = begin; u < end; ++u) {
+                   extract_window_row(u, spec, data + u * width, scratch);
+                 }
+               });
   return WindowBatch(arena.windows_.data(), user_count(), width);
 }
 
 SummaryBatch TwinColumnStore::summary_features(const SummarySpec& spec,
                                                FeatureArena& arena) const {
   validate_summary_spec(spec);
-  extract_rows(user_count(), kSummaryDim, arena.summaries_, arena.summary_stats_, [&] {
-    return [this, &spec](std::size_t u, double* out) {
-      extract_summary_row(u, spec, out);
-    };
-  });
+  extract_rows(user_count(), kSummaryDim, arena.summaries_, arena.summary_stats_,
+               [&](std::size_t begin, std::size_t end, double* data) {
+                 SummaryScratch scratch;
+                 for (std::size_t u = begin; u < end; u += kSummaryLanes) {
+                   extract_summary_rows(u, std::min(kSummaryLanes, end - u), spec,
+                                        data + u * kSummaryDim, scratch);
+                 }
+               });
   return SummaryBatch(arena.summaries_.data(), user_count(), kSummaryDim);
 }
 

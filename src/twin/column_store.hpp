@@ -5,7 +5,9 @@
 // into a FeatureArena extracts every user's row on the thread pool; rows
 // are extracted independently (deterministic for any DTMSV_THREADS) with
 // arithmetic bit-identical to the single-row extract_window_row /
-// extract_summary_row.
+// extract_summary_row. Summary rows are extracted a block of users at a
+// time (their mean/variance recurrences run side by side), and the
+// single-row form is the one-user block.
 #pragma once
 
 #include <cstddef>
@@ -54,6 +56,11 @@ class TwinColumnStore {
   static constexpr std::size_t kFeatureChannels = 5 + video::kCategoryCount;
   /// Dimension of a summary-feature row.
   static constexpr std::size_t kSummaryDim = 6 + video::kCategoryCount;
+  /// Users whose summary rows one pass extracts together. Each row's means
+  /// and variances are Welford recurrences, a serial chain with a divide
+  /// per sample; the chains of different users are independent, so running
+  /// them as the lanes of one block overlaps their latency.
+  static constexpr std::size_t kSummaryLanes = 8;
 
   /// `history_capacity`: channel-lane slots per user; the sparser
   /// attributes get ColumnCapacities::scaled() shares of it.
@@ -124,8 +131,13 @@ class TwinColumnStore {
 
  private:
   struct RowScratch;
+  struct SummaryScratch;
   void extract_window_row(std::size_t u, const WindowSpec& spec, float* out,
                           RowScratch& scratch) const;
+  /// Summary rows of users [first, first + lanes), lanes <= kSummaryLanes,
+  /// written to `out` one row after another.
+  void extract_summary_rows(std::size_t first, std::size_t lanes, const SummarySpec& spec,
+                            double* out, SummaryScratch& scratch) const;
 
   ChannelColumn channel_;
   LocationColumn location_;

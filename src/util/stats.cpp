@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "util/simd.hpp"
+
 namespace dtmsv::util {
 
 void RunningStats::add(double x) {
@@ -16,7 +18,10 @@ void RunningStats::add(double x) {
   ++count_;
   const double delta = x - mean_;
   mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
+  // The product rounds on its own before the sum (madd with a zero
+  // accumulator, see simd.hpp), so the compiler cannot fuse it in one copy
+  // of this recurrence and not in another (the twin store's summary lanes).
+  m2_ += simd::madd(delta, x - mean_, 0.0);
 }
 
 void RunningStats::merge(const RunningStats& other) {

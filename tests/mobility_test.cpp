@@ -1,11 +1,14 @@
 // Unit tests for dtmsv::mobility — campus graph invariants, shortest paths,
-// walker kinematics and the lock-step mobility field.
+// walker kinematics and leg speeds, and the lock-step mobility field.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "mobility/campus_map.hpp"
 #include "mobility/random_waypoint.hpp"
+#include "stats_check.hpp"
 #include "util/error.hpp"
 
 namespace {
@@ -171,6 +174,51 @@ TEST(Walker, LargeTimestepEquivalentDistance) {
   }
   EXPECT_NEAR(fine.position().x, coarse.position().x, 1e-6);
   EXPECT_NEAR(fine.position().y, coarse.position().y, 1e-6);
+}
+
+/// The speed of every leg that `walkers` walkers (independent seeds) start
+/// within `seconds` of walking: one at spawn, one per new destination.
+std::vector<double> leg_speeds(const MobilityConfig& cfg, std::size_t walkers, int seconds) {
+  const CampusMap map = CampusMap::waterloo_campus();
+  Rng seeds(2024);
+  std::vector<double> speeds;
+  for (std::size_t i = 0; i < walkers; ++i) {
+    Walker w(map, cfg, seeds.fork(i));
+    speeds.push_back(w.speed_mps());
+    for (int t = 0; t < seconds; t += 10) {
+      w.advance(10.0);
+      if (w.speed_mps() != speeds.back()) {  // a continuous draw repeats with p = 0
+        speeds.push_back(w.speed_mps());
+      }
+    }
+  }
+  return speeds;
+}
+
+/// CDF of U(lo, hi).
+auto uniform_cdf(double lo, double hi) {
+  return [lo, hi](double x) { return std::clamp((x - lo) / (hi - lo), 0.0, 1.0); };
+}
+
+TEST(Walker, LegSpeedsAreUniformOverTheConfiguredRange) {
+  // Each leg's speed is drawn from U(min_speed_mps, max_speed_mps). Only
+  // the speeds are tested: positions on the campus graph follow shortest
+  // paths between random waypoints and have no closed-form stationary
+  // distribution to test them against.
+  MobilityConfig cfg;
+  cfg.max_pause_s = 5.0;
+  const std::vector<double> speeds = leg_speeds(cfg, 1500, 3000);
+  ASSERT_GT(speeds.size(), 10'000u);
+  const auto ks = dtmsv::testing::ks::one_sample(
+      speeds, uniform_cdf(cfg.min_speed_mps, cfg.max_speed_mps));
+  EXPECT_GT(ks.p, 1e-3) << "sqrt(n)·D = " << ks.scaled_d;
+  // Negative control: the test has the power to reject a range shifted by
+  // 4% of its width.
+  const double shift = 0.04 * (cfg.max_speed_mps - cfg.min_speed_mps);
+  EXPECT_LT(dtmsv::testing::ks::one_sample(
+                speeds, uniform_cdf(cfg.min_speed_mps + shift, cfg.max_speed_mps + shift))
+                .p,
+            1e-6);
 }
 
 // ------------------------------------------------------------ MobilityField

@@ -622,6 +622,89 @@ TEST(TwinColumnStore, BatchRowsMatchSingleRowExtraction) {
   }
 }
 
+/// Fixed 64-slot rings whose users cycle through the shapes a block of
+/// summary lanes must handle: no samples at all, channel samples but no
+/// location or watch samples, ragged sample counts, a NaN SNR sample, a
+/// history that ends before the window, and long histories that wrap.
+TwinColumnStore ragged_store(std::size_t users) {
+  TwinColumnStore store(users, ColumnCapacities{64, 64, 64, 64});
+  Rng rng(57);
+  for (std::size_t u = 0; u < users; ++u) {
+    const std::size_t shape = u % 6;
+    if (shape == 0) {
+      continue;
+    }
+    const int seconds = shape == 5 ? 400 : 100;
+    const int end = shape == 4 ? 30 : seconds;
+    const int channel_every = 1 + static_cast<int>(u % 4);
+    for (int s = 0; s < end; ++s) {
+      const double t = static_cast<double>(s);
+      if (s % channel_every == 0) {
+        const bool nan = shape == 3 && s == seconds - 20;
+        const double snr = nan ? std::numeric_limits<double>::quiet_NaN()
+                               : rng.uniform(-15.0, 35.0);
+        store.record_channel(u, t, {snr, rng.uniform(0.0, 6.5), 0});
+      }
+      if (shape == 1) {
+        continue;
+      }
+      if (s % (3 + static_cast<int>(u % 5)) == 0) {
+        store.record_location(u, t, {rng.uniform(0.0, 1200.0), rng.uniform(0.0, 1000.0)});
+      }
+      if (s % (4 + static_cast<int>(u % 7)) == 0) {
+        WatchObservation w;
+        w.category = dtmsv::video::all_categories()[u % dtmsv::video::kCategoryCount];
+        w.watch_seconds = rng.uniform(0.0, 30.0);
+        w.watch_fraction = rng.uniform(-0.1, 1.1);
+        store.record_watch(u, t, w);
+      }
+      if (s % 10 == 0) {
+        store.record_preference(u, t, store.estimator(u).estimate());
+      }
+    }
+  }
+  return store;
+}
+
+TEST(TwinColumnStore, BatchedSummaryRowsMatchTheReferenceByteForByte) {
+  // summary_features extracts kSummaryLanes users per block; every block
+  // size, every lane shape and every chunking of the pool must give the
+  // bytes of one RunningStats per user (oracle_summary_row) and of the
+  // one-lane extract_summary_row.
+  constexpr std::size_t kLanes = TwinColumnStore::kSummaryLanes;
+  const FeatureScaling scaling{1200.0, 1000.0, 10.0, 40.0};
+  for (const std::size_t threads : {1u, 4u}) {
+    dtmsv::util::set_thread_count(threads);
+    for (const std::size_t users : {std::size_t{1}, kLanes - 1, kLanes + 1, 3 * kLanes + 2}) {
+      const TwinStore wrapped = wrapped_store(users, 128);
+      const TwinColumnStore ragged = ragged_store(users);
+      for (const TwinColumnStore* store : {&wrapped.columns(), &ragged}) {
+        for (const SummarySpec& spec :
+             {SummarySpec{1000.0, 60.0, scaling}, SummarySpec{95.5, 60.0, scaling},
+              SummarySpec{390.0, 17.5, scaling}}) {
+          SCOPED_TRACE("threads " + std::to_string(threads) + " users " +
+                       std::to_string(users) + " now " + std::to_string(spec.now));
+          FeatureArena arena;
+          const SummaryBatch batch = store->summary_features(spec, arena);
+          ASSERT_EQ(batch.size(), users);
+          for (std::size_t u = 0; u < users; ++u) {
+            const std::vector<double> oracle = oracle_summary_row(*store, u, spec);
+            const std::vector<double> single = summary_row(*store, u, spec);
+            ASSERT_EQ(std::memcmp(batch.row(u).data(), oracle.data(),
+                                  oracle.size() * sizeof(double)),
+                      0)
+                << "batched row of user " << u;
+            ASSERT_EQ(std::memcmp(single.data(), oracle.data(), oracle.size() * sizeof(double)),
+                      0)
+                << "single row of user " << u;
+          }
+        }
+      }
+    }
+  }
+  dtmsv::util::set_thread_count(0);  // restore env/hardware default
+}
+
 TEST(TwinColumnStore, ReusedArenaMatchesFreshArenaAcrossStoresAndSpecs) {
   // One arena serving stores of different sizes and specs in turn must
   // return exactly the bytes a fresh arena would, every time.

@@ -617,6 +617,32 @@ TEST(RunningStats, SingleSampleVarianceZero) {
   EXPECT_DOUBLE_EQ(stats.stddev(), 0.0);
 }
 
+TEST(RunningStats, VarianceUpdateRoundsItsProductBeforeTheSum) {
+  // add's m2 update rounds delta * (x - mean) on its own before the sum,
+  // as the twin store's summary lanes do (twin_test holds them to it): a
+  // fused update gives other bits on every target with FMA, at some steps
+  // (the two forms can meet again later, so every step is compared). The
+  // volatile product here cannot be fused.
+  Rng rng(77);
+  RunningStats stats;
+  double mean = 0.0;
+  double m2 = 0.0;
+  for (int i = 1; i <= 200; ++i) {
+    const double x = rng.uniform(-15.0, 35.0);
+    stats.add(x);
+    const double delta = x - mean;
+    mean += delta / static_cast<double>(i);
+    const volatile double product = delta * (x - mean);
+    m2 += product;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(stats.mean()), std::bit_cast<std::uint64_t>(mean))
+        << "sample " << i;
+    const double variance = i < 2 ? 0.0 : m2 / static_cast<double>(i - 1);
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(stats.variance()),
+              std::bit_cast<std::uint64_t>(variance))
+        << "sample " << i;
+  }
+}
+
 TEST(RunningStats, MergeEqualsCombinedStream) {
   Rng rng(31);
   RunningStats combined;
